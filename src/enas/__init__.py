@@ -45,7 +45,7 @@ from .experiment import (
     run_experiment,
     summarize_efficiency,
 )
-from .fitness import CrossValFitness, FitnessRecord, evaluate, f_measure
+from .fitness import CrossValFitness, FitnessRecord, f_measure
 from .genome import (
     Genome,
     InvalidGenomeError,
@@ -65,7 +65,6 @@ from .nn import (
     binary_cross_entropy,
     forward,
     glorot_uniform,
-    optimizer_step,
     predict,
     train,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,7 +29,7 @@ from .evolution import (
     RunResult,
     run_on_dataset,
 )
-from .genome import SearchSpace, genome_to_doc
+from .genome import InvalidGenomeError, SearchSpace, genome_to_doc
 from .seeding import derive_seed
 
 
@@ -66,6 +66,8 @@ class ExperimentConfig:
             raise ExperimentError("runs must be at least 1")
         if self.folds < 2:
             raise ExperimentError("folds must be at least 2")
+        if self.jobs < 1:
+            raise ExperimentError("jobs must be at least 1")
         if not self.datasets:
             raise ExperimentError("at least one dataset is required")
         if not self.modes:
@@ -82,6 +84,17 @@ def _require(condition: bool, message: str) -> None:
         raise ExperimentError(message)
 
 
+_TOP_LEVEL_KEYS = {
+    "out_dir", "runs", "base_seed", "folds", "jobs", "modes", "datasets", "search_space",
+    "static_params",
+}
+
+
+def _check_keys(section: str, doc: Mapping, allowed) -> None:
+    unknown = sorted(set(doc) - set(allowed))
+    _require(not unknown, f"unknown keys in {section}: {', '.join(unknown)}")
+
+
 def config_from_file(path: str | Path, overrides: Mapping | None = None) -> ExperimentConfig:
     """Build a config from a JSON file; relative paths resolve next to it."""
     path = Path(path)
@@ -89,7 +102,8 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         raise ExperimentError(f"config file not found: {path}")
     doc = json.loads(path.read_text(encoding="utf-8"))
     base = path.parent
-    overrides = dict(overrides or {})
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    _check_keys("config", doc, _TOP_LEVEL_KEYS)
 
     def _resolve(p: str) -> Path:
         p = Path(p)
@@ -98,6 +112,7 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
     datasets = []
     for entry in doc.get("datasets", []):
         _require("name" in entry and "path" in entry, "dataset entries need name and path")
+        _check_keys("dataset entry", entry, [f.name for f in fields(DatasetSpec)])
         datasets.append(
             DatasetSpec(
                 name=entry["name"],
@@ -119,10 +134,12 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
     modes = [Mode(name) for name in mode_names]
 
     space_doc = dict(doc.get("search_space", {}))
-    if overrides.get("pop_bounds"):
+    _check_keys("search_space", space_doc, [f.name for f in fields(SearchSpace)])
+    if "pop_bounds" in overrides:
         space_doc["population_size"] = list(overrides["pop_bounds"])
-    if overrides.get("max_generations_cap"):
+    if "max_generations_cap" in overrides:
         cap = int(overrides["max_generations_cap"])
+        _require(cap >= 1, "max_generations_cap must be at least 1")
         lo = space_doc.get("max_generations", [1, cap])[0]
         space_doc["max_generations"] = [min(lo, cap), cap]
     space_kwargs = {}
@@ -141,30 +158,32 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
     for key in ("mutation_rate_beta", "cloning_rate_beta"):
         if key in space_doc:
             space_kwargs[key] = tuple(float(v) for v in space_doc[key])
-    space = SearchSpace(**space_kwargs)
+    try:
+        space = SearchSpace(**space_kwargs)
+    except InvalidGenomeError as exc:
+        raise ExperimentError(f"search_space: {exc}") from exc
 
     static_doc = dict(doc.get("static_params", {}))
-    if overrides.get("max_generations_cap"):
-        cap = int(overrides["max_generations_cap"])
+    static_keys = [f.name for f in fields(EvolutionConfig) if f.name != "space"]
+    _check_keys("static_params", static_doc, static_keys)
+    if "max_generations_cap" in overrides:
         static_doc["max_generations"] = min(int(static_doc.get("max_generations", cap)), cap)
     evolution = EvolutionConfig(space=space, **static_doc)
 
     # A config-file out_dir is relative to the config; a command-line
     # override is relative to the caller's working directory.
-    if overrides.get("out"):
+    if "out" in overrides:
         out_dir = Path(overrides["out"])
     else:
         out_dir = _resolve(doc.get("out_dir", "out"))
     return ExperimentConfig(
         datasets=datasets,
         modes=modes,
-        runs=int(overrides.get("runs") or doc.get("runs", 1)),
-        base_seed=int(
-            overrides["seed"] if overrides.get("seed") is not None else doc.get("base_seed", 0)
-        ),
+        runs=int(overrides.get("runs", doc.get("runs", 1))),
+        base_seed=int(overrides.get("seed", doc.get("base_seed", 0))),
         out_dir=out_dir,
         folds=int(doc.get("folds", 5)),
-        jobs=int(overrides.get("jobs") or doc.get("jobs", 1)),
+        jobs=int(overrides.get("jobs", doc.get("jobs", 1))),
         evolution=evolution,
     )
 

@@ -110,11 +110,6 @@ class CrossValFitness:
         )
 
 
-def evaluate(genome: Genome, dataset: Dataset, split: FoldSplit, seed: int) -> FitnessRecord:
-    """One-shot cross-validated evaluation of a genome."""
-    return CrossValFitness(dataset, split)(genome, seed)
-
-
 def evaluation_doc(individual_id: int, genome_doc: dict, record: FitnessRecord) -> dict:
     """JSON-compatible log line for one completed evaluation."""
     return {

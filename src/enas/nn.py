@@ -28,6 +28,9 @@ LOSS_EPS = 1e-7
 EARLY_STOP_PATIENCE = 5
 EARLY_STOP_MIN_DELTA = 1e-4
 
+# Per-layer (weights, bias) views of one flat parameter vector.
+Layers = list[tuple[np.ndarray, np.ndarray]]
+
 
 class TrainingError(ValueError):
     """Invalid network configuration or incompatible training inputs."""
@@ -91,10 +94,10 @@ class MLPConfig:
 
 @dataclass
 class TrainedModel:
-    """Weights plus the training trace that produced them."""
+    """Flat parameters, their layer dims, and the training trace that produced them."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params: np.ndarray
+    dims: tuple[int, ...]
     activations: tuple[str, ...]
     loss_history: list[float] = field(default_factory=list)
     stopped_early: bool = False
@@ -103,25 +106,7 @@ class TrainedModel:
 
     @property
     def input_width(self) -> int:
-        return int(self.weights[0].shape[0])
-
-    def to_doc(self) -> dict:
-        """JSON-compatible dump of layer shapes and parameters (debug aid)."""
-        return {
-            "input_width": self.input_width,
-            "layers": [
-                {
-                    "weights": w.tolist(),
-                    "bias": b.tolist(),
-                    "activation": act,
-                }
-                for w, b, act in zip(self.weights, self.biases, self.activations)
-            ],
-            "loss_history": list(self.loss_history),
-            "stopped_early": self.stopped_early,
-            "epochs_run": self.epochs_run,
-            "diverged": self.diverged,
-        }
+        return int(self.dims[0])
 
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
@@ -162,30 +147,44 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise TrainingError(f"unsupported activation {name!r}")
 
 
-def layer_dims(input_width: int, config: MLPConfig) -> list[int]:
+def layer_dims(input_width: int, config: MLPConfig) -> tuple[int, ...]:
     """Unit counts per layer: input, H+1 hidden-width layers, 1 output."""
-    return [input_width] + [config.nodes_per_hidden] * (config.hidden_layers + 1) + [1]
+    return (input_width,) + (config.nodes_per_hidden,) * (config.hidden_layers + 1) + (1,)
 
 
-def init_params(
-    config: MLPConfig, input_width: int, rng: np.random.Generator
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def param_views(flat: np.ndarray, dims) -> Layers:
+    """Per-layer (weights, bias) views of a flat vector laid out W0, b0, W1, b1, ...
+
+    Weights are (fan_in, fan_out) row-major blocks. Writing to a view
+    writes to ``flat``; this is the only place that knows the layout.
+    """
+    views = []
+    start = 0
+    for fan_in, fan_out in zip(dims, dims[1:]):
+        end = start + fan_in * fan_out
+        views.append((flat[start:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        start = end + fan_out
+    if start != flat.size:
+        raise TrainingError(f"{flat.size} parameters do not fit layer dims {list(dims)}")
+    return views
+
+
+def init_params(config: MLPConfig, input_width: int, rng: np.random.Generator) -> np.ndarray:
+    """Flat parameter vector: Glorot-uniform weights drawn layer by layer, zero biases."""
     dims = layer_dims(input_width, config)
-    weights = [glorot_uniform(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
-    biases = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-    return weights, biases
+    params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])))
+    for w, _ in param_views(params, dims):
+        w[...] = glorot_uniform(w.shape[0], w.shape[1], rng)
+    return params
 
 
 def _forward_chain(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    activations: tuple[str, ...],
-    batch: np.ndarray,
+    layers: Layers, activations: tuple[str, ...], batch: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Pre-activations and activations per layer; batch is (rows, input_width)."""
     zs: list[np.ndarray] = []
     outs: list[np.ndarray] = [batch]
-    for w, b, act in zip(weights, biases, activations):
+    for (w, b), act in zip(layers, activations):
         z = outs[-1] @ w + b
         zs.append(z)
         outs.append(_activate(act, z))
@@ -199,7 +198,7 @@ def forward(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
         raise TrainingError(
             f"batch has {batch.shape[1]} columns, model expects {model.input_width}"
         )
-    _, outs = _forward_chain(model.weights, model.biases, model.activations, batch)
+    _, outs = _forward_chain(param_views(model.params, model.dims), model.activations, batch)
     return np.clip(outs[-1].ravel(), LOSS_EPS, 1.0 - LOSS_EPS)
 
 
@@ -219,104 +218,90 @@ def binary_cross_entropy(predictions: np.ndarray, labels: np.ndarray) -> float:
 
 
 def loss_and_gradients(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
+    layers: Layers,
     activations: tuple[str, ...],
     batch: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Mean BCE over the batch and its gradients w.r.t. every parameter.
+    grad_layers: Layers,
+) -> float:
+    """Mean BCE over the batch; its gradient goes into ``grad_layers``.
 
-    The output delta folds the sigmoid and the cross-entropy together,
-    which is exact as long as the loss clipping is inactive.
+    ``layers`` and ``grad_layers`` are ``param_views`` of the parameter
+    vector and of a gradient buffer with the same layout. The output
+    delta folds the sigmoid and the cross-entropy together, which is
+    exact as long as the loss clipping is inactive.
     """
     if activations[-1] != "sigmoid":
         raise TrainingError("gradients require a sigmoid output unit")
-    zs, outs = _forward_chain(weights, biases, activations, batch)
+    zs, outs = _forward_chain(layers, activations, batch)
     p = outs[-1].ravel()
     y = np.asarray(labels, dtype=np.float64).ravel()
     loss = binary_cross_entropy(p, y)
 
     n = batch.shape[0]
     delta = ((p - y) / n).reshape(-1, 1)
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(weights)
-    for layer in range(len(weights) - 1, -1, -1):
-        grad_w[layer] = outs[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+    for layer in range(len(layers) - 1, -1, -1):
+        grad_w, grad_b = grad_layers[layer]
+        np.matmul(outs[layer].T, delta, out=grad_w)
+        delta.sum(axis=0, out=grad_b)
         if layer > 0:
-            delta = (delta @ weights[layer].T) * _activation_grad(
+            delta = (delta @ layers[layer][0].T) * _activation_grad(
                 activations[layer - 1], zs[layer - 1], outs[layer]
             )
-    return loss, grad_w, grad_b
+    return loss
 
 
-def _init_optimizer_state(kind: str, param: np.ndarray) -> dict:
-    if kind == "sgd":
-        return {}
-    state: dict = {"t": 0}
-    if kind in ("adam", "rmsprop"):
-        state["v"] = np.zeros_like(param)
-    if kind in ("adam", "adamax"):
-        state["m"] = np.zeros_like(param)
-    if kind == "adamax":
-        state["u"] = np.zeros_like(param)
-    return state
+class Optimizer:
+    """One optimizer's state over a flat parameter vector.
 
-
-def _apply_update(kind: str, param: np.ndarray, grad: np.ndarray, state: dict, lr: float) -> None:
-    """Update one parameter tensor and its optimizer state, both in place."""
-    if kind == "sgd":
-        param -= lr * grad
-        return
-    t = state["t"] = state["t"] + 1
-    if kind == "adam":
-        m, v = state["m"], state["v"]
-        m *= BETA_1
-        m += (1.0 - BETA_1) * grad
-        v *= BETA_2
-        v += (1.0 - BETA_2) * grad * grad
-        m_hat = m / (1.0 - BETA_1**t)
-        v_hat = v / (1.0 - BETA_2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + OPT_EPS)
-    elif kind == "adamax":
-        m, u = state["m"], state["u"]
-        m *= BETA_1
-        m += (1.0 - BETA_1) * grad
-        np.maximum(BETA_2 * u, np.abs(grad), out=u)
-        param -= (lr / (1.0 - BETA_1**t)) * m / (u + OPT_EPS)
-    else:  # rmsprop
-        v = state["v"]
-        v *= RMS_RHO
-        v += (1.0 - RMS_RHO) * grad * grad
-        param -= lr * grad / (np.sqrt(v) + OPT_EPS)
-
-
-def optimizer_step(
-    kind: str,
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: dict | None,
-    learning_rate: float | None = None,
-) -> tuple[np.ndarray, dict]:
-    """One update of a single parameter tensor; returns (new_param, new_state).
-
-    Functional wrapper over the in-place core the training loop uses, so
-    both produce bit-identical arithmetic.
+    ``m`` is the first moment and ``v`` the second (for adamax, the
+    decayed infinity norm), each one array, with a single step count.
+    Every step writes its intermediates into two scratch buffers made
+    here, so a step allocates nothing the size of the parameters. Each
+    expression keeps the operation order of the textbook form, e.g.
+    ``(lr * m_hat) / (sqrt(v_hat) + eps)``, so results do not depend on
+    how the parameters are laid out.
     """
-    if kind not in SUPPORTED_OPTIMIZERS:
-        raise TrainingError(f"unsupported optimizer {kind!r}")
-    lr = DEFAULT_LEARNING_RATES[kind] if learning_rate is None else learning_rate
-    param = np.array(param, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
-    if state is None:
-        state = _init_optimizer_state(kind, param)
-    else:
-        state = {k: (np.array(v) if isinstance(v, np.ndarray) else v) for k, v in state.items()}
-        for key, value in _init_optimizer_state(kind, param).items():
-            state.setdefault(key, value)
-    _apply_update(kind, param, grad, state, lr)
-    return param, state
+
+    def __init__(self, kind: str, size: int, learning_rate: float | None = None):
+        if kind not in SUPPORTED_OPTIMIZERS:
+            raise TrainingError(f"unsupported optimizer {kind!r}")
+        self.kind = kind
+        self.lr = DEFAULT_LEARNING_RATES[kind] if learning_rate is None else learning_rate
+        self.t = 0
+        self.m = np.zeros(size) if kind in ("adam", "adamax") else None
+        self.v = np.zeros(size) if kind != "sgd" else None
+        self._a = np.empty(size)
+        self._b = np.empty(size) if kind != "sgd" else None
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update ``params`` against ``grad`` (both flat) and the state, in place."""
+        kind, lr, m, v, a, b = self.kind, self.lr, self.m, self.v, self._a, self._b
+        if kind == "sgd":
+            params -= np.multiply(grad, lr, out=a)
+            return
+        self.t += 1
+        if kind in ("adam", "adamax"):
+            m *= BETA_1
+            m += np.multiply(grad, 1.0 - BETA_1, out=a)
+        if kind == "adam":
+            v *= BETA_2
+            v += np.multiply(np.multiply(grad, 1.0 - BETA_2, out=a), grad, out=a)
+            np.multiply(np.divide(m, 1.0 - BETA_1**self.t, out=a), lr, out=a)
+            np.sqrt(np.divide(v, 1.0 - BETA_2**self.t, out=b), out=b)
+            b += OPT_EPS
+        elif kind == "adamax":
+            v *= BETA_2
+            np.maximum(v, np.abs(grad, out=a), out=v)
+            np.multiply(m, lr / (1.0 - BETA_1**self.t), out=a)
+            np.add(v, OPT_EPS, out=b)
+        else:  # rmsprop
+            v *= RMS_RHO
+            v += np.multiply(np.multiply(grad, 1.0 - RMS_RHO, out=a), grad, out=a)
+            np.multiply(grad, lr, out=a)
+            np.sqrt(v, out=b)
+            b += OPT_EPS
+        params -= np.divide(a, b, out=a)
 
 
 def train(
@@ -341,13 +326,13 @@ def train(
     if rng is None:
         rng = np.random.default_rng(config.seed)
 
-    weights, biases = init_params(config, x.shape[1], rng)
-    kind = config.optimizer
-    lr = DEFAULT_LEARNING_RATES[kind] if config.learning_rate is None else config.learning_rate
-    w_states = [_init_optimizer_state(kind, w) for w in weights]
-    b_states = [_init_optimizer_state(kind, b) for b in biases]
+    dims = layer_dims(x.shape[1], config)
+    params = init_params(config, x.shape[1], rng)
+    grad = np.empty_like(params)
+    layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+    optimizer = Optimizer(config.optimizer, params.size, config.learning_rate)
 
-    model = TrainedModel(weights=weights, biases=biases, activations=config.activations)
+    model = TrainedModel(params=params, dims=dims, activations=config.activations)
     n = x.shape[0]
     stopper = EarlyStopper()
 
@@ -356,17 +341,12 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss, grad_w, grad_b = loss_and_gradients(
-                weights, biases, config.activations, x[idx], y[idx]
-            )
+            loss = loss_and_gradients(layers, config.activations, x[idx], y[idx], grad_layers)
             loss_sum += loss * idx.size
-            for i in range(len(weights)):
-                _apply_update(kind, weights[i], grad_w[i], w_states[i], lr)
-                _apply_update(kind, biases[i], grad_b[i], b_states[i], lr)
+            optimizer.step(params, grad)
         epoch_loss = loss_sum / n
         model.loss_history.append(epoch_loss)
         model.epochs_run += 1
-        model.weights, model.biases = weights, biases
 
         if not math.isfinite(epoch_loss):
             model.diverged = True

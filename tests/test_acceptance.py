@@ -31,7 +31,14 @@ from enas.genome import (
     sample_mutation_rate,
     sample_population_size,
 )
-from enas.nn import MLPConfig, glorot_uniform, init_params, loss_and_gradients
+from enas.nn import (
+    MLPConfig,
+    glorot_uniform,
+    init_params,
+    layer_dims,
+    loss_and_gradients,
+    param_views,
+)
 from enas.seeding import derive_seed, make_rng
 from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_dataset_csv
 
@@ -77,26 +84,26 @@ def test_analytic_gradients_match_finite_differences_on_20_networks():
             seed=trial,
         )
         width = int(rng.integers(2, 7))
-        weights, biases = init_params(config, width, rng)
+        params = init_params(config, width, rng)
+        grad, scratch = np.empty_like(params), np.empty_like(params)
+        dims = layer_dims(width, config)
+        layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+        scratch_layers = param_views(scratch, dims)
         x = rng.uniform(0.0, 1.0, size=(8, width))
         y = rng.integers(0, 2, size=8).astype(float)
-        _, grad_w, grad_b = loss_and_gradients(weights, biases, config.activations, x, y)
+        loss_and_gradients(layers, config.activations, x, y, grad_layers)
         h = 1e-5
-        for tensors, grads in ((weights, grad_w), (biases, grad_b)):
-            for tensor, grad in zip(tensors, grads):
-                it = np.nditer(tensor, flags=["multi_index"])
-                for _ in it:
-                    ix = it.multi_index
-                    original = tensor[ix]
-                    tensor[ix] = original + h
-                    up, _, _ = loss_and_gradients(weights, biases, config.activations, x, y)
-                    tensor[ix] = original - h
-                    down, _, _ = loss_and_gradients(weights, biases, config.activations, x, y)
-                    tensor[ix] = original
-                    fd = (up - down) / (2 * h)
-                    scale = max(abs(fd), abs(grad[ix]), 1e-8)
-                    assert abs(fd - grad[ix]) / scale < 1e-4, (trial, ix)
-                    checked += 1
+        for i in range(params.size):
+            original = params[i]
+            params[i] = original + h
+            up = loss_and_gradients(layers, config.activations, x, y, scratch_layers)
+            params[i] = original - h
+            down = loss_and_gradients(layers, config.activations, x, y, scratch_layers)
+            params[i] = original
+            fd = (up - down) / (2 * h)
+            scale = max(abs(fd), abs(grad[i]), 1e-8)
+            assert abs(fd - grad[i]) / scale < 1e-4, (trial, i)
+            checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"gradient check took {elapsed:.1f}s"
     _announce(f"gradients matched finite differences on 20 networks, {checked} parameters ({elapsed:.1f}s)")

@@ -287,6 +287,36 @@ class TestCli:
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @staticmethod
+    def _assert_one_line_error(capsys, argv):
+        # main() returning at all means no exception (and so no traceback) escaped
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("flag", ["--runs", "--jobs", "--max-generations-cap"])
+    def test_zero_override_rejected(self, tmp_path, capsys, flag):
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        self._assert_one_line_error(capsys, ["run", "--config", str(config_path), flag, "0"])
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "runz"),
+            ("datasets", "pathh"),
+            ("search_space", "nodez"),
+            ("static_params", "tournament_sise"),
+        ],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, section, key):
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        doc = json.loads(config_path.read_text())
+        target = doc if section is None else doc[section]
+        (target[0] if section == "datasets" else target)[key] = 1
+        config_path.write_text(json.dumps(doc))
+        assert key in self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+
     def test_plot_data_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("enas",))

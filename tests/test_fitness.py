@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from enas import nn
 from enas.data import kfold_split
-from enas.fitness import CrossValFitness, FitnessRecord, evaluate, f_measure
+from enas.fitness import CrossValFitness, FitnessRecord, f_measure
 from enas.genome import Genome
 from enas.synthetic import make_threshold_dataset
 
@@ -94,27 +94,27 @@ class TestEvaluate:
     def test_separable_dataset_scores_high(self):
         dataset = make_threshold_dataset(60, 4, seed=21)
         split = kfold_split(dataset, 3, seed=22)
-        record = evaluate(REASONABLE_GENOME, dataset, split, seed=23)
+        record = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=23)
         assert record.mean_f_measure > 0.9
 
     def test_deterministic_record(self):
         dataset = make_threshold_dataset(40, 3, seed=24)
         split = kfold_split(dataset, 3, seed=25)
-        first = evaluate(REASONABLE_GENOME, dataset, split, seed=26)
-        second = evaluate(REASONABLE_GENOME, dataset, split, seed=26)
+        first = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=26)
+        second = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=26)
         assert first == second  # wall time excluded from equality
 
     def test_one_model_per_fold(self):
         dataset = make_threshold_dataset(40, 3, seed=27)
         split = kfold_split(dataset, 5, seed=28)
-        record = evaluate(REASONABLE_GENOME, dataset, split, seed=29)
+        record = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=29)
         assert record.models_trained == 5
         assert len(record.per_fold) == 5
 
     def test_mean_is_arithmetic_mean_of_folds(self):
         dataset = make_threshold_dataset(40, 3, seed=30)
         split = kfold_split(dataset, 4, seed=31)
-        record = evaluate(REASONABLE_GENOME, dataset, split, seed=32)
+        record = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=32)
         assert record.mean_f_measure == pytest.approx(sum(record.per_fold) / 4)
 
     def test_diverged_fold_scores_zero_and_completes(self, monkeypatch):
@@ -131,7 +131,7 @@ class TestEvaluate:
             return model
 
         monkeypatch.setattr("enas.fitness.nn.train", flaky_train)
-        record = evaluate(REASONABLE_GENOME, dataset, split, seed=35)
+        record = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=35)
         assert record.per_fold[1] == 0.0
         assert record.diverged_folds == (1,)
         assert len(record.per_fold) == 3

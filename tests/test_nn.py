@@ -8,16 +8,23 @@ from hypothesis import strategies as st
 from enas.nn import (
     EARLY_STOP_MIN_DELTA,
     EARLY_STOP_PATIENCE,
+    BETA_1,
+    BETA_2,
+    DEFAULT_LEARNING_RATES,
+    OPT_EPS,
+    RMS_RHO,
     EarlyStopper,
     MLPConfig,
+    Optimizer,
     TrainedModel,
     TrainingError,
     binary_cross_entropy,
     forward,
     glorot_uniform,
     init_params,
+    layer_dims,
     loss_and_gradients,
-    optimizer_step,
+    param_views,
     predict,
     train,
 )
@@ -76,12 +83,14 @@ class TestGlorot:
             glorot_uniform(0, 3, make_rng(0))
 
 
+def _model(cfg, width, params):
+    return TrainedModel(params=params, dims=layer_dims(width, cfg), activations=cfg.activations)
+
+
 class TestForward:
     def _zero_model(self, width=3):
         cfg = _config()
-        weights, biases = init_params(cfg, width, make_rng(0))
-        weights = [np.zeros_like(w) for w in weights]
-        return TrainedModel(weights=weights, biases=biases, activations=cfg.activations)
+        return _model(cfg, width, np.zeros_like(init_params(cfg, width, make_rng(0))))
 
     def test_zero_weights_give_half(self):
         model = self._zero_model()
@@ -90,12 +99,13 @@ class TestForward:
 
     def test_single_unit_identity_at_zero_input(self):
         # one weighted path: sigmoid(w*x + b) with w=1, b=0, x=0 -> 0.5
-        model = TrainedModel(
-            weights=[np.array([[1.0]])],
-            biases=[np.array([0.0])],
-            activations=("sigmoid",),
-        )
+        model = TrainedModel(params=np.array([1.0, 0.0]), dims=(1, 1), activations=("sigmoid",))
         assert forward(model, np.array([[0.0]]))[0] == pytest.approx(0.5)
+
+    def test_parameter_count_must_fit_dims(self):
+        model = TrainedModel(params=np.zeros(3), dims=(1, 1), activations=("sigmoid",))
+        with pytest.raises(TrainingError, match="parameters"):
+            forward(model, np.array([[0.0]]))
 
     def test_output_length_matches_batch(self):
         model = self._zero_model()
@@ -108,8 +118,7 @@ class TestForward:
 
     def test_outputs_strictly_inside_unit_interval(self):
         cfg = _config(hidden_layers=2, activations=("tanh", "relu", "linear", "sigmoid"))
-        weights, biases = init_params(cfg, 4, make_rng(9))
-        model = TrainedModel(weights=weights, biases=biases, activations=cfg.activations)
+        model = _model(cfg, 4, init_params(cfg, 4, make_rng(9)))
         out = forward(model, make_rng(10).uniform(-50, 50, size=(100, 4)))
         assert (out > 0.0).all() and (out < 1.0).all()
 
@@ -130,35 +139,103 @@ class TestBinaryCrossEntropy:
             binary_cross_entropy(np.array([0.5, 0.5]), np.array([1]))
 
 
+# Reference: per-tensor optimizer state and update in textbook operation
+# order. The flat Optimizer must match it bit for bit.
+def _reference_state(kind, param):
+    if kind == "sgd":
+        return {}
+    state = {"t": 0}
+    if kind in ("adam", "rmsprop"):
+        state["v"] = np.zeros_like(param)
+    if kind in ("adam", "adamax"):
+        state["m"] = np.zeros_like(param)
+    if kind == "adamax":
+        state["u"] = np.zeros_like(param)
+    return state
+
+
+def _reference_update(kind, param, grad, state, lr):
+    """Per-tensor update in its textbook form, one tensor and state at a time."""
+    if kind == "sgd":
+        param -= lr * grad
+        return
+    t = state["t"] = state["t"] + 1
+    if kind == "adam":
+        m, v = state["m"], state["v"]
+        m *= BETA_1
+        m += (1.0 - BETA_1) * grad
+        v *= BETA_2
+        v += (1.0 - BETA_2) * grad * grad
+        m_hat = m / (1.0 - BETA_1**t)
+        v_hat = v / (1.0 - BETA_2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + OPT_EPS)
+    elif kind == "adamax":
+        m, u = state["m"], state["u"]
+        m *= BETA_1
+        m += (1.0 - BETA_1) * grad
+        np.maximum(BETA_2 * u, np.abs(grad), out=u)
+        param -= (lr / (1.0 - BETA_1**t)) * m / (u + OPT_EPS)
+    else:
+        v = state["v"]
+        v *= RMS_RHO
+        v += (1.0 - RMS_RHO) * grad * grad
+        param -= lr * grad / (np.sqrt(v) + OPT_EPS)
+
+
+def _steps(kind, value, grads, **kwargs):
+    """Values of a one-entry parameter after each step against ``grads``."""
+    params = np.array([value])
+    optimizer = Optimizer(kind, 1, **kwargs)
+    seen = []
+    for g in grads:
+        optimizer.step(params, np.array([g]))
+        seen.append(float(params[0]))
+    return seen, optimizer
+
+
 class TestOptimizerStep:
     def test_sgd_basic_step(self):
-        p, _ = optimizer_step("sgd", np.array(1.0), np.array(0.5), None, learning_rate=0.1)
+        (p,), _ = _steps("sgd", 1.0, [0.5], learning_rate=0.1)
         assert p == pytest.approx(0.95)
 
     def test_adam_first_step_is_one_learning_rate(self):
         # bias-corrected first step: lr * g / (|g| + eps) for g=1
-        p, state = optimizer_step("adam", np.array(1.0), np.array(1.0), None)
-        assert float(p) == pytest.approx(1.0 - 0.001 / (1.0 + 1e-7), abs=1e-12)
-        assert state["t"] == 1
+        (p,), optimizer = _steps("adam", 1.0, [1.0])
+        assert p == pytest.approx(1.0 - 0.001 / (1.0 + 1e-7), abs=1e-12)
+        assert optimizer.t == 1
 
     def test_zero_gradient_leaves_sgd_param(self):
-        p, _ = optimizer_step("sgd", np.array(2.0), np.array(0.0), None)
-        assert float(p) == 2.0
+        assert _steps("sgd", 2.0, [0.0])[0] == [2.0]
 
     def test_zero_gradient_leaves_adam_param(self):
-        p, _ = optimizer_step("adam", np.array(2.0), np.array(0.0), None)
-        assert float(p) == 2.0
+        assert _steps("adam", 2.0, [0.0])[0] == [2.0]
 
     def test_unknown_optimizer(self):
         with pytest.raises(TrainingError):
-            optimizer_step("sparrow", np.array(1.0), np.array(1.0), None)
+            Optimizer("sparrow", 1)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax", "rmsprop"])
     def test_step_moves_against_gradient(self, kind):
-        p, state = optimizer_step(kind, np.array(1.0), np.array(1.0), None)
-        assert float(p) < 1.0
-        p2, _ = optimizer_step(kind, p, np.array(1.0), state)
-        assert float(p2) < float(p)
+        (p, p2), _ = _steps(kind, 1.0, [1.0, 1.0])
+        assert p < 1.0
+        assert p2 < p
+
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax", "rmsprop"])
+    def test_flat_steps_bit_identical_to_per_tensor_reference(self, kind):
+        dims = (5, 4, 4, 3, 1)
+        rng = make_rng(77)
+        params = rng.normal(size=sum((i + 1) * o for i, o in zip(dims, dims[1:])))
+        tensors = [t.copy() for layer in param_views(params, dims) for t in layer]
+        states = [_reference_state(kind, t) for t in tensors]
+        optimizer = Optimizer(kind, params.size)
+        for step in range(6):
+            grad = rng.normal(scale=10.0 ** (step - 3), size=params.size)
+            grad[rng.random(params.size) < 0.2] = 0.0
+            optimizer.step(params, grad)
+            grads = [g for layer in param_views(grad, dims) for g in layer]
+            for tensor, g, state in zip(tensors, grads, states):
+                _reference_update(kind, tensor, g, state, DEFAULT_LEARNING_RATES[kind])
+        assert np.array_equal(params, np.concatenate([t.ravel() for t in tensors]))
 
 
 class TestTrain:
@@ -271,22 +348,22 @@ class TestGradients:
                 seed=trial,
             )
             width = int(rng.integers(2, 6))
-            weights, biases = init_params(cfg, width, rng)
+            params = init_params(cfg, width, rng)
+            grad, scratch = np.empty_like(params), np.empty_like(params)
+            dims = layer_dims(width, cfg)
+            layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+            scratch_layers = param_views(scratch, dims)
             x = rng.uniform(0, 1, size=(6, width))
             y = rng.integers(0, 2, size=6).astype(float)
-            _, grad_w, grad_b = loss_and_gradients(weights, biases, cfg.activations, x, y)
+            loss_and_gradients(layers, cfg.activations, x, y, grad_layers)
             h = 1e-5
-            for params, grads in ((weights, grad_w), (biases, grad_b)):
-                for tensor, grad in zip(params, grads):
-                    it = np.nditer(tensor, flags=["multi_index"])
-                    for _ in it:
-                        ix = it.multi_index
-                        original = tensor[ix]
-                        tensor[ix] = original + h
-                        up, _, _ = loss_and_gradients(weights, biases, cfg.activations, x, y)
-                        tensor[ix] = original - h
-                        down, _, _ = loss_and_gradients(weights, biases, cfg.activations, x, y)
-                        tensor[ix] = original
-                        fd = (up - down) / (2 * h)
-                        scale = max(abs(fd), abs(grad[ix]), 1e-8)
-                        assert abs(fd - grad[ix]) / scale < 1e-4
+            for i in range(params.size):
+                original = params[i]
+                params[i] = original + h
+                up = loss_and_gradients(layers, cfg.activations, x, y, scratch_layers)
+                params[i] = original - h
+                down = loss_and_gradients(layers, cfg.activations, x, y, scratch_layers)
+                params[i] = original
+                fd = (up - down) / (2 * h)
+                scale = max(abs(fd), abs(grad[i]), 1e-8)
+                assert abs(fd - grad[i]) / scale < 1e-4
