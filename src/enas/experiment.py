@@ -89,18 +89,71 @@ _TOP_LEVEL_KEYS = {
     "static_params",
 }
 
+# search_space key -> (element kind, entry count; None for a non-empty choice set)
+_SPACE_KEYS = {
+    "hidden_layers": (int, 2),
+    "nodes": (int, 2),
+    "epochs": (int, 2),
+    "population_size": (int, 2),
+    "max_generations": (int, 2),
+    "batch_sizes": (int, None),
+    "optimizers": (str, None),
+    "activations": (str, None),
+    "mutation_rate_beta": (float, 2),
+    "cloning_rate_beta": (float, 2),
+}
+
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    list: "a list",
+    dict: "an object",
+}
+
 
 def _check_keys(section: str, doc: Mapping, allowed) -> None:
     unknown = sorted(set(doc) - set(allowed))
-    _require(not unknown, f"unknown keys in {section}: {', '.join(unknown)}")
+    _require(not unknown, f"unknown keys in {section}: {', '.join(map(repr, unknown))}")
+
+
+def _typed(where: str, value, kind):
+    """``value``, unchanged, if it is a JSON value of ``kind``; a JSON integer is also a number."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        shown = json.dumps(value)
+        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        raise ExperimentError(f"{where} must be {_KIND_NAMES[kind]}, got {shown}")
+    return value
+
+
+def _typed_list(where: str, value, kind, length: int | None = None) -> tuple:
+    items = _typed(where, value, list)
+    _require(
+        length is None or len(items) == length,
+        f"{where} must have {length} entries, got {len(items)}",
+    )
+    values = (_typed(f"{where}[{i}]", item, kind) for i, item in enumerate(items))
+    return tuple(map(float, values) if kind is float else values)
 
 
 def config_from_file(path: str | Path, overrides: Mapping | None = None) -> ExperimentConfig:
-    """Build a config from a JSON file; relative paths resolve next to it."""
+    """Build a config from a JSON file; relative paths resolve next to it.
+
+    Every value is type-checked as it is read, so a malformed file raises
+    ``ExperimentError`` naming the offending entry.
+    """
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"config file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ExperimentError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"config {path} is not valid JSON: {exc}") from exc
+    _typed("config", doc, dict)
     base = path.parent
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     _check_keys("config", doc, _TOP_LEVEL_KEYS)
@@ -110,16 +163,25 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         return p if p.is_absolute() else base / p
 
     datasets = []
-    for entry in doc.get("datasets", []):
+    for i, entry in enumerate(_typed("datasets", doc.get("datasets", []), list)):
+        where = f"datasets[{i}]"
+        _typed(where, entry, dict)
         _require("name" in entry and "path" in entry, "dataset entries need name and path")
         _check_keys("dataset entry", entry, [f.name for f in fields(DatasetSpec)])
+        label_column = entry.get("label_column")
+        if label_column is not None and not isinstance(label_column, str):
+            _typed(f"{where}.label_column", label_column, int)
+        label_mapping = entry.get("label_mapping")
+        if label_mapping is not None:
+            for raw, label in _typed(f"{where}.label_mapping", label_mapping, dict).items():
+                _typed(f"{where}.label_mapping[{raw!r}]", label, int)
         datasets.append(
             DatasetSpec(
-                name=entry["name"],
-                path=_resolve(entry["path"]),
-                label_column=entry.get("label_column"),
-                label_mapping=entry.get("label_mapping"),
-                normalize=entry.get("normalize", True),
+                name=_typed(f"{where}.name", entry["name"], str),
+                path=_resolve(_typed(f"{where}.path", entry["path"], str)),
+                label_column=label_column,
+                label_mapping=label_mapping,
+                normalize=_typed(f"{where}.normalize", entry.get("normalize", True), bool),
             )
         )
     if overrides.get("datasets"):
@@ -131,59 +193,59 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
     mode_names = overrides.get("modes") or doc.get("modes", ["nas_plus", "enas"])
     if mode_names == "both":
         mode_names = ["nas_plus", "enas"]
+    known_modes = [mode.value for mode in Mode]
+    for name in _typed_list("modes", mode_names, str):
+        _require(name in known_modes, f"unknown mode {name!r}; expected one of {known_modes}")
     modes = [Mode(name) for name in mode_names]
 
-    space_doc = dict(doc.get("search_space", {}))
-    _check_keys("search_space", space_doc, [f.name for f in fields(SearchSpace)])
+    space_doc = dict(_typed("search_space", doc.get("search_space", {}), dict))
+    _check_keys("search_space", space_doc, _SPACE_KEYS)
     if "pop_bounds" in overrides:
         space_doc["population_size"] = list(overrides["pop_bounds"])
     if "max_generations_cap" in overrides:
         cap = int(overrides["max_generations_cap"])
         _require(cap >= 1, "max_generations_cap must be at least 1")
-        lo = space_doc.get("max_generations", [1, cap])[0]
+        bounds = space_doc.get("max_generations", [1, cap])
+        lo = _typed_list("search_space.max_generations", bounds, int, 2)[0]
         space_doc["max_generations"] = [min(lo, cap), cap]
-    space_kwargs = {}
-    for key in (
-        "hidden_layers",
-        "nodes",
-        "epochs",
-        "population_size",
-        "max_generations",
-    ):
-        if key in space_doc:
-            space_kwargs[key] = tuple(int(v) for v in space_doc[key])
-    for key in ("batch_sizes", "optimizers", "activations"):
-        if key in space_doc:
-            space_kwargs[key] = tuple(space_doc[key])
-    for key in ("mutation_rate_beta", "cloning_rate_beta"):
-        if key in space_doc:
-            space_kwargs[key] = tuple(float(v) for v in space_doc[key])
+    space_kwargs = {
+        key: _typed_list(f"search_space.{key}", value, *_SPACE_KEYS[key])
+        for key, value in space_doc.items()
+    }
     try:
         space = SearchSpace(**space_kwargs)
     except InvalidGenomeError as exc:
         raise ExperimentError(f"search_space: {exc}") from exc
 
-    static_doc = dict(doc.get("static_params", {}))
-    static_keys = [f.name for f in fields(EvolutionConfig) if f.name != "space"]
-    _check_keys("static_params", static_doc, static_keys)
+    static_doc = dict(_typed("static_params", doc.get("static_params", {}), dict))
+    static_kinds = {f.name: type(f.default) for f in fields(EvolutionConfig) if f.name != "space"}
+    _check_keys("static_params", static_doc, static_kinds)
+    static_doc = {
+        key: _typed(f"static_params.{key}", value, static_kinds[key])
+        for key, value in static_doc.items()
+    }
     if "max_generations_cap" in overrides:
-        static_doc["max_generations"] = min(int(static_doc.get("max_generations", cap)), cap)
+        static_doc["max_generations"] = min(static_doc.get("max_generations", cap), cap)
     evolution = EvolutionConfig(space=space, **static_doc)
+
+    def _int(key: str, default: int, override: str | None = None) -> int:
+        value = _typed(key, doc.get(key, default), int)
+        return int(overrides.get(override or key, value))
 
     # A config-file out_dir is relative to the config; a command-line
     # override is relative to the caller's working directory.
     if "out" in overrides:
         out_dir = Path(overrides["out"])
     else:
-        out_dir = _resolve(doc.get("out_dir", "out"))
+        out_dir = _resolve(_typed("out_dir", doc.get("out_dir", "out"), str))
     return ExperimentConfig(
         datasets=datasets,
         modes=modes,
-        runs=int(overrides.get("runs", doc.get("runs", 1))),
-        base_seed=int(overrides.get("seed", doc.get("base_seed", 0))),
+        runs=_int("runs", 1),
+        base_seed=_int("base_seed", 0, override="seed"),
         out_dir=out_dir,
-        folds=int(doc.get("folds", 5)),
-        jobs=int(overrides.get("jobs", doc.get("jobs", 1))),
+        folds=_int("folds", 5),
+        jobs=_int("jobs", 1),
         evolution=evolution,
     )
 

@@ -53,7 +53,7 @@ def f_measure(predictions: np.ndarray, labels: np.ndarray) -> float:
     return 2 * tp / denominator
 
 
-def config_from_genome(genome: Genome, seed: int) -> nn.MLPConfig:
+def config_from_genome(genome: Genome) -> nn.MLPConfig:
     """Network settings taken from a genome's architecture genes."""
     return nn.MLPConfig(
         hidden_layers=genome.hidden_layers,
@@ -62,7 +62,6 @@ def config_from_genome(genome: Genome, seed: int) -> nn.MLPConfig:
         optimizer=genome.optimizer,
         epochs=genome.epochs,
         batch_size=genome.batch_size,
-        seed=seed,
     )
 
 
@@ -70,7 +69,9 @@ def config_from_genome(genome: Genome, seed: int) -> nn.MLPConfig:
 class CrossValFitness:
     """Picklable evaluator: train one network per fold, score fold F1.
 
-    A fold whose training diverges scores 0.0 and is flagged; the
+    The k fold networks train together in one ``nn.train_folds`` call,
+    fold f on its training rows with seed ``derive_seed(seed, f)``. A
+    fold whose training diverges scores 0.0 and is flagged; the
     evaluation still completes so the search can discard bad genomes
     instead of crashing.
     """
@@ -88,25 +89,25 @@ class CrossValFitness:
 
     def __call__(self, genome: Genome, seed: int) -> FitnessRecord:
         started = time.perf_counter()
-        per_fold: list[float] = []
-        diverged: list[int] = []
         x, y = self.dataset.features, self.dataset.labels
-        for fold_index, test_idx in enumerate(self.split.folds):
-            train_idx = self.split.train_indices(fold_index)
-            config = config_from_genome(genome, derive_seed(seed, fold_index))
-            model = nn.train(config, x[train_idx], y[train_idx])
-            if model.diverged:
-                per_fold.append(0.0)
-                diverged.append(fold_index)
-                continue
-            predictions = nn.predict(model, x[test_idx])
-            per_fold.append(f_measure(predictions, y[test_idx]))
+        fold_ids = range(self.split.k)
+        models = nn.train_folds(
+            config_from_genome(genome),
+            x,
+            y,
+            [self.split.train_indices(fold) for fold in fold_ids],
+            [derive_seed(seed, fold) for fold in fold_ids],
+        )
+        per_fold = [
+            0.0 if model.diverged else f_measure(nn.predict(model, x[test_idx]), y[test_idx])
+            for model, test_idx in zip(models, self.split.folds)
+        ]
         return FitnessRecord(
             mean_f_measure=sum(per_fold) / len(per_fold),
             per_fold=tuple(per_fold),
             models_trained=self.split.k,
             wall_time=time.perf_counter() - started,
-            diverged_folds=tuple(diverged),
+            diverged_folds=tuple(fold for fold in fold_ids if models[fold].diverged),
         )
 
 

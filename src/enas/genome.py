@@ -67,8 +67,19 @@ class SearchSpace:
                 raise InvalidGenomeError(f"invalid integer bounds ({lo}, {hi})")
         if not self.batch_sizes or not self.optimizers or not self.activations:
             raise InvalidGenomeError("choice sets must be non-empty")
+        if min(self.batch_sizes) < 1:
+            raise InvalidGenomeError(f"batch sizes must be positive, got {list(self.batch_sizes)}")
+        for name, chosen, supported in (
+            ("optimizers", self.optimizers, SUPPORTED_OPTIMIZERS),
+            ("activations", self.activations, SUPPORTED_ACTIVATIONS),
+        ):
+            unknown = sorted(set(chosen) - set(supported))
+            if unknown:
+                raise InvalidGenomeError(
+                    f"unsupported {name} {unknown}; expected {list(supported)}"
+                )
         for value in self.mutation_rate_beta + self.cloning_rate_beta:
-            if value <= 0:
+            if not value > 0:
                 raise InvalidGenomeError("beta parameters must be positive")
         lo, hi = self.population_size
         if lo < POPULATION_LIMITS[0] or hi > POPULATION_LIMITS[1] or hi < lo:

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enas.cli import main
 from enas.evolution import EvolutionConfig, Mode, run
@@ -317,6 +325,24 @@ class TestCli:
         config_path.write_text(json.dumps(doc))
         assert key in self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda doc: json.dumps(doc)[:-1], id="malformed-json"),
+            pytest.param(lambda doc: {**doc, "runs": "x"}, id="runs-not-integer"),
+            pytest.param(lambda doc: {**doc, "modes": ["nope"]}, id="unknown-mode"),
+            pytest.param(lambda doc: {**doc, "search_space": [1, 2]}, id="search-space-list"),
+            pytest.param(
+                lambda doc: {**doc, "search_space": {"nodes": "ab"}}, id="nodes-not-integers"
+            ),
+        ],
+    )
+    def test_wrongly_typed_config_rejected(self, tmp_path, capsys, edit):
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        edited = edit(json.loads(config_path.read_text()))
+        config_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+
     def test_plot_data_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("enas",))
@@ -331,3 +357,71 @@ class TestCli:
         assert main(["demo-data", "--out", str(target), "--seed", "3"]) == 0
         files = sorted(p.name for p in target.glob("*.csv"))
         assert len(files) == 4
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 300) | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+VALID_DOC = {
+    "out_dir": "out",
+    "runs": 1,
+    "base_seed": 9,
+    "folds": 3,
+    "jobs": 1,
+    "modes": ["nas_plus", "enas"],
+    "datasets": [{"name": "toy", "path": "data/toy.csv"}],
+    "search_space": dict(TINY_SPACE),
+    "static_params": {"population_size": 4, "max_generations": 3, "crossover_rate": 0.9},
+}
+FIELD_NAMES = {
+    None: sorted(VALID_DOC),
+    "search_space": [f.name for f in fields(SearchSpace)],
+    "static_params": [f.name for f in fields(EvolutionConfig) if f.name != "space"],
+    "dataset": ["name", "path", "label_column", "label_mapping", "normalize"],
+}
+
+
+@st.composite
+def config_documents(draw):
+    """Config file text: a valid document with a few values replaced or removed,
+    or arbitrary JSON, or arbitrary text."""
+    kind = draw(st.sampled_from(["edited", "edited", "edited", "json", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=40))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES))
+    doc = json.loads(json.dumps(VALID_DOC))
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sorted(FIELD_NAMES, key=str)))
+        target = doc if section is None else doc.get(section)
+        if section == "dataset":
+            target = doc.get("datasets")
+            target = target[0] if isinstance(target, list) and target else None
+        if not isinstance(target, dict):
+            continue
+        key = draw(st.sampled_from(FIELD_NAMES[section]))
+        if draw(st.booleans()):
+            target[key] = draw(JSON_VALUES)
+        else:
+            target.pop(key, None)
+    return json.dumps(doc)
+
+
+@given(config_documents())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_config_loads_or_gives_one_error_line(text):
+    # run_experiment is stubbed: only loading the config is under test
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with mock.patch("enas.cli.run_experiment", return_value=SimpleNamespace(out_dir=tmp)):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(path)])
+    if code != 0:
+        assert code == 2
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1, message

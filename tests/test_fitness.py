@@ -9,6 +9,7 @@ from enas import nn
 from enas.data import kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord, f_measure
 from enas.genome import Genome
+from enas.seeding import derive_seed
 from enas.synthetic import make_threshold_dataset
 
 
@@ -120,21 +121,35 @@ class TestEvaluate:
     def test_diverged_fold_scores_zero_and_completes(self, monkeypatch):
         dataset = make_threshold_dataset(30, 2, seed=33)
         split = kfold_split(dataset, 3, seed=34)
-        real_train = nn.train
-        calls = {"n": 0}
+        real_train_folds = nn.train_folds
 
-        def flaky_train(config, x, y, rng=None):
-            calls["n"] += 1
-            model = real_train(config, x, y, rng)
-            if calls["n"] == 2:  # poison the second fold only
-                model.diverged = True
-            return model
+        def flaky_train_folds(*args):
+            models = real_train_folds(*args)
+            models[1].diverged = True  # poison the second fold only
+            return models
 
-        monkeypatch.setattr("enas.fitness.nn.train", flaky_train)
+        monkeypatch.setattr("enas.fitness.nn.train_folds", flaky_train_folds)
         record = CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=35)
         assert record.per_fold[1] == 0.0
         assert record.diverged_folds == (1,)
         assert len(record.per_fold) == 3
+
+    def test_folds_train_with_their_own_rows_and_seeds(self, monkeypatch):
+        dataset = make_threshold_dataset(31, 2, seed=39)
+        split = kfold_split(dataset, 4, seed=40)
+        calls = []
+        real_train_folds = nn.train_folds
+
+        def spy(config, x, y, train_sets, seeds):
+            calls.append((train_sets, seeds))
+            return real_train_folds(config, x, y, train_sets, seeds)
+
+        monkeypatch.setattr("enas.fitness.nn.train_folds", spy)
+        CrossValFitness(dataset, split)(REASONABLE_GENOME, seed=41)
+        [(train_sets, seeds)] = calls
+        assert seeds == [derive_seed(41, fold) for fold in range(4)]
+        for fold, rows in enumerate(train_sets):
+            assert np.array_equal(rows, split.train_indices(fold))
 
     def test_split_must_cover_dataset(self):
         dataset = make_threshold_dataset(30, 2, seed=36)

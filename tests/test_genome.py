@@ -265,3 +265,16 @@ class TestValidation:
             SearchSpace(population_size=(2, 50))
         with pytest.raises(InvalidGenomeError):
             SearchSpace(max_generations=(1, 501))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_sizes", (4, 0)),
+            ("optimizers", ("adam", "sparrow")),
+            ("activations", ("relu", "step")),
+            ("mutation_rate_beta", (float("nan"), 2.0)),
+        ],
+    )
+    def test_space_rejects_choices_training_cannot_use(self, field, value):
+        with pytest.raises(InvalidGenomeError):
+            SearchSpace(**{field: value})

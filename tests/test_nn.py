@@ -24,10 +24,13 @@ from enas.nn import (
     init_params,
     layer_dims,
     loss_and_gradients,
+    param_count,
     param_views,
     predict,
     train,
+    train_folds,
 )
+from enas import nn
 from enas.seeding import make_rng
 
 
@@ -137,6 +140,13 @@ class TestBinaryCrossEntropy:
     def test_length_mismatch(self):
         with pytest.raises(TrainingError):
             binary_cross_entropy(np.array([0.5, 0.5]), np.array([1]))
+
+    def test_stacked_rows_give_one_loss_each(self):
+        p = np.array([[0.5, 0.5], [0.9, 0.2]])
+        y = np.array([[0, 1], [1, 0]])
+        stacked = binary_cross_entropy(p, y)
+        assert stacked.shape == (2,)
+        assert stacked.tolist() == [binary_cross_entropy(p[i], y[i]) for i in range(2)]
 
 
 # Reference: per-tensor optimizer state and update in textbook operation
@@ -367,3 +377,140 @@ class TestGradients:
                 fd = (up - down) / (2 * h)
                 scale = max(abs(fd), abs(grad[i]), 1e-8)
                 assert abs(fd - grad[i]) / scale < 1e-4
+
+
+def _reference_train(config, x, y, rng):
+    """The per-fold trainer lockstep training replaced: one network, 2-D
+    matmuls, one batch after another. Returns (params, loss history)."""
+    dims = layer_dims(x.shape[1], config)
+    params = init_params(config, x.shape[1], rng)
+    grad = np.empty_like(params)
+    layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+    optimizer = Optimizer(config.optimizer, params.size, config.learning_rate)
+    stopper, losses = EarlyStopper(), []
+    for _ in range(config.epochs):
+        order = rng.permutation(len(y))
+        loss_sum = 0.0
+        for start in range(0, len(y), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss = loss_and_gradients(layers, config.activations, x[idx], y[idx], grad_layers)
+            loss_sum += float(loss) * idx.size
+            optimizer.step(params, grad)
+        losses.append(loss_sum / len(y))
+        if not math.isfinite(losses[-1]) or stopper.update(losses[-1]):
+            break
+    return params, losses
+
+
+def _ragged_folds(rows=23, k=4):
+    """Data and k training sets: 17, 17, 17 and 18 rows by default."""
+    rng = make_rng(5)
+    x = rng.uniform(0.0, 1.0, size=(rows, 3))
+    y = ((x[:, 0] + 0.3 * rng.standard_normal(rows)) > 0.5).astype(np.int64)
+    folds = np.array_split(make_rng(6).permutation(rows), k)
+    return x, y.astype(float), [np.setdiff1d(np.arange(rows), f) for f in folds]
+
+
+FOLD_SEEDS = [11, 12, 13, 14]
+
+
+def _assert_matches_each_fold_alone(config, x, y, train_sets, models, skip=()):
+    for fold, (rows, model) in enumerate(zip(train_sets, models)):
+        if fold in skip:
+            continue
+        seed = FOLD_SEEDS[fold]
+        params, losses = _reference_train(config, x[rows], y[rows], np.random.default_rng(seed))
+        alone = train(config, x[rows], y[rows], np.random.default_rng(seed))
+        assert np.array_equal(model.params, params), fold
+        assert np.array_equal(alone.params, params), fold
+        assert model.loss_history == alone.loss_history == losses, fold
+        assert (model.epochs_run, model.stopped_early, model.diverged) == (
+            alone.epochs_run,
+            alone.stopped_early,
+            alone.diverged,
+        )
+
+
+class TestTrainFolds:
+    @pytest.mark.parametrize("rows", [23, 24], ids=["ragged", "equal"])
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamax", "rmsprop"])
+    def test_each_fold_matches_training_it_alone(self, optimizer, batch_size, rows):
+        # ragged: 17- and 18-row folds; at batch 1 the 18-row fold takes an
+        # extra tail step (its own adam step count), at batch 4 the tails
+        # are 1 and 2 rows long. equal: four 18-row folds step together,
+        # at batch 4 through a 2-row last step.
+        x, y, train_sets = _ragged_folds(rows)
+        config = _config(
+            hidden_layers=2,
+            nodes_per_hidden=5,
+            activations=("tanh", "relu", "sigmoid", "sigmoid"),
+            optimizer=optimizer,
+            epochs=6,
+            batch_size=batch_size,
+        )
+        models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+        assert len(models) == 4
+        _assert_matches_each_fold_alone(config, x, y, train_sets, models)
+
+    def test_folds_stop_early_at_different_epochs(self):
+        x, y, train_sets = _ragged_folds()
+        config = _config(
+            activations=("tanh", "relu", "sigmoid"), epochs=40, batch_size=1, learning_rate=0.03
+        )
+        models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+        # three folds leave the stack at three different epochs, one trains on
+        assert [(m.epochs_run, m.stopped_early) for m in models] == [
+            (40, False),
+            (11, True),
+            (16, True),
+            (21, True),
+        ]
+        _assert_matches_each_fold_alone(config, x, y, train_sets, models)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_fold_leaves_the_others_bit_identical(self):
+        x, y, train_sets = _ragged_folds()
+        # one huge row, in fold 2's training set only, overflows its network
+        x = np.vstack([x, np.full((1, 3), 1e100)])
+        y = np.append(y, 1.0)
+        train_sets[2] = np.append(train_sets[2], len(y) - 1)
+        config = _config(
+            optimizer="sgd", activations=("linear", "linear", "sigmoid"), epochs=10, batch_size=3
+        )
+        models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+        assert [m.diverged for m in models] == [False, False, True, False]
+        assert not math.isfinite(models[2].loss_history[-1])
+        _assert_matches_each_fold_alone(config, x, y, train_sets, models, skip=(2,))
+
+    def test_group_size_follows_parameter_count(self, monkeypatch):
+        x, y, train_sets = _ragged_folds()
+        config = _config(optimizer="adam", epochs=3, batch_size=2)
+        size = param_count(layer_dims(x.shape[1], config))
+        real = nn.loss_and_gradients
+        results = {}
+        caps = ((size - 1, 1), (size, 1), (2 * size, 2), (3 * size, 3), (nn.LOCKSTEP_PARAMS, 4))
+        for cap, group in caps:
+            stacks = set()
+
+            def spy(layers, *args):
+                stacks.add(layers[0][0].shape[0])
+                return real(layers, *args)
+
+            monkeypatch.setattr(nn, "LOCKSTEP_PARAMS", cap)
+            monkeypatch.setattr(nn, "loss_and_gradients", spy)
+            models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+            assert max(stacks) == group
+            results[cap] = [(m.params.tolist(), m.loss_history) for m in models]
+        assert all(value == results[size] for value in results.values())
+
+    def test_seed_count_must_match(self):
+        x, y, train_sets = _ragged_folds()
+        with pytest.raises(TrainingError, match="seeds"):
+            train_folds(_config(), x, y, train_sets, FOLD_SEEDS[:3])
+
+    def test_empty_training_set_rejected(self):
+        x, y, train_sets = _ragged_folds()
+        with pytest.raises(TrainingError, match="at least one"):
+            empty = np.array([], dtype=np.int64)
+            train_folds(_config(), x, y, [train_sets[0], empty], FOLD_SEEDS[:2])
