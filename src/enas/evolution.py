@@ -105,17 +105,6 @@ class LiveParams:
     tournament_size: int
     elitism_size: int
 
-    def as_dict(self) -> dict:
-        return {
-            "mutation_rate": self.mutation_rate,
-            "population_size": self.population_size,
-            "cloning_rate": self.cloning_rate,
-            "max_generations": self.max_generations,
-            "crossover_rate": self.crossover_rate,
-            "tournament_size": self.tournament_size,
-            "elitism_size": self.elitism_size,
-        }
-
 
 @dataclass
 class Individual:
@@ -137,20 +126,6 @@ class GenerationRecord:
     cloning_rate: float
     max_generations: int
     models_trained_cumulative: int
-
-    FIELDS = (
-        "generation",
-        "best_f1",
-        "mean_f1",
-        "mutation_rate",
-        "population_size",
-        "cloning_rate",
-        "max_generations",
-        "models_trained_cumulative",
-    )
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
 
 
 @dataclass
@@ -570,17 +545,3 @@ def run(
         halted=state.halted,
         wall_time=time.perf_counter() - started,
     )
-
-
-def run_on_dataset(
-    mode: Mode | str,
-    config: EvolutionConfig,
-    dataset,
-    split,
-    run_seed: int,
-    jobs: int = 1,
-) -> RunResult:
-    """Run the search with cross-validated network training as the fitness."""
-    from .fitness import CrossValFitness
-
-    return run(mode, config, CrossValFitness(dataset, split), run_seed, jobs=jobs)

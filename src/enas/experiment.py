@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
+from . import evolution
 from .data import (
     Dataset,
     export_fold_assignments,
@@ -22,13 +23,8 @@ from .data import (
     normalize_min_max,
     shuffle,
 )
-from .evolution import (
-    EvolutionConfig,
-    GenerationRecord,
-    Mode,
-    RunResult,
-    run_on_dataset,
-)
+from .evolution import EvolutionConfig, GenerationRecord, Mode, RunResult
+from .fitness import CrossValFitness
 from .genome import InvalidGenomeError, SearchSpace, genome_to_doc
 from .seeding import derive_seed
 
@@ -251,71 +247,87 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
 
 
 # ---------------------------------------------------------------------------
-# History file I/O. Floats are written with repr() so that a parsed file
-# reproduces the in-memory values bit for bit.
+# CSV files. Every table goes through one writer, and floats are written
+# with repr() so that a parsed file reproduces the in-memory values bit
+# for bit.
 
-_INT_COLUMNS = {"generation", "population_size", "max_generations", "models_trained_cumulative"}
-
-
-def _format_cell(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _csv_line(cells: Iterable) -> str:
+    return ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in cells)
 
 
-def write_history_csv(history: Sequence[GenerationRecord], path: str | Path) -> Path:
+def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a header line of ``columns``, then one line per row of cells."""
     path = Path(path)
-    lines = [",".join(GenerationRecord.FIELDS)]
-    for record in history:
-        row = record.as_dict()
-        lines.append(",".join(_format_cell(row[name]) for name in GenerationRecord.FIELDS))
+    lines = [_csv_line(columns), *map(_csv_line, rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def read_history_csv(path: str | Path) -> list[GenerationRecord]:
-    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    header = lines[0].split(",")
-    if tuple(header) != GenerationRecord.FIELDS:
-        raise AuditError(f"unexpected history header in {path}: {header}")
-    records = []
-    for line in lines[1:]:
+def _read_csv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list[str]]]:
+    """The rows ``write_csv`` wrote under ``columns``, each as ("file:line", cells)."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ExperimentError(f"cannot read {path}: {exc}") from exc
+    if not lines or lines[0] != _csv_line(columns):
+        raise ExperimentError(f"{path}:1: expected the header {_csv_line(columns)}")
+    if len(lines) < 2:
+        raise ExperimentError(f"{path}: no rows under the header")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        values = {
-            name: (int(cell) if name in _INT_COLUMNS else float(cell))
-            for name, cell in zip(header, cells)
-        }
-        records.append(GenerationRecord(**values))
-    return records
+        if len(cells) != len(columns):
+            raise ExperimentError(
+                f"{path}:{number}: expected {len(columns)} cells, got {len(cells)}"
+            )
+        rows.append((f"{path}:{number}", cells))
+    return rows
 
 
-PLOT_COLUMNS = (
-    "generation",
-    "best_f1",
-    "mean_f1",
-    "mutation_rate",
-    "population_size",
-    "cloning_rate",
-    "max_generations",
-)
+def _parse(where: str, column: str, kind: type, cell: str):
+    try:
+        return kind(cell)
+    except ValueError:
+        raise ExperimentError(
+            f"{where}: {column} must be {_KIND_NAMES[kind]}, got {cell!r}"
+        ) from None
+
+
+def _columns(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+HISTORY_COLUMNS = _columns(GenerationRecord)
+PLOT_COLUMNS = HISTORY_COLUMNS[:-1]
+_HISTORY_KINDS = get_type_hints(GenerationRecord)
+
+
+def write_history_csv(history: Sequence[GenerationRecord], path: str | Path) -> Path:
+    return write_csv(path, HISTORY_COLUMNS, map(astuple, history))
+
+
+def read_history_csv(path: str | Path) -> list[GenerationRecord]:
+    """The inverse of ``write_history_csv``; a malformed file names its line."""
+    return [
+        GenerationRecord(
+            **{
+                name: _parse(where, name, _HISTORY_KINDS[name], cell)
+                for name, cell in zip(HISTORY_COLUMNS, cells)
+            }
+        )
+        for where, cells in _read_csv(path, HISTORY_COLUMNS)
+    ]
 
 
 def emit_plot_data(history: Sequence[GenerationRecord], path: str | Path) -> Path:
     """Write the per-generation trajectory columns used for plotting."""
     if not history:
         raise ExperimentError("cannot emit plot data for an empty history")
-    path = Path(path)
-    lines = [",".join(PLOT_COLUMNS)]
-    for record in history:
-        row = record.as_dict()
-        lines.append(",".join(_format_cell(row[name]) for name in PLOT_COLUMNS))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return write_csv(path, PLOT_COLUMNS, (astuple(r)[: len(PLOT_COLUMNS)] for r in history))
 
 
 # ---------------------------------------------------------------------------
 # Summary table.
-
-SUMMARY_COLUMNS = ("dataset", "mode", "runs", "fittest", "average", "range", "models_trained")
-
 
 @dataclass(frozen=True)
 class SummaryRow:
@@ -324,19 +336,11 @@ class SummaryRow:
     runs: int
     fittest: float
     average: float
-    range_: float
+    range: float
     models_trained: int
 
-    def cells(self) -> list[str]:
-        return [
-            self.dataset,
-            self.mode,
-            str(self.runs),
-            repr(self.fittest),
-            repr(self.average),
-            repr(self.range_),
-            str(self.models_trained),
-        ]
+
+SUMMARY_COLUMNS = _columns(SummaryRow)
 
 
 @dataclass
@@ -345,23 +349,10 @@ class SummaryTable:
     total_models_trained: int = 0
     total_wall_time: float = 0.0
 
-    def to_csv_text(self) -> str:
-        lines = [",".join(SUMMARY_COLUMNS)]
-        lines.extend(",".join(row.cells()) for row in self.rows)
-        return "\n".join(lines) + "\n"
-
     def render_text(self) -> str:
-        header = ["dataset", "mode", "runs", "fittest", "average", "range", "models"]
+        header = [*SUMMARY_COLUMNS[:-1], "models"]
         body = [
-            [
-                row.dataset,
-                row.mode,
-                str(row.runs),
-                f"{row.fittest:.4f}",
-                f"{row.average:.4f}",
-                f"{row.range_:.4f}",
-                str(row.models_trained),
-            ]
+            [f"{cell:.4f}" if isinstance(cell, float) else str(cell) for cell in astuple(row)]
             for row in self.rows
         ]
         widths = [max(len(cells[i]) for cells in [header, *body]) for i in range(len(header))]
@@ -388,7 +379,7 @@ def _aggregate_row(
         runs=len(bests),
         fittest=fittest,
         average=sum(bests) / len(bests),
-        range_=fittest - lowest,
+        range=fittest - lowest,
         models_trained=int(sum(models)),
     )
 
@@ -460,42 +451,6 @@ def summarize_efficiency(
     return EfficiencyReport(rows=rows)
 
 
-EFFICIENCY_COLUMNS = (
-    "dataset",
-    "pairs",
-    "mean_models_static",
-    "mean_models_adaptive",
-    "models_delta_pct",
-    "mean_wall_static",
-    "mean_wall_adaptive",
-    "wall_delta_pct",
-    "adaptive_fewer_models_fraction",
-)
-
-
-def write_efficiency_csv(report: EfficiencyReport, path: str | Path) -> Path:
-    path = Path(path)
-    lines = [",".join(EFFICIENCY_COLUMNS)]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    row.dataset,
-                    str(row.pairs),
-                    repr(row.mean_models_static),
-                    repr(row.mean_models_adaptive),
-                    repr(row.models_delta_pct),
-                    repr(row.mean_wall_static),
-                    repr(row.mean_wall_adaptive),
-                    repr(row.wall_delta_pct),
-                    repr(row.adaptive_fewer_models_fraction),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 # ---------------------------------------------------------------------------
 # The harness itself.
 
@@ -565,12 +520,13 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
                 shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
                 split = kfold_split(shuffled, config.folds, derive_seed(data_seed, "folds"))
                 export_fold_assignments(split, out / f"folds_{spec.name}_{run_index}.csv")
+                fitness = CrossValFitness(shuffled, split)
                 for mode in config.modes:
-                    result = run_on_dataset(
+                    # Looked up on the module so that a wrapper installed there is called.
+                    result = evolution.run(
                         mode,
                         config.evolution,
-                        shuffled,
-                        split,
+                        fitness,
                         _run_seed(config, spec.name, run_index, mode),
                         jobs=config.jobs,
                     )
@@ -637,7 +593,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
         total_models_trained=sum(a.result.models_trained for a in artifacts),
         total_wall_time=time.perf_counter() - started,
     )
-    (out / "summary.csv").write_text(summary.to_csv_text(), encoding="utf-8")
+    write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary.rows))
     if verbose:
         print(summary.render_text(), flush=True)
 
@@ -647,7 +603,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
             {spec.name: by_cell[(spec.name, Mode.NAS_PLUS)] for spec in config.datasets},
             {spec.name: by_cell[(spec.name, Mode.ENAS)] for spec in config.datasets},
         )
-        write_efficiency_csv(efficiency, out / "efficiency.csv")
+        write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency.rows))
 
     return ExperimentResult(
         config=config, summary=summary, artifacts=artifacts, efficiency=efficiency, out_dir=out
@@ -660,20 +616,21 @@ def audit_output_dir(out_dir: str | Path) -> None:
     summary_path = out / "summary.csv"
     if not summary_path.exists():
         raise AuditError(f"no summary.csv under {out}")
-    lines = summary_path.read_text(encoding="utf-8").strip().splitlines()
-    if tuple(lines[0].split(",")) != SUMMARY_COLUMNS:
-        raise AuditError(f"unexpected summary header: {lines[0]}")
-    for line in lines[1:]:
-        dataset, mode, runs_text = line.split(",")[:3]
-        runs = int(runs_text)
-        bests: list[float] = []
-        models: list[int] = []
-        for run_index in range(runs):
-            history = read_history_csv(out / f"history_{dataset}_{mode}_{run_index}.csv")
-            bests.append(max(record.best_f1 for record in history))
-            models.append(history[-1].models_trained_cumulative)
-        recomputed = _aggregate_row(dataset, mode, bests, models)
-        expected = ",".join(recomputed.cells())
+    for where, cells in _read_csv(summary_path, SUMMARY_COLUMNS):
+        dataset, mode = cells[:2]
+        runs = _parse(where, "runs", int, cells[2])
+        _require(runs >= 1, f"{where}: runs must be at least 1, got {runs}")
+        histories = [
+            read_history_csv(out / f"history_{dataset}_{mode}_{run_index}.csv")
+            for run_index in range(runs)
+        ]
+        recomputed = _aggregate_row(
+            dataset,
+            mode,
+            [max(record.best_f1 for record in history) for history in histories],
+            [history[-1].models_trained_cumulative for history in histories],
+        )
+        line, expected = ",".join(cells), _csv_line(astuple(recomputed))
         if expected != line:
             raise AuditError(
                 f"summary row for ({dataset}, {mode}) does not match its histories:\n"

@@ -21,6 +21,11 @@ from .nn import SUPPORTED_ACTIVATIONS, SUPPORTED_OPTIMIZERS
 # be configured, wider ones may not.
 POPULATION_LIMITS = (3, 50)
 GENERATION_LIMITS = (1, 500)
+# The same for the integer architecture genes, so that every network the
+# search can sample is one that can be allocated and trained.
+HIDDEN_LAYER_LIMITS = (1, 16)
+NODE_LIMITS = (1, 1024)
+EPOCH_LIMITS = (1, 10_000)
 
 # Serialized gene names, in serialization order.
 _DOC_KEYS = (
@@ -62,9 +67,18 @@ class SearchSpace:
     max_generations: tuple[int, int] = GENERATION_LIMITS
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.hidden_layers, self.nodes, self.epochs):
-            if lo < 1 or hi < lo:
-                raise InvalidGenomeError(f"invalid integer bounds ({lo}, {hi})")
+        for name, limits in (
+            ("hidden_layers", HIDDEN_LAYER_LIMITS),
+            ("nodes", NODE_LIMITS),
+            ("epochs", EPOCH_LIMITS),
+            ("population_size", POPULATION_LIMITS),
+            ("max_generations", GENERATION_LIMITS),
+        ):
+            lo, hi = getattr(self, name)
+            if lo < limits[0] or hi > limits[1] or hi < lo:
+                raise InvalidGenomeError(
+                    f"{name} bounds must sit inside {limits}, got ({lo}, {hi})"
+                )
         if not self.batch_sizes or not self.optimizers or not self.activations:
             raise InvalidGenomeError("choice sets must be non-empty")
         if min(self.batch_sizes) < 1:
@@ -81,16 +95,6 @@ class SearchSpace:
         for value in self.mutation_rate_beta + self.cloning_rate_beta:
             if not value > 0:
                 raise InvalidGenomeError("beta parameters must be positive")
-        lo, hi = self.population_size
-        if lo < POPULATION_LIMITS[0] or hi > POPULATION_LIMITS[1] or hi < lo:
-            raise InvalidGenomeError(
-                f"population bounds must sit inside {POPULATION_LIMITS}, got ({lo}, {hi})"
-            )
-        lo, hi = self.max_generations
-        if lo < GENERATION_LIMITS[0] or hi > GENERATION_LIMITS[1] or hi < lo:
-            raise InvalidGenomeError(
-                f"generation bounds must sit inside {GENERATION_LIMITS}, got ({lo}, {hi})"
-            )
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from enas.data import kfold_split, load_csv, normalize_min_max, shuffle
-from enas.evolution import EvolutionConfig, Mode, run, run_on_dataset
+from enas.evolution import EvolutionConfig, Mode, run
 from enas.experiment import (
     audit_output_dir,
     config_from_file,
@@ -23,7 +23,7 @@ from enas.experiment import (
     summarize_efficiency,
     write_history_csv,
 )
-from enas.fitness import f_measure
+from enas.fitness import CrossValFitness, f_measure
 from enas.genome import (
     SearchSpace,
     sample_cloning_rate,
@@ -202,7 +202,7 @@ def test_parallel_determinism_across_pool_sizes(tmp_path):
     config = EvolutionConfig(space=space, population_size=6, max_generations=6)
     digests = {}
     for jobs in (1, 2, 8):
-        result = run_on_dataset(Mode.ENAS, config, dataset, split, run_seed=77, jobs=jobs)
+        result = run(Mode.ENAS, config, CrossValFitness(dataset, split), 77, jobs=jobs)
         path = write_history_csv(result.history, tmp_path / f"history_jobs{jobs}.csv")
         digests[jobs] = path.read_bytes()
     assert digests[1] == digests[2] == digests[8]
@@ -235,7 +235,7 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
         shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
         split = kfold_split(shuffled, 5, derive_seed(data_seed, "folds"))
         run_seed = derive_seed(2024, "sonar", run_index, "enas")
-        result = run_on_dataset(Mode.ENAS, config, shuffled, split, run_seed, jobs=jobs)
+        result = run(Mode.ENAS, config, CrossValFitness(shuffled, split), run_seed, jobs=jobs)
         score = result.best.fitness.mean_f_measure
         scores.append(round(score, 4))
         successes += score >= 0.80
@@ -307,8 +307,8 @@ def test_two_mode_four_dataset_summary_is_fully_auditable(tmp_path):
     assert len(result.summary.rows) == 8  # 4 datasets x 2 modes
     for row in result.summary.rows:
         assert 0.0 <= row.fittest <= 1.0
-        assert row.range_ >= 0.0
-        assert row.fittest - row.range_ <= row.average <= row.fittest
+        assert row.range >= 0.0
+        assert row.fittest - row.range <= row.average <= row.fittest
     audit_output_dir(result.out_dir)  # every summary number recomputable, exactly
     assert (result.out_dir / "efficiency.csv").exists()
     _announce("2-mode x 4-dataset x 2-run summary emitted and audited exactly")

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -100,7 +100,7 @@ class TestInit:
         config = EvolutionConfig()
         with EvaluatorPool(SyntheticFitness()) as pool:
             state = init(Mode.NAS_PLUS, config, pool, run_seed=1)
-        assert state.live.as_dict() == {
+        assert asdict(state.live) == {
             "mutation_rate": 0.2,
             "population_size": 100,
             "cloning_rate": 0.3,
@@ -299,7 +299,7 @@ class TestRun:
     def test_replay_is_identical(self):
         a = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12)
         b = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12)
-        assert [r.as_dict() for r in a.history] == [r.as_dict() for r in b.history]
+        assert [asdict(r) for r in a.history] == [asdict(r) for r in b.history]
 
     def test_each_individual_evaluated_exactly_once(self):
         result = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=13)

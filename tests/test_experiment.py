@@ -1,8 +1,9 @@
 import contextlib
 import io
 import json
+import shutil
 import tempfile
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -22,10 +23,13 @@ from enas.experiment import (
     read_history_csv,
     run_experiment,
     summarize_efficiency,
+    write_csv,
     write_history_csv,
 )
 from enas.genome import SearchSpace
 from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_dataset_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_SPACE = {
     "population_size": [3, 6],
@@ -60,6 +64,15 @@ def _write_config(tmp_path, datasets=2, runs=2, modes=("nas_plus", "enas"), **ex
     return path
 
 
+def _replace_last_cell(index, value):
+    def edit(lines):
+        cells = lines[-1].split(",")
+        cells[index] = value
+        return [*lines[:-1], ",".join(cells)]
+
+    return edit
+
+
 @pytest.fixture(scope="module")
 def experiment_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("exp")
@@ -76,8 +89,8 @@ class TestRunExperiment:
     def test_summary_row_invariants(self, experiment_dir):
         _, _, result = experiment_dir
         for row in result.summary.rows:
-            assert row.range_ >= 0
-            assert row.fittest - row.range_ <= row.average <= row.fittest
+            assert row.range >= 0
+            assert row.fittest - row.range <= row.average <= row.fittest
             assert 0.0 <= row.fittest <= 1.0
 
     def test_artifacts_written(self, experiment_dir):
@@ -135,7 +148,7 @@ class TestRunExperiment:
     def test_single_run_range_is_zero(self, tmp_path):
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
         result = run_experiment(config, verbose=False)
-        assert result.summary.rows[0].range_ == 0.0
+        assert result.summary.rows[0].range == 0.0
 
     def test_missing_dataset_aborts_before_any_run(self, tmp_path):
         path = _write_config(tmp_path, datasets=1)
@@ -160,7 +173,7 @@ class TestHistoryFiles:
         )
         path = write_history_csv(result.history, tmp_path / "h.csv")
         parsed = read_history_csv(path)
-        assert [r.as_dict() for r in parsed] == [r.as_dict() for r in result.history]
+        assert [asdict(r) for r in parsed] == [asdict(r) for r in result.history]
 
     def test_plot_data_shape(self, tmp_path):
         result = run(
@@ -194,6 +207,34 @@ class TestHistoryFiles:
     def test_empty_history_rejected(self, tmp_path):
         with pytest.raises(ExperimentError):
             emit_plot_data([], tmp_path / "x.csv")
+
+
+class TestCsvFiles:
+    def test_writer_bytes_are_exact(self, tmp_path):
+        path = write_csv(
+            tmp_path / "t.csv", ("name", "count", "sum", "tiny"), [("a b", 3, 0.1 + 0.2, 1e-300)]
+        )
+        assert path.read_bytes() == b"name,count,sum,tiny\na b,3,0.30000000000000004,1e-300\n"
+
+    def test_summary_and_efficiency_files_are_exact(self, experiment_dir):
+        _, _, result = experiment_dir
+        row = result.summary.rows[0]
+        assert (result.out_dir / "summary.csv").read_text().startswith(
+            "dataset,mode,runs,fittest,average,range,models_trained\n"
+            f"{row.dataset},{row.mode},{row.runs},{row.fittest!r},{row.average!r},"
+            f"{row.range!r},{row.models_trained}\n"
+        )
+        e = result.efficiency.overall
+        text = (result.out_dir / "efficiency.csv").read_text()
+        assert text.startswith(
+            "dataset,pairs,mean_models_static,mean_models_adaptive,models_delta_pct,"
+            "mean_wall_static,mean_wall_adaptive,wall_delta_pct,adaptive_fewer_models_fraction\n"
+        )
+        assert text.endswith(
+            f"\noverall,{e.pairs},{e.mean_models_static!r},{e.mean_models_adaptive!r},"
+            f"{e.models_delta_pct!r},{e.mean_wall_static!r},{e.mean_wall_adaptive!r},"
+            f"{e.wall_delta_pct!r},{e.adaptive_fewer_models_fraction!r}\n"
+        )
 
 
 class TestEfficiency:
@@ -335,6 +376,12 @@ class TestCli:
             pytest.param(
                 lambda doc: {**doc, "search_space": {"nodes": "ab"}}, id="nodes-not-integers"
             ),
+            pytest.param(
+                lambda doc: {**doc, "search_space": {"epochs": [1, 10**20]}}, id="epochs-too-high"
+            ),
+            pytest.param(
+                lambda doc: {**doc, "search_space": {"nodes": [2, 10**12]}}, id="nodes-too-high"
+            ),
         ],
     )
     def test_wrongly_typed_config_rejected(self, tmp_path, capsys, edit):
@@ -352,6 +399,47 @@ class TestCli:
         assert main(["plot-data", str(history), str(target)]) == 0
         assert target.exists()
 
+    @pytest.mark.parametrize(
+        "command, name, edit",
+        [
+            pytest.param("plot-data", "history_toy0_enas_1.csv", None, id="plot-data-missing"),
+            pytest.param("plot-data", "history_toy0_enas_1.csv", lambda lines: [], id="empty"),
+            pytest.param(
+                "plot-data", "history_toy0_enas_1.csv", _replace_last_cell(1, "x"), id="non-numeric"
+            ),
+            pytest.param(
+                "plot-data",
+                "history_toy0_enas_1.csv",
+                lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
+                id="short-row",
+            ),
+            pytest.param("audit", "history_toy0_enas_1.csv", None, id="audit-missing-history"),
+            pytest.param("audit", "summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
+            pytest.param("audit", "summary.csv", lambda lines: [], id="empty-summary"),
+        ],
+    )
+    def test_malformed_outputs_give_one_error_line(
+        self, experiment_dir, tmp_path, capsys, command, name, edit
+    ):
+        _, _, result = experiment_dir
+        out = tmp_path / "out"
+        shutil.copytree(result.out_dir, out)
+        target = out / name
+        if edit is None:
+            target.unlink()
+        else:
+            lines = edit(target.read_text().splitlines())
+            target.write_text("".join(f"{line}\n" for line in lines))
+        if command == "audit":
+            argv = ["audit", "--out", str(out)]
+        else:
+            argv = ["plot-data", str(target), str(tmp_path / "plot.csv")]
+        assert name in self._assert_one_line_error(capsys, argv)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+    def test_shipped_configs_load(self, path):
+        config_from_file(path)
+
     def test_demo_data_subcommand(self, tmp_path):
         target = tmp_path / "demo"
         assert main(["demo-data", "--out", str(target), "--seed", "3"]) == 0
@@ -360,7 +448,12 @@ class TestCli:
 
 
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-5, 300) | st.floats() | st.text(max_size=6),
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 300)
+    | st.integers(2**40, 2**70)
+    | st.floats()
+    | st.text(max_size=6),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=6,

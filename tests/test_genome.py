@@ -267,6 +267,19 @@ class TestValidation:
             SearchSpace(max_generations=(1, 501))
 
     @pytest.mark.parametrize(
+        "field, bounds",
+        [
+            ("hidden_layers", (1, 17)),
+            ("nodes", (2, 10**12)),
+            ("nodes", (0, 8)),
+            ("epochs", (1, 10**20)),
+        ],
+    )
+    def test_space_rejects_integer_genes_outside_hard_rails(self, field, bounds):
+        with pytest.raises(InvalidGenomeError, match=field):
+            SearchSpace(**{field: bounds})
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("batch_sizes", (4, 0)),
