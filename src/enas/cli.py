@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="upper bound on generations for both modes",
     )
-    run_p.add_argument("--jobs", type=int, default=None, help="parallel evaluator processes")
+    run_p.add_argument("--jobs", type=int, default=None, help="parallel cells")
 
     audit_p = sub.add_parser(
         "audit", help="recompute summary.csv from the history files and compare"

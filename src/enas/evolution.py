@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol
+from typing import Callable, Protocol, Sequence
 
 from .fitness import FitnessRecord, evaluation_doc
 from .genome import (
@@ -158,58 +158,30 @@ class RunResult:
     wall_time: float
 
 
-# Worker-process state for parallel evaluation. The fitness function is
-# shipped once per worker; tasks then carry only (genome, seed).
-_WORKER_FITNESS: FitnessFunction | None = None
-
-
-def _worker_init(fitness_fn: FitnessFunction) -> None:
-    global _WORKER_FITNESS
-    _WORKER_FITNESS = fitness_fn
-
-
-def _worker_call(task: tuple[Genome, int]) -> FitnessRecord:
-    genome, seed = task
-    assert _WORKER_FITNESS is not None
-    return _WORKER_FITNESS(genome, seed)
-
-
 class EvaluatorPool:
-    """Maps (genome, seed) tasks to fitness records, serially or in processes.
+    """Maps tasks to ``fn(*task)`` in task order, serially or in worker processes.
 
-    Results always come back in task order, and every task's randomness
-    is fixed by its seed, so the outcome is bit-identical for any pool
-    size.
+    ``fn`` must be a module-level function, so that workers can import it,
+    and each of its results carries a ``wall_time``, so that the time the
+    workers were busy can be summed. ``jobs`` 1, or a single task, runs in
+    the calling process; otherwise one worker per task, up to ``jobs``.
+    Results come back in task order whatever the pool size, so with
+    deterministic tasks the outcome is bit-identical for any ``jobs``.
     """
 
-    def __init__(self, fitness_fn: FitnessFunction, jobs: int = 1):
+    def __init__(self, fn: Callable, jobs: int = 1):
         if jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
-        self.fitness_fn = fitness_fn
+        self.fn = fn
         self.jobs = jobs
-        self._executor: ProcessPoolExecutor | None = None
 
-    def evaluate(self, tasks: list[tuple[Genome, int]]) -> list[FitnessRecord]:
-        if self.jobs == 1:
-            return [self.fitness_fn(genome, seed) for genome, seed in tasks]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=_worker_init,
-                initargs=(self.fitness_fn,),
-            )
-        return list(self._executor.map(_worker_call, tasks))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "EvaluatorPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def evaluate(self, tasks: Sequence[tuple]) -> list:
+        workers = min(self.jobs, len(tasks))
+        if workers <= 1:
+            return [self.fn(*task) for task in tasks]
+        with ProcessPoolExecutor(workers) as executor:
+            futures = [executor.submit(self.fn, *task) for task in tasks]
+            return [future.result() for future in futures]
 
 
 def best_individual(population: list[Individual]) -> Individual:
@@ -220,15 +192,12 @@ def best_individual(population: list[Individual]) -> Individual:
 def _evaluate_individuals(
     state: EvolutionState,
     individuals: list[Individual],
-    pool: EvaluatorPool,
+    fitness_fn: FitnessFunction,
     generation: int,
 ) -> None:
     """Evaluate unevaluated individuals; seeds fix (run_seed, generation, id)."""
-    tasks = [
-        (ind.genome, derive_seed(state.run_seed, generation, ind.id))
-        for ind in individuals
-    ]
-    for ind, record in zip(individuals, pool.evaluate(tasks)):
+    for ind in individuals:
+        record = fitness_fn(ind.genome, derive_seed(state.run_seed, generation, ind.id))
         ind.fitness = record
         state.models_trained += record.models_trained
         state.evaluations += 1
@@ -240,7 +209,7 @@ def _evaluate_individuals(
 def init(
     mode: Mode,
     config: EvolutionConfig,
-    pool: EvaluatorPool,
+    fitness_fn: FitnessFunction,
     run_seed: int,
 ) -> EvolutionState:
     """Spawn and evaluate the initial random population."""
@@ -281,7 +250,7 @@ def init(
         for i in range(live.population_size)
     ]
     state.next_id = len(newborns)
-    _evaluate_individuals(state, newborns, pool, generation=0)
+    _evaluate_individuals(state, newborns, fitness_fn, generation=0)
     state.population = newborns
     return state
 
@@ -310,7 +279,7 @@ def clone_count(population_size: int, cloning_rate: float, elitism_size: int) ->
     return total - elitism_size
 
 
-def next_generation(state: EvolutionState, pool: EvaluatorPool) -> EvolutionState:
+def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> EvolutionState:
     """Assemble and evaluate the next population: elites, clones, offspring."""
     live = state.live
     new_generation = state.generation + 1
@@ -354,7 +323,7 @@ def next_generation(state: EvolutionState, pool: EvaluatorPool) -> EvolutionStat
         state.next_id += 1
 
     state.generation = new_generation
-    _evaluate_individuals(state, offspring, pool, generation=new_generation)
+    _evaluate_individuals(state, offspring, fitness_fn, generation=new_generation)
     state.population = elites + clones + offspring
     state.events.append(
         {
@@ -369,7 +338,7 @@ def next_generation(state: EvolutionState, pool: EvaluatorPool) -> EvolutionStat
 
 
 def resize_population(
-    state: EvolutionState, new_size: int, rng, pool: EvaluatorPool
+    state: EvolutionState, new_size: int, rng, fitness_fn: FitnessFunction
 ) -> None:
     """Grow with fresh random genomes or cull the weakest down to `new_size`.
 
@@ -399,7 +368,7 @@ def resize_population(
                 )
             )
             state.next_id += 1
-        _evaluate_individuals(state, spawned, pool, generation=state.generation)
+        _evaluate_individuals(state, spawned, fitness_fn, generation=state.generation)
         state.population.extend(spawned)
         state.events.append(
             {
@@ -438,7 +407,7 @@ def resize_population(
     state.live.population_size = clamped
 
 
-def apply_eco_genes(state: EvolutionState, pool: EvaluatorPool) -> bool:
+def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
     """Promote the fittest individual's control genes to the live parameters.
 
     Returns True when the newly promoted generation budget is already
@@ -473,7 +442,7 @@ def apply_eco_genes(state: EvolutionState, pool: EvaluatorPool) -> bool:
 
     live.tournament_size = min(live.tournament_size, genes.population_size)
     rng = make_rng(state.run_seed, "resize", state.generation)
-    resize_population(state, genes.population_size, rng, pool)
+    resize_population(state, genes.population_size, rng, fitness_fn)
     return False
 
 
@@ -511,7 +480,6 @@ def run(
     config: EvolutionConfig,
     fitness_fn: FitnessFunction,
     run_seed: int,
-    jobs: int = 1,
 ) -> RunResult:
     """Execute one full search and return its best individual and history.
 
@@ -523,16 +491,15 @@ def run(
     """
     mode = Mode(mode)
     started = time.perf_counter()
-    with EvaluatorPool(fitness_fn, jobs) as pool:
-        state = init(mode, config, pool, run_seed)
+    state = init(mode, config, fitness_fn, run_seed)
+    if mode is Mode.ENAS:
+        apply_eco_genes(state, fitness_fn)
+    _record_generation(state)
+    while not state.halted and state.generation < state.live.max_generations:
+        next_generation(state, fitness_fn)
         if mode is Mode.ENAS:
-            apply_eco_genes(state, pool)
+            apply_eco_genes(state, fitness_fn)
         _record_generation(state)
-        while not state.halted and state.generation < state.live.max_generations:
-            next_generation(state, pool)
-            if mode is Mode.ENAS:
-                apply_eco_genes(state, pool)
-            _record_generation(state)
     return RunResult(
         mode=mode,
         run_seed=run_seed,

@@ -99,6 +99,8 @@ _SPACE_KEYS = {
     "cloning_rate_beta": (float, 2),
 }
 
+_NAME_FORBIDDEN = (",", "/", "\\", "\0")
+
 _KIND_NAMES = {
     int: "an integer",
     float: "a number",
@@ -171,9 +173,16 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         if label_mapping is not None:
             for raw, label in _typed(f"{where}.label_mapping", label_mapping, dict).items():
                 _typed(f"{where}.label_mapping[{raw!r}]", label, int)
+        # The name goes into CSV cells and file names unquoted.
+        name = _typed(f"{where}.name", entry["name"], str)
+        _require(
+            name.splitlines() == [name] and not set(name) & set(_NAME_FORBIDDEN),
+            f"{where}.name must be non-empty, without line breaks or any of "
+            f"{', '.join(map(repr, _NAME_FORBIDDEN))}; got {name!r}",
+        )
         datasets.append(
             DatasetSpec(
-                name=_typed(f"{where}.name", entry["name"], str),
+                name=name,
                 path=_resolve(_typed(f"{where}.path", entry["path"], str)),
                 label_column=label_column,
                 label_mapping=label_mapping,
@@ -493,14 +502,58 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
     return normalize_min_max(dataset) if spec.normalize else dataset
 
 
-def run_experiment(config: ExperimentConfig, verbose: bool = True) -> ExperimentResult:
-    """Execute every (dataset, mode, run) cell and write all artifacts."""
-    loaded = {spec.name: load_dataset(spec) for spec in config.datasets}
+def _run_cell(
+    dataset: str,
+    run_index: int,
+    mode: Mode,
+    config: EvolutionConfig,
+    fitness: CrossValFitness,
+    run_seed: int,
+    verbose: bool,
+) -> RunResult:
+    """One (dataset, run, mode) cell: a whole search, then its progress line."""
+    # Looked up on the module so that a wrapper installed there is called.
+    result = evolution.run(mode, config, fitness, run_seed)
+    if verbose:
+        print(
+            f"{dataset} {mode.value} run {run_index}: "
+            f"best={result.best.fitness.mean_f_measure:.4f} "
+            f"generations={result.generations} "
+            f"models={result.models_trained} "
+            f"({result.wall_time:.1f}s)",
+            flush=True,
+        )
+    return result
 
+
+def run_experiment(config: ExperimentConfig, verbose: bool = True) -> ExperimentResult:
+    """Execute every (dataset, run, mode) cell and write all artifacts.
+
+    Cells are independent searches, so they are what runs in parallel
+    (``config.jobs`` worker processes, at most one per cell). Progress
+    lines arrive in completion order; every file is written afterwards,
+    in config order, so the outputs are the same for any pool size.
+    """
+    loaded = [load_dataset(spec) for spec in config.datasets]
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.jsonl"
     started = time.perf_counter()
+
+    cells = []
+    for spec, dataset in zip(config.datasets, loaded):
+        for run_index in range(config.runs):
+            data_seed = _data_seed(config, spec.name, run_index)
+            shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
+            split = kfold_split(shuffled, config.folds, derive_seed(data_seed, "folds"))
+            export_fold_assignments(split, out / f"folds_{spec.name}_{run_index}.csv")
+            fitness = CrossValFitness(shuffled, split)
+            for mode in config.modes:
+                run_seed = _run_seed(config, spec.name, run_index, mode)
+                cells.append(
+                    (spec.name, run_index, mode, config.evolution, fitness, run_seed, verbose)
+                )
+    results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
 
     artifacts: list[RunArtifact] = []
     by_cell: dict[tuple[str, Mode], list[RunResult]] = {}
@@ -512,80 +565,52 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
         log({"type": "experiment_start", "runs": config.runs, "folds": config.folds,
              "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
              "datasets": [spec.name for spec in config.datasets]})
-
-        for spec in config.datasets:
-            dataset = loaded[spec.name]
-            for run_index in range(config.runs):
-                data_seed = _data_seed(config, spec.name, run_index)
-                shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
-                split = kfold_split(shuffled, config.folds, derive_seed(data_seed, "folds"))
-                export_fold_assignments(split, out / f"folds_{spec.name}_{run_index}.csv")
-                fitness = CrossValFitness(shuffled, split)
-                for mode in config.modes:
-                    # Looked up on the module so that a wrapper installed there is called.
-                    result = evolution.run(
-                        mode,
-                        config.evolution,
-                        fitness,
-                        _run_seed(config, spec.name, run_index, mode),
-                        jobs=config.jobs,
-                    )
-                    stem = f"{spec.name}_{mode.value}_{run_index}"
-                    history_path = write_history_csv(result.history, out / f"history_{stem}.csv")
-                    genome_path = out / f"best_genome_{stem}.json"
-                    genome_path.write_text(
-                        json.dumps(
-                            {
-                                "genome": genome_to_doc(result.best.genome),
-                                "mean_f_measure": result.best.fitness.mean_f_measure,
-                                "per_fold": list(result.best.fitness.per_fold),
-                                "individual_id": result.best.id,
-                                "run_seed": result.run_seed,
-                            },
-                            indent=2,
-                        )
-                        + "\n",
-                        encoding="utf-8",
-                    )
-                    for doc in result.events:
-                        log({"dataset": spec.name, "mode": mode.value, "run": run_index, **doc})
-                    log(
-                        {
-                            "type": "run_complete",
-                            "dataset": spec.name,
-                            "mode": mode.value,
-                            "run": run_index,
-                            "best_f1": result.best.fitness.mean_f_measure,
-                            "generations": result.generations,
-                            "models_trained": result.models_trained,
-                            "halted": result.halted,
-                            "wall_time": result.wall_time,
-                        }
-                    )
-                    if verbose:
-                        print(
-                            f"{spec.name} {mode.value} run {run_index}: "
-                            f"best={result.best.fitness.mean_f_measure:.4f} "
-                            f"generations={result.generations} "
-                            f"models={result.models_trained} "
-                            f"({result.wall_time:.1f}s)",
-                            flush=True,
-                        )
-                    artifacts.append(
-                        RunArtifact(spec.name, mode, run_index, result, history_path, genome_path)
-                    )
-                    by_cell.setdefault((spec.name, mode), []).append(result)
+        for (name, run_index, mode, *_), result in zip(cells, results):
+            stem = f"{name}_{mode.value}_{run_index}"
+            history_path = write_history_csv(result.history, out / f"history_{stem}.csv")
+            genome_path = out / f"best_genome_{stem}.json"
+            genome_path.write_text(
+                json.dumps(
+                    {
+                        "genome": genome_to_doc(result.best.genome),
+                        "mean_f_measure": result.best.fitness.mean_f_measure,
+                        "per_fold": list(result.best.fitness.per_fold),
+                        "individual_id": result.best.id,
+                        "run_seed": result.run_seed,
+                    },
+                    indent=2,
+                )
+                + "\n",
+                encoding="utf-8",
+            )
+            for doc in result.events:
+                log({"dataset": name, "mode": mode.value, "run": run_index, **doc})
+            log(
+                {
+                    "type": "run_complete",
+                    "dataset": name,
+                    "mode": mode.value,
+                    "run": run_index,
+                    "best_f1": result.best.fitness.mean_f_measure,
+                    "generations": result.generations,
+                    "models_trained": result.models_trained,
+                    "halted": result.halted,
+                    "wall_time": result.wall_time,
+                }
+            )
+            artifacts.append(RunArtifact(name, mode, run_index, result, history_path, genome_path))
+            by_cell.setdefault((name, mode), []).append(result)
 
     rows = []
     for spec in config.datasets:
         for mode in config.modes:
-            results = by_cell[(spec.name, mode)]
+            runs = by_cell[(spec.name, mode)]
             rows.append(
                 _aggregate_row(
                     spec.name,
                     mode.value,
-                    [r.best.fitness.mean_f_measure for r in results],
-                    [r.models_trained for r in results],
+                    [r.best.fitness.mean_f_measure for r in runs],
+                    [r.models_trained for r in runs],
                 )
             )
     summary = SummaryTable(

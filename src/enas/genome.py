@@ -26,6 +26,14 @@ GENERATION_LIMITS = (1, 500)
 HIDDEN_LAYER_LIMITS = (1, 16)
 NODE_LIMITS = (1, 1024)
 EPOCH_LIMITS = (1, 10_000)
+# Integer gene -> its hard rails; the gene names are also SearchSpace fields.
+INTEGER_GENE_LIMITS = {
+    "hidden_layers": HIDDEN_LAYER_LIMITS,
+    "nodes": NODE_LIMITS,
+    "epochs": EPOCH_LIMITS,
+    "population_size": POPULATION_LIMITS,
+    "max_generations": GENERATION_LIMITS,
+}
 
 # Serialized gene names, in serialization order.
 _DOC_KEYS = (
@@ -67,13 +75,7 @@ class SearchSpace:
     max_generations: tuple[int, int] = GENERATION_LIMITS
 
     def __post_init__(self) -> None:
-        for name, limits in (
-            ("hidden_layers", HIDDEN_LAYER_LIMITS),
-            ("nodes", NODE_LIMITS),
-            ("epochs", EPOCH_LIMITS),
-            ("population_size", POPULATION_LIMITS),
-            ("max_generations", GENERATION_LIMITS),
-        ):
+        for name, limits in INTEGER_GENE_LIMITS.items():
             lo, hi = getattr(self, name)
             if lo < limits[0] or hi > limits[1] or hi < lo:
                 raise InvalidGenomeError(
@@ -112,7 +114,7 @@ class Genome:
 
 
 def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
-    """Check all genome invariants, and bounds when a space is given."""
+    """Check all genome invariants and hard rails, and bounds when a space is given."""
     g = genome
     if len(g.activations) != g.hidden_layers + 2:
         raise InvalidGenomeError(
@@ -123,20 +125,20 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
         raise InvalidGenomeError("the output activation must be sigmoid")
     if not 0.0 < g.mutation_rate < 1.0 or not 0.0 < g.cloning_rate < 1.0:
         raise InvalidGenomeError("mutation and cloning rates must lie inside (0, 1)")
-    if not POPULATION_LIMITS[0] <= g.population_size <= POPULATION_LIMITS[1]:
-        raise InvalidGenomeError(f"population size {g.population_size} outside {POPULATION_LIMITS}")
-    if not GENERATION_LIMITS[0] <= g.max_generations <= GENERATION_LIMITS[1]:
-        raise InvalidGenomeError(f"max generations {g.max_generations} outside {GENERATION_LIMITS}")
-    if space is not None:
-        def _within(value, bounds, gene):
+    for name, limits in INTEGER_GENE_LIMITS.items():
+        value = getattr(g, name)
+        # The hard rails, then the run's own bounds when a space is given.
+        for bounds in (limits, getattr(space, name, limits)):
             if not bounds[0] <= value <= bounds[1]:
-                raise InvalidGenomeError(f"{gene} value {value} outside bounds {bounds}")
-
-        _within(g.hidden_layers, space.hidden_layers, "hidden_layers")
-        _within(g.nodes, space.nodes, "nodes")
-        _within(g.epochs, space.epochs, "epochs")
-        _within(g.population_size, space.population_size, "population_size")
-        _within(g.max_generations, space.max_generations, "max_generations")
+                raise InvalidGenomeError(f"{name} value {value} outside bounds {bounds}")
+    if g.batch_size < 1:
+        raise InvalidGenomeError(f"batch size must be positive, got {g.batch_size}")
+    if g.optimizer not in SUPPORTED_OPTIMIZERS:
+        raise InvalidGenomeError(f"unsupported optimizer {g.optimizer!r}")
+    unknown = sorted(set(g.activations) - set(SUPPORTED_ACTIVATIONS))
+    if unknown:
+        raise InvalidGenomeError(f"unsupported activations {unknown}")
+    if space is not None:
         if g.batch_size not in space.batch_sizes:
             raise InvalidGenomeError(f"batch size {g.batch_size} not in {space.batch_sizes}")
         if g.optimizer not in space.optimizers:

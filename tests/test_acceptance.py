@@ -7,7 +7,7 @@ tolerance and prints a single PASS line on success; run with
 
 import json
 import math
-import os
+import re
 import time
 
 import numpy as np
@@ -21,7 +21,6 @@ from enas.experiment import (
     config_from_file,
     run_experiment,
     summarize_efficiency,
-    write_history_csv,
 )
 from enas.fitness import CrossValFitness, f_measure
 from enas.genome import (
@@ -195,18 +194,70 @@ def test_mechanism_invariants_over_50_desk_runs():
     )
 
 
-def test_parallel_determinism_across_pool_sizes(tmp_path):
-    dataset = make_threshold_dataset(45, 3, seed=8)
-    split = kfold_split(dataset, 3, seed=99)
-    space = SearchSpace(population_size=(3, 8), max_generations=(1, 6), nodes=(2, 16), epochs=(1, 20))
-    config = EvolutionConfig(space=space, population_size=6, max_generations=6)
-    digests = {}
+def _comparable_outputs(out_dir):
+    """Every artifact's bytes; events.jsonl parsed, with its wall times dropped."""
+    outputs = {
+        path.name: path.read_bytes()
+        for pattern in ("history_*.csv", "best_genome_*.json", "folds_*.csv", "summary.csv")
+        for path in sorted(out_dir.glob(pattern))
+    }
+    events = [json.loads(line) for line in (out_dir / "events.jsonl").read_text().splitlines()]
+    outputs["events.jsonl"] = [
+        {key: value for key, value in doc.items() if key != "wall_time"} for doc in events
+    ]
+    return outputs
+
+
+def test_parallel_determinism_across_pool_sizes(tmp_path, capfd):
+    entries = []
+    for i in range(3):
+        name = f"cell{i}"
+        dataset = make_threshold_dataset(30 + 6 * i, 3, seed=8 + i, name=name)
+        write_dataset_csv(dataset, tmp_path / f"{name}.csv")
+        entries.append({"name": name, "path": f"{name}.csv"})
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "runs": 1,
+                "base_seed": 77,
+                "folds": 3,
+                "modes": ["nas_plus", "enas"],
+                "datasets": entries,
+                "search_space": {
+                    "population_size": [3, 6],
+                    "max_generations": [1, 3],
+                    "nodes": [2, 12],
+                    "epochs": [1, 8],
+                },
+                "static_params": {"population_size": 4, "max_generations": 3},
+            }
+        )
+    )
+    progress_line = re.compile(r"(\S+ \S+ run \d+: .*) \([\d.]+s\)")
+    outputs, progress = {}, {}
     for jobs in (1, 2, 8):
-        result = run(Mode.ENAS, config, CrossValFitness(dataset, split), 77, jobs=jobs)
-        path = write_history_csv(result.history, tmp_path / f"history_jobs{jobs}.csv")
-        digests[jobs] = path.read_bytes()
-    assert digests[1] == digests[2] == digests[8]
-    _announce("pool sizes 1, 2 and 8 produced byte-identical history files")
+        config = config_from_file(config_path, {"jobs": jobs, "out": tmp_path / f"out{jobs}"})
+        run_experiment(config)
+        outputs[jobs] = _comparable_outputs(config.out_dir)
+        printed = capfd.readouterr().out.splitlines()
+        progress[jobs] = sorted(
+            match.group(1) for match in map(progress_line.fullmatch, printed) if match
+        )
+    assert len(outputs[1]) == 6 + 6 + 3 + 1 + 1  # histories, genomes, folds, summary, events
+    assert outputs[1] == outputs[2] == outputs[8]
+    assert len(progress[1]) == 6 and progress[1] == progress[2] == progress[8]
+
+    # Fewer cells than jobs.
+    single = {}
+    for jobs in (1, 2):
+        overrides = {"jobs": jobs, "out": tmp_path / f"single{jobs}", "datasets": ["cell1"],
+                     "modes": ["enas"]}
+        config = config_from_file(config_path, overrides)
+        run_experiment(config, verbose=False)
+        single[jobs] = _comparable_outputs(config.out_dir)
+    assert len(single[1]) == 5 and single[1] == single[2]
+    _announce("pool sizes 1, 2 and 8 produced byte-identical experiment outputs")
 
 
 def test_adaptive_search_reaches_080_on_sonar(tmp_path):
@@ -227,7 +278,6 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
     assert dataset.instance_count == 208 and dataset.attribute_count == 60
     space = SearchSpace(population_size=(3, 20), max_generations=(1, 60))
     config = EvolutionConfig(space=space)
-    jobs = min(4, os.cpu_count() or 1)
     successes = 0
     scores = []
     for run_index in range(5):
@@ -235,7 +285,7 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
         shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
         split = kfold_split(shuffled, 5, derive_seed(data_seed, "folds"))
         run_seed = derive_seed(2024, "sonar", run_index, "enas")
-        result = run(Mode.ENAS, config, CrossValFitness(shuffled, split), run_seed, jobs=jobs)
+        result = run(Mode.ENAS, config, CrossValFitness(shuffled, split), run_seed)
         score = result.best.fitness.mean_f_measure
         scores.append(round(score, 4))
         successes += score >= 0.80

@@ -1,4 +1,6 @@
+import time
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,6 +61,24 @@ def _state(scores, mode=Mode.ENAS, generation=0, tournament=4):
     )
 
 
+def _sleep_then_report(index, delay):
+    time.sleep(delay)
+    return SimpleNamespace(index=index, finished=time.monotonic(), wall_time=delay)
+
+
+class TestEvaluatorPool:
+    def test_results_in_task_order_when_earlier_tasks_cost_more(self):
+        tasks = [(0, 0.8), (1, 0.2), (2, 0.0), (3, 0.0)]
+        results = EvaluatorPool(_sleep_then_report, jobs=2).evaluate(tasks)
+        assert [r.index for r in results] == [0, 1, 2, 3]
+        # The cheap tasks really did finish first, in the second worker.
+        assert results[2].finished < results[0].finished
+
+    def test_zero_jobs_rejected(self):
+        with pytest.raises(ConfigurationError):
+            EvaluatorPool(_sleep_then_report, jobs=0)
+
+
 class TestCloneCount:
     def test_thirty_percent_of_ten_with_one_elite(self):
         # total round(0.3 * 10) = 3 clones, one of which is the elite
@@ -98,8 +118,7 @@ class TestInit:
         # the out-of-the-box baseline: population 100 for 500 generations,
         # 90% crossover, 20% mutation, tournament of 4, one elite
         config = EvolutionConfig()
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            state = init(Mode.NAS_PLUS, config, pool, run_seed=1)
+        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=1)
         assert asdict(state.live) == {
             "mutation_rate": 0.2,
             "population_size": 100,
@@ -113,8 +132,7 @@ class TestInit:
 
     def test_static_mode_uses_configured_live_params(self):
         config = EvolutionConfig(space=DESK_SPACE, population_size=12, max_generations=25)
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            state = init(Mode.NAS_PLUS, config, pool, run_seed=7)
+        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=7)
         assert state.live.population_size == 12
         assert state.live.max_generations == 25
         assert state.live.crossover_rate == 0.9
@@ -125,16 +143,14 @@ class TestInit:
         assert all(ind.fitness is not None for ind in state.population)
 
     def test_adaptive_mode_population_within_bounds(self):
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            for seed in range(5):
-                state = init(Mode.ENAS, DESK_CONFIG, pool, run_seed=seed)
-                lo, hi = DESK_SPACE.population_size
-                assert lo <= len(state.population) <= hi
+        for seed in range(5):
+            state = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
+            lo, hi = DESK_SPACE.population_size
+            assert lo <= len(state.population) <= hi
 
     def test_deterministic_population(self):
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            a = init(Mode.ENAS, DESK_CONFIG, pool, run_seed=11)
-            b = init(Mode.ENAS, DESK_CONFIG, pool, run_seed=11)
+        a = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=11)
+        b = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=11)
         assert [ind.genome for ind in a.population] == [ind.genome for ind in b.population]
 
     def test_invalid_config_rejected(self):
@@ -148,21 +164,19 @@ class TestInit:
 
 class TestNextGeneration:
     def test_best_never_worsens(self):
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            state = init(Mode.NAS_PLUS, DESK_CONFIG, pool, run_seed=3)
-            best = best_individual(state.population).fitness.mean_f_measure
-            for _ in range(5):
-                next_generation(state, pool)
-                new_best = best_individual(state.population).fitness.mean_f_measure
-                assert new_best >= best
-                best = new_best
+        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=3)
+        best = best_individual(state.population).fitness.mean_f_measure
+        for _ in range(5):
+            next_generation(state, SyntheticFitness())
+            new_best = best_individual(state.population).fitness.mean_f_measure
+            assert new_best >= best
+            best = new_best
 
     def test_population_size_constant_in_static_mode(self):
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            state = init(Mode.NAS_PLUS, DESK_CONFIG, pool, run_seed=4)
-            for _ in range(4):
-                next_generation(state, pool)
-                assert len(state.population) == DESK_CONFIG.population_size
+        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=4)
+        for _ in range(4):
+            next_generation(state, SyntheticFitness())
+            assert len(state.population) == DESK_CONFIG.population_size
 
     def test_degenerate_operators_copy_tournament_winners(self):
         config = EvolutionConfig(
@@ -172,18 +186,16 @@ class TestNextGeneration:
             crossover_rate=0.0,
             mutation_rate=0.0,
         )
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            state = init(Mode.NAS_PLUS, config, pool, run_seed=5)
-            parents = {ind.genome for ind in state.population}
-            next_generation(state, pool)
+        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=5)
+        parents = {ind.genome for ind in state.population}
+        next_generation(state, SyntheticFitness())
         assert {ind.genome for ind in state.population} <= parents
 
     def test_elite_keeps_identity_and_cached_fitness(self):
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            state = init(Mode.NAS_PLUS, DESK_CONFIG, pool, run_seed=6)
-            elite = best_individual(state.population)
-            record = elite.fitness
-            next_generation(state, pool)
+        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=6)
+        elite = best_individual(state.population)
+        record = elite.fitness
+        next_generation(state, SyntheticFitness())
         survivor = next(ind for ind in state.population if ind.id == elite.id)
         assert survivor.fitness is record
 
@@ -192,8 +204,7 @@ class TestApplyEcoGenes:
     def test_promotes_fittest_control_genes(self):
         state = _state([0.2, 0.8, 0.5])
         fittest = state.population[1]
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            halted = apply_eco_genes(state, pool)
+        halted = apply_eco_genes(state, SyntheticFitness())
         assert not halted
         assert state.live.mutation_rate == fittest.genome.mutation_rate
         assert state.live.cloning_rate == fittest.genome.cloning_rate
@@ -206,21 +217,18 @@ class TestApplyEcoGenes:
         state = _state([0.2, 0.8, 0.5], generation=60)
         genome = replace(sample_genome(DESK_SPACE, make_rng(2001)), max_generations=50)
         state.population[1] = _individual(1, 0.8, genome=genome)
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            halted = apply_eco_genes(state, pool)
+        halted = apply_eco_genes(state, SyntheticFitness())
         assert halted
         assert state.halted
 
     def test_static_mode_rejected(self):
         state = _state([0.5], mode=Mode.NAS_PLUS)
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            with pytest.raises(ConfigurationError):
-                apply_eco_genes(state, pool)
+        with pytest.raises(ConfigurationError):
+            apply_eco_genes(state, SyntheticFitness())
 
     def test_tournament_clamped_to_promoted_population(self):
         state = _state([0.2, 0.8, 0.5], tournament=10)
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            apply_eco_genes(state, pool)
+        apply_eco_genes(state, SyntheticFitness())
         assert state.live.tournament_size <= state.live.population_size
 
 
@@ -228,8 +236,7 @@ class TestResize:
     def test_growth_spawns_evaluated_newcomers(self):
         state = _state([0.4, 0.6, 0.5, 0.3, 0.7])
         state.generation = 2
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            resize_population(state, 8, make_rng(1), pool)
+        resize_population(state, 8, make_rng(1), SyntheticFitness())
         assert len(state.population) == 8
         newcomers = [ind for ind in state.population if ind.id >= 5]
         assert len(newcomers) == 3
@@ -239,15 +246,13 @@ class TestResize:
     def test_equal_size_is_a_no_op(self):
         state = _state([0.4, 0.6, 0.5])
         before = list(state.population)
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            resize_population(state, 3, make_rng(1), pool)
+        resize_population(state, 3, make_rng(1), SyntheticFitness())
         assert state.population == before
 
     def test_cull_removes_exactly_the_weakest(self):
         # ascending sort, then the first n = current - new are dropped
         state = _state([0.2, 0.9, 0.5, 0.7, 0.4])
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            resize_population(state, 3, make_rng(1), pool)
+        resize_population(state, 3, make_rng(1), SyntheticFitness())
         survivors = {ind.fitness.mean_f_measure for ind in state.population}
         assert survivors == {0.9, 0.7, 0.5}
 
@@ -255,21 +260,18 @@ class TestResize:
         state = _state([0.5, 0.5, 0.5, 0.5])
         for ind, birth in zip(state.population, (0, 2, 1, 3)):
             ind.birth_generation = birth
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            resize_population(state, 3, make_rng(1), pool)
+        resize_population(state, 3, make_rng(1), SyntheticFitness())
         assert {ind.id for ind in state.population} == {1, 2, 3}
 
     def test_shrink_request_below_floor_clamps(self):
         state = _state([0.2, 0.9, 0.5, 0.7])
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            resize_population(state, 2, make_rng(1), pool)
+        resize_population(state, 2, make_rng(1), SyntheticFitness())
         assert len(state.population) == DESK_SPACE.population_size[0]
         assert any(e["type"] == "resize_clamped" for e in state.events)
 
     def test_out_of_bounds_request_clamped(self):
         state = _state([0.4, 0.6, 0.5, 0.7])
-        with EvaluatorPool(SyntheticFitness()) as pool:
-            resize_population(state, 100, make_rng(1), pool)
+        resize_population(state, 100, make_rng(1), SyntheticFitness())
         assert len(state.population) == DESK_SPACE.population_size[1]
         assert any(e["type"] == "resize_clamped" for e in state.events)
 

@@ -64,6 +64,10 @@ def _write_config(tmp_path, datasets=2, runs=2, modes=("nas_plus", "enas"), **ex
     return path
 
 
+def _rename_dataset(name):
+    return lambda doc: {**doc, "datasets": [{**doc["datasets"][0], "name": name}]}
+
+
 def _replace_last_cell(index, value):
     def edit(lines):
         cells = lines[-1].split(",")
@@ -381,6 +385,16 @@ class TestCli:
             ),
             pytest.param(
                 lambda doc: {**doc, "search_space": {"nodes": [2, 10**12]}}, id="nodes-too-high"
+            ),
+            *(
+                pytest.param(_rename_dataset(name), id=f"dataset-name-{label}")
+                for label, name in [
+                    ("comma", "a,b"),
+                    ("slash", "a/b"),
+                    ("line-break", "a\nb"),
+                    ("nul", "a\0b"),
+                    ("empty", ""),
+                ]
             ),
         ],
     )

@@ -255,6 +255,21 @@ class TestValidation:
         with pytest.raises(InvalidGenomeError):
             validate_genome(_fixed_genome(population_size=51))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("nodes", 10**12),
+            ("number of epochs", 10**20),
+            ("batch size", 0),
+            ("optimiser", "sparrow"),
+            ("activation functions", ["relu", "step", "relu", "sigmoid"]),
+        ],
+    )
+    def test_document_outside_hard_rails_rejected(self, key, value):
+        doc = {**genome_to_doc(_fixed_genome()), key: value}
+        with pytest.raises(InvalidGenomeError):
+            genome_from_doc(doc)
+
     def test_space_bounds_enforced(self):
         narrow = SearchSpace(nodes=(2, 16))
         with pytest.raises(InvalidGenomeError, match="nodes"):
