@@ -32,6 +32,10 @@ RMS_RHO = 0.9
 OPT_EPS = 1e-7
 
 LOSS_EPS = 1e-7
+# Per-row loss range: the losses of a probability clipped to
+# [LOSS_EPS, 1 - LOSS_EPS], about 1e-7 to 16.118. The upper cap keeps an
+# overconfident wrong row finite, so only a NaN output diverges.
+LOSS_RANGE = (-math.log(1.0 - LOSS_EPS), -math.log(LOSS_EPS))
 EARLY_STOP_PATIENCE = 5
 EARLY_STOP_MIN_DELTA = 1e-4
 
@@ -133,12 +137,12 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        # Split by sign so exp never overflows.
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        # 0.5 * (1 + tanh(z / 2)): equal to 1 / (1 + exp(-z)), with no
+        # exp to overflow; exactly 0 and 1 at -inf and +inf.
+        out = np.multiply(z, 0.5)
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
         return out
     if name == "tanh":
         return np.tanh(z)
@@ -147,16 +151,13 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise TrainingError(f"unsupported activation {name!r}")
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0).astype(z.dtype)
+def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
+    """Derivative of a sigmoid or tanh unit, from its activation ``a``."""
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "tanh":
         return 1.0 - a * a
-    if name == "linear":
-        return np.ones_like(z)
-    raise TrainingError(f"unsupported activation {name!r}")
+    raise TrainingError(f"no activation gradient for {name!r}")
 
 
 def layer_dims(input_width: int, config: MLPConfig) -> tuple[int, ...]:
@@ -232,20 +233,6 @@ def predict(model: TrainedModel, batch: np.ndarray, threshold: float = 0.5) -> n
     return (forward(model, batch) >= threshold).astype(np.int64)
 
 
-def binary_cross_entropy(predictions: np.ndarray, labels: np.ndarray):
-    """Mean negative log-likelihood along the last axis, predictions clipped away from 0/1.
-
-    One network's (n,) vectors give a scalar; a stack's (g, n) arrays give
-    one loss per network.
-    """
-    p = np.asarray(predictions, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.shape != y.shape:
-        raise TrainingError(f"shape mismatch: {p.shape} vs {y.shape}")
-    p = np.clip(p, LOSS_EPS, 1.0 - LOSS_EPS)
-    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
-
-
 def loss_and_gradients(
     layers: Layers,
     activations: tuple[str, ...],
@@ -253,32 +240,49 @@ def loss_and_gradients(
     labels: np.ndarray,
     grad_layers: Layers,
 ):
-    """Mean BCE over the batch; its gradient goes into ``grad_layers``.
+    """Mean binary cross-entropy over the batch; its gradient goes into ``grad_layers``.
 
     ``layers`` and ``grad_layers`` are ``param_views`` of the parameters
     and of a gradient buffer with the same layout. For one network the
     batch is (n, width) and the labels (n,); for a stack of g networks
     they are (g, n, width) and (g, n), every matmul is a batched one, and
-    the result is one loss per network. The output delta folds the
+    the result is one loss per network.
+
+    A row's loss is computed from the output pre-activation z as
+    softplus((1 - 2y) z), i.e. -log p for y = 1 and -log(1 - p) for
+    y = 0, and capped to ``LOSS_RANGE``. The output delta p - y folds the
     sigmoid and the cross-entropy together, which is exact as long as the
-    loss clipping is inactive.
+    cap is inactive.
     """
     if activations[-1] != "sigmoid":
         raise TrainingError("gradients require a sigmoid output unit")
     zs, outs = _forward_chain(layers, activations, batch)
-    p = outs[-1][..., 0]
+    z, p = zs[-1][..., 0], outs[-1][..., 0]
     y = np.asarray(labels, dtype=np.float64)
-    loss = binary_cross_entropy(p, y)
+    if z.shape != y.shape:
+        raise TrainingError(f"shape mismatch: {z.shape} vs {y.shape}")
+    n = batch.shape[-2]
 
-    delta = ((p - y) / batch.shape[-2])[..., None]
+    rows = np.multiply(y, -2.0)
+    rows += 1.0
+    rows *= z
+    np.logaddexp(0.0, rows, out=rows)
+    np.maximum(rows, LOSS_RANGE[0], out=rows)
+    np.minimum(rows, LOSS_RANGE[1], out=rows)
+    loss = np.add.reduce(rows, axis=-1) / n
+
+    delta = ((p - y) / n)[..., None]
     for layer in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[layer]
         np.matmul(outs[layer].swapaxes(-1, -2), delta, out=grad_w)
-        delta.sum(axis=-2, keepdims=True, out=grad_b)
+        np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
         if layer > 0:
-            delta = (delta @ layers[layer][0].swapaxes(-1, -2)) * _activation_grad(
-                activations[layer - 1], zs[layer - 1], outs[layer]
-            )
+            delta = delta @ layers[layer][0].swapaxes(-1, -2)
+            act = activations[layer - 1]
+            if act == "relu":
+                delta *= zs[layer - 1] > 0
+            elif act != "linear":
+                delta *= _activation_grad(act, outs[layer])
     return loss
 
 
@@ -432,6 +436,7 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
     stoppers = [EarlyStopper() for _ in train_sets]
     live = list(range(len(train_sets)))  # fold of each stack row
     batch, acts = config.batch_size, config.activations
+    layers, grad_layers = param_views(params, dims), param_views(grad, dims)
 
     for _ in range(config.epochs):
         sizes = [len(train_sets[f]) for f in live]
@@ -444,7 +449,6 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
         # Rows every live fold steps through together: all of them when the
         # folds are the same size, else every full batch of the smallest.
         shared = max(sizes) if min(sizes) == max(sizes) else min(sizes) - min(sizes) % batch
-        layers, grad_layers = param_views(params, dims), param_views(grad, dims)
         for start in range(0, shared, batch):
             end = min(start + batch, shared)
             batch_x, batch_y = bx[:, start:end], by[:, start:end]
@@ -487,6 +491,7 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
             if not live:
                 break
             params, grad, optimizer = params[keep], grad[keep], optimizer.rows(keep)
+            layers, grad_layers = param_views(params, dims), param_views(grad, dims)
 
     for r, f in enumerate(live):
         models[f].params = params[r]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from enas.nn import (
     EARLY_STOP_MIN_DELTA,
     EARLY_STOP_PATIENCE,
+    LOSS_EPS,
     BETA_1,
     BETA_2,
     DEFAULT_LEARNING_RATES,
@@ -18,7 +19,6 @@ from enas.nn import (
     Optimizer,
     TrainedModel,
     TrainingError,
-    binary_cross_entropy,
     forward,
     glorot_uniform,
     init_params,
@@ -126,27 +126,120 @@ class TestForward:
         assert (out > 0.0).all() and (out < 1.0).all()
 
 
+def binary_cross_entropy(predictions, labels):
+    """Reference loss: mean negative log-likelihood along the last axis,
+    predictions clipped to [LOSS_EPS, 1 - LOSS_EPS]."""
+    p = np.clip(np.asarray(predictions, dtype=np.float64), LOSS_EPS, 1.0 - LOSS_EPS)
+    y = np.asarray(labels, dtype=np.float64)
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=-1)
+
+
+def sigmoid_by_sign(z):
+    """Reference sigmoid, split by sign so that exp never overflows."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# A one-unit network whose output pre-activation is its one input:
+# dims (1, 1, 1, 1), linear hidden units, unit weights, zero biases.
+IDENTITY_DIMS = (1, 1, 1, 1)
+IDENTITY_ACTIVATIONS = ("linear", "linear", "sigmoid")
+IDENTITY_PARAMS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+
+
+def _loss_at_logits(logits, labels):
+    """``loss_and_gradients`` with output pre-activations ``logits``:
+    (n,) gives one loss, (g, n) one loss per stacked network."""
+    z = np.asarray(logits, dtype=np.float64)
+    params = np.tile(IDENTITY_PARAMS, z.shape[:-1] + (1,))
+    grad = np.empty_like(params)
+    return loss_and_gradients(
+        param_views(params, IDENTITY_DIMS),
+        IDENTITY_ACTIVATIONS,
+        z[..., None],
+        np.asarray(labels, dtype=np.float64),
+        param_views(grad, IDENTITY_DIMS),
+    )
+
+
+EXTREME_LOGITS = [-math.inf, -800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0, math.inf, math.nan]
+
+
 class TestBinaryCrossEntropy:
     def test_half_probability_gives_ln2(self):
-        assert binary_cross_entropy(np.array([0.5]), np.array([1])) == pytest.approx(math.log(2))
+        assert _loss_at_logits([0.0], [1]) == pytest.approx(math.log(2))
 
     def test_perfect_prediction_is_near_zero(self):
-        assert binary_cross_entropy(np.array([1.0 - 1e-7]), np.array([1])) < 1e-6
+        assert _loss_at_logits([40.0], [1]) < 1e-6
 
     def test_symmetric_pair_gives_ln2(self):
-        value = binary_cross_entropy(np.array([0.5, 0.5]), np.array([0, 1]))
-        assert value == pytest.approx(math.log(2))
+        assert _loss_at_logits([0.0, 0.0], [0, 1]) == pytest.approx(math.log(2))
 
     def test_length_mismatch(self):
         with pytest.raises(TrainingError):
-            binary_cross_entropy(np.array([0.5, 0.5]), np.array([1]))
+            _loss_at_logits([0.0, 0.0], [1])
 
     def test_stacked_rows_give_one_loss_each(self):
-        p = np.array([[0.5, 0.5], [0.9, 0.2]])
+        z = np.array([[0.0, 0.0], [2.2, -1.4]])
         y = np.array([[0, 1], [1, 0]])
-        stacked = binary_cross_entropy(p, y)
+        stacked = _loss_at_logits(z, y)
         assert stacked.shape == (2,)
-        assert stacked.tolist() == [binary_cross_entropy(p[i], y[i]) for i in range(2)]
+        assert stacked.tolist() == [_loss_at_logits(z[i], y[i]) for i in range(2)]
+
+    @pytest.mark.parametrize("label", [0, 1])
+    @pytest.mark.parametrize("logit", EXTREME_LOGITS)
+    def test_extremes_match_clipped_probability_loss(self, monkeypatch, logit, label):
+        # one epoch on one row: the epoch loss is that row's loss
+        monkeypatch.setattr(nn, "init_params", lambda *args: IDENTITY_PARAMS.copy())
+        config = _config(
+            nodes_per_hidden=1,
+            activations=IDENTITY_ACTIVATIONS,
+            optimizer="sgd",
+            epochs=1,
+            batch_size=1,
+        )
+        with np.errstate(all="ignore"):
+            model = train(config, np.array([[logit]]), np.array([label]))
+            expected = float(binary_cross_entropy(sigmoid_by_sign(np.array([logit])), [label]))
+        (loss,) = model.loss_history
+        assert model.diverged == math.isnan(logit)
+        if math.isnan(logit):
+            assert math.isnan(loss)
+        else:
+            assert loss == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+class TestSigmoid:
+    GRID = np.concatenate(
+        [
+            np.linspace(-50.0, 50.0, 20001),
+            [-800.0, -745.0, -710.0, -40.0, 40.0, 710.0, 745.0, 800.0],
+            [-1e300, -1e-300, 0.0, 1e-300, 1e300],
+        ]
+    )
+
+    def test_within_4p5e16_of_split_by_sign(self):
+        grid = np.append(self.GRID, [-math.inf, math.inf])
+        for z in (grid, grid.reshape(-1, 1), grid.reshape(2, 4, -1)):
+            assert np.abs(nn._activate("sigmoid", z) - sigmoid_by_sign(z)).max() <= 4.5e-16
+
+    def test_infinities_and_nan(self):
+        out = nn._activate("sigmoid", np.array([-math.inf, math.inf, math.nan]))
+        assert out[0] == 0.0 and out[1] == 1.0 and math.isnan(out[2])
+
+    def test_finite_inputs_raise_nothing(self):
+        with np.errstate(over="raise", invalid="raise"):
+            nn._activate("sigmoid", self.GRID)
+
+    def test_leaves_its_input_alone(self):
+        z = self.GRID.copy()
+        nn._activate("sigmoid", z)
+        assert np.array_equal(z, self.GRID)
 
 
 # Reference: per-tensor optimizer state and update in textbook operation
