@@ -10,10 +10,13 @@ trains its k fold networks together (``train_folds``): their vectors are
 the rows of one (g, P) stack, and each mini-batch step is one batched
 forward/backward pass and one optimizer update over the whole stack,
 bit-identical to training each fold alone. ``train`` is the one-fold case.
+A step returns the output pre-activations of its batch; the epoch loss is
+computed from them once per epoch (``row_losses``).
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass, field
@@ -133,19 +136,20 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of ``z``, written to ``out``: a new array by default, or ``z`` itself."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "sigmoid":
         # 0.5 * (1 + tanh(z / 2)): equal to 1 / (1 + exp(-z)), with no
         # exp to overflow; exactly 0 and 1 at -inf and +inf.
-        out = np.multiply(z, 0.5)
+        out = np.multiply(z, 0.5, out=out)
         np.tanh(out, out=out)
         out += 1.0
         out *= 0.5
         return out
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "linear":
         return z
     raise TrainingError(f"unsupported activation {name!r}")
@@ -206,15 +210,22 @@ def init_params(config: MLPConfig, input_width: int, rng: np.random.Generator) -
 
 def _forward_chain(
     layers: Layers, activations: tuple[str, ...], batch: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Pre-activations and activations per layer; batch is (..., rows, input_width)."""
-    zs: list[np.ndarray] = []
-    outs: list[np.ndarray] = [batch]
-    for (w, b), act in zip(layers, activations):
-        z = outs[-1] @ w + b
-        zs.append(z)
-        outs.append(_activate(act, z))
-    return zs, outs
+) -> list[np.ndarray]:
+    """Each layer's input, then the output pre-activation; batch is (..., rows, input_width).
+
+    A hidden layer's activation overwrites its pre-activation. The output
+    layer's pre-activation is left as it is: the loss is computed from it.
+    """
+    outs = [batch]
+    for (w, b), act in zip(layers, activations[:-1]):
+        z = outs[-1] @ w
+        z += b
+        outs.append(_activate(act, z, out=z))
+    w, b = layers[-1]
+    z = outs[-1] @ w
+    z += b
+    outs.append(z)
+    return outs
 
 
 def forward(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
@@ -224,13 +235,30 @@ def forward(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
         raise TrainingError(
             f"batch has {batch.shape[1]} columns, model expects {model.input_width}"
         )
-    _, outs = _forward_chain(param_views(model.params, model.dims), model.activations, batch)
-    return np.clip(outs[-1].ravel(), LOSS_EPS, 1.0 - LOSS_EPS)
+    outs = _forward_chain(param_views(model.params, model.dims), model.activations, batch)
+    p = _activate(model.activations[-1], outs[-1], out=outs[-1])
+    return np.clip(p.ravel(), LOSS_EPS, 1.0 - LOSS_EPS)
 
 
 def predict(model: TrainedModel, batch: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Hard 0/1 labels at the given probability threshold."""
     return (forward(model, batch) >= threshold).astype(np.int64)
+
+
+def row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Binary cross-entropy of each row, from its output pre-activation z.
+
+    A row's loss is softplus((1 - 2y) z), i.e. -log p for y = 1 and
+    -log(1 - p) for y = 0, capped to ``LOSS_RANGE``. A batch's loss is the
+    mean of its rows' losses.
+    """
+    rows = np.multiply(labels, -2.0)
+    rows += 1.0
+    rows *= logits
+    np.logaddexp(0.0, rows, out=rows)
+    np.maximum(rows, LOSS_RANGE[0], out=rows)
+    np.minimum(rows, LOSS_RANGE[1], out=rows)
+    return rows
 
 
 def loss_and_gradients(
@@ -239,51 +267,81 @@ def loss_and_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     grad_layers: Layers,
-):
-    """Mean binary cross-entropy over the batch; its gradient goes into ``grad_layers``.
+    weights_t: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The batch's output pre-activations; its mean loss's gradient goes into ``grad_layers``.
 
     ``layers`` and ``grad_layers`` are ``param_views`` of the parameters
-    and of a gradient buffer with the same layout. For one network the
-    batch is (n, width) and the labels (n,); for a stack of g networks
-    they are (g, n, width) and (g, n), every matmul is a batched one, and
-    the result is one loss per network.
+    and of a gradient buffer with the same layout; ``weights_t`` holds each
+    layer's weights transposed, and is built here when not given. For one
+    network the batch is (n, width) and the labels and the result (n,);
+    for a stack of g networks they are (g, n, width) and (g, n), and every
+    matmul is a batched one. The batch's loss is the mean of
+    ``row_losses`` of the result; a trainer computes it once per epoch.
 
-    A row's loss is computed from the output pre-activation z as
-    softplus((1 - 2y) z), i.e. -log p for y = 1 and -log(1 - p) for
-    y = 0, and capped to ``LOSS_RANGE``. The output delta p - y folds the
-    sigmoid and the cross-entropy together, which is exact as long as the
-    cap is inactive.
+    The output delta p - y folds the sigmoid and the cross-entropy
+    together, which is exact as long as the loss cap is inactive.
     """
     if activations[-1] != "sigmoid":
         raise TrainingError("gradients require a sigmoid output unit")
-    zs, outs = _forward_chain(layers, activations, batch)
-    z, p = zs[-1][..., 0], outs[-1][..., 0]
+    outs = _forward_chain(layers, activations, batch)
+    z = outs[-1][..., 0]
     y = np.asarray(labels, dtype=np.float64)
     if z.shape != y.shape:
         raise TrainingError(f"shape mismatch: {z.shape} vs {y.shape}")
-    n = batch.shape[-2]
+    if weights_t is None:
+        weights_t = [w.swapaxes(-1, -2) for w, _ in layers]
 
-    rows = np.multiply(y, -2.0)
-    rows += 1.0
-    rows *= z
-    np.logaddexp(0.0, rows, out=rows)
-    np.maximum(rows, LOSS_RANGE[0], out=rows)
-    np.minimum(rows, LOSS_RANGE[1], out=rows)
-    loss = np.add.reduce(rows, axis=-1) / n
-
-    delta = ((p - y) / n)[..., None]
+    delta = _activate("sigmoid", outs[-1])
+    delta -= y[..., None]
+    delta /= batch.shape[-2]
     for layer in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[layer]
         np.matmul(outs[layer].swapaxes(-1, -2), delta, out=grad_w)
         np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
         if layer > 0:
-            delta = delta @ layers[layer][0].swapaxes(-1, -2)
+            delta = delta @ weights_t[layer]
             act = activations[layer - 1]
             if act == "relu":
-                delta *= zs[layer - 1] > 0
+                # the layer's output is positive exactly where its input is
+                delta *= outs[layer] > 0
             elif act != "linear":
                 delta *= _activation_grad(act, outs[layer])
-    return loss
+    return z
+
+
+class _BiasCorrection:
+    """1 - beta**t for arrays of step counts t, looked up in a table.
+
+    The entries are Python floats, so each is the same double as the
+    textbook expression for its t. The table grows on demand, doubling,
+    and ends at the first t whose correction is exactly 1.0 (t = 356 for
+    ``BETA_1``, 37,412 for ``BETA_2``); every later t reads that entry.
+    """
+
+    def __init__(self, beta: float):
+        self.beta = beta
+        self.table = np.array([1.0 - beta**t for t in range(64)])
+        self.mode = "raise"  # "clip" once the table is complete
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        while True:
+            try:
+                return self.table.take(t, mode=self.mode)
+            except IndexError:
+                self._grow()
+
+    def _grow(self) -> None:
+        size = len(self.table)
+        more = [1.0 - self.beta**t for t in range(size, 2 * size)]
+        if 1.0 in more:
+            more = more[: more.index(1.0) + 1]
+            self.mode = "clip"
+        self.table = np.concatenate([self.table, more])
+
+
+_M_CORRECTION = _BiasCorrection(BETA_1)
+_V_CORRECTION = _BiasCorrection(BETA_2)
 
 
 class Optimizer:
@@ -309,7 +367,8 @@ class Optimizer:
         self.v = np.zeros(shape) if kind != "sgd" else None
         self._a = np.empty(shape)
         self._b = np.empty(shape) if kind != "sgd" else None
-        self.t = np.zeros(self._a.shape[:-1], dtype=np.int64)
+        # one count per network, shaped to broadcast over its row
+        self.t = np.zeros(self._a.shape[:-1] + (1,), dtype=np.int64)
 
     def rows(self, index) -> Optimizer:
         """The state of the stacked networks at ``index``.
@@ -322,12 +381,6 @@ class Optimizer:
             value = getattr(self, name)
             setattr(part, name, None if value is None else value[index])
         return part
-
-    def _per_network(self, correction) -> np.ndarray:
-        # One Python float per network from its own step count, shaped to
-        # broadcast over that network's row.
-        values = [correction(t) for t in self.t.ravel().tolist()]
-        return np.array(values).reshape(self.t.shape + (1,))
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         """Update ``params`` against ``grad`` (both of the state's shape) in place."""
@@ -342,15 +395,13 @@ class Optimizer:
         if kind == "adam":
             v *= BETA_2
             v += np.multiply(np.multiply(grad, 1.0 - BETA_2, out=a), grad, out=a)
-            m_correction = self._per_network(lambda t: 1.0 - BETA_1**t)
-            v_correction = self._per_network(lambda t: 1.0 - BETA_2**t)
-            np.multiply(np.divide(m, m_correction, out=a), lr, out=a)
-            np.sqrt(np.divide(v, v_correction, out=b), out=b)
+            np.multiply(np.divide(m, _M_CORRECTION(self.t), out=a), lr, out=a)
+            np.sqrt(np.divide(v, _V_CORRECTION(self.t), out=b), out=b)
             b += OPT_EPS
         elif kind == "adamax":
             v *= BETA_2
             np.maximum(v, np.abs(grad, out=a), out=v)
-            np.multiply(m, self._per_network(lambda t: lr / (1.0 - BETA_1**t)), out=a)
+            np.multiply(m, np.divide(lr, _M_CORRECTION(self.t)), out=a)
             np.add(v, OPT_EPS, out=b)
         else:  # rmsprop
             v *= RMS_RHO
@@ -421,57 +472,44 @@ def train_folds(
 def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]:
     """Train the networks of one group as one (g, P) stack; see ``train_folds``.
 
-    Training sets may differ in size. Every step in which each live fold
-    has the same number of rows runs on the whole stack; the one or two
-    ragged tail steps of an epoch run fold by fold on one-row slices.
-    Nothing is padded, since a padded row would change the gradient sums.
-    A fold that stops is dropped from the stack: the rows still training
-    are copied into a smaller one.
+    Training sets may differ in size, so the stack's rows are ordered by
+    it. Every full batch of the smallest set is one step of the whole
+    stack; in the last one or two batches of an epoch, each run of rows
+    that share a batch end takes one step (``_epoch_plan``). Nothing is
+    padded, since a padded row would change the gradient sums. A step's
+    output pre-activations go into a per-epoch buffer, and the epoch loss
+    is computed from it once, with the rounding of a per-step sum. A fold
+    that stops is dropped from the stack: the rows still training are
+    copied into a smaller one.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    params = np.stack([init_params(config, x.shape[1], rng) for rng in rngs])
+    live = sorted(range(len(train_sets)), key=lambda f: len(train_sets[f]))  # fold of each row
+    sizes = [len(train_sets[f]) for f in live]
+    params = np.stack([init_params(config, x.shape[1], rngs[f]) for f in live])
     grad = np.empty_like(params)
     optimizer = Optimizer(config.optimizer, params.shape, config.learning_rate)
-    models = [TrainedModel(params=row, dims=dims, activations=config.activations) for row in params]
+    models = {
+        f: TrainedModel(params=row, dims=dims, activations=config.activations)
+        for f, row in zip(live, params)
+    }
     stoppers = [EarlyStopper() for _ in train_sets]
-    live = list(range(len(train_sets)))  # fold of each stack row
     batch, acts = config.batch_size, config.activations
-    layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+    steps, logits = _stack_steps(params, grad, optimizer, dims, sizes, batch)
 
     for _ in range(config.epochs):
-        sizes = [len(train_sets[f]) for f in live]
-        rows = np.zeros((len(live), max(sizes)), dtype=np.intp)
+        rows = np.zeros(logits.shape, dtype=np.intp)
         for r, f in enumerate(live):
             rows[r, : sizes[r]] = train_sets[f][rngs[f].permutation(sizes[r])]
         bx, by = x[rows], y[rows]
-        loss_sum = np.zeros(len(live))
-
-        # Rows every live fold steps through together: all of them when the
-        # folds are the same size, else every full batch of the smallest.
-        shared = max(sizes) if min(sizes) == max(sizes) else min(sizes) - min(sizes) % batch
-        for start in range(0, shared, batch):
-            end = min(start + batch, shared)
-            batch_x, batch_y = bx[:, start:end], by[:, start:end]
-            losses = loss_and_gradients(layers, acts, batch_x, batch_y, grad_layers)
-            loss_sum += losses * (end - start)
-            optimizer.step(params, grad)
-        for start in range(shared, max(sizes), batch):
-            for r, size in enumerate(sizes):
-                end = min(start + batch, size)
-                if end <= start:
-                    continue
-                row = slice(r, r + 1)
-                loss_sum[row] += (end - start) * loss_and_gradients(
-                    param_views(params[row], dims),
-                    acts,
-                    bx[row, start:end],
-                    by[row, start:end],
-                    param_views(grad[row], dims),
-                )
-                optimizer.rows(row).step(params[row], grad[row])
+        for stack, cols, (layers, weights_t, grad_layers, opt, stack_params, stack_grad) in steps:
+            logits[stack, cols] = loss_and_gradients(
+                layers, acts, bx[stack, cols], by[stack, cols], grad_layers, weights_t
+            )
+            opt.step(stack_params, stack_grad)
+        loss_sums = _epoch_loss_sums(row_losses(logits, by), sizes, batch, steps)
 
         stopped = []
-        for r, (f, epoch_loss) in enumerate(zip(live, (loss_sum / sizes).tolist())):
+        for r, (f, epoch_loss) in enumerate(zip(live, (loss_sums / sizes).tolist())):
             model = models[f]
             model.loss_history.append(epoch_loss)
             model.epochs_run += 1
@@ -487,12 +525,84 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
             model.params = params[r]
         if stopped:
             keep = [r for r in range(len(live)) if r not in stopped]
-            live = [live[r] for r in keep]
+            live, sizes = [live[r] for r in keep], [sizes[r] for r in keep]
             if not live:
                 break
             params, grad, optimizer = params[keep], grad[keep], optimizer.rows(keep)
-            layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+            steps, logits = _stack_steps(params, grad, optimizer, dims, sizes, batch)
 
     for r, f in enumerate(live):
         models[f].params = params[r]
-    return models
+    return [models[f] for f in range(len(train_sets))]
+
+
+def _epoch_plan(sizes: list[int], batch: int) -> list[tuple[int, int, int, int]]:
+    """The steps of one epoch, in order, as (first, last, start, end): stack
+    rows first..last-1 step on their batch entries start..end-1.
+
+    ``sizes``, each row's training-set size, ascend. The full batches of
+    the smallest set step the whole stack. After them, the rows that still
+    have entries and share a batch end are adjacent, and step together.
+    """
+    g, shared = len(sizes), sizes[0] - sizes[0] % batch
+    plan = [(0, g, start, start + batch) for start in range(0, shared, batch)]
+    for start in range(shared, sizes[-1], batch):
+        first = bisect.bisect_right(sizes, start)
+        while first < g:
+            end = min(start + batch, sizes[first])
+            last = g if end == start + batch else bisect.bisect_right(sizes, end)
+            plan.append((first, last, start, end))
+            first = last
+    return plan
+
+
+def _stack_steps(params, grad, optimizer, dims, sizes, batch):
+    """``_epoch_plan`` as (rows, cols, views) steps, and a zeroed logits buffer.
+
+    The views of a step's rows are its parameter, weight-transpose and
+    gradient views, its optimizer state, and its parameter and gradient
+    rows; steps on the same rows share them. The buffer's padding stays
+    zero, so the per-row losses of an epoch are finite wherever the
+    network's outputs are.
+    """
+    views = {}
+    steps = []
+    for first, last, start, end in _epoch_plan(sizes, batch):
+        if (first, last) not in views:
+            stack = slice(first, last)
+            layers = param_views(params[stack], dims)
+            views[first, last] = (
+                layers,
+                [w.swapaxes(-1, -2) for w, _ in layers],
+                param_views(grad[stack], dims),
+                optimizer.rows(stack),
+                params[stack],
+                grad[stack],
+            )
+        steps.append((slice(first, last), slice(start, end), views[first, last]))
+    return steps, np.zeros((len(sizes), sizes[-1]))
+
+
+def _epoch_loss_sums(losses, sizes, batch, steps) -> np.ndarray:
+    """Per stack row, the sum over its steps of batch mean times batch size.
+
+    ``losses`` are the per-row losses of one epoch. The result is rounded
+    as a per-step sum would be: each batch mean is a reduce over the
+    batch, then divided and multiplied by its size, and the products are
+    added in step order. The whole-stack full batches are summed at once.
+    """
+    full = sizes[0] // batch
+    if full:
+        means = np.add.reduce(losses[:, : full * batch].reshape(len(sizes), full, batch), axis=-1)
+        means /= batch
+        means *= batch
+        sums = np.add.accumulate(means, axis=-1)[:, -1]
+    else:
+        sums = np.zeros(len(sizes))
+    for stack, cols, _ in steps[full:]:
+        n = cols.stop - cols.start
+        means = np.add.reduce(losses[stack, cols], axis=-1)
+        means /= n
+        means *= n
+        sums[stack] += means
+    return sums

@@ -43,6 +43,7 @@ from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_datas
 
 from .conftest import SONAR_PATH
 from .test_fitness import brute_force_f1
+from .test_nn import batch_loss
 
 
 def _announce(line):
@@ -95,9 +96,9 @@ def test_analytic_gradients_match_finite_differences_on_20_networks():
         for i in range(params.size):
             original = params[i]
             params[i] = original + h
-            up = loss_and_gradients(layers, config.activations, x, y, scratch_layers)
+            up = batch_loss(layers, config.activations, x, y, scratch_layers)
             params[i] = original - h
-            down = loss_and_gradients(layers, config.activations, x, y, scratch_layers)
+            down = batch_loss(layers, config.activations, x, y, scratch_layers)
             params[i] = original
             fd = (up - down) / (2 * h)
             scale = max(abs(fd), abs(grad[i]), 1e-8)

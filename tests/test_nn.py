@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from enas.nn import (
     param_count,
     param_views,
     predict,
+    row_losses,
     train,
     train_folds,
 )
@@ -152,17 +154,25 @@ IDENTITY_ACTIVATIONS = ("linear", "linear", "sigmoid")
 IDENTITY_PARAMS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 
 
+def batch_loss(layers, activations, batch, labels, grad_layers):
+    """Mean ``row_losses`` of one batch, from one ``loss_and_gradients``
+    pass (which also writes the gradient into ``grad_layers``)."""
+    y = np.asarray(labels, dtype=np.float64)
+    z = loss_and_gradients(layers, activations, batch, y, grad_layers)
+    return np.add.reduce(row_losses(z, y), axis=-1) / batch.shape[-2]
+
+
 def _loss_at_logits(logits, labels):
-    """``loss_and_gradients`` with output pre-activations ``logits``:
-    (n,) gives one loss, (g, n) one loss per stacked network."""
+    """``batch_loss`` of the identity network at output pre-activations
+    ``logits``: (n,) gives one loss, (g, n) one loss per stacked network."""
     z = np.asarray(logits, dtype=np.float64)
     params = np.tile(IDENTITY_PARAMS, z.shape[:-1] + (1,))
     grad = np.empty_like(params)
-    return loss_and_gradients(
+    return batch_loss(
         param_views(params, IDENTITY_DIMS),
         IDENTITY_ACTIVATIONS,
         z[..., None],
-        np.asarray(labels, dtype=np.float64),
+        labels,
         param_views(grad, IDENTITY_DIMS),
     )
 
@@ -341,6 +351,38 @@ class TestOptimizerStep:
         assert np.array_equal(params, np.concatenate([t.ravel() for t in tensors]))
 
 
+class TestBiasCorrections:
+    # step counts around the ends of the two tables: the BETA_1 correction
+    # is exactly 1.0 from t = 356 on, the BETA_2 one from t = 37,412 on
+    STEP_COUNTS = [0, 1, 2, 349, 354, 355, 356, 357, 399, 400]
+    STEP_COUNTS += [36_999, 37_410, 37_411, 37_412, 39_999]
+
+    @pytest.mark.parametrize("kind", ["adam", "adamax"])
+    def test_mixed_step_counts_match_per_network_reference(self, kind):
+        rng = make_rng(31)
+        shape = (len(self.STEP_COUNTS), 7)
+        params, grad = rng.normal(size=shape), rng.normal(size=shape)
+        optimizer = Optimizer(kind, shape)
+        optimizer.m[...] = rng.normal(size=shape)
+        optimizer.v[...] = rng.uniform(0.1, 2.0, size=shape)
+        optimizer.t[...] = np.array(self.STEP_COUNTS)[:, None]
+        expected = params.copy()
+        for row, t in enumerate(self.STEP_COUNTS):
+            state = {"t": t, "m": optimizer.m[row].copy()}
+            state["v" if kind == "adam" else "u"] = optimizer.v[row].copy()
+            _reference_update(kind, expected[row], grad[row], state, DEFAULT_LEARNING_RATES[kind])
+        optimizer.step(params, grad)
+        assert np.array_equal(params, expected)
+        assert optimizer.t.ravel().tolist() == [t + 1 for t in self.STEP_COUNTS]
+
+    @pytest.mark.parametrize("beta", [BETA_1, BETA_2])
+    def test_table_equals_python_floats_then_one(self, beta):
+        counts = np.arange(40_001)
+        table = nn._BiasCorrection(beta)
+        assert table(counts).tolist() == [1.0 - beta**t for t in range(40_001)]
+        assert table(np.array([10**6, 10**9])).tolist() == [1.0, 1.0]
+
+
 class TestTrain:
     def test_descends_on_separable_points(self):
         x = np.array([[0.0], [1.0]])
@@ -463,9 +505,9 @@ class TestGradients:
             for i in range(params.size):
                 original = params[i]
                 params[i] = original + h
-                up = loss_and_gradients(layers, cfg.activations, x, y, scratch_layers)
+                up = batch_loss(layers, cfg.activations, x, y, scratch_layers)
                 params[i] = original - h
-                down = loss_and_gradients(layers, cfg.activations, x, y, scratch_layers)
+                down = batch_loss(layers, cfg.activations, x, y, scratch_layers)
                 params[i] = original
                 fd = (up - down) / (2 * h)
                 scale = max(abs(fd), abs(grad[i]), 1e-8)
@@ -486,7 +528,7 @@ def _reference_train(config, x, y, rng):
         loss_sum = 0.0
         for start in range(0, len(y), config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss = loss_and_gradients(layers, config.activations, x[idx], y[idx], grad_layers)
+            loss = batch_loss(layers, config.activations, x[idx], y[idx], grad_layers)
             loss_sum += float(loss) * idx.size
             optimizer.step(params, grad)
         losses.append(loss_sum / len(y))
@@ -504,6 +546,19 @@ def _ragged_folds(rows=23, k=4):
     return x, y.astype(float), [np.setdiff1d(np.arange(rows), f) for f in folds]
 
 
+def _descending_folds(rows=23, sizes=(20, 18, 17, 15)):
+    """Data and training sets whose sizes fall from the first fold to the
+    last, all different: the stack's size order reverses the fold order."""
+    x, y, _ = _ragged_folds(rows)
+    order = make_rng(7).permutation(rows)
+    return x, y, [order[i : i + size] for i, size in enumerate(sizes)]
+
+
+FOLD_LAYOUTS = {
+    "ragged": lambda: _ragged_folds(23),
+    "equal": lambda: _ragged_folds(24),
+    "descending": _descending_folds,
+}
 FOLD_SEEDS = [11, 12, 13, 14]
 
 
@@ -525,15 +580,18 @@ def _assert_matches_each_fold_alone(config, x, y, train_sets, models, skip=()):
 
 
 class TestTrainFolds:
-    @pytest.mark.parametrize("rows", [23, 24], ids=["ragged", "equal"])
-    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("layout", list(FOLD_LAYOUTS))
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 9])
     @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamax", "rmsprop"])
-    def test_each_fold_matches_training_it_alone(self, optimizer, batch_size, rows):
+    def test_each_fold_matches_training_it_alone(self, optimizer, batch_size, layout):
         # ragged: 17- and 18-row folds; at batch 1 the 18-row fold takes an
         # extra tail step (its own adam step count), at batch 4 the tails
         # are 1 and 2 rows long. equal: four 18-row folds step together,
-        # at batch 4 through a 2-row last step.
-        x, y, train_sets = _ragged_folds(rows)
+        # at batch 4 through a 2-row last step. descending: 20, 18, 17 and
+        # 15 rows, so the stack holds the folds in reverse order and its
+        # tail steps serve runs of one to three rows. Batch 9 sums each
+        # batch's losses pairwise (numpy does so from 8 entries on).
+        x, y, train_sets = FOLD_LAYOUTS[layout]()
         config = _config(
             hidden_layers=2,
             nodes_per_hidden=5,
@@ -596,6 +654,19 @@ class TestTrainFolds:
             assert max(stacks) == group
             results[cap] = [(m.params.tolist(), m.loss_history) for m in models]
         assert all(value == results[size] for value in results.values())
+
+    @pytest.mark.parametrize("batch_size", [1, 4, 9])
+    def test_ragged_training_on_finite_data_warns_nothing(self, batch_size):
+        x, y, train_sets = _descending_folds()
+        config = _config(activations=("tanh", "relu", "sigmoid"), epochs=3, batch_size=batch_size)
+        # NaN-filled blocks the size of the stack's logits buffer, freed to
+        # numpy's allocation cache: a buffer whose padding was left
+        # unwritten would read NaN there, and NaN losses warn
+        junk = [np.full((len(train_sets), 20), np.nan) for _ in range(8)]
+        del junk
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            train_folds(config, x, y, train_sets, FOLD_SEEDS)
 
     def test_seed_count_must_match(self):
         x, y, train_sets = _ragged_folds()
