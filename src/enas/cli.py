@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     overrides = {
         "datasets": args.dataset,
-        "modes": None if args.mode in (None, "both") else [args.mode],
+        "modes": {None: None, "both": ["nas_plus", "enas"]}.get(args.mode, [args.mode]),
         "runs": args.runs,
         "seed": args.seed,
         "out": args.out,
@@ -87,8 +87,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "max_generations_cap": args.max_generations_cap,
         "jobs": args.jobs,
     }
-    if args.mode == "both":
-        overrides["modes"] = ["nas_plus", "enas"]
     config = config_from_file(args.config, overrides)
     result = run_experiment(config)
     print(f"artifacts written to {result.out_dir}")

@@ -209,15 +209,3 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldSplit:
     perm = np.random.default_rng(seed).permutation(n)
     folds = tuple(np.array_split(perm, k))
     return FoldSplit(k=k, folds=folds, seed=seed)
-
-
-def export_fold_assignments(split: FoldSplit, path: str | Path) -> None:
-    """Write an audit CSV of (instance_index, fold_id) rows."""
-    assignment = np.empty(split.instance_count, dtype=np.int64)
-    for fold_id, idx in enumerate(split.folds):
-        assignment[idx] = fold_id
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_index", "fold_id"])
-        for i, fold_id in enumerate(assignment):
-            writer.writerow([i, int(fold_id)])

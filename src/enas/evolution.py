@@ -26,16 +26,14 @@ from typing import Callable, Protocol, Sequence
 
 from .fitness import FitnessRecord, evaluation_doc
 from .genome import (
+    CONTROL_GENES,
     Genome,
     SearchSpace,
     crossover,
     genome_to_doc,
     mutate,
-    sample_cloning_rate,
+    sample_gene,
     sample_genome,
-    sample_max_generations,
-    sample_mutation_rate,
-    sample_population_size,
 )
 from .seeding import derive_seed, make_rng
 
@@ -215,28 +213,18 @@ def init(
     """Spawn and evaluate the initial random population."""
     rng = make_rng(run_seed, "init")
     if mode is Mode.NAS_PLUS:
-        live = LiveParams(
-            mutation_rate=config.mutation_rate,
-            population_size=config.population_size,
-            cloning_rate=config.cloning_rate,
-            max_generations=config.max_generations,
-            crossover_rate=config.crossover_rate,
-            tournament_size=config.tournament_size,
-            elitism_size=config.elitism_size,
-        )
+        control = {name: getattr(config, name) for name in CONTROL_GENES}
     else:
         # Before any individual has been evaluated there is no fittest to
         # copy from, so the initial live values are drawn from the same
         # priors as the genes; the first promotion replaces them.
-        live = LiveParams(
-            mutation_rate=sample_mutation_rate(rng, config.space),
-            population_size=sample_population_size(config.space, rng),
-            cloning_rate=sample_cloning_rate(rng, config.space),
-            max_generations=sample_max_generations(config.space, rng),
-            crossover_rate=config.crossover_rate,
-            tournament_size=config.tournament_size,
-            elitism_size=config.elitism_size,
-        )
+        control = {name: sample_gene(name, config.space, rng) for name in CONTROL_GENES}
+    live = LiveParams(
+        **control,
+        crossover_rate=config.crossover_rate,
+        tournament_size=config.tournament_size,
+        elitism_size=config.elitism_size,
+    )
     if live.elitism_size >= live.population_size:
         raise ConfigurationError(
             f"elitism_size {live.elitism_size} needs a population larger than "
@@ -429,10 +417,7 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
             "type": "promotion",
             "generation": state.generation,
             "fittest": fittest.id,
-            "mutation_rate": genes.mutation_rate,
-            "population_size": genes.population_size,
-            "cloning_rate": genes.cloning_rate,
-            "max_generations": genes.max_generations,
+            **{name: getattr(genes, name) for name in CONTROL_GENES},
             "halted": halted,
         }
     )
@@ -456,10 +441,7 @@ def _record_generation(state: EvolutionState) -> None:
             generation=state.generation,
             best_f1=best.fitness.mean_f_measure,
             mean_f1=mean,
-            mutation_rate=state.live.mutation_rate,
-            population_size=state.live.population_size,
-            cloning_rate=state.live.cloning_rate,
-            max_generations=state.live.max_generations,
+            **{name: getattr(state.live, name) for name in CONTROL_GENES},
             models_trained_cumulative=state.models_trained,
         )
     )

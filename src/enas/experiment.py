@@ -12,12 +12,11 @@ import json
 import time
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Iterable, Mapping, Sequence, get_args, get_type_hints
 
 from . import evolution
 from .data import (
     Dataset,
-    export_fold_assignments,
     kfold_split,
     load_csv,
     normalize_min_max,
@@ -85,19 +84,14 @@ _TOP_LEVEL_KEYS = {
     "static_params",
 }
 
+def _entry_shape(hint) -> tuple[type, int | None]:
+    """``tuple[int, int]`` -> (int, 2); ``tuple[str, ...]`` -> (str, None)."""
+    args = get_args(hint)
+    return args[0], None if args[-1] is Ellipsis else len(args)
+
+
 # search_space key -> (element kind, entry count; None for a non-empty choice set)
-_SPACE_KEYS = {
-    "hidden_layers": (int, 2),
-    "nodes": (int, 2),
-    "epochs": (int, 2),
-    "population_size": (int, 2),
-    "max_generations": (int, 2),
-    "batch_sizes": (int, None),
-    "optimizers": (str, None),
-    "activations": (str, None),
-    "mutation_rate_beta": (float, 2),
-    "cloning_rate_beta": (float, 2),
-}
+_SPACE_KEYS = {name: _entry_shape(hint) for name, hint in get_type_hints(SearchSpace).items()}
 
 _NAME_FORBIDDEN = (",", "/", "\\", "\0")
 
@@ -196,8 +190,6 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         datasets = [spec for spec in datasets if spec.name in wanted]
 
     mode_names = overrides.get("modes") or doc.get("modes", ["nas_plus", "enas"])
-    if mode_names == "both":
-        mode_names = ["nas_plus", "enas"]
     known_modes = [mode.value for mode in Mode]
     for name in _typed_list("modes", mode_names, str):
         _require(name in known_modes, f"unknown mode {name!r}; expected one of {known_modes}")
@@ -409,15 +401,6 @@ class EfficiencyRow:
     adaptive_fewer_models_fraction: float
 
 
-@dataclass
-class EfficiencyReport:
-    rows: list[EfficiencyRow]
-
-    @property
-    def overall(self) -> EfficiencyRow:
-        return self.rows[-1]
-
-
 def _efficiency_row(
     dataset: str, static: Sequence[RunResult], adaptive: Sequence[RunResult]
 ) -> EfficiencyRow:
@@ -446,8 +429,8 @@ def _efficiency_row(
 def summarize_efficiency(
     static_runs: Mapping[str, Sequence[RunResult]],
     adaptive_runs: Mapping[str, Sequence[RunResult]],
-) -> EfficiencyReport:
-    """Per-dataset and overall resource deltas for paired-seed run lists."""
+) -> list[EfficiencyRow]:
+    """Per-dataset resource deltas for paired-seed run lists, then the overall row."""
     if set(static_runs) != set(adaptive_runs):
         raise ExperimentError("efficiency comparison needs the same datasets in both modes")
     rows = [
@@ -457,7 +440,7 @@ def summarize_efficiency(
     all_static = [r for runs in static_runs.values() for r in runs]
     all_adaptive = [r for runs in adaptive_runs.values() for r in runs]
     rows.append(_efficiency_row("overall", all_static, all_adaptive))
-    return EfficiencyReport(rows=rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +461,7 @@ class ExperimentResult:
     config: ExperimentConfig
     summary: SummaryTable
     artifacts: list[RunArtifact]
-    efficiency: EfficiencyReport | None
+    efficiency: list[EfficiencyRow] | None
     out_dir: Path
 
 
@@ -546,7 +529,11 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
             data_seed = _data_seed(config, spec.name, run_index)
             shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
             split = kfold_split(shuffled, config.folds, derive_seed(data_seed, "folds"))
-            export_fold_assignments(split, out / f"folds_{spec.name}_{run_index}.csv")
+            write_csv(
+                out / f"folds_{spec.name}_{run_index}.csv",
+                ("instance_index", "fold_id"),
+                sorted((int(i), k) for k, fold in enumerate(split.folds) for i in fold),
+            )
             fitness = CrossValFitness(shuffled, split)
             for mode in config.modes:
                 run_seed = _run_seed(config, spec.name, run_index, mode)
@@ -628,7 +615,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
             {spec.name: by_cell[(spec.name, Mode.NAS_PLUS)] for spec in config.datasets},
             {spec.name: by_cell[(spec.name, Mode.ENAS)] for spec in config.datasets},
         )
-        write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency.rows))
+        write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency))
 
     return ExperimentResult(
         config=config, summary=summary, artifacts=artifacts, efficiency=efficiency, out_dir=out

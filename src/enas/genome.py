@@ -5,13 +5,14 @@ activations, optimizer, epochs, batch size) and the evolutionary
 control values it would impose on the whole population if it became
 the fittest individual: its own mutation rate, population size,
 cloning rate and generation budget. The control genes cross over and
-mutate exactly like any other gene.
+mutate exactly like any other gene. Every gene is declared once, in
+``GENES``; sampling, breeding and serialization all read that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -34,20 +35,6 @@ INTEGER_GENE_LIMITS = {
     "population_size": POPULATION_LIMITS,
     "max_generations": GENERATION_LIMITS,
 }
-
-# Serialized gene names, in serialization order.
-_DOC_KEYS = (
-    "hidden_layers",
-    "nodes",
-    "activation functions",
-    "optimiser",
-    "number of epochs",
-    "batch size",
-    "mutation rate",
-    "population size",
-    "cloning rate",
-    "max generations",
-)
 
 
 class InvalidGenomeError(ValueError):
@@ -149,35 +136,63 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
     return genome
 
 
-def _uniform_int(bounds: tuple[int, int], rng: np.random.Generator) -> int:
-    return int(rng.integers(bounds[0], bounds[1] + 1))
+def _uniform(bounds: tuple[int, int], rng: np.random.Generator):
+    return rng.integers(bounds[0], bounds[1] + 1)
 
 
-def sample_mutation_rate(rng: np.random.Generator, space: SearchSpace | None = None) -> float:
-    """Mutation-rate prior: beta draw with mean 0.1, biased low, open tail."""
-    a, b = (space or SearchSpace()).mutation_rate_beta
-    return float(rng.beta(a, b))
+def _choice(options: tuple, rng: np.random.Generator):
+    return options[int(rng.integers(0, len(options)))]
 
 
-def sample_cloning_rate(rng: np.random.Generator, space: SearchSpace | None = None) -> float:
-    """Cloning-rate prior: beta draw with mean 0.3."""
-    a, b = (space or SearchSpace()).cloning_rate_beta
-    return float(rng.beta(a, b))
+def _beta(shape: tuple[float, float], rng: np.random.Generator):
+    return rng.beta(*shape)
 
 
-def sample_population_size(space: SearchSpace, rng: np.random.Generator) -> int:
-    return _uniform_int(space.population_size, rng)
+def _name(value) -> str:
+    # Optimizer and activation names are matched in lower case.
+    return str(value).lower()
 
 
-def sample_max_generations(space: SearchSpace, rng: np.random.Generator) -> int:
-    return _uniform_int(space.max_generations, rng)
+@dataclass(frozen=True)
+class Gene:
+    """How one gene is serialized and drawn."""
+
+    key: str  # its name in the serialized document
+    kind: Callable  # converts a document value, and any draw of the prior
+    space_field: str  # the SearchSpace field its values come from
+    prior: Callable | None = None  # (that field's value, rng) -> a draw
 
 
-def _sample_activations(
-    hidden_layers: int, space: SearchSpace, rng: np.random.Generator
-) -> tuple[str, ...]:
-    picks = rng.integers(0, len(space.activations), size=hidden_layers + 1)
-    return tuple(space.activations[i] for i in picks) + ("sigmoid",)
+# Every gene, in Genome field order, which is also the document's key order
+# and the order sample_genome draws in. The activation list has no prior of
+# its own, because its length follows the depth.
+GENES = {
+    "hidden_layers": Gene("hidden_layers", int, "hidden_layers", _uniform),
+    "nodes": Gene("nodes", int, "nodes", _uniform),
+    "activations": Gene("activation functions", lambda v: tuple(map(_name, v)), "activations"),
+    "optimizer": Gene("optimiser", _name, "optimizers", _choice),
+    "epochs": Gene("number of epochs", int, "epochs", _uniform),
+    "batch_size": Gene("batch size", int, "batch_sizes", _choice),
+    "mutation_rate": Gene("mutation rate", float, "mutation_rate_beta", _beta),
+    "population_size": Gene("population size", int, "population_size", _uniform),
+    "cloning_rate": Gene("cloning rate", float, "cloning_rate_beta", _beta),
+    "max_generations": Gene("max generations", int, "max_generations", _uniform),
+}
+# The self-adaptation genes, which an adaptive run promotes to its live values.
+CONTROL_GENES = ("mutation_rate", "population_size", "cloning_rate", "max_generations")
+# crossover and mutate settle the depth, then the activation list, then the rest.
+_BREEDING_ORDER = ("hidden_layers", "activations") + tuple(
+    name for name in GENES if name not in ("hidden_layers", "activations")
+)
+
+
+def sample_gene(name: str, space: SearchSpace, rng: np.random.Generator):
+    """Draw gene ``name`` from its prior in ``space``."""
+    gene = GENES.get(name)
+    if gene is None or gene.prior is None:
+        drawable = [key for key, entry in GENES.items() if entry.prior is not None]
+        raise ValueError(f"no prior for gene {name!r}; genes with a prior: {drawable}")
+    return gene.kind(gene.prior(getattr(space, gene.space_field), rng))
 
 
 def _rebuild_activations(source: tuple[str, ...], hidden_layers: int) -> tuple[str, ...]:
@@ -191,21 +206,26 @@ def _rebuild_activations(source: tuple[str, ...], hidden_layers: int) -> tuple[s
     return tuple(body) + ("sigmoid",)
 
 
+def _draw(name: str, genes: dict, space: SearchSpace, rng: np.random.Generator):
+    """Draw gene ``name``; the activation list takes the depth already in ``genes``."""
+    if name != "activations":
+        return sample_gene(name, space, rng)
+    picks = rng.integers(0, len(space.activations), size=genes["hidden_layers"] + 1)
+    return tuple(space.activations[i] for i in picks) + ("sigmoid",)
+
+
 def sample_genome(space: SearchSpace, rng: np.random.Generator) -> Genome:
     """Draw every gene from its prior."""
-    hidden_layers = _uniform_int(space.hidden_layers, rng)
-    return Genome(
-        hidden_layers=hidden_layers,
-        nodes=_uniform_int(space.nodes, rng),
-        activations=_sample_activations(hidden_layers, space, rng),
-        optimizer=space.optimizers[int(rng.integers(0, len(space.optimizers)))],
-        epochs=_uniform_int(space.epochs, rng),
-        batch_size=int(space.batch_sizes[int(rng.integers(0, len(space.batch_sizes)))]),
-        mutation_rate=sample_mutation_rate(rng, space),
-        population_size=sample_population_size(space, rng),
-        cloning_rate=sample_cloning_rate(rng, space),
-        max_generations=sample_max_generations(space, rng),
-    )
+    genes: dict = {}
+    for name in GENES:
+        genes[name] = _draw(name, genes, space, rng)
+    return Genome(**genes)
+
+
+def _fitted(genes: dict) -> Genome:
+    # A fresh activation list already fits; an inherited one is resized.
+    genes["activations"] = _rebuild_activations(genes["activations"], genes["hidden_layers"])
+    return Genome(**genes)
 
 
 def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
@@ -214,23 +234,8 @@ def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
     The activation list is inherited as a single gene from one donor and
     then resized to the child's depth.
     """
-
-    def pick(x, y):
-        return x if rng.random() < 0.5 else y
-
-    hidden_layers = pick(a.hidden_layers, b.hidden_layers)
-    donor_acts = pick(a.activations, b.activations)
-    return Genome(
-        hidden_layers=hidden_layers,
-        nodes=pick(a.nodes, b.nodes),
-        activations=_rebuild_activations(donor_acts, hidden_layers),
-        optimizer=pick(a.optimizer, b.optimizer),
-        epochs=pick(a.epochs, b.epochs),
-        batch_size=pick(a.batch_size, b.batch_size),
-        mutation_rate=pick(a.mutation_rate, b.mutation_rate),
-        population_size=pick(a.population_size, b.population_size),
-        cloning_rate=pick(a.cloning_rate, b.cloning_rate),
-        max_generations=pick(a.max_generations, b.max_generations),
+    return _fitted(
+        {name: getattr(a if rng.random() < 0.5 else b, name) for name in _BREEDING_ORDER}
     )
 
 
@@ -238,67 +243,27 @@ def mutate(genome: Genome, rate: float, space: SearchSpace, rng: np.random.Gener
     """Resample each gene from its prior independently with probability `rate`."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
-
-    def maybe(old, sampler):
-        return sampler() if rng.random() < rate else old
-
-    hidden_layers = maybe(genome.hidden_layers, lambda: _uniform_int(space.hidden_layers, rng))
-    activations_mutated = rng.random() < rate
-    if activations_mutated:
-        activations = _sample_activations(hidden_layers, space, rng)
-    else:
-        activations = _rebuild_activations(genome.activations, hidden_layers)
-    return Genome(
-        hidden_layers=hidden_layers,
-        nodes=maybe(genome.nodes, lambda: _uniform_int(space.nodes, rng)),
-        activations=activations,
-        optimizer=maybe(
-            genome.optimizer,
-            lambda: space.optimizers[int(rng.integers(0, len(space.optimizers)))],
-        ),
-        epochs=maybe(genome.epochs, lambda: _uniform_int(space.epochs, rng)),
-        batch_size=maybe(
-            genome.batch_size,
-            lambda: int(space.batch_sizes[int(rng.integers(0, len(space.batch_sizes)))]),
-        ),
-        mutation_rate=maybe(genome.mutation_rate, lambda: sample_mutation_rate(rng, space)),
-        population_size=maybe(genome.population_size, lambda: sample_population_size(space, rng)),
-        cloning_rate=maybe(genome.cloning_rate, lambda: sample_cloning_rate(rng, space)),
-        max_generations=maybe(genome.max_generations, lambda: sample_max_generations(space, rng)),
-    )
+    genes: dict = {}
+    for name in _BREEDING_ORDER:
+        resample = rng.random() < rate
+        genes[name] = _draw(name, genes, space, rng) if resample else getattr(genome, name)
+    return _fitted(genes)
 
 
 def genome_to_doc(genome: Genome) -> dict:
     """Serialize to the canonical JSON-compatible gene document."""
-    return {
-        "hidden_layers": genome.hidden_layers,
-        "nodes": genome.nodes,
-        "activation functions": list(genome.activations),
-        "optimiser": genome.optimizer,
-        "number of epochs": genome.epochs,
-        "batch size": genome.batch_size,
-        "mutation rate": genome.mutation_rate,
-        "population size": genome.population_size,
-        "cloning rate": genome.cloning_rate,
-        "max generations": genome.max_generations,
-    }
+    doc = {}
+    for name, gene in GENES.items():
+        value = getattr(genome, name)
+        doc[gene.key] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def genome_from_doc(doc: Mapping) -> Genome:
     """Parse the canonical gene document; optimizer/activation case is forgiven."""
-    missing = [key for key in _DOC_KEYS if key not in doc]
+    missing = [gene.key for gene in GENES.values() if gene.key not in doc]
     if missing:
         raise InvalidGenomeError(f"genome document missing keys: {missing}")
-    genome = Genome(
-        hidden_layers=int(doc["hidden_layers"]),
-        nodes=int(doc["nodes"]),
-        activations=tuple(str(a).lower() for a in doc["activation functions"]),
-        optimizer=str(doc["optimiser"]).lower(),
-        epochs=int(doc["number of epochs"]),
-        batch_size=int(doc["batch size"]),
-        mutation_rate=float(doc["mutation rate"]),
-        population_size=int(doc["population size"]),
-        cloning_rate=float(doc["cloning rate"]),
-        max_generations=int(doc["max generations"]),
+    return validate_genome(
+        Genome(**{name: gene.kind(doc[gene.key]) for name, gene in GENES.items()})
     )
-    return validate_genome(genome)

@@ -25,10 +25,7 @@ from enas.experiment import (
 from enas.fitness import CrossValFitness, f_measure
 from enas.genome import (
     SearchSpace,
-    sample_cloning_rate,
-    sample_max_generations,
-    sample_mutation_rate,
-    sample_population_size,
+    sample_gene,
 )
 from enas.nn import (
     MLPConfig,
@@ -130,23 +127,23 @@ def test_control_gene_prior_statistics():
     rng = make_rng("acceptance", "priors")
     n = 100_000
 
-    mutation = np.array([sample_mutation_rate(rng, space) for _ in range(n)])
+    mutation = np.array([sample_gene("mutation_rate", space, rng) for _ in range(n)])
     assert abs(mutation.mean() - 0.1) < 0.01
     assert ((mutation > 0) & (mutation < 1)).all()
 
     # the low bias must still leave a usable upper tail
-    tail = np.array([sample_mutation_rate(rng, space) for _ in range(1_000_000)])
+    tail = np.array([sample_gene("mutation_rate", space, rng) for _ in range(1_000_000)])
     assert (tail > 0.5).any()
 
-    cloning = np.array([sample_cloning_rate(rng, space) for _ in range(n)])
+    cloning = np.array([sample_gene("cloning_rate", space, rng) for _ in range(n)])
     assert abs(cloning.mean() - 0.3) < 0.01
     assert ((cloning > 0) & (cloning < 1)).all()
 
-    populations = np.array([sample_population_size(space, rng) for _ in range(n)])
+    populations = np.array([sample_gene("population_size", space, rng) for _ in range(n)])
     counts = np.bincount(populations, minlength=51)[3:51]
     assert stats.chisquare(counts).pvalue > 0.001
 
-    generations = np.array([sample_max_generations(space, rng) for _ in range(n)])
+    generations = np.array([sample_gene("max_generations", space, rng) for _ in range(n)])
     counts = np.bincount(generations, minlength=501)[1:501]
     assert stats.chisquare(counts).pvalue > 0.001
     _announce("prior means hit 0.1/0.3 within ±0.01 and integer priors look uniform")
@@ -308,17 +305,17 @@ def test_adaptive_mode_trains_fewer_models_in_most_paired_runs():
     )
     assert fewer / 20 >= 0.6, f"adaptive mode trained fewer models in only {fewer}/20 pairs"
 
-    report = summarize_efficiency({"synthetic": static_runs}, {"synthetic": adaptive_runs})
+    overall = summarize_efficiency({"synthetic": static_runs}, {"synthetic": adaptive_runs})[-1]
     # hand-audit the counters straight from the history files' final rows
     audited_static = [r.history[-1].models_trained_cumulative for r in static_runs]
     audited_adaptive = [r.history[-1].models_trained_cumulative for r in adaptive_runs]
     mean_static = sum(audited_static) / len(audited_static)
     mean_adaptive = sum(audited_adaptive) / len(audited_adaptive)
-    assert report.overall.mean_models_static == mean_static
-    assert report.overall.mean_models_adaptive == mean_adaptive
+    assert overall.mean_models_static == mean_static
+    assert overall.mean_models_adaptive == mean_adaptive
     expected_delta = 100.0 * (mean_adaptive - mean_static) / mean_static
-    assert report.overall.models_delta_pct == pytest.approx(expected_delta, abs=1e-12)
-    assert report.overall.adaptive_fewer_models_fraction == fewer / 20
+    assert overall.models_delta_pct == pytest.approx(expected_delta, abs=1e-12)
+    assert overall.adaptive_fewer_models_fraction == fewer / 20
     _announce(
         f"adaptive mode trained fewer models in {fewer}/20 pairs "
         f"(mean {mean_adaptive:.0f} vs {mean_static:.0f}, delta {expected_delta:.1f}%)"

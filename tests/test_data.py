@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from enas.data import (
     Dataset,
     DatasetError,
-    export_fold_assignments,
     kfold_split,
     load_csv,
     normalize_min_max,
     shuffle,
 )
+from enas.evolution import EvolutionConfig, Mode
+from enas.experiment import DatasetSpec, ExperimentConfig, run_experiment
+from enas.genome import SearchSpace
+from enas.synthetic import write_dataset_csv
 
 from .conftest import SONAR_PATH
 
@@ -186,14 +189,28 @@ class TestKFold:
             assert merged == list(range(small_dataset.instance_count))
 
     def test_export_assignments(self, small_dataset, tmp_path):
-        split = kfold_split(small_dataset, k=3, seed=5)
-        path = tmp_path / "folds.csv"
-        export_fold_assignments(split, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "instance_index,fold_id"
-        assert len(lines) == small_dataset.instance_count + 1
-        fold_ids = [int(line.split(",")[1]) for line in lines[1:]]
-        assert set(fold_ids) == {0, 1, 2}
+        # run_experiment writes each run's fold assignment through write_csv
+        path = write_dataset_csv(small_dataset, tmp_path / "small.csv")
+        space = SearchSpace(
+            hidden_layers=(1, 1), nodes=(2, 2), epochs=(1, 1), population_size=(3, 3)
+        )
+        config = ExperimentConfig(
+            datasets=[DatasetSpec("small", path)],
+            modes=[Mode.NAS_PLUS],
+            runs=1,
+            base_seed=5,
+            out_dir=tmp_path / "out",
+            folds=3,
+            evolution=EvolutionConfig(space=space, population_size=3, max_generations=1),
+        )
+        run_experiment(config, verbose=False)
+        text = (tmp_path / "out" / "folds_small_0.csv").read_bytes().decode("utf-8")
+        assert "\r" not in text and text.endswith("\n")
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        assert header == ["instance_index", "fold_id"]
+        assert [int(index) for index, _ in rows] == list(range(small_dataset.instance_count))
+        fold_ids = [int(fold_id) for _, fold_id in rows]
+        assert sorted(fold_ids.count(k) for k in range(3)) == [8, 8, 8]
 
 
 class TestDatasetInvariants:

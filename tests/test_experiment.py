@@ -228,7 +228,7 @@ class TestCsvFiles:
             f"{row.dataset},{row.mode},{row.runs},{row.fittest!r},{row.average!r},"
             f"{row.range!r},{row.models_trained}\n"
         )
-        e = result.efficiency.overall
+        e = result.efficiency[-1]
         text = (result.out_dir / "efficiency.csv").read_text()
         assert text.startswith(
             "dataset,pairs,mean_models_static,mean_models_adaptive,models_delta_pct,"
@@ -249,9 +249,9 @@ class TestEfficiency:
 
     def test_identical_run_lists_give_zero_delta(self):
         runs = self._runs(Mode.NAS_PLUS, range(3))
-        report = summarize_efficiency({"toy": runs}, {"toy": runs})
-        assert report.overall.models_delta_pct == 0.0
-        assert report.overall.adaptive_fewer_models_fraction == 0.0
+        overall = summarize_efficiency({"toy": runs}, {"toy": runs})[-1]
+        assert overall.models_delta_pct == 0.0
+        assert overall.adaptive_fewer_models_fraction == 0.0
 
     def test_unpaired_inputs_rejected(self):
         runs = self._runs(Mode.NAS_PLUS, range(2))
@@ -263,16 +263,16 @@ class TestEfficiency:
     def test_delta_matches_hand_computation(self):
         static = self._runs(Mode.NAS_PLUS, range(4))
         adaptive = self._runs(Mode.ENAS, range(4))
-        report = summarize_efficiency({"toy": static}, {"toy": adaptive})
+        overall = summarize_efficiency({"toy": static}, {"toy": adaptive})[-1]
         mean_s = sum(r.models_trained for r in static) / 4
         mean_a = sum(r.models_trained for r in adaptive) / 4
-        assert report.overall.mean_models_static == mean_s
-        assert report.overall.mean_models_adaptive == mean_a
-        assert report.overall.models_delta_pct == pytest.approx(
+        assert overall.mean_models_static == mean_s
+        assert overall.mean_models_adaptive == mean_a
+        assert overall.models_delta_pct == pytest.approx(
             100.0 * (mean_a - mean_s) / mean_s
         )
         fewer = sum(1 for a, s in zip(adaptive, static) if a.models_trained < s.models_trained)
-        assert report.overall.adaptive_fewer_models_fraction == fewer / 4
+        assert overall.adaptive_fewer_models_fraction == fewer / 4
 
 
 class TestConfigFile:
@@ -376,6 +376,7 @@ class TestCli:
             pytest.param(lambda doc: json.dumps(doc)[:-1], id="malformed-json"),
             pytest.param(lambda doc: {**doc, "runs": "x"}, id="runs-not-integer"),
             pytest.param(lambda doc: {**doc, "modes": ["nope"]}, id="unknown-mode"),
+            pytest.param(lambda doc: {**doc, "modes": "both"}, id="modes-not-a-list"),
             pytest.param(lambda doc: {**doc, "search_space": [1, 2]}, id="search-space-list"),
             pytest.param(
                 lambda doc: {**doc, "search_space": {"nodes": "ab"}}, id="nodes-not-integers"
@@ -403,6 +404,28 @@ class TestCli:
         edited = edit(json.loads(config_path.read_text()))
         config_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+
+    @staticmethod
+    def _loaded_config(argv):
+        """The config ``main(argv)`` hands to run_experiment, which is stubbed."""
+        with mock.patch("enas.cli.run_experiment") as stub:
+            assert main(argv) == 0
+        return stub.call_args.args[0]
+
+    @pytest.mark.parametrize(
+        "flag, modes", [("enas", [Mode.ENAS]), ("both", [Mode.NAS_PLUS, Mode.ENAS])]
+    )
+    def test_mode_flag_sets_modes(self, tmp_path, flag, modes):
+        config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("nas_plus",))
+        config = self._loaded_config(["run", "--config", str(config_path), "--mode", flag])
+        assert config.modes == modes
+
+    def test_search_space_of_defaults_loads_to_default_space(self, tmp_path):
+        defaults = asdict(SearchSpace())
+        assert len(defaults) == 10
+        config_path = _write_config(tmp_path, datasets=1, runs=1, search_space=defaults)
+        config = self._loaded_config(["run", "--config", str(config_path)])
+        assert config.evolution.space == SearchSpace()
 
     def test_plot_data_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

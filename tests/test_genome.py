@@ -9,11 +9,8 @@ from enas.genome import (
     genome_from_doc,
     genome_to_doc,
     mutate,
-    sample_cloning_rate,
+    sample_gene,
     sample_genome,
-    sample_max_generations,
-    sample_mutation_rate,
-    sample_population_size,
     validate_genome,
 )
 from enas.seeding import make_rng
@@ -41,33 +38,38 @@ def _fixed_genome(**overrides):
 class TestPriors:
     def test_mutation_rate_mean_biased_to_tenth(self):
         rng = make_rng(1)
-        draws = [sample_mutation_rate(rng) for _ in range(20_000)]
+        draws = [sample_gene("mutation_rate", SPACE, rng) for _ in range(20_000)]
         assert np.mean(draws) == pytest.approx(0.1, abs=0.01)
 
     def test_mutation_rate_inside_open_interval(self):
         rng = make_rng(2)
-        draws = [sample_mutation_rate(rng) for _ in range(5_000)]
+        draws = [sample_gene("mutation_rate", SPACE, rng) for _ in range(5_000)]
         assert 0.0 < min(draws) and max(draws) < 1.0
 
     def test_cloning_rate_mean_favours_point_three(self):
         rng = make_rng(3)
-        draws = [sample_cloning_rate(rng) for _ in range(20_000)]
+        draws = [sample_gene("cloning_rate", SPACE, rng) for _ in range(20_000)]
         assert np.mean(draws) == pytest.approx(0.3, abs=0.01)
 
     def test_cloning_rate_median_below_half(self):
         rng = make_rng(4)
-        draws = [sample_cloning_rate(rng) for _ in range(20_000)]
+        draws = [sample_gene("cloning_rate", SPACE, rng) for _ in range(20_000)]
         assert np.median(draws) < 0.5
 
     def test_population_prior_covers_bounds(self):
         rng = make_rng(5)
-        draws = {sample_population_size(SPACE, rng) for _ in range(20_000)}
+        draws = {sample_gene("population_size", SPACE, rng) for _ in range(20_000)}
         assert min(draws) == 3 and max(draws) == 50
 
     def test_generation_prior_within_bounds(self):
         rng = make_rng(6)
-        draws = [sample_max_generations(SPACE, rng) for _ in range(5_000)]
+        draws = [sample_gene("max_generations", SPACE, rng) for _ in range(5_000)]
         assert 1 <= min(draws) and max(draws) <= 500
+
+    @pytest.mark.parametrize("name", ["activations", "mutation_rates"])
+    def test_gene_without_prior_rejected(self, name):
+        with pytest.raises(ValueError, match=f"no prior for gene '{name}'"):
+            sample_gene(name, SPACE, make_rng(0))
 
 
 class TestSampleGenome:
@@ -204,10 +206,49 @@ class TestOperatorClosure:
             pool[int(rng.integers(0, len(pool)))] = genome
 
 
+# Two seeded sample -> sample -> crossover -> mutate(0.5) chains, as recorded.
+# Seed 21: the mutation resamples the activation list at a new depth. Seed 28:
+# the crossover resizes the donor's activation list up, and the mutation
+# changes the depth but keeps and shortens the list.
+RECORDED_CHAINS = {
+    21: (
+        Genome(3, 122, ("relu", "sigmoid", "sigmoid", "tanh", "sigmoid"), "adamax", 100, 32,
+               0.05102394839789373, 28, 0.32513449368139086, 233),
+        Genome(2, 78, ("linear", "relu", "relu", "sigmoid"), "adam", 48, 8,
+               0.07287427726578276, 44, 0.5364093128355268, 357),
+        Genome(3, 78, ("relu", "sigmoid", "sigmoid", "tanh", "sigmoid"), "adam", 100, 8,
+               0.07287427726578276, 44, 0.32513449368139086, 233),
+        Genome(1, 78, ("tanh", "sigmoid", "sigmoid"), "adam", 100, 2,
+               0.07287427726578276, 44, 0.32513449368139086, 237),
+    ),
+    28: (
+        Genome(1, 82, ("sigmoid", "relu", "sigmoid"), "rmsprop", 100, 1,
+               0.1485336586378491, 13, 0.26406191968522713, 320),
+        Genome(4, 69, ("linear", "sigmoid", "tanh", "linear", "relu", "sigmoid"), "sgd", 10, 2,
+               0.00894441324278677, 14, 0.15565787575377246, 223),
+        Genome(4, 82, ("sigmoid", "relu", "relu", "relu", "relu", "sigmoid"), "rmsprop", 100, 2,
+               0.00894441324278677, 14, 0.15565787575377246, 223),
+        Genome(2, 82, ("sigmoid", "relu", "relu", "sigmoid"), "adamax", 100, 2,
+               0.17627956392021574, 40, 0.29097418436656686, 105),
+    ),
+}
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("seed", sorted(RECORDED_CHAINS))
+    def test_operators_reproduce_recorded_genomes(self, seed):
+        # Every random draw must keep its place, or the searches' outputs change.
+        rng = make_rng(seed)
+        a = sample_genome(SPACE, rng)
+        b = sample_genome(SPACE, rng)
+        child = crossover(a, b, rng)
+        assert (a, b, child, mutate(child, 0.5, SPACE, rng)) == RECORDED_CHAINS[seed]
+
+
 class TestSerialization:
     def test_doc_uses_canonical_key_names(self):
         doc = genome_to_doc(_fixed_genome())
-        assert set(doc) == {
+        assert list(doc) == [
             "hidden_layers",
             "nodes",
             "activation functions",
@@ -218,7 +259,7 @@ class TestSerialization:
             "population size",
             "cloning rate",
             "max generations",
-        }
+        ]
 
     def test_roundtrip_identity(self):
         rng = make_rng(20)
