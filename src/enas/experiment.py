@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, get_args, get_type_hints
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from . import evolution
 from .data import (
@@ -24,7 +26,7 @@ from .data import (
 )
 from .evolution import EvolutionConfig, GenerationRecord, Mode, RunResult
 from .fitness import CrossValFitness
-from .genome import InvalidGenomeError, SearchSpace, genome_to_doc
+from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
 from .seeding import derive_seed
 
 
@@ -84,25 +86,27 @@ _TOP_LEVEL_KEYS = {
     "static_params",
 }
 
-def _entry_shape(hint) -> tuple[type, int | None]:
-    """``tuple[int, int]`` -> (int, 2); ``tuple[str, ...]`` -> (str, None)."""
-    args = get_args(hint)
-    return args[0], None if args[-1] is Ellipsis else len(args)
-
-
-# search_space key -> (element kind, entry count; None for a non-empty choice set)
-_SPACE_KEYS = {name: _entry_shape(hint) for name, hint in get_type_hints(SearchSpace).items()}
-
 _NAME_FORBIDDEN = (",", "/", "\\", "\0")
 
 _KIND_NAMES = {
     int: "an integer",
     float: "a number",
     str: "a string",
+    Path: "a string",
     bool: "true or false",
-    list: "a list",
+    tuple: "a list",
     dict: "an object",
+    Mapping: "an object",
+    NoneType: "null",
 }
+# Annotation class -> the classes of the JSON values it is read from, where not itself.
+_JSON_CLASSES = {float: (int, float), Path: (str,), tuple: (list,), Mapping: (dict,)}
+
+_SPACE_HINTS = get_type_hints(SearchSpace)
+_STATIC_HINTS = {k: v for k, v in get_type_hints(EvolutionConfig).items() if k != "space"}
+_DATASET_HINTS = get_type_hints(DatasetSpec)
+# Gene document key -> the annotation of its Genome field.
+_GENE_HINTS = {GENES[name].key: hint for name, hint in get_type_hints(Genome).items()}
 
 
 def _check_keys(section: str, doc: Mapping, allowed) -> None:
@@ -110,24 +114,48 @@ def _check_keys(section: str, doc: Mapping, allowed) -> None:
     _require(not unknown, f"unknown keys in {section}: {', '.join(map(repr, unknown))}")
 
 
-def _typed(where: str, value, kind):
-    """``value``, unchanged, if it is a JSON value of ``kind``; a JSON integer is also a number."""
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
-        shown = json.dumps(value)
-        shown = shown if len(shown) <= 40 else shown[:37] + "..."
-        raise ExperimentError(f"{where} must be {_KIND_NAMES[kind]}, got {shown}")
-    return value
+def _typed(where: str, value, hint):
+    """JSON ``value`` read as the annotation ``hint``; otherwise one error naming ``where``.
+
+    A value's class must match exactly, so ``true`` is not an integer, but a
+    JSON integer is also a number and is read as a float. Lists are read as
+    tuples and strings as paths where ``hint`` asks for them; a union takes
+    the first of its types that ``value``'s class matches.
+    """
+    arms = get_args(hint) if get_origin(hint) is UnionType else (hint,)
+    for arm in arms:
+        kind, args = get_origin(arm) or arm, get_args(arm)
+        if type(value) not in _JSON_CLASSES.get(kind, (kind,)):
+            continue
+        if kind is tuple:
+            hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+            _require(
+                len(value) == len(hints),
+                f"{where} must have {len(hints)} entries, got {len(value)}",
+            )
+            return tuple(
+                _typed(f"{where}[{i}]", item, hints[i]) for i, item in enumerate(value)
+            )
+        if kind is Mapping:  # JSON object keys are always strings
+            return {key: _typed(f"{where}[{key!r}]", item, args[1]) for key, item in value.items()}
+        if kind is float:
+            try:
+                return float(value)
+            except OverflowError:  # an integer beyond the float range
+                break
+        return Path(value) if kind is Path else value
+    shown = json.dumps(value)
+    shown = shown if len(shown) <= 40 else shown[:37] + "..."
+    kinds = " or ".join(_KIND_NAMES[get_origin(arm) or arm] for arm in arms)
+    raise ExperimentError(f"{where} must be {kinds}, got {shown}")
 
 
-def _typed_list(where: str, value, kind, length: int | None = None) -> tuple:
-    items = _typed(where, value, list)
-    _require(
-        length is None or len(items) == length,
-        f"{where} must have {length} entries, got {len(items)}",
-    )
-    values = (_typed(f"{where}[{i}]", item, kind) for i, item in enumerate(items))
-    return tuple(map(float, values) if kind is float else values)
+def _section(where: str, doc, hints: Mapping, required=()) -> dict:
+    """The entries of the JSON object ``doc``, each read as its annotation in ``hints``."""
+    _check_keys(where, _typed(where, doc, dict), hints)
+    missing = [key for key in required if key not in doc]
+    _require(not missing, f"{where} is missing keys: {', '.join(map(repr, missing))}")
+    return {key: _typed(f"{where}.{key}", value, hints[key]) for key, value in doc.items()}
 
 
 def config_from_file(path: str | Path, overrides: Mapping | None = None) -> ExperimentConfig:
@@ -143,46 +171,28 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ExperimentError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ExperimentError(f"config {path} is not valid JSON: {exc}") from exc
     _typed("config", doc, dict)
     base = path.parent
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     _check_keys("config", doc, _TOP_LEVEL_KEYS)
 
-    def _resolve(p: str) -> Path:
-        p = Path(p)
+    def _resolve(p: Path) -> Path:
         return p if p.is_absolute() else base / p
 
     datasets = []
-    for i, entry in enumerate(_typed("datasets", doc.get("datasets", []), list)):
+    for i, raw in enumerate(_typed("datasets", doc.get("datasets", []), tuple[dict, ...])):
         where = f"datasets[{i}]"
-        _typed(where, entry, dict)
-        _require("name" in entry and "path" in entry, "dataset entries need name and path")
-        _check_keys("dataset entry", entry, [f.name for f in fields(DatasetSpec)])
-        label_column = entry.get("label_column")
-        if label_column is not None and not isinstance(label_column, str):
-            _typed(f"{where}.label_column", label_column, int)
-        label_mapping = entry.get("label_mapping")
-        if label_mapping is not None:
-            for raw, label in _typed(f"{where}.label_mapping", label_mapping, dict).items():
-                _typed(f"{where}.label_mapping[{raw!r}]", label, int)
+        entry = _section(where, raw, _DATASET_HINTS, required=("name", "path"))
         # The name goes into CSV cells and file names unquoted.
-        name = _typed(f"{where}.name", entry["name"], str)
+        name = entry["name"]
         _require(
             name.splitlines() == [name] and not set(name) & set(_NAME_FORBIDDEN),
             f"{where}.name must be non-empty, without line breaks or any of "
             f"{', '.join(map(repr, _NAME_FORBIDDEN))}; got {name!r}",
         )
-        datasets.append(
-            DatasetSpec(
-                name=name,
-                path=_resolve(_typed(f"{where}.path", entry["path"], str)),
-                label_column=label_column,
-                label_mapping=label_mapping,
-                normalize=_typed(f"{where}.normalize", entry.get("normalize", True), bool),
-            )
-        )
+        datasets.append(DatasetSpec(**{**entry, "path": _resolve(entry["path"])}))
     if overrides.get("datasets"):
         wanted = set(overrides["datasets"])
         unknown = wanted - {spec.name for spec in datasets}
@@ -191,36 +201,25 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
 
     mode_names = overrides.get("modes") or doc.get("modes", ["nas_plus", "enas"])
     known_modes = [mode.value for mode in Mode]
-    for name in _typed_list("modes", mode_names, str):
+    for name in _typed("modes", mode_names, tuple[str, ...]):
         _require(name in known_modes, f"unknown mode {name!r}; expected one of {known_modes}")
     modes = [Mode(name) for name in mode_names]
 
     space_doc = dict(_typed("search_space", doc.get("search_space", {}), dict))
-    _check_keys("search_space", space_doc, _SPACE_KEYS)
     if "pop_bounds" in overrides:
         space_doc["population_size"] = list(overrides["pop_bounds"])
     if "max_generations_cap" in overrides:
         cap = int(overrides["max_generations_cap"])
         _require(cap >= 1, "max_generations_cap must be at least 1")
         bounds = space_doc.get("max_generations", [1, cap])
-        lo = _typed_list("search_space.max_generations", bounds, int, 2)[0]
+        lo = _typed("search_space.max_generations", bounds, _SPACE_HINTS["max_generations"])[0]
         space_doc["max_generations"] = [min(lo, cap), cap]
-    space_kwargs = {
-        key: _typed_list(f"search_space.{key}", value, *_SPACE_KEYS[key])
-        for key, value in space_doc.items()
-    }
     try:
-        space = SearchSpace(**space_kwargs)
+        space = SearchSpace(**_section("search_space", space_doc, _SPACE_HINTS))
     except InvalidGenomeError as exc:
         raise ExperimentError(f"search_space: {exc}") from exc
 
-    static_doc = dict(_typed("static_params", doc.get("static_params", {}), dict))
-    static_kinds = {f.name: type(f.default) for f in fields(EvolutionConfig) if f.name != "space"}
-    _check_keys("static_params", static_doc, static_kinds)
-    static_doc = {
-        key: _typed(f"static_params.{key}", value, static_kinds[key])
-        for key, value in static_doc.items()
-    }
+    static_doc = _section("static_params", doc.get("static_params", {}), _STATIC_HINTS)
     if "max_generations_cap" in overrides:
         static_doc["max_generations"] = min(static_doc.get("max_generations", cap), cap)
     evolution = EvolutionConfig(space=space, **static_doc)
@@ -234,7 +233,7 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
     if "out" in overrides:
         out_dir = Path(overrides["out"])
     else:
-        out_dir = _resolve(_typed("out_dir", doc.get("out_dir", "out"), str))
+        out_dir = _resolve(_typed("out_dir", doc.get("out_dir", "out"), Path))
     return ExperimentConfig(
         datasets=datasets,
         modes=modes,
@@ -245,6 +244,18 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         jobs=_int("jobs", 1),
         evolution=evolution,
     )
+
+
+def genome_from_doc(doc: Mapping) -> Genome:
+    """Read a gene document strictly; optimizer and activation names are matched in lower case."""
+    read = _section("genome", doc, _GENE_HINTS, required=_GENE_HINTS)
+    genes = {name: read[gene.key] for name, gene in GENES.items()}
+    genes["optimizer"] = genes["optimizer"].lower()
+    genes["activations"] = tuple(name.lower() for name in genes["activations"])
+    try:
+        return validate_genome(Genome(**genes))
+    except InvalidGenomeError as exc:
+        raise ExperimentError(f"genome: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ mutate exactly like any other gene. Every gene is declared once, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -136,21 +136,16 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
     return genome
 
 
-def _uniform(bounds: tuple[int, int], rng: np.random.Generator):
-    return rng.integers(bounds[0], bounds[1] + 1)
+def _uniform(bounds: tuple[int, int], rng: np.random.Generator) -> int:
+    return int(rng.integers(bounds[0], bounds[1] + 1))
 
 
 def _choice(options: tuple, rng: np.random.Generator):
     return options[int(rng.integers(0, len(options)))]
 
 
-def _beta(shape: tuple[float, float], rng: np.random.Generator):
-    return rng.beta(*shape)
-
-
-def _name(value) -> str:
-    # Optimizer and activation names are matched in lower case.
-    return str(value).lower()
+def _beta(shape: tuple[float, float], rng: np.random.Generator) -> float:
+    return float(rng.beta(*shape))
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,6 @@ class Gene:
     """How one gene is serialized and drawn."""
 
     key: str  # its name in the serialized document
-    kind: Callable  # converts a document value, and any draw of the prior
     space_field: str  # the SearchSpace field its values come from
     prior: Callable | None = None  # (that field's value, rng) -> a draw
 
@@ -167,16 +161,16 @@ class Gene:
 # and the order sample_genome draws in. The activation list has no prior of
 # its own, because its length follows the depth.
 GENES = {
-    "hidden_layers": Gene("hidden_layers", int, "hidden_layers", _uniform),
-    "nodes": Gene("nodes", int, "nodes", _uniform),
-    "activations": Gene("activation functions", lambda v: tuple(map(_name, v)), "activations"),
-    "optimizer": Gene("optimiser", _name, "optimizers", _choice),
-    "epochs": Gene("number of epochs", int, "epochs", _uniform),
-    "batch_size": Gene("batch size", int, "batch_sizes", _choice),
-    "mutation_rate": Gene("mutation rate", float, "mutation_rate_beta", _beta),
-    "population_size": Gene("population size", int, "population_size", _uniform),
-    "cloning_rate": Gene("cloning rate", float, "cloning_rate_beta", _beta),
-    "max_generations": Gene("max generations", int, "max_generations", _uniform),
+    "hidden_layers": Gene("hidden_layers", "hidden_layers", _uniform),
+    "nodes": Gene("nodes", "nodes", _uniform),
+    "activations": Gene("activation functions", "activations"),
+    "optimizer": Gene("optimiser", "optimizers", _choice),
+    "epochs": Gene("number of epochs", "epochs", _uniform),
+    "batch_size": Gene("batch size", "batch_sizes", _choice),
+    "mutation_rate": Gene("mutation rate", "mutation_rate_beta", _beta),
+    "population_size": Gene("population size", "population_size", _uniform),
+    "cloning_rate": Gene("cloning rate", "cloning_rate_beta", _beta),
+    "max_generations": Gene("max generations", "max_generations", _uniform),
 }
 # The self-adaptation genes, which an adaptive run promotes to its live values.
 CONTROL_GENES = ("mutation_rate", "population_size", "cloning_rate", "max_generations")
@@ -192,7 +186,7 @@ def sample_gene(name: str, space: SearchSpace, rng: np.random.Generator):
     if gene is None or gene.prior is None:
         drawable = [key for key, entry in GENES.items() if entry.prior is not None]
         raise ValueError(f"no prior for gene {name!r}; genes with a prior: {drawable}")
-    return gene.kind(gene.prior(getattr(space, gene.space_field), rng))
+    return gene.prior(getattr(space, gene.space_field), rng)
 
 
 def _rebuild_activations(source: tuple[str, ...], hidden_layers: int) -> tuple[str, ...]:
@@ -258,12 +252,3 @@ def genome_to_doc(genome: Genome) -> dict:
         doc[gene.key] = list(value) if isinstance(value, tuple) else value
     return doc
 
-
-def genome_from_doc(doc: Mapping) -> Genome:
-    """Parse the canonical gene document; optimizer/activation case is forgiven."""
-    missing = [gene.key for gene in GENES.values() if gene.key not in doc]
-    if missing:
-        raise InvalidGenomeError(f"genome document missing keys: {missing}")
-    return validate_genome(
-        Genome(**{name: gene.kind(doc[gene.key]) for name, gene in GENES.items()})
-    )

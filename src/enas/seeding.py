@@ -1,8 +1,8 @@
 """Deterministic seed derivation.
 
 Every random decision in a run flows from one 64-bit base seed through
-a single hash chain, so that repeated runs, resumed runs and runs with
-different worker-pool sizes all see identical random streams:
+a single hash chain, so that repeated runs, and runs with any worker-pool
+size, all see identical random streams:
 
     experiment level   derive_seed(base_seed, dataset_name, run_index, "data")
     run level          derive_seed(base_seed, dataset_name, run_index, mode)

@@ -16,17 +16,20 @@ from enas.cli import main
 from enas.evolution import EvolutionConfig, Mode, run
 from enas.experiment import (
     AuditError,
+    DatasetSpec,
     ExperimentError,
     audit_output_dir,
     config_from_file,
     emit_plot_data,
+    genome_from_doc,
     read_history_csv,
     run_experiment,
     summarize_efficiency,
     write_csv,
     write_history_csv,
 )
-from enas.genome import SearchSpace
+from enas.genome import SearchSpace, genome_to_doc, sample_genome
+from enas.seeding import make_rng
 from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_dataset_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -64,8 +67,8 @@ def _write_config(tmp_path, datasets=2, runs=2, modes=("nas_plus", "enas"), **ex
     return path
 
 
-def _rename_dataset(name):
-    return lambda doc: {**doc, "datasets": [{**doc["datasets"][0], "name": name}]}
+def _edit_dataset(key, value):
+    return lambda doc: {**doc, "datasets": [{**doc["datasets"][0], key: value}]}
 
 
 def _replace_last_cell(index, value):
@@ -112,8 +115,6 @@ class TestRunExperiment:
         assert (out / "events.jsonl").exists()
 
     def test_best_genome_document_is_loadable(self, experiment_dir):
-        from enas.genome import genome_from_doc
-
         _, _, result = experiment_dir
         doc = json.loads(result.artifacts[0].genome_path.read_text())
         genome = genome_from_doc(doc["genome"])
@@ -301,6 +302,16 @@ class TestConfigFile:
         assert [m.value for m in config.modes] == ["enas"]
         assert [d.name for d in config.datasets] == ["toy1"]
 
+    def test_json_integer_for_a_number_is_read_as_float(self, tmp_path):
+        path = _write_config(
+            tmp_path,
+            search_space={**TINY_SPACE, "mutation_rate_beta": [2, 18]},
+            static_params={"population_size": 4, "max_generations": 3, "crossover_rate": 1},
+        )
+        config = config_from_file(path)
+        for value in (config.evolution.crossover_rate, *config.evolution.space.mutation_rate_beta):
+            assert type(value) is float
+
     def test_unknown_dataset_filter_rejected(self, tmp_path):
         path = _write_config(tmp_path)
         with pytest.raises(ExperimentError, match="unknown dataset"):
@@ -374,6 +385,10 @@ class TestCli:
         "edit",
         [
             pytest.param(lambda doc: json.dumps(doc)[:-1], id="malformed-json"),
+            pytest.param(
+                lambda doc: json.dumps(doc).replace('"runs": 1', '"runs": ' + "1" * 5000),
+                id="runs-of-5000-digits",
+            ),
             pytest.param(lambda doc: {**doc, "runs": "x"}, id="runs-not-integer"),
             pytest.param(lambda doc: {**doc, "modes": ["nope"]}, id="unknown-mode"),
             pytest.param(lambda doc: {**doc, "modes": "both"}, id="modes-not-a-list"),
@@ -388,7 +403,15 @@ class TestCli:
                 lambda doc: {**doc, "search_space": {"nodes": [2, 10**12]}}, id="nodes-too-high"
             ),
             *(
-                pytest.param(_rename_dataset(name), id=f"dataset-name-{label}")
+                pytest.param(_edit_dataset(key, value), id=f"dataset-{key}-{label}")
+                for key, label, value in [
+                    ("label_mapping", "not-integer", {"0": 0, "1": True}),
+                    ("label_column", "float", 1.5),
+                    ("normalize", "integer", 1),
+                ]
+            ),
+            *(
+                pytest.param(_edit_dataset("name", name), id=f"dataset-name-{label}")
                 for label, name in [
                     ("comma", "a,b"),
                     ("slash", "a/b"),
@@ -419,6 +442,31 @@ class TestCli:
         config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("nas_plus",))
         config = self._loaded_config(["run", "--config", str(config_path), "--mode", flag])
         assert config.modes == modes
+
+    @pytest.mark.parametrize("label_column", ["class", 3])
+    def test_dataset_entry_with_every_field_loads_exactly(self, tmp_path, label_column):
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        doc = json.loads(config_path.read_text())
+        doc["datasets"] = [
+            {
+                "name": "toy",
+                "path": "data/toy0.csv",
+                "label_column": label_column,
+                "label_mapping": {"m": 0, "r": 1},
+                "normalize": False,
+            }
+        ]
+        config_path.write_text(json.dumps(doc))
+        config = self._loaded_config(["run", "--config", str(config_path)])
+        assert config.datasets == [
+            DatasetSpec(
+                name="toy",
+                path=tmp_path / "data" / "toy0.csv",
+                label_column=label_column,
+                label_mapping={"m": 0, "r": 1},
+                normalize=False,
+            )
+        ]
 
     def test_search_space_of_defaults_loads_to_default_space(self, tmp_path):
         defaults = asdict(SearchSpace())
@@ -555,3 +603,43 @@ def test_fuzzed_config_loads_or_gives_one_error_line(text):
         assert code == 2
         message = err.getvalue()
         assert message.startswith("error: ") and message.count("\n") == 1, message
+
+
+GENOME_DOC = genome_to_doc(sample_genome(SearchSpace(), make_rng(4)))
+UPPER_ACTIVATIONS = [name.upper() for name in GENOME_DOC["activation functions"]]
+GENE_VALUES = JSON_VALUES | st.sampled_from(
+    ["Adam", "RMSprop", 0.5, 7, 7.0, True, UPPER_ACTIVATIONS]
+)
+
+
+@st.composite
+def genome_documents(draw):
+    """A valid gene document with a few values replaced or removed, or arbitrary JSON."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(JSON_VALUES)
+    doc = dict(GENOME_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from([*GENOME_DOC, "foo"]))
+        if draw(st.booleans()):
+            doc[key] = draw(GENE_VALUES)
+        else:
+            doc.pop(key, None)
+    return doc
+
+
+@given(genome_documents())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_genome_document_loads_exactly_or_gives_one_error(doc):
+    try:
+        genome = genome_from_doc(doc)
+    except ExperimentError:
+        return
+    # Nothing is substituted: an accepted document is what the genome writes
+    # back, names in lower case, down to JSON's distinction of 1, 1.0 and true.
+    expected = {
+        **doc,
+        "optimiser": doc["optimiser"].lower(),
+        "activation functions": [name.lower() for name in doc["activation functions"]],
+    }
+    written = genome_to_doc(genome)
+    assert json.dumps(written, sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from enas.experiment import ExperimentError, genome_from_doc
 from enas.genome import (
     Genome,
     InvalidGenomeError,
     SearchSpace,
     crossover,
-    genome_from_doc,
     genome_to_doc,
     mutate,
     sample_gene,
@@ -275,7 +275,23 @@ class TestSerialization:
     def test_missing_key_rejected(self):
         doc = genome_to_doc(_fixed_genome())
         del doc["cloning rate"]
-        with pytest.raises(InvalidGenomeError, match="missing"):
+        with pytest.raises(ExperimentError, match="missing"):
+            genome_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("nodes", 7.9, "nodes must be an integer"),
+            ("number of epochs", True, "number of epochs must be an integer"),
+            ("mutation rate", "0.1", "mutation rate must be a number"),
+            ("batch size", 4.0, "batch size must be an integer"),
+            ("foo", 1, "unknown keys in genome: 'foo'"),
+        ],
+    )
+    def test_wrongly_typed_or_unknown_gene_rejected(self, key, value, match):
+        # Each of these used to load, with its value converted by int() or float().
+        doc = {**genome_to_doc(_fixed_genome()), key: value}
+        with pytest.raises(ExperimentError, match=match):
             genome_from_doc(doc)
 
 
@@ -308,7 +324,7 @@ class TestValidation:
     )
     def test_document_outside_hard_rails_rejected(self, key, value):
         doc = {**genome_to_doc(_fixed_genome()), key: value}
-        with pytest.raises(InvalidGenomeError):
+        with pytest.raises(ExperimentError):
             genome_from_doc(doc)
 
     def test_space_bounds_enforced(self):
