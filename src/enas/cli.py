@@ -17,6 +17,7 @@ from .experiment import (
     read_history_csv,
     run_experiment,
 )
+from .genome import InvalidGenomeError
 from .synthetic import make_threshold_dataset, write_dataset_csv
 
 
@@ -143,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuditError as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 1
-    except (ExperimentError, ConfigurationError, DatasetError) as exc:
+    except (ExperimentError, ConfigurationError, DatasetError, InvalidGenomeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,10 @@ Two modes share one engine:
 
 Fitness is computed once per individual and cached on it; elites and
 clones carry their records into later generations untouched, which is
-what makes the best-so-far fitness provably non-decreasing.
+what makes the best-so-far fitness provably non-decreasing. Each batch
+of newcomers (the initial population, a generation's offspring, a
+spawn) goes to the fitness function in one ``evaluate`` call, so an
+evaluator can train the batch's same-config genomes together.
 """
 
 from __future__ import annotations
@@ -48,7 +51,10 @@ class Mode(str, Enum):
 
 
 class FitnessFunction(Protocol):
-    def __call__(self, genome: Genome, seed: int) -> FitnessRecord: ...
+    def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
+        """One record per (genome, seed) pair, in order; the same record for
+        a pair whatever else is in the batch."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -193,9 +199,11 @@ def _evaluate_individuals(
     fitness_fn: FitnessFunction,
     generation: int,
 ) -> None:
-    """Evaluate unevaluated individuals; seeds fix (run_seed, generation, id)."""
-    for ind in individuals:
-        record = fitness_fn(ind.genome, derive_seed(state.run_seed, generation, ind.id))
+    """Evaluate a batch of newcomers in one call; seeds fix (run_seed, generation, id)."""
+    records = fitness_fn.evaluate(
+        [(ind.genome, derive_seed(state.run_seed, generation, ind.id)) for ind in individuals]
+    )
+    for ind, record in zip(individuals, records):
         ind.fitness = record
         state.models_trained += record.models_trained
         state.evaluations += 1

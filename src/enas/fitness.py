@@ -1,9 +1,15 @@
-"""Fitness scoring: mean F-measure over k-fold cross-validation."""
+"""Fitness scoring: mean F-measure over k-fold cross-validation.
+
+The search scores each batch of new genomes in one
+``CrossValFitness.evaluate`` call, which trains the fold networks of all
+same-config genomes in the batch as one lockstep stack.
+"""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -69,9 +75,17 @@ def config_from_genome(genome: Genome) -> nn.MLPConfig:
 class CrossValFitness:
     """Picklable evaluator: train one network per fold, score fold F1.
 
-    The k fold networks train together in one ``nn.train_folds`` call,
-    fold f on its training rows with seed ``derive_seed(seed, f)``. A
-    fold whose training diverges scores 0.0 and is flagged; the
+    ``evaluate(pairs)`` scores a batch of (genome, seed) pairs, such as
+    one generation's offspring. Genomes with the same network config
+    (``config_from_genome``, epochs included) train together: the k fold
+    networks of every member go into one ``nn.train_folds`` call, fold f
+    of a member on its training rows with seed ``derive_seed(seed, f)``.
+    ``train_folds`` trains each network bit-identically to training it
+    alone, so a record does not depend on which genomes shared its call.
+    ``__call__`` then scores each genome from its own fold models; given
+    no models, it trains them alone first.
+
+    A fold whose training diverges scores 0.0 and is flagged; the
     evaluation still completes so the search can discard bad genomes
     instead of crashing.
     """
@@ -87,17 +101,35 @@ class CrossValFitness:
     def folds(self) -> int:
         return self.split.k
 
-    def __call__(self, genome: Genome, seed: int) -> FitnessRecord:
+    def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
+        """One record per (genome, seed) pair, in order; same-config genomes train in one call.
+
+        Groups train in the order their configs first appear. A record's
+        ``wall_time`` is its group's training time split evenly across
+        the group's members, plus its own scoring time.
+        """
+        groups: dict[nn.MLPConfig, list[int]] = {}
+        for index, (genome, _) in enumerate(pairs):
+            groups.setdefault(config_from_genome(genome), []).append(index)
+        k = self.split.k
+        records: dict[int, FitnessRecord] = {}
+        for config, members in groups.items():
+            started = time.perf_counter()
+            models = self._train(config, [pairs[i][1] for i in members])
+            share = (time.perf_counter() - started) / len(members)
+            for n, i in enumerate(members):
+                record = self(*pairs[i], models[n * k : (n + 1) * k])
+                records[i] = replace(record, wall_time=record.wall_time + share)
+        return [records[i] for i in range(len(pairs))]
+
+    def __call__(
+        self, genome: Genome, seed: int, models: list[nn.TrainedModel] | None = None
+    ) -> FitnessRecord:
+        """Score one genome from its k fold models, trained here when not given."""
         started = time.perf_counter()
+        if models is None:
+            models = self._train(config_from_genome(genome), [seed])
         x, y = self.dataset.features, self.dataset.labels
-        fold_ids = range(self.split.k)
-        models = nn.train_folds(
-            config_from_genome(genome),
-            x,
-            y,
-            [self.split.train_indices(fold) for fold in fold_ids],
-            [derive_seed(seed, fold) for fold in fold_ids],
-        )
         per_fold = [
             0.0 if model.diverged else f_measure(nn.predict(model, x[test_idx]), y[test_idx])
             for model, test_idx in zip(models, self.split.folds)
@@ -107,7 +139,19 @@ class CrossValFitness:
             per_fold=tuple(per_fold),
             models_trained=self.split.k,
             wall_time=time.perf_counter() - started,
-            diverged_folds=tuple(fold for fold in fold_ids if models[fold].diverged),
+            diverged_folds=tuple(fold for fold, model in enumerate(models) if model.diverged),
+        )
+
+    def _train(self, config: nn.MLPConfig, seeds: list[int]) -> list[nn.TrainedModel]:
+        """The k fold models of each seed in turn, from one ``nn.train_folds`` call."""
+        fold_ids = range(self.split.k)
+        train_sets = [self.split.train_indices(fold) for fold in fold_ids]
+        return nn.train_folds(
+            config,
+            self.dataset.features,
+            self.dataset.labels,
+            train_sets * len(seeds),
+            [derive_seed(seed, fold) for seed in seeds for fold in fold_ids],
         )
 
 

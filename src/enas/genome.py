@@ -11,6 +11,7 @@ mutate exactly like any other gene. Every gene is declared once, in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,6 +36,10 @@ INTEGER_GENE_LIMITS = {
     "population_size": POPULATION_LIMITS,
     "max_generations": GENERATION_LIMITS,
 }
+# Least value of either parameter of a rate gene's beta prior. From 1 up the
+# prior's density stays finite at 0 and 1; below it, draws pile up near an
+# end and round to exactly 0.0 or 1.0, which is no rate.
+BETA_PARAMETER_MIN = 1.0
 
 
 class InvalidGenomeError(ValueError):
@@ -47,7 +52,8 @@ class SearchSpace:
 
     Integer bounds are inclusive. The two rate genes are beta-distributed:
     the mutation-rate prior has mean 0.1 and the cloning-rate prior mean
-    0.3, both with usable upper tails.
+    0.3, both with usable upper tails. Each beta parameter is finite and
+    at least ``BETA_PARAMETER_MIN``.
     """
 
     hidden_layers: tuple[int, int] = (1, 4)
@@ -81,9 +87,13 @@ class SearchSpace:
                 raise InvalidGenomeError(
                     f"unsupported {name} {unknown}; expected {list(supported)}"
                 )
-        for value in self.mutation_rate_beta + self.cloning_rate_beta:
-            if not value > 0:
-                raise InvalidGenomeError("beta parameters must be positive")
+        for name in ("mutation_rate_beta", "cloning_rate_beta"):
+            shape = getattr(self, name)
+            if not all(math.isfinite(value) and value >= BETA_PARAMETER_MIN for value in shape):
+                raise InvalidGenomeError(
+                    f"{name} parameters must be finite and at least "
+                    f"{BETA_PARAMETER_MIN}, got {list(shape)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,14 @@ def _choice(options: tuple, rng: np.random.Generator):
 
 
 def _beta(shape: tuple[float, float], rng: np.random.Generator) -> float:
-    return float(rng.beta(*shape))
+    # A prior massed close to 0 or 1 (say (1e20, 1)) can still round a draw
+    # to an end; that is an error, never a clamped rate.
+    rate = float(rng.beta(*shape))
+    if not 0.0 < rate < 1.0:
+        raise InvalidGenomeError(
+            f"beta prior {list(shape)} drew {rate}; a rate must lie inside (0, 1)"
+        )
+    return rate
 
 
 @dataclass(frozen=True)

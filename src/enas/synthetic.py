@@ -6,6 +6,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -54,6 +55,9 @@ class SyntheticFitness:
 
     noise: float = 0.02
     folds: int = 1
+
+    def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
+        return [self(genome, seed) for genome, seed in pairs]
 
     def __call__(self, genome: Genome, seed: int) -> FitnessRecord:
         shape = (

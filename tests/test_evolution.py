@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from enas import nn
 from enas.evolution import (
     ConfigurationError,
     EvaluatorPool,
@@ -21,10 +22,11 @@ from enas.evolution import (
     run,
     tournament_select,
 )
-from enas.fitness import FitnessRecord
+from enas.data import kfold_split
+from enas.fitness import CrossValFitness, FitnessRecord
 from enas.genome import SearchSpace, sample_genome
 from enas.seeding import make_rng
-from enas.synthetic import SyntheticFitness
+from enas.synthetic import SyntheticFitness, make_threshold_dataset
 
 DESK_SPACE = SearchSpace(population_size=(3, 20), max_generations=(1, 40), nodes=(2, 32))
 DESK_CONFIG = EvolutionConfig(space=DESK_SPACE, population_size=8, max_generations=12)
@@ -314,3 +316,82 @@ class TestRun:
         result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=14)
         assert result.models_trained == 3 * result.evaluations
         assert result.history[-1].models_trained_cumulative == result.models_trained
+
+
+class OneAtATime:
+    """The batch protocol with no shared training: ``__call__`` once per pair."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, pairs):
+        return [self.inner(genome, seed) for genome, seed in pairs]
+
+
+class CountingFitness:
+    """Records the size of every ``evaluate`` batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def evaluate(self, pairs):
+        self.batches.append(len(pairs))
+        return self.inner.evaluate(pairs)
+
+
+def _without_wall_time(events):
+    return [{key: value for key, value in doc.items() if key != "wall_time"} for doc in events]
+
+
+# Few distinct network configs, so that breeding yields same-config siblings.
+NARROW_CONFIG = EvolutionConfig(
+    space=SearchSpace(
+        hidden_layers=(1, 1),
+        nodes=(2, 3),
+        epochs=(1, 3),
+        batch_sizes=(4,),
+        optimizers=("sgd",),
+        activations=("relu", "tanh"),
+        population_size=(3, 6),
+        max_generations=(1, 4),
+    ),
+    population_size=5,
+    max_generations=3,
+)
+
+
+class TestBatchEvaluation:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_run_with_shared_training_equals_one_genome_at_a_time(self, mode, monkeypatch):
+        dataset = make_threshold_dataset(36, 3, seed=60)
+        fitness = CrossValFitness(dataset, kfold_split(dataset, 3, seed=61))
+        alone = run(mode, NARROW_CONFIG, OneAtATime(fitness), run_seed=62)
+        networks = []
+        real_train_folds = nn.train_folds
+
+        def spy(config, x, y, train_sets, seeds):
+            networks.append(len(train_sets))
+            return real_train_folds(config, x, y, train_sets, seeds)
+
+        monkeypatch.setattr(nn, "train_folds", spy)
+        shared = run(mode, NARROW_CONFIG, fitness, run_seed=62)
+        assert max(networks) > fitness.folds  # some genomes did share a stack
+        assert shared.history == alone.history
+        assert shared.best.genome == alone.best.genome
+        assert shared.best.fitness == alone.best.fitness
+        assert _without_wall_time(shared.events) == _without_wall_time(alone.events)
+
+    def test_one_evaluate_call_per_batch(self):
+        fitness = CountingFitness(SyntheticFitness())
+        result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=6)
+        # the initial population is every evaluation before the first other event
+        initial = next(i for i, doc in enumerate(result.events) if doc["type"] != "evaluation")
+        later = [
+            len(doc["offspring"] if doc["type"] == "bred" else doc["ids"])
+            for doc in result.events
+            if doc["type"] in ("bred", "spawn")
+        ]
+        assert [doc["type"] for doc in result.events].count("spawn") == 2
+        assert fitness.batches == [initial, *later]
+        assert sum(fitness.batches) == result.evaluations

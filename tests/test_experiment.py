@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 from dataclasses import asdict, fields
@@ -28,6 +29,7 @@ from enas.experiment import (
     write_csv,
     write_history_csv,
 )
+from enas.fitness import CrossValFitness
 from enas.genome import SearchSpace, genome_to_doc, sample_genome
 from enas.seeding import make_rng
 from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_dataset_csv
@@ -154,6 +156,25 @@ class TestRunExperiment:
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
         result = run_experiment(config, verbose=False)
         assert result.summary.rows[0].range == 0.0
+
+    def test_cross_val_call_runs_once_per_evaluation_event(self, tmp_path, monkeypatch):
+        # perfbench samples host speed after, and traces fitness.eval as, each
+        # CrossValFitness.__call__; a search that scored genomes without it
+        # would leave the search workload with no probe samples.
+        calls = []
+        real_call = CrossValFitness.__call__
+
+        def counted(self, *args):
+            calls.append(args)
+            return real_call(self, *args)
+
+        monkeypatch.setattr(CrossValFitness, "__call__", counted)
+        config = config_from_file(_write_config(tmp_path, datasets=1, runs=1))
+        result = run_experiment(config, verbose=False)
+        lines = (result.out_dir / "events.jsonl").read_text().splitlines()
+        evaluations = [doc for doc in map(json.loads, lines) if doc["type"] == "evaluation"]
+        assert config.jobs == 1 and evaluations
+        assert len(calls) == len(evaluations)
 
     def test_missing_dataset_aborts_before_any_run(self, tmp_path):
         path = _write_config(tmp_path, datasets=1)
@@ -427,6 +448,29 @@ class TestCli:
         edited = edit(json.loads(config_path.read_text()))
         config_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+
+    @pytest.mark.parametrize("shape", [[math.inf, 2.0], [1e-300, 1e-300]], ids=["inf", "tiny"])
+    def test_degenerate_beta_prior_rejected(self, tmp_path, capsys, shape):
+        config_path = _write_config(
+            tmp_path,
+            datasets=1,
+            runs=1,
+            modes=("enas",),
+            search_space={**TINY_SPACE, "mutation_rate_beta": shape},
+        )
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert "mutation_rate_beta" in err
+
+    def test_rate_drawn_at_an_end_gives_one_error_line(self, tmp_path, capsys):
+        config_path = _write_config(
+            tmp_path,
+            datasets=1,
+            runs=1,
+            modes=("enas",),
+            search_space={**TINY_SPACE, "cloning_rate_beta": [1e20, 1.0]},
+        )
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert "drew 1.0" in err
 
     @staticmethod
     def _loaded_config(argv):

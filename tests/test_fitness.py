@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enas import nn
-from enas.data import kfold_split
-from enas.fitness import CrossValFitness, FitnessRecord, f_measure
+from enas.data import Dataset, kfold_split
+from enas.fitness import CrossValFitness, FitnessRecord, config_from_genome, f_measure
 from enas.genome import Genome
 from enas.seeding import derive_seed
 from enas.synthetic import make_threshold_dataset
@@ -157,3 +159,116 @@ class TestEvaluate:
         split = kfold_split(other, 4, seed=38)
         with pytest.raises(ValueError, match="cover"):
             CrossValFitness(dataset, split)
+
+
+def _alone(fitness, pairs):
+    return [fitness(genome, seed) for genome, seed in pairs]
+
+
+def _assert_same_records(batch, alone):
+    assert batch == alone
+    assert [r.diverged_folds for r in batch] == [r.diverged_folds for r in alone]
+
+
+def _spy_train_folds(monkeypatch):
+    """Record (networks, seeds) of each ``nn.train_folds`` call."""
+    calls = []
+    real_train_folds = nn.train_folds
+
+    def spy(config, x, y, train_sets, seeds):
+        calls.append((len(train_sets), list(seeds)))
+        return real_train_folds(config, x, y, train_sets, seeds)
+
+    monkeypatch.setattr("enas.fitness.nn.train_folds", spy)
+    return calls
+
+
+SMALL_GENOME = replace(REASONABLE_GENOME, epochs=6, batch_size=4)
+
+
+class TestEvaluateBatch:
+    """``evaluate`` gives every genome the record it would get alone."""
+
+    @pytest.fixture
+    def fitness(self):
+        dataset = make_threshold_dataset(36, 3, seed=42)
+        return CrossValFitness(dataset, kfold_split(dataset, 3, seed=43))
+
+    def test_repeated_config_shares_one_call_and_matches_alone(self, fitness, monkeypatch):
+        other = replace(SMALL_GENOME, optimizer="sgd")
+        pairs = [(SMALL_GENOME, 1), (other, 2), (SMALL_GENOME, 3), (SMALL_GENOME, 4)]
+        alone = _alone(fitness, pairs)
+        calls = _spy_train_folds(monkeypatch)
+        _assert_same_records(fitness.evaluate(pairs), alone)
+        # groups in first-seen order; a member's folds take derive_seed(seed, f)
+        assert calls == [
+            (9, [derive_seed(seed, fold) for seed in (1, 3, 4) for fold in range(3)]),
+            (3, [derive_seed(2, fold) for fold in range(3)]),
+        ]
+        assert len({record.per_fold for record in alone}) > 1
+
+    def test_configs_differing_only_in_epochs_do_not_share(self, fitness, monkeypatch):
+        pairs = [(SMALL_GENOME, 5), (replace(SMALL_GENOME, epochs=7), 5)]
+        alone = _alone(fitness, pairs)
+        calls = _spy_train_folds(monkeypatch)
+        _assert_same_records(fitness.evaluate(pairs), alone)
+        assert [networks for networks, _ in calls] == [3, 3]
+
+    def test_diverging_genome_matches_alone(self):
+        # Features near 1e100 overflow the unbounded networks but not the
+        # squashing ones, so one batch holds diverged and finite folds.
+        base = make_threshold_dataset(30, 3, seed=50)
+        dataset = Dataset(features=base.features * 1e100, labels=base.labels, name="huge")
+        fitness = CrossValFitness(dataset, kfold_split(dataset, 3, seed=51))
+        relu = replace(SMALL_GENOME, optimizer="sgd", epochs=5)
+        linear = replace(relu, activations=("linear", "linear", "sigmoid"))
+        tanh = replace(relu, activations=("tanh", "tanh", "sigmoid"), optimizer="adam")
+        pairs = [(relu, 7), (tanh, 7), (linear, 7), (relu, 8), (tanh, 9)]
+        with np.errstate(all="ignore"):
+            alone = _alone(fitness, pairs)
+            batch = fitness.evaluate(pairs)
+        _assert_same_records(batch, alone)
+        assert alone[2].diverged_folds == (0, 1, 2)
+        assert not alone[1].diverged_folds
+
+    def test_group_split_by_the_lockstep_cap_matches_alone(self, fitness, monkeypatch):
+        pairs = [(SMALL_GENOME, seed) for seed in (11, 12, 13)]
+        alone = _alone(fitness, pairs)
+        stacks = []
+        real_lockstep = nn._train_lockstep
+
+        def spy(config, x, y, dims, train_sets, seeds):
+            stacks.append(len(train_sets))
+            return real_lockstep(config, x, y, dims, train_sets, seeds)
+
+        dims = nn.layer_dims(3, config_from_genome(SMALL_GENOME))
+        # two networks per stack: the 9 fold networks straddle the members
+        monkeypatch.setattr(nn, "LOCKSTEP_PARAMS", 2 * nn.param_count(dims))
+        monkeypatch.setattr(nn, "_train_lockstep", spy)
+        _assert_same_records(fitness.evaluate(pairs), alone)
+        assert stacks == [2, 2, 2, 2, 1]
+
+    def test_wall_time_is_an_even_share_of_training_plus_own_scoring(self, fitness, monkeypatch):
+        clock = [0.0]
+        real_train_folds, real_predict = nn.train_folds, nn.predict
+
+        def train_folds(*args):
+            clock[0] += 6.0
+            return real_train_folds(*args)
+
+        def predict(*args):
+            clock[0] += 1.0
+            return real_predict(*args)
+
+        monkeypatch.setattr("enas.fitness.time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(nn, "train_folds", train_folds)
+        monkeypatch.setattr(nn, "predict", predict)
+        other = replace(SMALL_GENOME, nodes=5)
+        pairs = [(SMALL_GENOME, 1), (SMALL_GENOME, 2), (other, 3), (SMALL_GENOME, 4)]
+        records = fitness.evaluate(pairs)
+        # three members share 6 s of training; each scores 3 folds at 1 s
+        assert [record.wall_time for record in records] == [5.0, 5.0, 9.0, 5.0]
+        assert sum(record.wall_time for record in records) == clock[0]
+
+    def test_empty_batch(self, fitness):
+        assert fitness.evaluate([]) == []
