@@ -144,7 +144,9 @@ def main(argv: list[str] | None = None) -> int:
     except AuditError as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 1
-    except (ExperimentError, ConfigurationError, DatasetError, InvalidGenomeError) as exc:
+    # An OSError here is an input or output path the command cannot use,
+    # such as an output directory that is an existing file.
+    except (ExperimentError, ConfigurationError, DatasetError, InvalidGenomeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,12 +121,15 @@ def load_csv(
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = [
-            [cell.strip() for cell in row]
-            for row in csv.reader(fh)
-            if any(cell.strip() for cell in row)
-        ]
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = [
+                [cell.strip() for cell in row]
+                for row in csv.reader(fh)
+                if any(cell.strip() for cell in row)
+            ]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise DatasetError(f"no data rows in {path}")
 

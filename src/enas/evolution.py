@@ -1,14 +1,17 @@
 """Generational search loop with optional self-adaptation of its own knobs.
 
-Two modes share one engine:
+The parameters in force are always an ``EvolutionConfig``: the run's own
+config with its four control values (mutation rate, population size,
+cloning rate, generation budget) swapped for the ones now live, and the
+tournament clamped to the population. Two modes share one engine:
 
-* static mode ("nas_plus"): every evolutionary parameter is fixed up
-  front and never changes during the run;
-* adaptive mode ("enas"): after each generation is evaluated, the
-  fittest individual's control genes overwrite the live mutation rate,
-  cloning rate, population size and generation budget. A shrunken
-  budget can halt the run immediately; a changed population size culls
-  the weakest individuals or spawns fresh random ones.
+* static mode ("nas_plus"): the live config is the run's config, fixed
+  for the whole run;
+* adaptive mode ("enas"): the initial control values are drawn from the
+  gene priors, and after each generation is evaluated the fittest
+  individual's control genes replace them. A shrunken budget can halt
+  the run immediately; a changed population size culls the weakest
+  individuals or spawns fresh random ones.
 
 Fitness is computed once per individual and cached on it; elites and
 clones carry their records into later generations untouched, which is
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
@@ -59,11 +62,14 @@ class FitnessFunction(Protocol):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Static parameters plus the gene search space.
+    """Evolutionary parameters plus the gene search space.
 
-    In adaptive mode only ``crossover_rate``, ``tournament_size`` and
-    ``elitism_size`` stay authoritative; the other four values are the
-    static-mode settings.
+    A run's config holds the static-mode settings. The engine's live
+    config (``EvolutionState.live``) is a copy with the control values now
+    in force: in adaptive mode the four ``CONTROL_GENES`` fields come from
+    the genes, so only ``crossover_rate``, ``tournament_size`` and
+    ``elitism_size`` stay as configured, and ``tournament_size`` is
+    clamped to the population. Every copy passes the same checks.
     """
 
     space: SearchSpace = SearchSpace()
@@ -98,19 +104,6 @@ class EvolutionConfig:
 
 
 @dataclass
-class LiveParams:
-    """The evolutionary parameters currently in force."""
-
-    mutation_rate: float
-    population_size: int
-    cloning_rate: float
-    max_generations: int
-    crossover_rate: float
-    tournament_size: int
-    elitism_size: int
-
-
-@dataclass
 class Individual:
     id: int
     genome: Genome
@@ -136,8 +129,7 @@ class GenerationRecord:
 class EvolutionState:
     mode: Mode
     run_seed: int
-    space: SearchSpace
-    live: LiveParams
+    live: EvolutionConfig
     population: list[Individual] = field(default_factory=list)
     generation: int = 0
     next_id: int = 0
@@ -146,20 +138,12 @@ class EvolutionState:
     history: list[GenerationRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     halted: bool = False
+    wall_time: float = 0.0
 
-
-@dataclass
-class RunResult:
-    mode: Mode
-    run_seed: int
-    best: Individual
-    history: list[GenerationRecord]
-    events: list[dict]
-    models_trained: int
-    evaluations: int
-    generations: int
-    halted: bool
-    wall_time: float
+    @property
+    def best(self) -> Individual:
+        """The fittest individual of the current population."""
+        return best_individual(self.population)
 
 
 class EvaluatorPool:
@@ -220,27 +204,17 @@ def init(
 ) -> EvolutionState:
     """Spawn and evaluate the initial random population."""
     rng = make_rng(run_seed, "init")
-    if mode is Mode.NAS_PLUS:
-        control = {name: getattr(config, name) for name in CONTROL_GENES}
-    else:
+    live = config
+    if mode is Mode.ENAS:
         # Before any individual has been evaluated there is no fittest to
         # copy from, so the initial live values are drawn from the same
         # priors as the genes; the first promotion replaces them.
-        control = {name: sample_gene(name, config.space, rng) for name in CONTROL_GENES}
-    live = LiveParams(
-        **control,
-        crossover_rate=config.crossover_rate,
-        tournament_size=config.tournament_size,
-        elitism_size=config.elitism_size,
-    )
-    if live.elitism_size >= live.population_size:
-        raise ConfigurationError(
-            f"elitism_size {live.elitism_size} needs a population larger than "
-            f"{live.population_size}"
+        live = replace(
+            live, **{name: sample_gene(name, config.space, rng) for name in CONTROL_GENES}
         )
-    live.tournament_size = min(live.tournament_size, live.population_size)
+    live = replace(live, tournament_size=min(live.tournament_size, live.population_size))
 
-    state = EvolutionState(mode=mode, run_seed=run_seed, space=config.space, live=live)
+    state = EvolutionState(mode=mode, run_seed=run_seed, live=live)
     newborns = [
         Individual(id=i, genome=sample_genome(config.space, rng), birth_generation=0)
         for i in range(live.population_size)
@@ -312,7 +286,7 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> Evolu
             child = crossover(first.genome, second.genome, rng)
         else:
             child = first.genome
-        child = mutate(child, live.mutation_rate, state.space, rng)
+        child = mutate(child, live.mutation_rate, live.space, rng)
         offspring.append(
             Individual(id=state.next_id, genome=child, birth_generation=new_generation)
         )
@@ -341,7 +315,7 @@ def resize_population(
     Out-of-bounds targets are clamped to the search-space bounds and
     logged rather than aborting a running search.
     """
-    lo, hi = state.space.population_size
+    lo, hi = state.live.space.population_size
     clamped = min(max(new_size, lo), hi)
     if clamped != new_size:
         state.events.append(
@@ -359,7 +333,7 @@ def resize_population(
             spawned.append(
                 Individual(
                     id=state.next_id,
-                    genome=sample_genome(state.space, rng),
+                    genome=sample_genome(state.live.space, rng),
                     birth_generation=state.generation,
                 )
             )
@@ -400,11 +374,11 @@ def resize_population(
                 ),
             }
         )
-    state.live.population_size = clamped
+    state.live = replace(state.live, population_size=clamped)
 
 
 def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
-    """Promote the fittest individual's control genes to the live parameters.
+    """Promote the fittest individual's control genes to the live config.
 
     Returns True when the newly promoted generation budget is already
     exceeded, in which case the run halts immediately and the population
@@ -414,10 +388,13 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
         raise ConfigurationError("control genes only apply in adaptive mode")
     fittest = best_individual(state.population)
     genes = fittest.genome
-    live = state.live
-    live.mutation_rate = genes.mutation_rate
-    live.cloning_rate = genes.cloning_rate
-    live.max_generations = genes.max_generations
+    # The population size goes live, clamped, in resize_population, unless the run halts.
+    state.live = replace(
+        state.live,
+        mutation_rate=genes.mutation_rate,
+        cloning_rate=genes.cloning_rate,
+        max_generations=genes.max_generations,
+    )
 
     halted = state.generation > genes.max_generations
     state.events.append(
@@ -433,7 +410,9 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
         state.halted = True
         return True
 
-    live.tournament_size = min(live.tournament_size, genes.population_size)
+    state.live = replace(
+        state.live, tournament_size=min(state.live.tournament_size, genes.population_size)
+    )
     rng = make_rng(state.run_seed, "resize", state.generation)
     resize_population(state, genes.population_size, rng, fitness_fn)
     return False
@@ -470,8 +449,8 @@ def run(
     config: EvolutionConfig,
     fitness_fn: FitnessFunction,
     run_seed: int,
-) -> RunResult:
-    """Execute one full search and return its best individual and history.
+) -> EvolutionState:
+    """Execute one full search and return its final state, timed in ``wall_time``.
 
     Per generation: evaluate, promote control genes (adaptive mode,
     which may resize the population or halt the run), record history,
@@ -490,15 +469,5 @@ def run(
         if mode is Mode.ENAS:
             apply_eco_genes(state, fitness_fn)
         _record_generation(state)
-    return RunResult(
-        mode=mode,
-        run_seed=run_seed,
-        best=best_individual(state.population),
-        history=state.history,
-        events=state.events,
-        models_trained=state.models_trained,
-        evaluations=state.evaluations,
-        generations=state.generation,
-        halted=state.halted,
-        wall_time=time.perf_counter() - started,
-    )
+    state.wall_time = time.perf_counter() - started
+    return state

@@ -24,7 +24,7 @@ from .data import (
     normalize_min_max,
     shuffle,
 )
-from .evolution import EvolutionConfig, GenerationRecord, Mode, RunResult
+from .evolution import EvolutionConfig, EvolutionState, GenerationRecord, Mode
 from .fitness import CrossValFitness
 from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
 from .seeding import derive_seed
@@ -413,7 +413,7 @@ class EfficiencyRow:
 
 
 def _efficiency_row(
-    dataset: str, static: Sequence[RunResult], adaptive: Sequence[RunResult]
+    dataset: str, static: Sequence[EvolutionState], adaptive: Sequence[EvolutionState]
 ) -> EfficiencyRow:
     if len(static) != len(adaptive) or not static:
         raise ExperimentError("efficiency comparison needs equal, non-empty run lists")
@@ -438,8 +438,8 @@ def _efficiency_row(
 
 
 def summarize_efficiency(
-    static_runs: Mapping[str, Sequence[RunResult]],
-    adaptive_runs: Mapping[str, Sequence[RunResult]],
+    static_runs: Mapping[str, Sequence[EvolutionState]],
+    adaptive_runs: Mapping[str, Sequence[EvolutionState]],
 ) -> list[EfficiencyRow]:
     """Per-dataset resource deltas for paired-seed run lists, then the overall row."""
     if set(static_runs) != set(adaptive_runs):
@@ -462,7 +462,7 @@ class RunArtifact:
     dataset: str
     mode: Mode
     run_index: int
-    result: RunResult
+    result: EvolutionState
     history_path: Path
     genome_path: Path
 
@@ -503,24 +503,22 @@ def _run_cell(
     config: EvolutionConfig,
     fitness: CrossValFitness,
     run_seed: int,
-    verbose: bool,
-) -> RunResult:
+) -> EvolutionState:
     """One (dataset, run, mode) cell: a whole search, then its progress line."""
     # Looked up on the module so that a wrapper installed there is called.
     result = evolution.run(mode, config, fitness, run_seed)
-    if verbose:
-        print(
-            f"{dataset} {mode.value} run {run_index}: "
-            f"best={result.best.fitness.mean_f_measure:.4f} "
-            f"generations={result.generations} "
-            f"models={result.models_trained} "
-            f"({result.wall_time:.1f}s)",
-            flush=True,
-        )
+    print(
+        f"{dataset} {mode.value} run {run_index}: "
+        f"best={result.best.fitness.mean_f_measure:.4f} "
+        f"generations={result.generation} "
+        f"models={result.models_trained} "
+        f"({result.wall_time:.1f}s)",
+        flush=True,
+    )
     return result
 
 
-def run_experiment(config: ExperimentConfig, verbose: bool = True) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute every (dataset, run, mode) cell and write all artifacts.
 
     Cells are independent searches, so they are what runs in parallel
@@ -529,6 +527,12 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
     in config order, so the outputs are the same for any pool size.
     """
     loaded = [load_dataset(spec) for spec in config.datasets]
+    for spec, dataset in zip(config.datasets, loaded):
+        _require(
+            config.folds <= dataset.instance_count,
+            f"folds {config.folds} exceeds the {dataset.instance_count} rows "
+            f"of dataset {spec.name!r}",
+        )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.jsonl"
@@ -548,13 +552,11 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
             fitness = CrossValFitness(shuffled, split)
             for mode in config.modes:
                 run_seed = _run_seed(config, spec.name, run_index, mode)
-                cells.append(
-                    (spec.name, run_index, mode, config.evolution, fitness, run_seed, verbose)
-                )
+                cells.append((spec.name, run_index, mode, config.evolution, fitness, run_seed))
     results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
 
     artifacts: list[RunArtifact] = []
-    by_cell: dict[tuple[str, Mode], list[RunResult]] = {}
+    by_cell: dict[tuple[str, Mode], list[EvolutionState]] = {}
     with events_path.open("w", encoding="utf-8") as events:
 
         def log(doc: dict) -> None:
@@ -590,7 +592,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
                     "mode": mode.value,
                     "run": run_index,
                     "best_f1": result.best.fitness.mean_f_measure,
-                    "generations": result.generations,
+                    "generations": result.generation,
                     "models_trained": result.models_trained,
                     "halted": result.halted,
                     "wall_time": result.wall_time,
@@ -617,8 +619,7 @@ def run_experiment(config: ExperimentConfig, verbose: bool = True) -> Experiment
         total_wall_time=time.perf_counter() - started,
     )
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary.rows))
-    if verbose:
-        print(summary.render_text(), flush=True)
+    print(summary.render_text(), flush=True)
 
     efficiency = None
     if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:

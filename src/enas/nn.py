@@ -240,9 +240,9 @@ def forward(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
     return np.clip(p.ravel(), LOSS_EPS, 1.0 - LOSS_EPS)
 
 
-def predict(model: TrainedModel, batch: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Hard 0/1 labels at the given probability threshold."""
-    return (forward(model, batch) >= threshold).astype(np.int64)
+def predict(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
+    """Hard 0/1 labels: 1 where the predicted probability is at least 0.5."""
+    return (forward(model, batch) >= 0.5).astype(np.int64)
 
 
 def row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -174,7 +174,7 @@ def test_mechanism_invariants_over_50_desk_runs():
     for seed in range(50):
         result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=seed)
         _check_mechanism_invariants(result)
-        assert result.generations <= DESK_SPACE.max_generations[1]
+        assert result.generation <= DESK_SPACE.max_generations[1]
         halted_runs += result.halted
     assert halted_runs >= 1  # the budget-halt path must actually be exercised
     for seed in range(10):
@@ -252,7 +252,7 @@ def test_parallel_determinism_across_pool_sizes(tmp_path, capfd):
         overrides = {"jobs": jobs, "out": tmp_path / f"single{jobs}", "datasets": ["cell1"],
                      "modes": ["enas"]}
         config = config_from_file(config_path, overrides)
-        run_experiment(config, verbose=False)
+        run_experiment(config)
         single[jobs] = _comparable_outputs(config.out_dir)
     assert len(single[1]) == 5 and single[1] == single[2]
     _announce("pool sizes 1, 2 and 8 produced byte-identical experiment outputs")
@@ -351,7 +351,7 @@ def test_two_mode_four_dataset_summary_is_fully_auditable(tmp_path):
             }
         )
     )
-    result = run_experiment(config_from_file(config_path), verbose=False)
+    result = run_experiment(config_from_file(config_path))
     assert len(result.summary.rows) == 8  # 4 datasets x 2 modes
     for row in result.summary.rows:
         assert 0.0 <= row.fittest <= 1.0

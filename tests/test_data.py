@@ -203,7 +203,7 @@ class TestKFold:
             folds=3,
             evolution=EvolutionConfig(space=space, population_size=3, max_generations=1),
         )
-        run_experiment(config, verbose=False)
+        run_experiment(config)
         text = (tmp_path / "out" / "folds_small_0.csv").read_bytes().decode("utf-8")
         assert "\r" not in text and text.endswith("\n")
         header, *rows = [line.split(",") for line in text.splitlines()]

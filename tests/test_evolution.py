@@ -11,7 +11,6 @@ from enas.evolution import (
     EvolutionConfig,
     EvolutionState,
     Individual,
-    LiveParams,
     Mode,
     apply_eco_genes,
     best_individual,
@@ -24,7 +23,7 @@ from enas.evolution import (
 )
 from enas.data import kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord
-from enas.genome import SearchSpace, sample_genome
+from enas.genome import CONTROL_GENES, SearchSpace, sample_genome
 from enas.seeding import make_rng
 from enas.synthetic import SyntheticFitness, make_threshold_dataset
 
@@ -43,19 +42,17 @@ def _individual(ident, score, birth=0, genome=None):
 
 def _state(scores, mode=Mode.ENAS, generation=0, tournament=4):
     population = [_individual(i, s) for i, s in enumerate(scores)]
-    live = LiveParams(
-        mutation_rate=0.2,
-        population_size=len(population),
-        cloning_rate=0.3,
+    # A lone individual is below any config's population size, so the live
+    # size then stays at the space's floor.
+    live = EvolutionConfig(
+        space=DESK_SPACE,
+        population_size=max(len(population), DESK_SPACE.population_size[0]),
         max_generations=40,
-        crossover_rate=0.9,
         tournament_size=tournament,
-        elitism_size=1,
     )
     return EvolutionState(
         mode=mode,
         run_seed=42,
-        space=DESK_SPACE,
         live=live,
         population=population,
         generation=generation,
@@ -121,15 +118,16 @@ class TestInit:
         # 90% crossover, 20% mutation, tournament of 4, one elite
         config = EvolutionConfig()
         state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=1)
-        assert asdict(state.live) == {
-            "mutation_rate": 0.2,
-            "population_size": 100,
-            "cloning_rate": 0.3,
-            "max_generations": 500,
-            "crossover_rate": 0.9,
-            "tournament_size": 4,
-            "elitism_size": 1,
-        }
+        assert state.live == config
+        assert (
+            config.population_size,
+            config.max_generations,
+            config.crossover_rate,
+            config.mutation_rate,
+            config.cloning_rate,
+            config.tournament_size,
+            config.elitism_size,
+        ) == (100, 500, 0.9, 0.2, 0.3, 4, 1)
         assert len(state.population) == 100
 
     def test_static_mode_uses_configured_live_params(self):
@@ -282,7 +280,7 @@ class TestRun:
     def test_static_run_records_configured_generations_plus_init(self):
         config = EvolutionConfig(space=DESK_SPACE, population_size=5, max_generations=3)
         result = run(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=9)
-        assert result.generations == 3
+        assert result.generation == 3
         assert len(result.history) == 4  # init row plus one per generation
         assert [r.generation for r in result.history] == [0, 1, 2, 3]
 
@@ -298,7 +296,7 @@ class TestRun:
     def test_adaptive_run_terminates_within_budget_bounds(self):
         for seed in range(8):
             result = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
-            assert result.generations <= DESK_SPACE.max_generations[1]
+            assert result.generation <= DESK_SPACE.max_generations[1]
 
     def test_replay_is_identical(self):
         a = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12)
@@ -316,6 +314,21 @@ class TestRun:
         result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=14)
         assert result.models_trained == 3 * result.evaluations
         assert result.history[-1].models_trained_cumulative == result.models_trained
+
+    def test_adaptive_run_returns_its_final_state(self):
+        halted = set()
+        for seed in range(5):
+            state = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
+            promotion = [doc for doc in state.events if doc["type"] == "promotion"][-1]
+            promoted = {name: promotion[name] for name in CONTROL_GENES}
+            if promotion["halted"]:
+                # a halting promotion leaves the population, and its size, as they were
+                promoted["population_size"] = len(state.population)
+            assert {name: getattr(state.live, name) for name in CONTROL_GENES} == promoted
+            assert state.best is best_individual(state.population)
+            assert state.wall_time > 0
+            halted.add(state.halted)
+        assert halted == {False, True}
 
 
 class OneAtATime:

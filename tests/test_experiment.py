@@ -86,7 +86,7 @@ def _replace_last_cell(index, value):
 def experiment_dir(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("exp")
     config = config_from_file(_write_config(tmp_path))
-    result = run_experiment(config, verbose=False)
+    result = run_experiment(config)
     return tmp_path, config, result
 
 
@@ -154,7 +154,7 @@ class TestRunExperiment:
 
     def test_single_run_range_is_zero(self, tmp_path):
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
-        result = run_experiment(config, verbose=False)
+        result = run_experiment(config)
         assert result.summary.rows[0].range == 0.0
 
     def test_cross_val_call_runs_once_per_evaluation_event(self, tmp_path, monkeypatch):
@@ -170,7 +170,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(CrossValFitness, "__call__", counted)
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1))
-        result = run_experiment(config, verbose=False)
+        result = run_experiment(config)
         lines = (result.out_dir / "events.jsonl").read_text().splitlines()
         evaluations = [doc for doc in map(json.loads, lines) if doc["type"] == "evaluation"]
         assert config.jobs == 1 and evaluations
@@ -183,7 +183,7 @@ class TestRunExperiment:
         doc["out_dir"] = "out_missing"
         path.write_text(json.dumps(doc))
         with pytest.raises(Exception):
-            run_experiment(config_from_file(path), verbose=False)
+            run_experiment(config_from_file(path))
         assert not (tmp_path / "out_missing").exists() or not list(
             (tmp_path / "out_missing").glob("history_*")
         )
@@ -471,6 +471,42 @@ class TestCli:
         )
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
         assert "drew 1.0" in err
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda path: path.mkdir(), id="directory"),
+            pytest.param(lambda path: path.write_bytes(b"1,0\n\xff,1\n"), id="not-utf-8"),
+        ],
+    )
+    def test_unreadable_dataset_gives_one_error_line(self, tmp_path, capsys, make):
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        dataset = tmp_path / "data" / "toy0.csv"
+        dataset.unlink()
+        make(dataset)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert str(dataset) in err
+
+    def test_more_folds_than_rows_rejected_before_any_write(self, tmp_path, capsys):
+        config_path = _write_config(tmp_path, datasets=1, runs=1, folds=31)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert "folds 31" in err and "30 rows" in err and "'toy0'" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "demo-data", "plot-data"])
+    def test_unwritable_output_gives_one_error_line(self, experiment_dir, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        if command == "run":
+            config_path = _write_config(tmp_path, datasets=1, runs=1)
+            argv = ["run", "--config", str(config_path), "--out", str(taken)]
+        elif command == "demo-data":
+            argv = ["demo-data", "--out", str(taken)]
+        else:
+            history = experiment_dir[2].artifacts[0].history_path
+            taken = tmp_path / "missing" / "plot.csv"
+            argv = ["plot-data", str(history), str(taken)]
+        assert str(taken) in self._assert_one_line_error(capsys, argv)
 
     @staticmethod
     def _loaded_config(argv):
