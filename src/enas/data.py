@@ -64,7 +64,6 @@ class FoldSplit:
 
     k: int
     folds: tuple[np.ndarray, ...]
-    seed: int
 
     def __post_init__(self) -> None:
         folds = tuple(_read_only(np.asarray(f, dtype=np.int64)) for f in self.folds)
@@ -211,4 +210,4 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldSplit:
         raise ValueError(f"k={k} exceeds the {n} available instances")
     perm = np.random.default_rng(seed).permutation(n)
     folds = tuple(np.array_split(perm, k))
-    return FoldSplit(k=k, folds=folds, seed=seed)
+    return FoldSplit(k=k, folds=folds)

@@ -10,8 +10,9 @@ tournament clamped to the population. Two modes share one engine:
 * adaptive mode ("enas"): the initial control values are drawn from the
   gene priors, and after each generation is evaluated the fittest
   individual's control genes replace them. A shrunken budget can halt
-  the run immediately; a changed population size culls the weakest
-  individuals or spawns fresh random ones.
+  the run immediately; a changed population size, always inside the
+  search space's bounds, culls the weakest individuals or spawns fresh
+  random ones.
 
 Fitness is computed once per individual and cached on it; elites and
 clones carry their records into later generations untouched, which is
@@ -177,6 +178,14 @@ def best_individual(population: list[Individual]) -> Individual:
     return min(population, key=lambda ind: (-ind.fitness.mean_f_measure, ind.id))
 
 
+def _born(
+    state: EvolutionState, genome: Genome, generation: int, fitness: FitnessRecord | None = None
+) -> Individual:
+    """A new individual with the next free id; a clone passes its parent's fitness."""
+    state.next_id += 1
+    return Individual(state.next_id - 1, genome, fitness, birth_generation=generation)
+
+
 def _evaluate_individuals(
     state: EvolutionState,
     individuals: list[Individual],
@@ -215,13 +224,10 @@ def init(
     live = replace(live, tournament_size=min(live.tournament_size, live.population_size))
 
     state = EvolutionState(mode=mode, run_seed=run_seed, live=live)
-    newborns = [
-        Individual(id=i, genome=sample_genome(config.space, rng), birth_generation=0)
-        for i in range(live.population_size)
+    state.population = [
+        _born(state, sample_genome(config.space, rng), 0) for _ in range(live.population_size)
     ]
-    state.next_id = len(newborns)
-    _evaluate_individuals(state, newborns, fitness_fn, generation=0)
-    state.population = newborns
+    _evaluate_individuals(state, state.population, fitness_fn, generation=0)
     return state
 
 
@@ -249,7 +255,7 @@ def clone_count(population_size: int, cloning_rate: float, elitism_size: int) ->
     return total - elitism_size
 
 
-def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> EvolutionState:
+def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     """Assemble and evaluate the next population: elites, clones, offspring."""
     live = state.live
     new_generation = state.generation + 1
@@ -261,22 +267,10 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> Evolu
     )
     elites = ranked[: live.elitism_size]
 
-    extra_clones = min(
-        clone_count(target, live.cloning_rate, live.elitism_size),
-        target - len(elites),
-    )
     clones = []
-    for _ in range(extra_clones):
+    for _ in range(clone_count(target, live.cloning_rate, live.elitism_size)):
         winner = tournament_select(state, rng)
-        clones.append(
-            Individual(
-                id=state.next_id,
-                genome=winner.genome,
-                fitness=winner.fitness,  # cached, never retrained
-                birth_generation=new_generation,
-            )
-        )
-        state.next_id += 1
+        clones.append(_born(state, winner.genome, new_generation, winner.fitness))
 
     offspring = []
     for _ in range(target - len(elites) - len(clones)):
@@ -287,10 +281,7 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> Evolu
         else:
             child = first.genome
         child = mutate(child, live.mutation_rate, live.space, rng)
-        offspring.append(
-            Individual(id=state.next_id, genome=child, birth_generation=new_generation)
-        )
-        state.next_id += 1
+        offspring.append(_born(state, child, new_generation))
 
     state.generation = new_generation
     _evaluate_individuals(state, offspring, fitness_fn, generation=new_generation)
@@ -304,7 +295,6 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> Evolu
             "offspring": [ind.id for ind in offspring],
         }
     )
-    return state
 
 
 def resize_population(
@@ -312,32 +302,15 @@ def resize_population(
 ) -> None:
     """Grow with fresh random genomes or cull the weakest down to `new_size`.
 
-    Out-of-bounds targets are clamped to the search-space bounds and
-    logged rather than aborting a running search.
+    ``new_size`` is a promoted population-size gene, so it already lies
+    inside the search space's bounds and is used as it is.
     """
-    lo, hi = state.live.space.population_size
-    clamped = min(max(new_size, lo), hi)
-    if clamped != new_size:
-        state.events.append(
-            {
-                "type": "resize_clamped",
-                "generation": state.generation,
-                "requested": new_size,
-                "clamped": clamped,
-            }
-        )
     current = len(state.population)
-    if clamped > current:
-        spawned = []
-        for _ in range(clamped - current):
-            spawned.append(
-                Individual(
-                    id=state.next_id,
-                    genome=sample_genome(state.live.space, rng),
-                    birth_generation=state.generation,
-                )
-            )
-            state.next_id += 1
+    if new_size > current:
+        spawned = [
+            _born(state, sample_genome(state.live.space, rng), state.generation)
+            for _ in range(new_size - current)
+        ]
         _evaluate_individuals(state, spawned, fitness_fn, generation=state.generation)
         state.population.extend(spawned)
         state.events.append(
@@ -347,14 +320,14 @@ def resize_population(
                 "ids": [ind.id for ind in spawned],
             }
         )
-    elif clamped < current:
+    elif new_size < current:
         # Ascending fitness; among equals the older individual goes first,
         # which keeps fresher genetic material around.
         order = sorted(
             state.population,
             key=lambda ind: (ind.fitness.mean_f_measure, ind.birth_generation, ind.id),
         )
-        removed = order[: current - clamped]
+        removed = order[: current - new_size]
         removed_ids = {ind.id for ind in removed}
         state.population = [ind for ind in state.population if ind.id not in removed_ids]
         state.events.append(
@@ -374,21 +347,19 @@ def resize_population(
                 ),
             }
         )
-    state.live = replace(state.live, population_size=clamped)
+    state.live = replace(state.live, population_size=new_size)
 
 
 def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
-    """Promote the fittest individual's control genes to the live config.
+    """Promote the fittest individual's control genes to the live config (adaptive mode).
 
     Returns True when the newly promoted generation budget is already
     exceeded, in which case the run halts immediately and the population
     is left untouched.
     """
-    if state.mode is not Mode.ENAS:
-        raise ConfigurationError("control genes only apply in adaptive mode")
     fittest = best_individual(state.population)
     genes = fittest.genome
-    # The population size goes live, clamped, in resize_population, unless the run halts.
+    # The population size goes live in resize_population, unless the run halts.
     state.live = replace(
         state.live,
         mutation_rate=genes.mutation_rate,
@@ -445,7 +416,7 @@ def _record_generation(state: EvolutionState) -> None:
 
 
 def run(
-    mode: Mode | str,
+    mode: Mode,
     config: EvolutionConfig,
     fitness_fn: FitnessFunction,
     run_seed: int,
@@ -458,16 +429,14 @@ def run(
     step. The loop ends when the generation counter reaches the live
     budget or a promotion halts it.
     """
-    mode = Mode(mode)
     started = time.perf_counter()
     state = init(mode, config, fitness_fn, run_seed)
-    if mode is Mode.ENAS:
-        apply_eco_genes(state, fitness_fn)
-    _record_generation(state)
-    while not state.halted and state.generation < state.live.max_generations:
-        next_generation(state, fitness_fn)
+    while True:
         if mode is Mode.ENAS:
             apply_eco_genes(state, fitness_fn)
         _record_generation(state)
+        if state.halted or state.generation >= state.live.max_generations:
+            break
+        next_generation(state, fitness_fn)
     state.wall_time = time.perf_counter() - started
     return state

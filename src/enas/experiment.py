@@ -17,13 +17,7 @@ from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from . import evolution
-from .data import (
-    Dataset,
-    kfold_split,
-    load_csv,
-    normalize_min_max,
-    shuffle,
-)
+from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max, shuffle
 from .evolution import EvolutionConfig, EvolutionState, GenerationRecord, Mode
 from .fitness import CrossValFitness
 from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
@@ -69,11 +63,13 @@ class ExperimentConfig:
             raise ExperimentError("at least one dataset is required")
         if not self.modes:
             raise ExperimentError("at least one mode is required")
-        seen = set()
-        for spec in self.datasets:
-            if spec.name in seen:
-                raise ExperimentError(f"duplicate dataset name {spec.name!r}")
-            seen.add(spec.name)
+        for kind, names in (
+            ("dataset name", [spec.name for spec in self.datasets]),
+            ("mode", [mode.value for mode in self.modes]),
+        ):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ExperimentError(f"duplicate {kind} {name!r}")
 
 
 def _require(condition: bool, message: str) -> None:
@@ -487,12 +483,16 @@ def _run_seed(config: ExperimentConfig, dataset: str, run_index: int, mode: Mode
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
+    """The dataset of ``spec``; a search needs rows of both classes."""
     dataset = load_csv(
         spec.path,
         label_column=spec.label_column,
         label_mapping=spec.label_mapping,
         name=spec.name,
     )
+    labels = set(dataset.labels.tolist())
+    if len(labels) == 1:
+        raise DatasetError(f"every row of {spec.path} has label {labels.pop()}; need 0 and 1")
     return normalize_min_max(dataset) if spec.normalize else dataset
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset, FoldSplit
-from .genome import Genome
+from .genome import Genome, config_from_genome
 from .seeding import derive_seed
 
 
@@ -59,18 +59,6 @@ def f_measure(predictions: np.ndarray, labels: np.ndarray) -> float:
     return 2 * tp / denominator
 
 
-def config_from_genome(genome: Genome) -> nn.MLPConfig:
-    """Network settings taken from a genome's architecture genes."""
-    return nn.MLPConfig(
-        hidden_layers=genome.hidden_layers,
-        nodes_per_hidden=genome.nodes,
-        activations=genome.activations,
-        optimizer=genome.optimizer,
-        epochs=genome.epochs,
-        batch_size=genome.batch_size,
-    )
-
-
 @dataclass(frozen=True)
 class CrossValFitness:
     """Picklable evaluator: train one network per fold, score fold F1.
@@ -96,10 +84,6 @@ class CrossValFitness:
     def __post_init__(self) -> None:
         if self.split.instance_count != self.dataset.instance_count:
             raise ValueError("fold split does not cover this dataset")
-
-    @property
-    def folds(self) -> int:
-        return self.split.k
 
     def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
         """One record per (genome, seed) pair, in order; same-config genomes train in one call.

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import SUPPORTED_ACTIVATIONS, SUPPORTED_OPTIMIZERS
+from .nn import SUPPORTED_ACTIVATIONS, SUPPORTED_OPTIMIZERS, MLPConfig, TrainingError
 
 # Hard rails for the self-adaptation genes; narrower per-run bounds may
 # be configured, wider ones may not.
@@ -110,16 +110,21 @@ class Genome:
     max_generations: int
 
 
+def config_from_genome(genome: Genome) -> MLPConfig:
+    """Network settings taken from a genome's architecture genes."""
+    return MLPConfig(
+        hidden_layers=genome.hidden_layers,
+        nodes_per_hidden=genome.nodes,
+        activations=genome.activations,
+        optimizer=genome.optimizer,
+        epochs=genome.epochs,
+        batch_size=genome.batch_size,
+    )
+
+
 def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
-    """Check all genome invariants and hard rails, and bounds when a space is given."""
+    """Check the hard rails, the network (as an ``MLPConfig``) and, given a space, its bounds."""
     g = genome
-    if len(g.activations) != g.hidden_layers + 2:
-        raise InvalidGenomeError(
-            f"{g.hidden_layers} hidden layers require {g.hidden_layers + 2} "
-            f"activation entries, got {len(g.activations)}"
-        )
-    if g.activations[-1] != "sigmoid":
-        raise InvalidGenomeError("the output activation must be sigmoid")
     if not 0.0 < g.mutation_rate < 1.0 or not 0.0 < g.cloning_rate < 1.0:
         raise InvalidGenomeError("mutation and cloning rates must lie inside (0, 1)")
     for name, limits in INTEGER_GENE_LIMITS.items():
@@ -128,13 +133,10 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
         for bounds in (limits, getattr(space, name, limits)):
             if not bounds[0] <= value <= bounds[1]:
                 raise InvalidGenomeError(f"{name} value {value} outside bounds {bounds}")
-    if g.batch_size < 1:
-        raise InvalidGenomeError(f"batch size must be positive, got {g.batch_size}")
-    if g.optimizer not in SUPPORTED_OPTIMIZERS:
-        raise InvalidGenomeError(f"unsupported optimizer {g.optimizer!r}")
-    unknown = sorted(set(g.activations) - set(SUPPORTED_ACTIVATIONS))
-    if unknown:
-        raise InvalidGenomeError(f"unsupported activations {unknown}")
+    try:
+        config_from_genome(g)
+    except TrainingError as exc:
+        raise InvalidGenomeError(str(exc)) from exc
     if space is not None:
         if g.batch_size not in space.batch_sizes:
             raise InvalidGenomeError(f"batch size {g.batch_size} not in {space.batch_sizes}")

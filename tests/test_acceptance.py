@@ -163,8 +163,13 @@ def _check_mechanism_invariants(result):
         elif event["type"] == "cull":
             removed_top = max(item["fitness"] for item in event["removed"])
             assert removed_top <= event["survivor_fitness_min"]
-        elif event["type"] == "promotion" and event["halted"]:
-            assert event["generation"] > event["max_generations"]
+        elif event["type"] == "promotion":
+            # Every genome is drawn or bred inside the space, so a promoted
+            # size needs no clamping before the population is resized to it.
+            lo, hi = DESK_SPACE.population_size
+            assert lo <= event["population_size"] <= hi
+            if event["halted"]:
+                assert event["generation"] > event["max_generations"]
 
 
 def test_mechanism_invariants_over_50_desk_runs():

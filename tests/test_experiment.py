@@ -487,6 +487,23 @@ class TestCli:
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
         assert str(dataset) in err
 
+    def test_repeated_mode_rejected(self, tmp_path, capsys):
+        # It used to run both copies and write summary rows that audit could not read back.
+        config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("enas", "enas"))
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert "duplicate mode 'enas'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_single_class_dataset_rejected(self, tmp_path, capsys):
+        # Every F-measure of an all-negative dataset is 0, so the search would mean nothing.
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        doc = json.loads(config_path.read_text())
+        doc["datasets"][0]["label_mapping"] = {"0": 0, "1": 0}
+        config_path.write_text(json.dumps(doc))
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert str(tmp_path / "data" / "toy0.csv") in err and "label 0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_more_folds_than_rows_rejected_before_any_write(self, tmp_path, capsys):
         config_path = _write_config(tmp_path, datasets=1, runs=1, folds=31)
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from enas import nn
 from enas.data import Dataset, kfold_split
-from enas.fitness import CrossValFitness, FitnessRecord, config_from_genome, f_measure
-from enas.genome import Genome
+from enas.fitness import CrossValFitness, FitnessRecord, f_measure
+from enas.genome import Genome, config_from_genome
 from enas.seeding import derive_seed
 from enas.synthetic import make_threshold_dataset
 

@@ -13,6 +13,7 @@ from enas.genome import (
     sample_genome,
     validate_genome,
 )
+from enas.nn import TrainingError
 from enas.seeding import make_rng
 
 SPACE = SearchSpace()
@@ -311,6 +312,22 @@ class TestValidation:
     def test_population_hard_limits_enforced(self):
         with pytest.raises(InvalidGenomeError):
             validate_genome(_fixed_genome(population_size=51))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"activations": ("relu", "relu", "sigmoid")}, id="length"),
+            pytest.param({"activations": ("relu", "relu", "relu", "tanh")}, id="tanh-output"),
+            pytest.param({"activations": ("relu", "step", "relu", "sigmoid")}, id="step"),
+            pytest.param({"optimizer": "sparrow"}, id="unknown-optimizer"),
+            pytest.param({"batch_size": 0}, id="batch-size-0"),
+        ],
+    )
+    def test_network_checks_raise_invalid_genome_not_training_error(self, overrides):
+        # The network checks are MLPConfig's; validate_genome re-raises them.
+        with pytest.raises(InvalidGenomeError) as caught:
+            validate_genome(_fixed_genome(**overrides))
+        assert not isinstance(caught.value, TrainingError)
 
     @pytest.mark.parametrize(
         "key, value",
