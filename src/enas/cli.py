@@ -89,8 +89,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "jobs": args.jobs,
     }
     config = config_from_file(args.config, overrides)
-    result = run_experiment(config)
-    print(f"artifacts written to {result.out_dir}")
+    run_experiment(config)
+    print(f"artifacts written to {config.out_dir}")
     return 0
 
 

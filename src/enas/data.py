@@ -53,29 +53,26 @@ class Dataset:
     def instance_count(self) -> int:
         return int(self.features.shape[0])
 
-    @property
-    def attribute_count(self) -> int:
-        return int(self.features.shape[1])
-
 
 @dataclass(frozen=True, eq=False)
 class FoldSplit:
     """Disjoint index folds covering every instance exactly once."""
 
-    k: int
     folds: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         folds = tuple(_read_only(np.asarray(f, dtype=np.int64)) for f in self.folds)
         object.__setattr__(self, "folds", folds)
-        if self.k != len(folds):
-            raise ValueError("k must equal the number of folds")
         all_idx = np.concatenate(folds) if folds else np.array([], dtype=np.int64)
         if len(np.unique(all_idx)) != all_idx.size:
             raise ValueError("folds overlap")
         sizes = [f.size for f in folds]
         if sizes and max(sizes) - min(sizes) > 1:
             raise ValueError("fold sizes differ by more than 1")
+
+    @property
+    def k(self) -> int:
+        return len(self.folds)
 
     @property
     def instance_count(self) -> int:
@@ -210,4 +207,4 @@ def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldSplit:
         raise ValueError(f"k={k} exceeds the {n} available instances")
     perm = np.random.default_rng(seed).permutation(n)
     folds = tuple(np.array_split(perm, k))
-    return FoldSplit(k=k, folds=folds)
+    return FoldSplit(folds)

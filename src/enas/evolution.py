@@ -2,8 +2,9 @@
 
 The parameters in force are always an ``EvolutionConfig``: the run's own
 config with its four control values (mutation rate, population size,
-cloning rate, generation budget) swapped for the ones now live, and the
-tournament clamped to the population. Two modes share one engine:
+cloning rate, generation budget) swapped for the ones now live; the
+tournament is fitted to the population only at selection. Two modes
+share one engine:
 
 * static mode ("nas_plus"): the live config is the run's config, fixed
   for the whole run;
@@ -68,9 +69,8 @@ class EvolutionConfig:
     A run's config holds the static-mode settings. The engine's live
     config (``EvolutionState.live``) is a copy with the control values now
     in force: in adaptive mode the four ``CONTROL_GENES`` fields come from
-    the genes, so only ``crossover_rate``, ``tournament_size`` and
-    ``elitism_size`` stay as configured, and ``tournament_size`` is
-    clamped to the population. Every copy passes the same checks.
+    the genes, so ``crossover_rate``, ``tournament_size`` and
+    ``elitism_size`` stay as configured. Every copy passes the same checks.
     """
 
     space: SearchSpace = SearchSpace()
@@ -135,7 +135,6 @@ class EvolutionState:
     generation: int = 0
     next_id: int = 0
     models_trained: int = 0
-    evaluations: int = 0
     history: list[GenerationRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     halted: bool = False
@@ -199,7 +198,6 @@ def _evaluate_individuals(
     for ind, record in zip(individuals, records):
         ind.fitness = record
         state.models_trained += record.models_trained
-        state.evaluations += 1
         doc = evaluation_doc(ind.id, genome_to_doc(ind.genome), record)
         doc["generation"] = generation
         state.events.append(doc)
@@ -221,7 +219,6 @@ def init(
         live = replace(
             live, **{name: sample_gene(name, config.space, rng) for name in CONTROL_GENES}
         )
-    live = replace(live, tournament_size=min(live.tournament_size, live.population_size))
 
     state = EvolutionState(mode=mode, run_seed=run_seed, live=live)
     state.population = [
@@ -231,15 +228,19 @@ def init(
     return state
 
 
-def tournament_select(state: EvolutionState, rng) -> Individual:
-    """Pick the fittest of `tournament_size` distinct random individuals.
+def _tournament_size(state: EvolutionState) -> int:
+    """The configured tournament, fitted to the current population.
 
-    The effective tournament size is clamped to the population size, so
-    a freshly shrunken population never starves selection.
+    Only selection fits it, so a freshly shrunken population never starves
+    selection and a regrown one breeds with the configured size again.
     """
+    return min(state.live.tournament_size, len(state.population))
+
+
+def tournament_select(state: EvolutionState, rng) -> Individual:
+    """Pick the fittest of `_tournament_size` distinct random individuals."""
     population = state.population
-    size = min(state.live.tournament_size, len(population))
-    picks = rng.choice(len(population), size=size, replace=False)
+    picks = rng.choice(len(population), size=_tournament_size(state), replace=False)
     return best_individual([population[i] for i in picks])
 
 
@@ -350,12 +351,11 @@ def resize_population(
     state.live = replace(state.live, population_size=new_size)
 
 
-def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
+def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     """Promote the fittest individual's control genes to the live config (adaptive mode).
 
-    Returns True when the newly promoted generation budget is already
-    exceeded, in which case the run halts immediately and the population
-    is left untouched.
+    When the newly promoted generation budget is already exceeded, the
+    run halts (``state.halted``) and the population is left untouched.
     """
     fittest = best_individual(state.population)
     genes = fittest.genome
@@ -367,26 +367,20 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> bool:
         max_generations=genes.max_generations,
     )
 
-    halted = state.generation > genes.max_generations
+    state.halted = state.generation > genes.max_generations
     state.events.append(
         {
             "type": "promotion",
             "generation": state.generation,
             "fittest": fittest.id,
             **{name: getattr(genes, name) for name in CONTROL_GENES},
-            "halted": halted,
+            "halted": state.halted,
         }
     )
-    if halted:
-        state.halted = True
-        return True
-
-    state.live = replace(
-        state.live, tournament_size=min(state.live.tournament_size, genes.population_size)
-    )
+    if state.halted:
+        return
     rng = make_rng(state.run_seed, "resize", state.generation)
     resize_population(state, genes.population_size, rng, fitness_fn)
-    return False
 
 
 def _record_generation(state: EvolutionState) -> None:
@@ -409,7 +403,7 @@ def _record_generation(state: EvolutionState) -> None:
             "generation": state.generation,
             "population_len": len(state.population),
             "live_population_size": state.live.population_size,
-            "tournament_size": state.live.tournament_size,
+            "tournament_size": _tournament_size(state),
             "best": best.id,
         }
     )

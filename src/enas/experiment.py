@@ -204,12 +204,13 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
     space_doc = dict(_typed("search_space", doc.get("search_space", {}), dict))
     if "pop_bounds" in overrides:
         space_doc["population_size"] = list(overrides["pop_bounds"])
+    # The cap only ever lowers a budget, so both modes keep the same ceiling.
     if "max_generations_cap" in overrides:
         cap = int(overrides["max_generations_cap"])
         _require(cap >= 1, "max_generations_cap must be at least 1")
-        bounds = space_doc.get("max_generations", [1, cap])
-        lo = _typed("search_space.max_generations", bounds, _SPACE_HINTS["max_generations"])[0]
-        space_doc["max_generations"] = [min(lo, cap), cap]
+        bounds = space_doc.get("max_generations", list(SearchSpace.max_generations))
+        bounds = _typed("search_space.max_generations", bounds, _SPACE_HINTS["max_generations"])
+        space_doc["max_generations"] = [min(bound, cap) for bound in bounds]
     try:
         space = SearchSpace(**_section("search_space", space_doc, _SPACE_HINTS))
     except InvalidGenomeError as exc:
@@ -217,7 +218,8 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
 
     static_doc = _section("static_params", doc.get("static_params", {}), _STATIC_HINTS)
     if "max_generations_cap" in overrides:
-        static_doc["max_generations"] = min(static_doc.get("max_generations", cap), cap)
+        budget = static_doc.get("max_generations", EvolutionConfig.max_generations)
+        static_doc["max_generations"] = min(budget, cap)
     evolution = EvolutionConfig(space=space, **static_doc)
 
     def _int(key: str, default: int, override: str | None = None) -> int:
@@ -351,28 +353,23 @@ class SummaryRow:
 SUMMARY_COLUMNS = _columns(SummaryRow)
 
 
-@dataclass
-class SummaryTable:
-    rows: list[SummaryRow]
-    total_models_trained: int = 0
-    total_wall_time: float = 0.0
-
-    def render_text(self) -> str:
-        header = [*SUMMARY_COLUMNS[:-1], "models"]
-        body = [
-            [f"{cell:.4f}" if isinstance(cell, float) else str(cell) for cell in astuple(row)]
-            for row in self.rows
-        ]
-        widths = [max(len(cells[i]) for cells in [header, *body]) for i in range(len(header))]
-        out = [
-            "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-            for cells in [header, *body]
-        ]
-        out.append(
-            f"totals: {self.total_models_trained} models trained, "
-            f"{self.total_wall_time:.1f}s wall time"
-        )
-        return "\n".join(out)
+def _summary_text(rows: Sequence[SummaryRow], wall_time: float) -> str:
+    """The summary rows as an aligned table, then a totals line."""
+    header = [*SUMMARY_COLUMNS[:-1], "models"]
+    body = [
+        [f"{cell:.4f}" if isinstance(cell, float) else str(cell) for cell in astuple(row)]
+        for row in rows
+    ]
+    widths = [max(len(cells[i]) for cells in [header, *body]) for i in range(len(header))]
+    out = [
+        "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
+        for cells in [header, *body]
+    ]
+    out.append(
+        f"totals: {sum(row.models_trained for row in rows)} models trained, "
+        f"{wall_time:.1f}s wall time"
+    )
+    return "\n".join(out)
 
 
 def _aggregate_row(
@@ -454,22 +451,13 @@ def summarize_efficiency(
 # The harness itself.
 
 @dataclass
-class RunArtifact:
-    dataset: str
-    mode: Mode
-    run_index: int
-    result: EvolutionState
-    history_path: Path
-    genome_path: Path
-
-
-@dataclass
 class ExperimentResult:
-    config: ExperimentConfig
-    summary: SummaryTable
-    artifacts: list[RunArtifact]
+    """Summary rows in config order, the efficiency rows when both modes ran,
+    and each cell's finished runs, keyed by (dataset, mode), in run order."""
+
+    summary: list[SummaryRow]
     efficiency: list[EfficiencyRow] | None
-    out_dir: Path
+    runs: dict[tuple[str, Mode], list[EvolutionState]]
 
 
 def _data_seed(config: ExperimentConfig, dataset: str, run_index: int) -> int:
@@ -555,8 +543,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 cells.append((spec.name, run_index, mode, config.evolution, fitness, run_seed))
     results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
 
-    artifacts: list[RunArtifact] = []
-    by_cell: dict[tuple[str, Mode], list[EvolutionState]] = {}
+    runs: dict[tuple[str, Mode], list[EvolutionState]] = {}
     with events_path.open("w", encoding="utf-8") as events:
 
         def log(doc: dict) -> None:
@@ -567,9 +554,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
              "datasets": [spec.name for spec in config.datasets]})
         for (name, run_index, mode, *_), result in zip(cells, results):
             stem = f"{name}_{mode.value}_{run_index}"
-            history_path = write_history_csv(result.history, out / f"history_{stem}.csv")
-            genome_path = out / f"best_genome_{stem}.json"
-            genome_path.write_text(
+            write_history_csv(result.history, out / f"history_{stem}.csv")
+            (out / f"best_genome_{stem}.json").write_text(
                 json.dumps(
                     {
                         "genome": genome_to_doc(result.best.genome),
@@ -598,40 +584,29 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     "wall_time": result.wall_time,
                 }
             )
-            artifacts.append(RunArtifact(name, mode, run_index, result, history_path, genome_path))
-            by_cell.setdefault((name, mode), []).append(result)
+            runs.setdefault((name, mode), []).append(result)
 
-    rows = []
-    for spec in config.datasets:
-        for mode in config.modes:
-            runs = by_cell[(spec.name, mode)]
-            rows.append(
-                _aggregate_row(
-                    spec.name,
-                    mode.value,
-                    [r.best.fitness.mean_f_measure for r in runs],
-                    [r.models_trained for r in runs],
-                )
-            )
-    summary = SummaryTable(
-        rows=rows,
-        total_models_trained=sum(a.result.models_trained for a in artifacts),
-        total_wall_time=time.perf_counter() - started,
-    )
-    write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary.rows))
-    print(summary.render_text(), flush=True)
+    summary = [
+        _aggregate_row(
+            name,
+            mode.value,
+            [r.best.fitness.mean_f_measure for r in cell_runs],
+            [r.models_trained for r in cell_runs],
+        )
+        for (name, mode), cell_runs in runs.items()
+    ]
+    write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
+    print(_summary_text(summary, time.perf_counter() - started), flush=True)
 
     efficiency = None
     if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:
         efficiency = summarize_efficiency(
-            {spec.name: by_cell[(spec.name, Mode.NAS_PLUS)] for spec in config.datasets},
-            {spec.name: by_cell[(spec.name, Mode.ENAS)] for spec in config.datasets},
+            {spec.name: runs[(spec.name, Mode.NAS_PLUS)] for spec in config.datasets},
+            {spec.name: runs[(spec.name, Mode.ENAS)] for spec in config.datasets},
         )
         write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency))
 
-    return ExperimentResult(
-        config=config, summary=summary, artifacts=artifacts, efficiency=efficiency, out_dir=out
-    )
+    return ExperimentResult(summary, efficiency, runs)
 
 
 def audit_output_dir(out_dir: str | Path) -> None:

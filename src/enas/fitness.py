@@ -29,7 +29,6 @@ class FitnessRecord:
 
     mean_f_measure: float
     per_fold: tuple[float, ...]
-    models_trained: int
     wall_time: float = field(compare=False, default=0.0)
     diverged_folds: tuple[int, ...] = ()
 
@@ -38,6 +37,11 @@ class FitnessRecord:
             raise ValueError("per_fold must contain at least one score")
         if not 0.0 <= self.mean_f_measure <= 1.0:
             raise ValueError(f"mean F-measure {self.mean_f_measure} outside [0, 1]")
+
+    @property
+    def models_trained(self) -> int:
+        """One network per fold."""
+        return len(self.per_fold)
 
 
 def f_measure(predictions: np.ndarray, labels: np.ndarray) -> float:
@@ -121,7 +125,6 @@ class CrossValFitness:
         return FitnessRecord(
             mean_f_measure=sum(per_fold) / len(per_fold),
             per_fold=tuple(per_fold),
-            models_trained=self.split.k,
             wall_time=time.perf_counter() - started,
             diverged_folds=tuple(fold for fold, model in enumerate(models) if model.diverged),
         )

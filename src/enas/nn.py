@@ -120,8 +120,11 @@ class TrainedModel:
     activations: tuple[str, ...]
     loss_history: list[float] = field(default_factory=list)
     stopped_early: bool = False
-    epochs_run: int = 0
     diverged: bool = False
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.loss_history)
 
     @property
     def input_width(self) -> int:
@@ -512,7 +515,6 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
         for r, (f, epoch_loss) in enumerate(zip(live, (loss_sums / sizes).tolist())):
             model = models[f]
             model.loss_history.append(epoch_loss)
-            model.epochs_run += 1
             if not math.isfinite(epoch_loss):
                 model.diverged = True
             elif stoppers[f].update(epoch_loss):

@@ -4,11 +4,22 @@ Every random decision in a run flows from one 64-bit base seed through
 a single hash chain, so that repeated runs, and runs with any worker-pool
 size, all see identical random streams:
 
-    experiment level   derive_seed(base_seed, dataset_name, run_index, "data")
-    run level          derive_seed(base_seed, dataset_name, run_index, mode)
-    generation level   derive_seed(run_seed, "breed", generation)
-    evaluation level   derive_seed(run_seed, generation, individual_id)
-    fold level         derive_seed(evaluation_seed, fold_index)
+    data seed          derive_seed(base_seed, dataset_name, run_index, "data")
+      row shuffle      derive_seed(data_seed, "shuffle")
+      fold assignment  derive_seed(data_seed, "folds")
+    run seed           derive_seed(base_seed, dataset_name, run_index, mode)
+      initial draw     derive_seed(run_seed, "init")
+      breeding         derive_seed(run_seed, "breed", generation)
+      resize spawn     derive_seed(run_seed, "resize", generation)
+      evaluation       derive_seed(run_seed, generation, individual_id)
+        fold network   derive_seed(evaluation_seed, fold_index)
+
+The data seed leaves out the mode, so both modes of a (dataset, run)
+pair see the same rows and folds. The initial draw gives an adaptive
+run's first control values and the initial population; a fold network
+draws its initial weights, then one batch order per epoch. Outside this
+chain, ``synthetic`` draws its datasets from (seed, dataset_name) and
+its closed-form fitness noise from (evaluation_seed, "synthetic").
 
 Parts are encoded with a type tag so that e.g. the integer 1 and the
 string "1" never collide.

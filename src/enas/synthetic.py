@@ -75,6 +75,5 @@ class SyntheticFitness:
         return FitnessRecord(
             mean_f_measure=score,
             per_fold=(score,) * self.folds,
-            models_trained=self.folds,
             wall_time=0.0,
         )

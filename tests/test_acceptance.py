@@ -159,7 +159,8 @@ def _check_mechanism_invariants(result):
     for event in result.events:
         if event["type"] == "generation_end":
             assert event["population_len"] == event["live_population_size"]
-            assert event["tournament_size"] <= event["population_len"]
+            expected = min(DESK_CONFIG.tournament_size, event["population_len"])
+            assert event["tournament_size"] == expected
         elif event["type"] == "cull":
             removed_top = max(item["fitness"] for item in event["removed"])
             assert removed_top <= event["survivor_fitness_min"]
@@ -278,7 +279,7 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
     dataset = normalize_min_max(
         load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1}, name="sonar")
     )
-    assert dataset.instance_count == 208 and dataset.attribute_count == 60
+    assert dataset.instance_count == 208 and dataset.features.shape[1] == 60
     space = SearchSpace(population_size=(3, 20), max_generations=(1, 60))
     config = EvolutionConfig(space=space)
     successes = 0
@@ -356,12 +357,13 @@ def test_two_mode_four_dataset_summary_is_fully_auditable(tmp_path):
             }
         )
     )
-    result = run_experiment(config_from_file(config_path))
-    assert len(result.summary.rows) == 8  # 4 datasets x 2 modes
-    for row in result.summary.rows:
+    config = config_from_file(config_path)
+    result = run_experiment(config)
+    assert len(result.summary) == 8  # 4 datasets x 2 modes
+    for row in result.summary:
         assert 0.0 <= row.fittest <= 1.0
         assert row.range >= 0.0
         assert row.fittest - row.range <= row.average <= row.fittest
-    audit_output_dir(result.out_dir)  # every summary number recomputable, exactly
-    assert (result.out_dir / "efficiency.csv").exists()
+    audit_output_dir(config.out_dir)  # every summary number recomputable, exactly
+    assert (config.out_dir / "efficiency.csv").exists()
     _announce("2-mode x 4-dataset x 2-run summary emitted and audited exactly")

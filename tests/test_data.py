@@ -71,7 +71,7 @@ class TestLoadCsv:
         path = write_csv(["yes,1.0,2.0", "no,3.0,4.0"])
         ds = load_csv(path, label_column=0, label_mapping={"yes": 1, "no": 0})
         assert ds.labels.tolist() == [1, 0]
-        assert ds.attribute_count == 2
+        assert ds.features.shape[1] == 2
 
     def test_row_order_preserved(self, write_csv):
         path = write_csv([f"{i}.0,{i % 2}" for i in range(10)])
@@ -90,7 +90,7 @@ class TestLoadCsv:
     def test_sonar_shape(self):
         ds = load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1}, name="sonar")
         assert ds.instance_count == 208
-        assert ds.attribute_count == 60
+        assert ds.features.shape[1] == 60
 
 
 class TestNormalize:

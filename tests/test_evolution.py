@@ -32,7 +32,7 @@ DESK_CONFIG = EvolutionConfig(space=DESK_SPACE, population_size=8, max_generatio
 
 
 def _record(score):
-    return FitnessRecord(mean_f_measure=score, per_fold=(score,), models_trained=1)
+    return FitnessRecord(mean_f_measure=score, per_fold=(score,))
 
 
 def _individual(ident, score, birth=0, genome=None):
@@ -204,8 +204,8 @@ class TestApplyEcoGenes:
     def test_promotes_fittest_control_genes(self):
         state = _state([0.2, 0.8, 0.5])
         fittest = state.population[1]
-        halted = apply_eco_genes(state, SyntheticFitness())
-        assert not halted
+        apply_eco_genes(state, SyntheticFitness())
+        assert not state.halted
         assert state.live.mutation_rate == fittest.genome.mutation_rate
         assert state.live.cloning_rate == fittest.genome.cloning_rate
         assert state.live.max_generations == fittest.genome.max_generations
@@ -217,14 +217,24 @@ class TestApplyEcoGenes:
         state = _state([0.2, 0.8, 0.5], generation=60)
         genome = replace(sample_genome(DESK_SPACE, make_rng(2001)), max_generations=50)
         state.population[1] = _individual(1, 0.8, genome=genome)
-        halted = apply_eco_genes(state, SyntheticFitness())
-        assert halted
-        assert state.halted
-
-    def test_tournament_clamped_to_promoted_population(self):
-        state = _state([0.2, 0.8, 0.5], tournament=10)
+        before = list(state.population)
         apply_eco_genes(state, SyntheticFitness())
-        assert state.live.tournament_size <= state.live.population_size
+        assert state.halted
+        assert state.population == before
+
+    def test_regrown_population_breeds_with_the_configured_tournament(self):
+        # selection fits the tournament to a population cut to 3 only while it is 3
+        state = _state([0.2, 0.8, 0.5, 0.4, 0.6], tournament=4)
+        sizes = []
+        rng = SimpleNamespace(choice=lambda n, size, replace: sizes.append(size) or range(size))
+        for population_size in (3, 5):
+            fittest = best_individual(state.population)
+            fittest.genome = replace(fittest.genome, population_size=population_size)
+            apply_eco_genes(state, SyntheticFitness())
+            assert len(state.population) == population_size
+            tournament_select(state, rng)
+        assert sizes == [3, 4]
+        assert state.live.tournament_size == 4
 
 
 class TestResize:
@@ -290,12 +300,14 @@ class TestRun:
         result = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=13)
         evaluated = [e["individual"] for e in result.events if e["type"] == "evaluation"]
         assert len(evaluated) == len(set(evaluated))
-        assert len(evaluated) == result.evaluations
+        clones = {i for doc in result.events if doc["type"] == "bred" for i in doc["clones"]}
+        assert set(evaluated) == set(range(result.next_id)) - clones
 
     def test_models_counter_matches_evaluations(self):
         fitness = SyntheticFitness(folds=3)
         result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=14)
-        assert result.models_trained == 3 * result.evaluations
+        evaluations = [doc for doc in result.events if doc["type"] == "evaluation"]
+        assert result.models_trained == 3 * len(evaluations)
         assert result.history[-1].models_trained_cumulative == result.models_trained
 
     def test_adaptive_run_returns_its_final_state(self):
@@ -390,4 +402,4 @@ class TestBatchEvaluation:
         ]
         assert [doc["type"] for doc in result.events].count("spawn") == 2
         assert fitness.batches == [initial, *later]
-        assert sum(fitness.batches) == result.evaluations
+        assert sum(fitness.batches) == [doc["type"] for doc in result.events].count("evaluation")

@@ -6,7 +6,6 @@ import shutil
 import tempfile
 from dataclasses import asdict, fields
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -93,18 +92,22 @@ def experiment_dir(tmp_path_factory):
 class TestRunExperiment:
     def test_summary_has_one_row_per_dataset_mode_cell(self, experiment_dir):
         _, config, result = experiment_dir
-        assert len(result.summary.rows) == len(config.datasets) * len(config.modes)
+        assert len(result.summary) == len(config.datasets) * len(config.modes)
+        assert list(result.runs) == [
+            (spec.name, mode) for spec in config.datasets for mode in config.modes
+        ]
+        assert all(len(runs) == config.runs for runs in result.runs.values())
 
     def test_summary_row_invariants(self, experiment_dir):
         _, _, result = experiment_dir
-        for row in result.summary.rows:
+        for row in result.summary:
             assert row.range >= 0
             assert row.fittest - row.range <= row.average <= row.fittest
             assert 0.0 <= row.fittest <= 1.0
 
     def test_artifacts_written(self, experiment_dir):
-        tmp_path, config, result = experiment_dir
-        out = result.out_dir
+        _, config, _ = experiment_dir
+        out = config.out_dir
         for spec in config.datasets:
             for run_index in range(config.runs):
                 assert (out / f"folds_{spec.name}_{run_index}.csv").exists()
@@ -117,22 +120,23 @@ class TestRunExperiment:
         assert (out / "events.jsonl").exists()
 
     def test_best_genome_document_is_loadable(self, experiment_dir):
-        _, _, result = experiment_dir
-        doc = json.loads(result.artifacts[0].genome_path.read_text())
+        _, config, result = experiment_dir
+        (name, mode), runs = next(iter(result.runs.items()))
+        doc = json.loads((config.out_dir / f"best_genome_{name}_{mode.value}_0.json").read_text())
         genome = genome_from_doc(doc["genome"])
         assert genome.hidden_layers >= 1
-        assert doc["mean_f_measure"] == result.artifacts[0].result.best.fitness.mean_f_measure
+        assert doc["mean_f_measure"] == runs[0].best.fitness.mean_f_measure
 
     def test_audit_passes_on_fresh_output(self, experiment_dir):
-        _, _, result = experiment_dir
-        audit_output_dir(result.out_dir)
+        _, config, _ = experiment_dir
+        audit_output_dir(config.out_dir)
 
     def test_audit_detects_tampering(self, experiment_dir, tmp_path):
         import shutil
 
-        _, _, result = experiment_dir
+        _, config, _ = experiment_dir
         copy = tmp_path / "tampered"
-        shutil.copytree(result.out_dir, copy)
+        shutil.copytree(config.out_dir, copy)
         target = next(copy.glob("history_*_0.csv"))
         lines = target.read_text().splitlines()
         cells = lines[-1].split(",")
@@ -143,19 +147,18 @@ class TestRunExperiment:
             audit_output_dir(copy)
 
     def test_histories_reproducible_from_summary_values(self, experiment_dir):
-        _, _, result = experiment_dir
-        for row in result.summary.rows:
+        _, config, result = experiment_dir
+        for row in result.summary:
             bests = []
-            for artifact in result.artifacts:
-                if artifact.dataset == row.dataset and artifact.mode.value == row.mode:
-                    history = read_history_csv(artifact.history_path)
-                    bests.append(max(r.best_f1 for r in history))
+            for run_index in range(row.runs):
+                path = config.out_dir / f"history_{row.dataset}_{row.mode}_{run_index}.csv"
+                bests.append(max(r.best_f1 for r in read_history_csv(path)))
             assert max(bests) == row.fittest
 
     def test_single_run_range_is_zero(self, tmp_path):
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
         result = run_experiment(config)
-        assert result.summary.rows[0].range == 0.0
+        assert result.summary[0].range == 0.0
 
     def test_cross_val_call_runs_once_per_evaluation_event(self, tmp_path, monkeypatch):
         # perfbench samples host speed after, and traces fitness.eval as, each
@@ -170,8 +173,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(CrossValFitness, "__call__", counted)
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1))
-        result = run_experiment(config)
-        lines = (result.out_dir / "events.jsonl").read_text().splitlines()
+        run_experiment(config)
+        lines = (config.out_dir / "events.jsonl").read_text().splitlines()
         evaluations = [doc for doc in map(json.loads, lines) if doc["type"] == "evaluation"]
         assert config.jobs == 1 and evaluations
         assert len(calls) == len(evaluations)
@@ -243,15 +246,15 @@ class TestCsvFiles:
         assert path.read_bytes() == b"name,count,sum,tiny\na b,3,0.30000000000000004,1e-300\n"
 
     def test_summary_and_efficiency_files_are_exact(self, experiment_dir):
-        _, _, result = experiment_dir
-        row = result.summary.rows[0]
-        assert (result.out_dir / "summary.csv").read_text().startswith(
+        _, config, result = experiment_dir
+        row = result.summary[0]
+        assert (config.out_dir / "summary.csv").read_text().startswith(
             "dataset,mode,runs,fittest,average,range,models_trained\n"
             f"{row.dataset},{row.mode},{row.runs},{row.fittest!r},{row.average!r},"
             f"{row.range!r},{row.models_trained}\n"
         )
         e = result.efficiency[-1]
-        text = (result.out_dir / "efficiency.csv").read_text()
+        text = (config.out_dir / "efficiency.csv").read_text()
         assert text.startswith(
             "dataset,pairs,mean_models_static,mean_models_adaptive,models_delta_pct,"
             "mean_wall_static,mean_wall_adaptive,wall_delta_pct,adaptive_fewer_models_fraction\n"
@@ -322,6 +325,25 @@ class TestConfigFile:
         assert config.jobs == 2
         assert [m.value for m in config.modes] == ["enas"]
         assert [d.name for d in config.datasets] == ["toy1"]
+
+    @pytest.mark.parametrize("low", [1, 3])
+    @pytest.mark.parametrize("cap", [1, 5, 10, 60])
+    def test_generation_cap_only_lowers_budgets(self, tmp_path, low, cap):
+        # both modes keep one ceiling: the cap never raises the adaptive bound
+        path = _write_config(
+            tmp_path,
+            search_space={**TINY_SPACE, "max_generations": [low, 10]},
+            static_params={"population_size": 4, "max_generations": 10},
+        )
+        evolution = config_from_file(path, {"max_generations_cap": cap}).evolution
+        assert evolution.space.max_generations == (min(low, cap), min(10, cap))
+        assert evolution.max_generations == min(10, cap)
+
+    def test_generation_cap_defaults_to_the_default_budgets(self, tmp_path):
+        path = _write_config(tmp_path, search_space={}, static_params={"population_size": 4})
+        evolution = config_from_file(path, {"max_generations_cap": 10_000}).evolution
+        assert evolution.space.max_generations == SearchSpace().max_generations
+        assert evolution.max_generations == EvolutionConfig().max_generations
 
     def test_json_integer_for_a_number_is_read_as_float(self, tmp_path):
         path = _write_config(
@@ -520,7 +542,7 @@ class TestCli:
         elif command == "demo-data":
             argv = ["demo-data", "--out", str(taken)]
         else:
-            history = experiment_dir[2].artifacts[0].history_path
+            history = next(experiment_dir[1].out_dir.glob("history_*.csv"))
             taken = tmp_path / "missing" / "plot.csv"
             argv = ["plot-data", str(history), str(taken)]
         assert str(taken) in self._assert_one_line_error(capsys, argv)
@@ -603,9 +625,9 @@ class TestCli:
     def test_malformed_outputs_give_one_error_line(
         self, experiment_dir, tmp_path, capsys, command, name, edit
     ):
-        _, _, result = experiment_dir
+        _, config, _ = experiment_dir
         out = tmp_path / "out"
-        shutil.copytree(result.out_dir, out)
+        shutil.copytree(config.out_dir, out)
         target = out / name
         if edit is None:
             target.unlink()
@@ -693,7 +715,7 @@ def test_fuzzed_config_loads_or_gives_one_error_line(text):
         path = Path(tmp) / "config.json"
         path.write_text(text, encoding="utf-8")
         err = io.StringIO()
-        with mock.patch("enas.cli.run_experiment", return_value=SimpleNamespace(out_dir=tmp)):
+        with mock.patch("enas.cli.run_experiment"):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(["run", "--config", str(path)])
     if code != 0:

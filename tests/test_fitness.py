@@ -85,11 +85,11 @@ class TestFMeasure:
 class TestFitnessRecord:
     def test_mean_must_be_in_unit_interval(self):
         with pytest.raises(ValueError):
-            FitnessRecord(mean_f_measure=1.2, per_fold=(1.2,), models_trained=1)
+            FitnessRecord(mean_f_measure=1.2, per_fold=(1.2,))
 
     def test_equality_ignores_wall_time(self):
-        a = FitnessRecord(0.5, (0.5,), 1, wall_time=1.0)
-        b = FitnessRecord(0.5, (0.5,), 1, wall_time=9.0)
+        a = FitnessRecord(0.5, (0.5,), wall_time=1.0)
+        b = FitnessRecord(0.5, (0.5,), wall_time=9.0)
         assert a == b
 
 
