@@ -74,10 +74,6 @@ class FoldSplit:
     def k(self) -> int:
         return len(self.folds)
 
-    @property
-    def instance_count(self) -> int:
-        return int(sum(f.size for f in self.folds))
-
     def train_indices(self, fold: int) -> np.ndarray:
         """All instance indices outside the given fold."""
         others = [f for i, f in enumerate(self.folds) if i != fold]

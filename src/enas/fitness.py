@@ -86,8 +86,9 @@ class CrossValFitness:
     split: FoldSplit
 
     def __post_init__(self) -> None:
-        if self.split.instance_count != self.dataset.instance_count:
-            raise ValueError("fold split does not cover this dataset")
+        rows = np.sort(np.concatenate(self.split.folds))
+        if not np.array_equal(rows, np.arange(self.dataset.instance_count)):
+            raise ValueError("fold split must cover each row of this dataset exactly once")
 
     def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
         """One record per (genome, seed) pair, in order; same-config genomes train in one call.

@@ -10,8 +10,9 @@ trains its k fold networks together (``train_folds``): their vectors are
 the rows of one (g, P) stack, and each mini-batch step is one batched
 forward/backward pass and one optimizer update over the whole stack,
 bit-identical to training each fold alone. ``train`` is the one-fold case.
-A step returns the output pre-activations of its batch; the epoch loss is
-computed from them once per epoch (``row_losses``).
+A step returns the output pre-activations of its batch. Once per epoch, a
+network's epoch loss is taken from them as one mean of its training
+rows' ``row_losses``.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class EarlyStopper:
 
 @dataclass(frozen=True)
 class MLPConfig:
-    """Architecture and training settings for one network."""
+    """The network a genome encodes: its architecture and training genes."""
 
     hidden_layers: int
     nodes_per_hidden: int
@@ -89,8 +90,6 @@ class MLPConfig:
     optimizer: str
     epochs: int
     batch_size: int
-    seed: int = 0
-    learning_rate: float | None = None  # None = optimizer default
 
     def __post_init__(self) -> None:
         if self.hidden_layers < 1 or self.nodes_per_hidden < 1:
@@ -280,7 +279,7 @@ def loss_and_gradients(
     network the batch is (n, width) and the labels and the result (n,);
     for a stack of g networks they are (g, n, width) and (g, n), and every
     matmul is a batched one. The batch's loss is the mean of
-    ``row_losses`` of the result; a trainer computes it once per epoch.
+    ``row_losses`` of the result; a trainer takes one mean per epoch instead.
 
     The output delta p - y folds the sigmoid and the cross-entropy
     together, which is exact as long as the loss cap is inactive.
@@ -419,15 +418,14 @@ def train(
     config: MLPConfig,
     train_features: np.ndarray,
     train_labels: np.ndarray,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.Generator,
 ) -> TrainedModel:
     """One network trained on all given rows: ``train_folds`` with a single fold.
 
-    ``rng`` draws the initial weights and the batch order; by default it
-    is ``np.random.default_rng(config.seed)``.
+    ``np.random.default_rng(seed)`` draws the initial weights and the
+    batch order; a Generator is used as it is.
     """
     rows = np.arange(np.shape(train_labels)[0])
-    seed = config.seed if rng is None else rng
     return train_folds(config, train_features, train_labels, [rows], [seed])[0]
 
 
@@ -443,7 +441,8 @@ def train_folds(
     Fold f trains on the rows of ``features`` indexed by ``train_sets[f]``
     and draws its initial weights, then one batch order per epoch, from
     its own ``np.random.default_rng(seeds[f])`` (a seed or a Generator).
-    A fold stops at the configured epoch count, or earlier once its best
+    A fold's epoch loss is the mean loss of its training rows over the
+    epoch. It stops at the configured epoch count, or earlier once its best
     epoch loss has not improved by more than the minimum delta for 5
     epochs in a row. A non-finite epoch loss stops it and flags it as
     diverged.
@@ -481,16 +480,16 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
     that share a batch end takes one step (``_epoch_plan``). Nothing is
     padded, since a padded row would change the gradient sums. A step's
     output pre-activations go into a per-epoch buffer, and the epoch loss
-    is computed from it once, with the rounding of a per-step sum. A fold
-    that stops is dropped from the stack: the rows still training are
-    copied into a smaller one.
+    of stack row r is the mean of the ``row_losses`` of its n entries
+    there, in batch order. A fold that stops is dropped from the stack:
+    the rows still training are copied into a smaller one.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     live = sorted(range(len(train_sets)), key=lambda f: len(train_sets[f]))  # fold of each row
     sizes = [len(train_sets[f]) for f in live]
     params = np.stack([init_params(config, x.shape[1], rngs[f]) for f in live])
     grad = np.empty_like(params)
-    optimizer = Optimizer(config.optimizer, params.shape, config.learning_rate)
+    optimizer = Optimizer(config.optimizer, params.shape)
     models = {
         f: TrainedModel(params=row, dims=dims, activations=config.activations)
         for f, row in zip(live, params)
@@ -509,10 +508,11 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
                 layers, acts, bx[stack, cols], by[stack, cols], grad_layers, weights_t
             )
             opt.step(stack_params, stack_grad)
-        loss_sums = _epoch_loss_sums(row_losses(logits, by), sizes, batch, steps)
+        losses = row_losses(logits, by)
 
         stopped = []
-        for r, (f, epoch_loss) in enumerate(zip(live, (loss_sums / sizes).tolist())):
+        for r, (f, n) in enumerate(zip(live, sizes)):
+            epoch_loss = float(losses[r, :n].mean())
             model = models[f]
             model.loss_history.append(epoch_loss)
             if not math.isfinite(epoch_loss):
@@ -583,28 +583,3 @@ def _stack_steps(params, grad, optimizer, dims, sizes, batch):
             )
         steps.append((slice(first, last), slice(start, end), views[first, last]))
     return steps, np.zeros((len(sizes), sizes[-1]))
-
-
-def _epoch_loss_sums(losses, sizes, batch, steps) -> np.ndarray:
-    """Per stack row, the sum over its steps of batch mean times batch size.
-
-    ``losses`` are the per-row losses of one epoch. The result is rounded
-    as a per-step sum would be: each batch mean is a reduce over the
-    batch, then divided and multiplied by its size, and the products are
-    added in step order. The whole-stack full batches are summed at once.
-    """
-    full = sizes[0] // batch
-    if full:
-        means = np.add.reduce(losses[:, : full * batch].reshape(len(sizes), full, batch), axis=-1)
-        means /= batch
-        means *= batch
-        sums = np.add.accumulate(means, axis=-1)[:, -1]
-    else:
-        sums = np.zeros(len(sizes))
-    for stack, cols, _ in steps[full:]:
-        n = cols.stop - cols.start
-        means = np.add.reduce(losses[stack, cols], axis=-1)
-        means /= n
-        means *= n
-        sums[stack] += means
-    return sums

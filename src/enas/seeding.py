@@ -18,8 +18,7 @@ The data seed leaves out the mode, so both modes of a (dataset, run)
 pair see the same rows and folds. The initial draw gives an adaptive
 run's first control values and the initial population; a fold network
 draws its initial weights, then one batch order per epoch. Outside this
-chain, ``synthetic`` draws its datasets from (seed, dataset_name) and
-its closed-form fitness noise from (evaluation_seed, "synthetic").
+chain, ``synthetic`` draws its datasets from (seed, dataset_name).
 
 Parts are encoded with a type tag so that e.g. the integer 1 and the
 string "1" never collide.

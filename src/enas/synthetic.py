@@ -3,16 +3,11 @@
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .fitness import FitnessRecord
-from .genome import Genome
 from .seeding import make_rng
 
 
@@ -42,38 +37,3 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> Path:
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
     return path
-
-
-@dataclass(frozen=True)
-class SyntheticFitness:
-    """Closed-form genome scoring: no training, microsecond evaluations.
-
-    The score is a smooth bump peaked at a mid-sized architecture with a
-    small seeded noise term, so selection pressure exists but evaluations
-    stay deterministic per (genome, seed).
-    """
-
-    noise: float = 0.02
-    folds: int = 1
-
-    def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
-        return [self(genome, seed) for genome, seed in pairs]
-
-    def __call__(self, genome: Genome, seed: int) -> FitnessRecord:
-        shape = (
-            ((genome.nodes - 64) / 96.0) ** 2
-            + ((genome.hidden_layers - 2) / 3.0) ** 2
-            + ((genome.epochs - 50) / 90.0) ** 2
-            + ((genome.batch_size - 8) / 24.0) ** 2
-        )
-        base = 0.7 * math.exp(-shape)
-        bonus = 0.1 if genome.optimizer == "adam" else 0.0
-        relu_share = sum(1 for a in genome.activations[:-1] if a == "relu")
-        bonus += 0.1 * relu_share / (len(genome.activations) - 1)
-        jitter = float(make_rng(seed, "synthetic").normal(0.0, self.noise))
-        score = min(max(base + bonus + jitter, 0.0), 1.0)
-        return FitnessRecord(
-            mean_f_measure=score,
-            per_fold=(score,) * self.folds,
-            wall_time=0.0,
-        )

@@ -36,9 +36,10 @@ from enas.nn import (
     param_views,
 )
 from enas.seeding import derive_seed, make_rng
-from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_dataset_csv
+from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .conftest import SONAR_PATH
+from .test_evolution import SyntheticFitness
 from .test_fitness import brute_force_f1
 from .test_nn import batch_loss
 
@@ -78,7 +79,6 @@ def test_analytic_gradients_match_finite_differences_on_20_networks():
             optimizer="sgd",
             epochs=1,
             batch_size=4,
-            seed=trial,
         )
         width = int(rng.integers(2, 7))
         params = init_params(config, width, rng)

@@ -1,6 +1,8 @@
+import math
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from types import SimpleNamespace
+from typing import Sequence
 
 import pytest
 
@@ -23,12 +25,47 @@ from enas.evolution import (
 )
 from enas.data import kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord
-from enas.genome import CONTROL_GENES, SearchSpace, sample_genome
+from enas.genome import CONTROL_GENES, Genome, SearchSpace, sample_genome
 from enas.seeding import make_rng
-from enas.synthetic import SyntheticFitness, make_threshold_dataset
+from enas.synthetic import make_threshold_dataset
 
 DESK_SPACE = SearchSpace(population_size=(3, 20), max_generations=(1, 40), nodes=(2, 32))
 DESK_CONFIG = EvolutionConfig(space=DESK_SPACE, population_size=8, max_generations=12)
+
+
+@dataclass(frozen=True)
+class SyntheticFitness:
+    """Closed-form genome scoring: no training, microsecond evaluations.
+
+    The score is a smooth bump peaked at a mid-sized architecture with a
+    small seeded noise term, so selection pressure exists but evaluations
+    stay deterministic per (genome, seed).
+    """
+
+    noise: float = 0.02
+    folds: int = 1
+
+    def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
+        return [self(genome, seed) for genome, seed in pairs]
+
+    def __call__(self, genome: Genome, seed: int) -> FitnessRecord:
+        shape = (
+            ((genome.nodes - 64) / 96.0) ** 2
+            + ((genome.hidden_layers - 2) / 3.0) ** 2
+            + ((genome.epochs - 50) / 90.0) ** 2
+            + ((genome.batch_size - 8) / 24.0) ** 2
+        )
+        base = 0.7 * math.exp(-shape)
+        bonus = 0.1 if genome.optimizer == "adam" else 0.0
+        relu_share = sum(1 for a in genome.activations[:-1] if a == "relu")
+        bonus += 0.1 * relu_share / (len(genome.activations) - 1)
+        jitter = float(make_rng(seed, "synthetic").normal(0.0, self.noise))
+        score = min(max(base + bonus + jitter, 0.0), 1.0)
+        return FitnessRecord(
+            mean_f_measure=score,
+            per_fold=(score,) * self.folds,
+            wall_time=0.0,
+        )
 
 
 def _record(score):

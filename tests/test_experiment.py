@@ -31,7 +31,9 @@ from enas.experiment import (
 from enas.fitness import CrossValFitness
 from enas.genome import SearchSpace, genome_to_doc, sample_genome
 from enas.seeding import make_rng
-from enas.synthetic import SyntheticFitness, make_threshold_dataset, write_dataset_csv
+from enas.synthetic import make_threshold_dataset, write_dataset_csv
+
+from .test_evolution import SyntheticFitness
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enas import nn
-from enas.data import Dataset, kfold_split
+from enas.data import Dataset, FoldSplit, kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord, f_measure
 from enas.genome import Genome, config_from_genome
 from enas.seeding import derive_seed
@@ -159,6 +159,13 @@ class TestEvaluate:
         split = kfold_split(other, 4, seed=38)
         with pytest.raises(ValueError, match="cover"):
             CrossValFitness(dataset, split)
+
+    @pytest.mark.parametrize("second_fold", [[3, 4, -6], [3, 4, 9]], ids=["negative", "past-end"])
+    def test_split_must_index_each_row_once(self, second_fold):
+        # -6 reads row 0 a second time and leaves row 5 out; 9 is no row
+        dataset = make_threshold_dataset(6, 2, seed=44)
+        with pytest.raises(ValueError, match="cover"):
+            CrossValFitness(dataset, FoldSplit(([0, 1, 2], second_fold)))
 
 
 def _alone(fitness, pairs):

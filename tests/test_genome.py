@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from enas.genome import (
     Genome,
     InvalidGenomeError,
     SearchSpace,
+    config_from_genome,
     crossover,
     genome_to_doc,
     mutate,
@@ -401,3 +404,14 @@ class TestValidation:
         space = SearchSpace(**{field: (1e20, 1.0)})
         with pytest.raises(InvalidGenomeError, match=r"drew 1\.0; a rate must lie inside \(0, 1\)"):
             sample_gene(gene, space, make_rng(3))
+
+    def test_network_config_is_exactly_the_network_genes(self):
+        genome = _fixed_genome()
+        assert asdict(config_from_genome(genome)) == {
+            "hidden_layers": genome.hidden_layers,
+            "nodes_per_hidden": genome.nodes,
+            "activations": genome.activations,
+            "optimizer": genome.optimizer,
+            "epochs": genome.epochs,
+            "batch_size": genome.batch_size,
+        }

@@ -59,7 +59,6 @@ def _config(**overrides):
         optimizer="adam",
         epochs=10,
         batch_size=4,
-        seed=0,
     )
     defaults.update(overrides)
     return MLPConfig(**defaults)
@@ -214,7 +213,7 @@ class TestBinaryCrossEntropy:
             batch_size=1,
         )
         with np.errstate(all="ignore"):
-            model = train(config, np.array([[logit]]), np.array([label]))
+            model = train(config, np.array([[logit]]), np.array([label]), 0)
             expected = float(binary_cross_entropy(sigmoid_by_sign(np.array([logit])), [label]))
         (loss,) = model.loss_history
         assert model.diverged == math.isnan(logit)
@@ -387,56 +386,53 @@ class TestTrain:
     def test_descends_on_separable_points(self):
         x = np.array([[0.0], [1.0]])
         y = np.array([0, 1])
-        model = train(_config(epochs=50, batch_size=2), x, y)
+        model = train(_config(epochs=50, batch_size=2), x, y, 0)
         assert model.loss_history[-1] < model.loss_history[0]
 
     def test_single_epoch(self):
         x = np.array([[0.0], [1.0]])
-        model = train(_config(epochs=1, batch_size=2), x, np.array([0, 1]))
+        model = train(_config(epochs=1, batch_size=2), x, np.array([0, 1]), 0)
         assert len(model.loss_history) == 1
         assert model.epochs_run == 1
         assert not model.stopped_early
 
-    def test_constant_loss_stops_at_epoch_six(self):
+    def test_constant_loss_stops_at_epoch_six(self, monkeypatch):
         # zero learning rate freezes the parameters, so epoch 1 sets the
         # best loss and epochs 2-6 are five straight non-improvements
+        monkeypatch.setitem(nn.DEFAULT_LEARNING_RATES, "adam", 0.0)
         x = np.array([[0.0], [1.0], [0.5], [0.25]])
         y = np.array([0, 1, 1, 0])
-        model = train(_config(epochs=50, learning_rate=0.0), x, y)
+        model = train(_config(epochs=50), x, y, 0)
         assert model.stopped_early
         assert model.epochs_run == EARLY_STOP_PATIENCE + 1 == 6
         assert len(model.loss_history) == 6
 
     def test_bit_identical_replay(self, small_dataset):
-        cfg = _config(epochs=8, seed=123)
-        a = train(cfg, small_dataset.features, small_dataset.labels)
-        b = train(cfg, small_dataset.features, small_dataset.labels)
+        cfg = _config(epochs=8)
+        a = train(cfg, small_dataset.features, small_dataset.labels, 123)
+        b = train(cfg, small_dataset.features, small_dataset.labels, 123)
         assert a.loss_history == b.loss_history
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_flags_model(self, small_dataset):
+    def test_divergence_flags_model(self, small_dataset, monkeypatch):
         # linear layers with an absurd step size overflow within an epoch
-        cfg = _config(
-            optimizer="sgd",
-            epochs=30,
-            activations=("linear", "linear", "sigmoid"),
-            learning_rate=1e60,
-        )
-        model = train(cfg, small_dataset.features, small_dataset.labels)
+        monkeypatch.setitem(nn.DEFAULT_LEARNING_RATES, "sgd", 1e60)
+        cfg = _config(optimizer="sgd", epochs=30, activations=("linear", "linear", "sigmoid"))
+        model = train(cfg, small_dataset.features, small_dataset.labels, 0)
         assert model.diverged
         assert not np.isfinite(model.loss_history[-1])
         assert model.epochs_run == len(model.loss_history) <= 30
 
     def test_bad_labels_rejected(self):
         with pytest.raises(TrainingError):
-            train(_config(), np.ones((2, 1)), np.array([1, 2]))
+            train(_config(), np.ones((2, 1)), np.array([1, 2]), 0)
 
     def test_loss_history_length_bounded_by_epochs(self, small_dataset):
-        model = train(_config(epochs=5), small_dataset.features, small_dataset.labels)
+        model = train(_config(epochs=5), small_dataset.features, small_dataset.labels, 0)
         assert model.epochs_run == len(model.loss_history) <= 5
 
     def test_predict_thresholds_at_half(self, small_dataset):
-        model = train(_config(epochs=20), small_dataset.features, small_dataset.labels)
+        model = train(_config(epochs=20), small_dataset.features, small_dataset.labels, 0)
         hard = predict(model, small_dataset.features)
         soft = forward(model, small_dataset.features)
         assert np.array_equal(hard, (soft >= 0.5).astype(int))
@@ -490,7 +486,6 @@ class TestGradients:
                 optimizer="sgd",
                 epochs=1,
                 batch_size=4,
-                seed=trial,
             )
             width = int(rng.integers(2, 6))
             params = init_params(cfg, width, rng)
@@ -516,22 +511,24 @@ class TestGradients:
 
 def _reference_train(config, x, y, rng):
     """The per-fold trainer lockstep training replaced: one network, 2-D
-    matmuls, one batch after another. Returns (params, loss history)."""
+    matmuls, one batch after another. An epoch's loss is one mean of the
+    per-row losses of its batches, in batch order. Returns (params, loss
+    history)."""
     dims = layer_dims(x.shape[1], config)
     params = init_params(config, x.shape[1], rng)
     grad = np.empty_like(params)
     layers, grad_layers = param_views(params, dims), param_views(grad, dims)
-    optimizer = Optimizer(config.optimizer, params.size, config.learning_rate)
+    optimizer = Optimizer(config.optimizer, params.size)
     stopper, losses = EarlyStopper(), []
     for _ in range(config.epochs):
         order = rng.permutation(len(y))
-        loss_sum = 0.0
+        epoch_rows = []
         for start in range(0, len(y), config.batch_size):
             idx = order[start : start + config.batch_size]
-            loss = batch_loss(layers, config.activations, x[idx], y[idx], grad_layers)
-            loss_sum += float(loss) * idx.size
+            z = loss_and_gradients(layers, config.activations, x[idx], y[idx], grad_layers)
+            epoch_rows.append(row_losses(z, y[idx]))
             optimizer.step(params, grad)
-        losses.append(loss_sum / len(y))
+        losses.append(float(np.concatenate(epoch_rows).mean()))
         if not math.isfinite(losses[-1]) or stopper.update(losses[-1]):
             break
     return params, losses
@@ -589,8 +586,8 @@ class TestTrainFolds:
         # are 1 and 2 rows long. equal: four 18-row folds step together,
         # at batch 4 through a 2-row last step. descending: 20, 18, 17 and
         # 15 rows, so the stack holds the folds in reverse order and its
-        # tail steps serve runs of one to three rows. Batch 9 sums each
-        # batch's losses pairwise (numpy does so from 8 entries on).
+        # tail steps serve runs of one to three rows. At batch 9 the ragged
+        # folds' last batches hold 8 and 9 rows.
         x, y, train_sets = FOLD_LAYOUTS[layout]()
         config = _config(
             hidden_layers=2,
@@ -604,11 +601,10 @@ class TestTrainFolds:
         assert len(models) == 4
         _assert_matches_each_fold_alone(config, x, y, train_sets, models)
 
-    def test_folds_stop_early_at_different_epochs(self):
+    def test_folds_stop_early_at_different_epochs(self, monkeypatch):
+        monkeypatch.setitem(nn.DEFAULT_LEARNING_RATES, "adam", 0.03)
         x, y, train_sets = _ragged_folds()
-        config = _config(
-            activations=("tanh", "relu", "sigmoid"), epochs=40, batch_size=1, learning_rate=0.03
-        )
+        config = _config(activations=("tanh", "relu", "sigmoid"), epochs=40, batch_size=1)
         models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
         # three folds leave the stack at three different epochs, one trains on
         assert [(m.epochs_run, m.stopped_early) for m in models] == [
