@@ -1,4 +1,9 @@
-"""CSV dataset loading, label encoding, scaling, shuffling and k-fold splits."""
+"""CSV dataset loading, label encoding, scaling and k-fold splits.
+
+A dataset keeps the row order of its input file, and a fold split is a
+tuple of arrays of row numbers into it, so a row number names the same
+data row from loading through to ``folds_*.csv``.
+"""
 
 from __future__ import annotations
 
@@ -31,7 +36,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
@@ -52,32 +56,6 @@ class Dataset:
     @property
     def instance_count(self) -> int:
         return int(self.features.shape[0])
-
-
-@dataclass(frozen=True, eq=False)
-class FoldSplit:
-    """Disjoint index folds covering every instance exactly once."""
-
-    folds: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        folds = tuple(_read_only(np.asarray(f, dtype=np.int64)) for f in self.folds)
-        object.__setattr__(self, "folds", folds)
-        all_idx = np.concatenate(folds) if folds else np.array([], dtype=np.int64)
-        if len(np.unique(all_idx)) != all_idx.size:
-            raise ValueError("folds overlap")
-        sizes = [f.size for f in folds]
-        if sizes and max(sizes) - min(sizes) > 1:
-            raise ValueError("fold sizes differ by more than 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.folds)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        """All instance indices outside the given fold."""
-        others = [f for i, f in enumerate(self.folds) if i != fold]
-        return np.concatenate(others)
 
 
 def _parse_float(cell: str) -> float | None:
@@ -101,7 +79,6 @@ def load_csv(
     path: str | Path,
     label_column: int | str | None = None,
     label_mapping: Mapping[str, int] | None = None,
-    name: str | None = None,
 ) -> Dataset:
     """Load a comma-separated dataset and encode its labels to {0, 1}.
 
@@ -170,7 +147,7 @@ def load_csv(
             features[r, c] = value
             c += 1
 
-    return Dataset(features=features, labels=labels, name=name or path.stem)
+    return Dataset(features=features, labels=labels)
 
 
 def normalize_min_max(dataset: Dataset) -> Dataset:
@@ -181,26 +158,18 @@ def normalize_min_max(dataset: Dataset) -> Dataset:
     keep = span > 0
     scaled = np.zeros_like(x)
     scaled[:, keep] = (x[:, keep] - lo[keep]) / span[keep]
-    return Dataset(features=scaled, labels=dataset.labels.copy(), name=dataset.name)
+    return Dataset(features=scaled, labels=dataset.labels.copy())
 
 
-def shuffle(dataset: Dataset, seed: int) -> Dataset:
-    """Co-permute rows and labels with a deterministic permutation of `seed`."""
-    perm = np.random.default_rng(seed).permutation(dataset.instance_count)
-    return Dataset(
-        features=dataset.features[perm],
-        labels=dataset.labels[perm],
-        name=dataset.name,
-    )
+def kfold_split(dataset: Dataset, k: int, seed: int) -> tuple[np.ndarray, ...]:
+    """Partition row numbers into k folds whose sizes differ by at most 1.
 
-
-def kfold_split(dataset: Dataset, k: int, seed: int) -> FoldSplit:
-    """Partition instance indices into k balanced folds, deterministic in seed."""
+    Each fold is a read-only int64 array; the split is deterministic in seed.
+    """
     n = dataset.instance_count
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} available instances")
     perm = np.random.default_rng(seed).permutation(n)
-    folds = tuple(np.array_split(perm, k))
-    return FoldSplit(folds)
+    return tuple(_read_only(fold) for fold in np.array_split(perm, k))

@@ -1,9 +1,9 @@
 """Repeated-run experiment harness: seeded runs, summary stats, audit trail.
 
-For every (dataset, run) pair the shuffle and fold seeds are derived
-without reference to the mode, so the static and adaptive searches of a
-pair see identical fold assignments and their results are directly
-comparable.
+Each dataset is loaded once. For every (dataset, run) pair, ``fold_split``
+draws the folds as input-row numbers from a data seed that leaves out the
+mode, so the static and adaptive searches of a pair see identical folds
+and their results are directly comparable.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from . import evolution
-from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max, shuffle
+from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
 from .evolution import EvolutionConfig, EvolutionState, GenerationRecord, Mode
 from .fitness import CrossValFitness
 from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
-from .seeding import derive_seed
+from .seeding import derive_seed, make_rng
 
 
 class ExperimentError(ValueError):
@@ -461,9 +463,16 @@ class ExperimentResult:
 
 
 def _data_seed(config: ExperimentConfig, dataset: str, run_index: int) -> int:
-    # Mode deliberately excluded: both modes of a pair share the shuffle
+    # Mode deliberately excluded: both modes of a pair share the row order
     # and fold assignment.
     return derive_seed(config.base_seed, dataset, run_index, "data")
+
+
+def fold_split(dataset: Dataset, k: int, data_seed: int) -> tuple[np.ndarray, ...]:
+    """A run's k folds as row numbers of ``dataset``: ``kfold_split`` splits the
+    positions of a row order from the "shuffle" stream, and each maps to its row."""
+    order = make_rng(data_seed, "shuffle").permutation(dataset.instance_count)
+    return tuple(order[fold] for fold in kfold_split(dataset, k, derive_seed(data_seed, "folds")))
 
 
 def _run_seed(config: ExperimentConfig, dataset: str, run_index: int, mode: Mode) -> int:
@@ -472,12 +481,7 @@ def _run_seed(config: ExperimentConfig, dataset: str, run_index: int, mode: Mode
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
     """The dataset of ``spec``; a search needs rows of both classes."""
-    dataset = load_csv(
-        spec.path,
-        label_column=spec.label_column,
-        label_mapping=spec.label_mapping,
-        name=spec.name,
-    )
+    dataset = load_csv(spec.path, label_column=spec.label_column, label_mapping=spec.label_mapping)
     labels = set(dataset.labels.tolist())
     if len(labels) == 1:
         raise DatasetError(f"every row of {spec.path} has label {labels.pop()}; need 0 and 1")
@@ -529,15 +533,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     cells = []
     for spec, dataset in zip(config.datasets, loaded):
         for run_index in range(config.runs):
-            data_seed = _data_seed(config, spec.name, run_index)
-            shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
-            split = kfold_split(shuffled, config.folds, derive_seed(data_seed, "folds"))
+            folds = fold_split(dataset, config.folds, _data_seed(config, spec.name, run_index))
             write_csv(
                 out / f"folds_{spec.name}_{run_index}.csv",
                 ("instance_index", "fold_id"),
-                sorted((int(i), k) for k, fold in enumerate(split.folds) for i in fold),
+                sorted((int(i), k) for k, fold in enumerate(folds) for i in fold),
             )
-            fitness = CrossValFitness(shuffled, split)
+            fitness = CrossValFitness(dataset, folds)
             for mode in config.modes:
                 run_seed = _run_seed(config, spec.name, run_index, mode)
                 cells.append((spec.name, run_index, mode, config.evolution, fitness, run_seed))

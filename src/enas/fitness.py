@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .data import Dataset, FoldSplit
+from .data import Dataset
 from .genome import Genome, config_from_genome
 from .seeding import derive_seed
 
@@ -71,7 +71,9 @@ class CrossValFitness:
     one generation's offspring. Genomes with the same network config
     (``config_from_genome``, epochs included) train together: the k fold
     networks of every member go into one ``nn.train_folds`` call, fold f
-    of a member on its training rows with seed ``derive_seed(seed, f)``.
+    of a member on the rows of the other folds with seed
+    ``derive_seed(seed, f)``. ``folds`` holds arrays of row numbers of
+    ``dataset`` that cover each row exactly once.
     ``train_folds`` trains each network bit-identically to training it
     alone, so a record does not depend on which genomes shared its call.
     ``__call__`` then scores each genome from its own fold models; given
@@ -83,10 +85,12 @@ class CrossValFitness:
     """
 
     dataset: Dataset
-    split: FoldSplit
+    folds: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        rows = np.sort(np.concatenate(self.split.folds))
+        if any(np.asarray(fold).dtype.kind not in "iu" for fold in self.folds):
+            raise ValueError("fold split must hold integer row numbers")
+        rows = np.sort(np.concatenate(self.folds))
         if not np.array_equal(rows, np.arange(self.dataset.instance_count)):
             raise ValueError("fold split must cover each row of this dataset exactly once")
 
@@ -100,7 +104,7 @@ class CrossValFitness:
         groups: dict[nn.MLPConfig, list[int]] = {}
         for index, (genome, _) in enumerate(pairs):
             groups.setdefault(config_from_genome(genome), []).append(index)
-        k = self.split.k
+        k = len(self.folds)
         records: dict[int, FitnessRecord] = {}
         for config, members in groups.items():
             started = time.perf_counter()
@@ -121,7 +125,7 @@ class CrossValFitness:
         x, y = self.dataset.features, self.dataset.labels
         per_fold = [
             0.0 if model.diverged else f_measure(nn.predict(model, x[test_idx]), y[test_idx])
-            for model, test_idx in zip(models, self.split.folds)
+            for model, test_idx in zip(models, self.folds)
         ]
         return FitnessRecord(
             mean_f_measure=sum(per_fold) / len(per_fold),
@@ -132,8 +136,8 @@ class CrossValFitness:
 
     def _train(self, config: nn.MLPConfig, seeds: list[int]) -> list[nn.TrainedModel]:
         """The k fold models of each seed in turn, from one ``nn.train_folds`` call."""
-        fold_ids = range(self.split.k)
-        train_sets = [self.split.train_indices(fold) for fold in fold_ids]
+        fold_ids = range(len(self.folds))
+        train_sets = [np.concatenate([*self.folds[:f], *self.folds[f + 1 :]]) for f in fold_ids]
         return nn.train_folds(
             config,
             self.dataset.features,

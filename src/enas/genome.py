@@ -70,7 +70,9 @@ class SearchSpace:
     def __post_init__(self) -> None:
         for name, limits in INTEGER_GENE_LIMITS.items():
             lo, hi = getattr(self, name)
-            if lo < limits[0] or hi > limits[1] or hi < lo:
+            if lo > hi:
+                raise InvalidGenomeError(f"{name} low bound {lo} is above its high bound {hi}")
+            if lo < limits[0] or hi > limits[1]:
                 raise InvalidGenomeError(
                     f"{name} bounds must sit inside {limits}, got ({lo}, {hi})"
                 )

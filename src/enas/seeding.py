@@ -5,7 +5,7 @@ a single hash chain, so that repeated runs, and runs with any worker-pool
 size, all see identical random streams:
 
     data seed          derive_seed(base_seed, dataset_name, run_index, "data")
-      row shuffle      derive_seed(data_seed, "shuffle")
+      row order        derive_seed(data_seed, "shuffle")
       fold assignment  derive_seed(data_seed, "folds")
     run seed           derive_seed(base_seed, dataset_name, run_index, mode)
       initial draw     derive_seed(run_seed, "init")
@@ -15,10 +15,12 @@ size, all see identical random streams:
         fold network   derive_seed(evaluation_seed, fold_index)
 
 The data seed leaves out the mode, so both modes of a (dataset, run)
-pair see the same rows and folds. The initial draw gives an adaptive
-run's first control values and the initial population; a fold network
-draws its initial weights, then one batch order per epoch. Outside this
-chain, ``synthetic`` draws its datasets from (seed, dataset_name).
+pair see the same folds. The fold assignment splits positions in the
+row order, and each position stands for the input row it holds. The
+initial draw gives an adaptive run's first control values and the
+initial population; a fold network draws its initial weights, then one
+batch order per epoch. Outside this chain, ``synthetic`` draws its
+datasets from (seed, dataset_name).
 
 Parts are encoded with a type tag so that e.g. the integer 1 and the
 string "1" never collide.

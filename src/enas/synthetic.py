@@ -17,7 +17,8 @@ def make_threshold_dataset(
     """Separable toy data: the label is 1 iff the first feature exceeds 0.5.
 
     A margin keeps the first feature away from the decision boundary so
-    that any reasonable classifier can reach a high F-measure.
+    that any reasonable classifier can reach a high F-measure. ``name``
+    joins ``seed`` in choosing the random stream.
     """
     rng = make_rng(seed, name)
     features = rng.uniform(0.0, 1.0, size=(instances, attributes))
@@ -25,7 +26,7 @@ def make_threshold_dataset(
     low = rng.uniform(0.0, 0.5 - margin, size=instances)
     high = rng.uniform(0.5 + margin, 1.0, size=instances)
     features[:, 0] = np.where(side == 1, high, low)
-    return Dataset(features=features, labels=side.astype(np.int64), name=name)
+    return Dataset(features=features, labels=side.astype(np.int64))
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> Path:

@@ -23,7 +23,7 @@ def small_dataset():
     rng = np.random.default_rng(1234)
     features = rng.uniform(0.0, 1.0, size=(24, 3))
     labels = (features[:, 0] > 0.5).astype(np.int64)
-    return Dataset(features=features, labels=labels, name="small")
+    return Dataset(features=features, labels=labels)
 
 
 SONAR_PATH = Path(__file__).resolve().parent.parent / "data" / "sonar.csv"

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from enas.data import kfold_split, load_csv, normalize_min_max, shuffle
+from enas.data import load_csv, normalize_min_max
 from enas.evolution import EvolutionConfig, Mode, run
 from enas.experiment import (
     audit_output_dir,
     config_from_file,
+    fold_split,
     run_experiment,
     summarize_efficiency,
 )
@@ -277,7 +278,7 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
         )
     started = time.perf_counter()
     dataset = normalize_min_max(
-        load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1}, name="sonar")
+        load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1})
     )
     assert dataset.instance_count == 208 and dataset.features.shape[1] == 60
     space = SearchSpace(population_size=(3, 20), max_generations=(1, 60))
@@ -285,11 +286,9 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
     successes = 0
     scores = []
     for run_index in range(5):
-        data_seed = derive_seed(2024, "sonar", run_index, "data")
-        shuffled = shuffle(dataset, derive_seed(data_seed, "shuffle"))
-        split = kfold_split(shuffled, 5, derive_seed(data_seed, "folds"))
+        split = fold_split(dataset, 5, derive_seed(2024, "sonar", run_index, "data"))
         run_seed = derive_seed(2024, "sonar", run_index, "enas")
-        result = run(Mode.ENAS, config, CrossValFitness(shuffled, split), run_seed)
+        result = run(Mode.ENAS, config, CrossValFitness(dataset, split), run_seed)
         score = result.best.fitness.mean_f_measure
         scores.append(round(score, 4))
         successes += score >= 0.80

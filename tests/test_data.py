@@ -3,18 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enas.data import (
-    Dataset,
-    DatasetError,
-    kfold_split,
-    load_csv,
-    normalize_min_max,
-    shuffle,
-)
+from enas import evolution
+from enas.data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
 from enas.evolution import EvolutionConfig, Mode
-from enas.experiment import DatasetSpec, ExperimentConfig, run_experiment
+from enas.experiment import DatasetSpec, ExperimentConfig, fold_split, run_experiment
+from enas.fitness import CrossValFitness
 from enas.genome import SearchSpace
-from enas.synthetic import write_dataset_csv
+from enas.seeding import derive_seed
+from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .conftest import SONAR_PATH
 
@@ -88,7 +84,7 @@ class TestLoadCsv:
 
     @pytest.mark.skipif(not SONAR_PATH.exists(), reason="sonar.csv not supplied locally")
     def test_sonar_shape(self):
-        ds = load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1}, name="sonar")
+        ds = load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1})
         assert ds.instance_count == 208
         assert ds.features.shape[1] == 60
 
@@ -123,40 +119,54 @@ class TestNormalize:
         assert np.array_equal(normalize_min_max(small_dataset).labels, small_dataset.labels)
 
 
+SPLIT_CONFIG = EvolutionConfig(
+    space=SearchSpace(nodes=(2, 8), epochs=(1, 6), population_size=(3, 6), max_generations=(1, 4)),
+    population_size=4,
+    max_generations=3,
+)
+
+
 class TestShuffle:
+    """The "shuffle" stream orders each run's split; no shuffled copy is made."""
+
     def test_deterministic(self, small_dataset):
-        a = shuffle(small_dataset, seed=7)
-        b = shuffle(small_dataset, seed=7)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+        a = fold_split(small_dataset, 3, data_seed=7)
+        b = fold_split(small_dataset, 3, data_seed=7)
+        c = fold_split(small_dataset, 3, data_seed=8)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
-    def test_single_instance_unchanged(self):
-        ds = Dataset(features=np.array([[1.0, 2.0]]), labels=np.array([1]))
-        out = shuffle(ds, seed=3)
-        assert np.array_equal(out.features, ds.features)
-
-    def test_rows_copermuted_multiset_preserved(self, small_dataset):
-        out = shuffle(small_dataset, seed=11)
-        before = {tuple(row) + (label,) for row, label in zip(small_dataset.features, small_dataset.labels)}
-        after = {tuple(row) + (label,) for row, label in zip(out.features, out.labels)}
-        assert before == after
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_split_trains_like_a_shuffled_copy(self, mode):
+        # The reference is the construction the input-row split replaced: a
+        # co-permuted copy of the dataset, split by position.
+        dataset = make_threshold_dataset(36, 3, seed=70)
+        order = np.random.default_rng(derive_seed(71, "shuffle")).permutation(36)
+        shuffled = Dataset(features=dataset.features[order], labels=dataset.labels[order])
+        positions = kfold_split(shuffled, 3, derive_seed(71, "folds"))
+        copy = evolution.run(mode, SPLIT_CONFIG, CrossValFitness(shuffled, positions), 72)
+        rows = fold_split(dataset, 3, data_seed=71)
+        split = evolution.run(mode, SPLIT_CONFIG, CrossValFitness(dataset, rows), 72)
+        assert split.history == copy.history
+        assert split.best.genome == copy.best.genome
+        assert split.best.fitness.per_fold == copy.best.fitness.per_fold
 
 
 class TestKFold:
     def test_even_division(self, small_dataset):
         split = kfold_split(small_dataset, k=4, seed=0)
-        assert [f.size for f in split.folds] == [6, 6, 6, 6]
+        assert [f.size for f in split] == [6, 6, 6, 6]
 
     def test_ten_instances_five_folds_of_two(self):
         ds = Dataset(features=np.ones((10, 2)), labels=np.zeros(10, dtype=np.int64))
         split = kfold_split(ds, k=5, seed=3)
-        assert [f.size for f in split.folds] == [2, 2, 2, 2, 2]
+        assert [f.size for f in split] == [2, 2, 2, 2, 2]
 
     def test_balanced_sizes_208_by_5(self):
         # 208 = 5 * 41 + 3, so three folds take the extra instance.
         ds = Dataset(features=np.ones((208, 2)), labels=np.zeros(208, dtype=np.int64))
         split = kfold_split(ds, k=5, seed=1)
-        assert sorted(f.size for f in split.folds) == [41, 41, 42, 42, 42]
+        assert sorted(f.size for f in split) == [41, 41, 42, 42, 42]
 
     def test_k_of_one_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="at least 2"):
@@ -172,38 +182,28 @@ class TestKFold:
         n = 37
         ds = Dataset(features=np.ones((n, 1)), labels=np.zeros(n, dtype=np.int64))
         split = kfold_split(ds, k=k, seed=seed)
-        combined = np.concatenate(split.folds)
+        combined = np.concatenate(split)
         assert sorted(combined.tolist()) == list(range(n))
-        sizes = [f.size for f in split.folds]
+        sizes = [f.size for f in split]
         assert max(sizes) - min(sizes) <= 1
 
     def test_deterministic_in_seed(self, small_dataset):
         a = kfold_split(small_dataset, k=3, seed=5)
         b = kfold_split(small_dataset, k=3, seed=5)
-        assert all(np.array_equal(x, y) for x, y in zip(a.folds, b.folds))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
-    def test_train_indices_complement(self, small_dataset):
+    def test_folds_are_read_only_int64_arrays(self, small_dataset):
         split = kfold_split(small_dataset, k=3, seed=5)
-        for i, fold in enumerate(split.folds):
-            merged = sorted(np.concatenate([fold, split.train_indices(i)]).tolist())
-            assert merged == list(range(small_dataset.instance_count))
+        assert isinstance(split, tuple) and len(split) == 3
+        for fold in split:
+            assert fold.dtype == np.int64
+            with pytest.raises(ValueError):
+                fold[0] = 0
 
     def test_export_assignments(self, small_dataset, tmp_path):
         # run_experiment writes each run's fold assignment through write_csv
         path = write_dataset_csv(small_dataset, tmp_path / "small.csv")
-        space = SearchSpace(
-            hidden_layers=(1, 1), nodes=(2, 2), epochs=(1, 1), population_size=(3, 3)
-        )
-        config = ExperimentConfig(
-            datasets=[DatasetSpec("small", path)],
-            modes=[Mode.NAS_PLUS],
-            runs=1,
-            base_seed=5,
-            out_dir=tmp_path / "out",
-            folds=3,
-            evolution=EvolutionConfig(space=space, population_size=3, max_generations=1),
-        )
-        run_experiment(config)
+        run_experiment(_one_generation(DatasetSpec("small", path), tmp_path / "out", runs=1))
         text = (tmp_path / "out" / "folds_small_0.csv").read_bytes().decode("utf-8")
         assert "\r" not in text and text.endswith("\n")
         header, *rows = [line.split(",") for line in text.splitlines()]
@@ -211,6 +211,48 @@ class TestKFold:
         assert [int(index) for index, _ in rows] == list(range(small_dataset.instance_count))
         fold_ids = [int(fold_id) for _, fold_id in rows]
         assert sorted(fold_ids.count(k) for k in range(3)) == [8, 8, 8]
+
+
+    def test_exported_rows_are_input_rows(self, write_csv, tmp_path, monkeypatch):
+        # Feature 0 of each data row is its row number, counted from 0 without
+        # the header and the blank line, so a fold's test rows name themselves.
+        lines = ["row,x,label", *(f"{i},{i * 7 % 10},{i % 2}" for i in range(20))]
+        lines.insert(9, "")
+        spec = DatasetSpec("rows", write_csv(lines), normalize=False)
+        scored = []
+        real_run = evolution.run
+
+        def spy(mode, config, fitness, run_seed):
+            scored.append(fitness)
+            return real_run(mode, config, fitness, run_seed)
+
+        monkeypatch.setattr(evolution, "run", spy)
+        run_experiment(_one_generation(spec, tmp_path / "out", runs=2))
+        assert len(scored) == 2
+        for run_index, fitness in enumerate(scored):
+            text = (tmp_path / "out" / f"folds_rows_{run_index}.csv").read_text()
+            exported = {int(i): int(k) for i, k in (line.split(",") for line in text.split()[1:])}
+            tested = {
+                int(row): k
+                for k, fold in enumerate(fitness.folds)
+                for row in fitness.dataset.features[fold, 0]
+            }
+            assert exported == tested
+            assert sorted(exported) == list(range(20))
+
+
+def _one_generation(spec, out_dir, runs):
+    """A one-mode experiment on ``spec`` with 3 folds and one tiny generation."""
+    space = SearchSpace(hidden_layers=(1, 1), nodes=(2, 2), epochs=(1, 1), population_size=(3, 3))
+    return ExperimentConfig(
+        datasets=[spec],
+        modes=[Mode.NAS_PLUS],
+        runs=runs,
+        base_seed=5,
+        out_dir=out_dir,
+        folds=3,
+        evolution=EvolutionConfig(space=space, population_size=3, max_generations=1),
+    )
 
 
 class TestDatasetInvariants:

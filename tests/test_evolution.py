@@ -421,7 +421,7 @@ class TestBatchEvaluation:
 
         monkeypatch.setattr(nn, "train_folds", spy)
         shared = run(mode, NARROW_CONFIG, fitness, run_seed=62)
-        assert max(networks) > fitness.split.k  # some genomes did share a stack
+        assert max(networks) > len(fitness.folds)  # some genomes did share a stack
         assert shared.history == alone.history
         assert shared.best.genome == alone.best.genome
         assert shared.best.fitness == alone.best.fitness

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enas import nn
-from enas.data import Dataset, FoldSplit, kfold_split
+from enas.data import Dataset, kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord, f_measure
 from enas.genome import Genome, config_from_genome
 from enas.seeding import derive_seed
@@ -151,7 +151,8 @@ class TestEvaluate:
         [(train_sets, seeds)] = calls
         assert seeds == [derive_seed(41, fold) for fold in range(4)]
         for fold, rows in enumerate(train_sets):
-            assert np.array_equal(rows, split.train_indices(fold))
+            others = [test_rows for other, test_rows in enumerate(split) if other != fold]
+            assert np.array_equal(rows, np.concatenate(others))
 
     def test_split_must_cover_dataset(self):
         dataset = make_threshold_dataset(30, 2, seed=36)
@@ -165,7 +166,18 @@ class TestEvaluate:
         # -6 reads row 0 a second time and leaves row 5 out; 9 is no row
         dataset = make_threshold_dataset(6, 2, seed=44)
         with pytest.raises(ValueError, match="cover"):
-            CrossValFitness(dataset, FoldSplit(([0, 1, 2], second_fold)))
+            CrossValFitness(dataset, ([0, 1, 2], second_fold))
+
+    @pytest.mark.parametrize(
+        "second_fold",
+        [[3.0, 4.0, 5.0], [3, 4, 5.5], np.ones(3, dtype=bool)],
+        ids=["float", "fraction", "boolean"],
+    )
+    def test_split_must_hold_integer_rows(self, second_fold):
+        # a cast to int64 would turn 5.5 into row 5 and pass the cover check
+        dataset = make_threshold_dataset(6, 2, seed=44)
+        with pytest.raises(ValueError, match="integer row numbers"):
+            CrossValFitness(dataset, ([0, 1, 2], second_fold))
 
 
 def _alone(fitness, pairs):
@@ -225,7 +237,7 @@ class TestEvaluateBatch:
         # Features near 1e100 overflow the unbounded networks but not the
         # squashing ones, so one batch holds diverged and finite folds.
         base = make_threshold_dataset(30, 3, seed=50)
-        dataset = Dataset(features=base.features * 1e100, labels=base.labels, name="huge")
+        dataset = Dataset(features=base.features * 1e100, labels=base.labels)
         fitness = CrossValFitness(dataset, kfold_split(dataset, 3, seed=51))
         relu = replace(SMALL_GENOME, optimizer="sgd", epochs=5)
         linear = replace(relu, activations=("linear", "linear", "sigmoid"))

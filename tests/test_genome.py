@@ -365,11 +365,14 @@ class TestValidation:
             ("nodes", (2, 10**12)),
             ("nodes", (0, 8)),
             ("epochs", (1, 10**20)),
+            ("population_size", (5, 3)),
         ],
     )
     def test_space_rejects_integer_genes_outside_hard_rails(self, field, bounds):
-        with pytest.raises(InvalidGenomeError, match=field):
+        with pytest.raises(InvalidGenomeError, match=field) as error:
             SearchSpace(**{field: bounds})
+        # reversed bounds inside the rails are named as reversed
+        assert ("above its high bound" in str(error.value)) == (bounds[0] > bounds[1])
 
     @pytest.mark.parametrize(
         "field, value",
