@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import DatasetError
-from .evolution import ConfigurationError
+from .evolution import ConfigurationError, Mode
 from .experiment import (
     AuditError,
+    ExperimentConfig,
     ExperimentError,
     audit_output_dir,
     config_from_file,
@@ -41,11 +43,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=["nas_plus", "enas", "both"],
         default=None,
-        help="override the configured mode list",
+        help="modes to run in place of the configured list",
     )
     run_p.add_argument("--runs", type=int, default=None, help="repeated runs per cell")
-    run_p.add_argument("--seed", type=int, default=None, help="base seed override")
-    run_p.add_argument("--out", default=None, help="output directory override")
+    run_p.add_argument("--seed", type=int, default=None, help="base seed")
+    run_p.add_argument(
+        "--out", default=None, help="output directory, relative to the working directory"
+    )
     run_p.add_argument(
         "--pop-bounds",
         nargs=2,
@@ -77,18 +81,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """``config`` with the fields that ``enas run``'s given flags replace.
+
+    Each new value passes the same checks as a file value. ``--dataset``
+    keeps the named datasets in config order, and ``--max-generations-cap``
+    only ever lowers the two generation budgets, so both modes keep the
+    same ceiling.
+    """
+    changes = {}
+    if args.dataset is not None:
+        unknown = sorted(set(args.dataset) - {spec.name for spec in config.datasets})
+        if unknown:
+            raise ExperimentError(f"--dataset: unknown dataset names {unknown}")
+        changes["datasets"] = [spec for spec in config.datasets if spec.name in args.dataset]
+    if args.mode is not None:
+        changes["modes"] = list(Mode) if args.mode == "both" else [Mode(args.mode)]
+    for name, value in (("runs", args.runs), ("base_seed", args.seed), ("jobs", args.jobs)):
+        if value is not None:
+            changes[name] = value
+    if args.out is not None:
+        changes["out_dir"] = Path(args.out)
+    evolution = config.evolution
+    space, static = {}, {}
+    if args.pop_bounds is not None:
+        space["population_size"] = tuple(args.pop_bounds)
+    cap = args.max_generations_cap
+    if cap is not None:
+        if cap < 1:
+            raise ExperimentError(f"--max-generations-cap must be at least 1, got {cap}")
+        space["max_generations"] = tuple(min(b, cap) for b in evolution.space.max_generations)
+        static["max_generations"] = min(evolution.max_generations, cap)
+    evolution = replace(evolution, space=replace(evolution.space, **space), **static)
+    return replace(config, evolution=evolution, **changes)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    overrides = {
-        "datasets": args.dataset,
-        "modes": {None: None, "both": ["nas_plus", "enas"]}.get(args.mode, [args.mode]),
-        "runs": args.runs,
-        "seed": args.seed,
-        "out": args.out,
-        "pop_bounds": tuple(args.pop_bounds) if args.pop_bounds else None,
-        "max_generations_cap": args.max_generations_cap,
-        "jobs": args.jobs,
-    }
-    config = config_from_file(args.config, overrides)
+    config = apply_run_flags(config_from_file(args.config), args)
     run_experiment(config)
     print(f"artifacts written to {config.out_dir}")
     return 0

@@ -45,11 +45,18 @@ class DatasetSpec:
 
 @dataclass
 class ExperimentConfig:
+    """An experiment; its fields and defaults are also the config file's top level.
+
+    In the file, ``evolution`` is split into the ``search_space`` and
+    ``static_params`` sections, and a relative ``out_dir`` is relative to
+    the file.
+    """
+
     datasets: list[DatasetSpec]
-    modes: list[Mode]
-    runs: int
-    base_seed: int
-    out_dir: Path
+    modes: list[Mode] = field(default_factory=lambda: list(Mode))
+    runs: int = 1
+    base_seed: int = 0
+    out_dir: Path = Path("out")
     folds: int = 5
     jobs: int = 1
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
@@ -79,11 +86,6 @@ def _require(condition: bool, message: str) -> None:
         raise ExperimentError(message)
 
 
-_TOP_LEVEL_KEYS = {
-    "out_dir", "runs", "base_seed", "folds", "jobs", "modes", "datasets", "search_space",
-    "static_params",
-}
-
 _NAME_FORBIDDEN = (",", "/", "\\", "\0")
 
 _KIND_NAMES = {
@@ -103,6 +105,16 @@ _JSON_CLASSES = {float: (int, float), Path: (str,), tuple: (list,), Mapping: (di
 _SPACE_HINTS = get_type_hints(SearchSpace)
 _STATIC_HINTS = {k: v for k, v in get_type_hints(EvolutionConfig).items() if k != "space"}
 _DATASET_HINTS = get_type_hints(DatasetSpec)
+# The file's top level: ExperimentConfig's fields, where the lists of dataset
+# entries and mode names and the two sections that fill ``evolution`` are
+# first read as plain JSON.
+_CONFIG_HINTS = {
+    **{k: v for k, v in get_type_hints(ExperimentConfig).items() if k != "evolution"},
+    "datasets": tuple[dict, ...],
+    "modes": tuple[str, ...],
+    "search_space": dict,
+    "static_params": dict,
+}
 # Gene document key -> the annotation of its Genome field.
 _GENE_HINTS = {GENES[name].key: hint for name, hint in get_type_hints(Genome).items()}
 
@@ -156,7 +168,7 @@ def _section(where: str, doc, hints: Mapping, required=()) -> dict:
     return {key: _typed(f"{where}.{key}", value, hints[key]) for key, value in doc.items()}
 
 
-def config_from_file(path: str | Path, overrides: Mapping | None = None) -> ExperimentConfig:
+def config_from_file(path: str | Path) -> ExperimentConfig:
     """Build a config from a JSON file; relative paths resolve next to it.
 
     Every value is type-checked as it is read, so a malformed file raises
@@ -171,16 +183,10 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
         raise ExperimentError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ExperimentError(f"config {path} is not valid JSON: {exc}") from exc
-    _typed("config", doc, dict)
-    base = path.parent
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    _check_keys("config", doc, _TOP_LEVEL_KEYS)
-
-    def _resolve(p: Path) -> Path:
-        return p if p.is_absolute() else base / p
+    top = _section("config", doc, _CONFIG_HINTS)
 
     datasets = []
-    for i, raw in enumerate(_typed("datasets", doc.get("datasets", []), tuple[dict, ...])):
+    for i, raw in enumerate(top.pop("datasets", ())):
         where = f"datasets[{i}]"
         entry = _section(where, raw, _DATASET_HINTS, required=("name", "path"))
         # The name goes into CSV cells and file names unquoted.
@@ -190,59 +196,23 @@ def config_from_file(path: str | Path, overrides: Mapping | None = None) -> Expe
             f"{where}.name must be non-empty, without line breaks or any of "
             f"{', '.join(map(repr, _NAME_FORBIDDEN))}; got {name!r}",
         )
-        datasets.append(DatasetSpec(**{**entry, "path": _resolve(entry["path"])}))
-    if overrides.get("datasets"):
-        wanted = set(overrides["datasets"])
-        unknown = wanted - {spec.name for spec in datasets}
-        _require(not unknown, f"unknown dataset names in override: {sorted(unknown)}")
-        datasets = [spec for spec in datasets if spec.name in wanted]
+        datasets.append(DatasetSpec(**{**entry, "path": path.parent / entry["path"]}))
 
-    mode_names = overrides.get("modes") or doc.get("modes", ["nas_plus", "enas"])
-    known_modes = [mode.value for mode in Mode]
-    for name in _typed("modes", mode_names, tuple[str, ...]):
-        _require(name in known_modes, f"unknown mode {name!r}; expected one of {known_modes}")
-    modes = [Mode(name) for name in mode_names]
+    if "modes" in top:
+        known_modes = [mode.value for mode in Mode]
+        for name in top["modes"]:
+            _require(name in known_modes, f"unknown mode {name!r}; expected one of {known_modes}")
+        top["modes"] = [Mode(name) for name in top["modes"]]
 
-    space_doc = dict(_typed("search_space", doc.get("search_space", {}), dict))
-    if "pop_bounds" in overrides:
-        space_doc["population_size"] = list(overrides["pop_bounds"])
-    # The cap only ever lowers a budget, so both modes keep the same ceiling.
-    if "max_generations_cap" in overrides:
-        cap = int(overrides["max_generations_cap"])
-        _require(cap >= 1, "max_generations_cap must be at least 1")
-        bounds = space_doc.get("max_generations", list(SearchSpace.max_generations))
-        bounds = _typed("search_space.max_generations", bounds, _SPACE_HINTS["max_generations"])
-        space_doc["max_generations"] = [min(bound, cap) for bound in bounds]
     try:
-        space = SearchSpace(**_section("search_space", space_doc, _SPACE_HINTS))
+        space = SearchSpace(**_section("search_space", top.pop("search_space", {}), _SPACE_HINTS))
     except InvalidGenomeError as exc:
         raise ExperimentError(f"search_space: {exc}") from exc
-
-    static_doc = _section("static_params", doc.get("static_params", {}), _STATIC_HINTS)
-    if "max_generations_cap" in overrides:
-        budget = static_doc.get("max_generations", EvolutionConfig.max_generations)
-        static_doc["max_generations"] = min(budget, cap)
-    evolution = EvolutionConfig(space=space, **static_doc)
-
-    def _int(key: str, default: int, override: str | None = None) -> int:
-        value = _typed(key, doc.get(key, default), int)
-        return int(overrides.get(override or key, value))
-
-    # A config-file out_dir is relative to the config; a command-line
-    # override is relative to the caller's working directory.
-    if "out" in overrides:
-        out_dir = Path(overrides["out"])
-    else:
-        out_dir = _resolve(_typed("out_dir", doc.get("out_dir", "out"), Path))
+    static = _section("static_params", top.pop("static_params", {}), _STATIC_HINTS)
+    # Joined to the config's directory, an absolute path stays as it is.
+    top["out_dir"] = path.parent / top.get("out_dir", ExperimentConfig.out_dir)
     return ExperimentConfig(
-        datasets=datasets,
-        modes=modes,
-        runs=_int("runs", 1),
-        base_seed=_int("base_seed", 0, override="seed"),
-        out_dir=out_dir,
-        folds=_int("folds", 5),
-        jobs=_int("jobs", 1),
-        evolution=evolution,
+        datasets=datasets, evolution=EvolutionConfig(space=space, **static), **top
     )
 
 
@@ -614,10 +584,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def audit_output_dir(out_dir: str | Path) -> None:
     """Recompute summary.csv from the history files; raise on any mismatch."""
     out = Path(out_dir)
-    summary_path = out / "summary.csv"
-    if not summary_path.exists():
-        raise AuditError(f"no summary.csv under {out}")
-    for where, cells in _read_csv(summary_path, SUMMARY_COLUMNS):
+    for where, cells in _read_csv(out / "summary.csv", SUMMARY_COLUMNS):
         dataset, mode = cells[:2]
         runs = _parse(where, "runs", int, cells[2])
         _require(runs >= 1, f"{where}: runs must be at least 1, got {runs}")

@@ -360,11 +360,11 @@ class Optimizer:
     how the parameters are laid out or stacked.
     """
 
-    def __init__(self, kind: str, shape, learning_rate: float | None = None):
+    def __init__(self, kind: str, shape):
         if kind not in SUPPORTED_OPTIMIZERS:
             raise TrainingError(f"unsupported optimizer {kind!r}")
         self.kind = kind
-        self.lr = DEFAULT_LEARNING_RATES[kind] if learning_rate is None else learning_rate
+        self.lr = DEFAULT_LEARNING_RATES[kind]
         self.m = np.zeros(shape) if kind in ("adam", "adamax") else None
         self.v = np.zeros(shape) if kind != "sgd" else None
         self._a = np.empty(shape)

@@ -9,6 +9,7 @@ import json
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_parallel_determinism_across_pool_sizes(tmp_path, capfd):
     progress_line = re.compile(r"(\S+ \S+ run \d+: .*) \([\d.]+s\)")
     outputs, progress = {}, {}
     for jobs in (1, 2, 8):
-        config = config_from_file(config_path, {"jobs": jobs, "out": tmp_path / f"out{jobs}"})
+        config = replace(config_from_file(config_path), jobs=jobs, out_dir=tmp_path / f"out{jobs}")
         run_experiment(config)
         outputs[jobs] = _comparable_outputs(config.out_dir)
         printed = capfd.readouterr().out.splitlines()
@@ -256,9 +257,11 @@ def test_parallel_determinism_across_pool_sizes(tmp_path, capfd):
     # Fewer cells than jobs.
     single = {}
     for jobs in (1, 2):
-        overrides = {"jobs": jobs, "out": tmp_path / f"single{jobs}", "datasets": ["cell1"],
-                     "modes": ["enas"]}
-        config = config_from_file(config_path, overrides)
+        config = config_from_file(config_path)
+        cell1 = [spec for spec in config.datasets if spec.name == "cell1"]
+        config = replace(
+            config, jobs=jobs, out_dir=tmp_path / f"single{jobs}", datasets=cell1, modes=[Mode.ENAS]
+        )
         run_experiment(config)
         single[jobs] = _comparable_outputs(config.out_dir)
     assert len(single[1]) == 5 and single[1] == single[2]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enas.cli import main
+from enas.cli import _build_parser, apply_run_flags, main
 from enas.evolution import EvolutionConfig, Mode, run
 from enas.experiment import (
     AuditError,
@@ -68,6 +68,12 @@ def _write_config(tmp_path, datasets=2, runs=2, modes=("nas_plus", "enas"), **ex
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _with_flags(path, *flags):
+    """The config that ``enas run --config path flags...`` runs."""
+    args = _build_parser().parse_args(["run", "--config", str(path), *flags])
+    return apply_run_flags(config_from_file(path), args)
 
 
 def _edit_dataset(key, value):
@@ -305,18 +311,10 @@ class TestEfficiency:
 class TestConfigFile:
     def test_overrides_applied(self, tmp_path):
         path = _write_config(tmp_path)
-        config = config_from_file(
+        config = _with_flags(
             path,
-            {
-                "runs": 5,
-                "seed": 77,
-                "out": "elsewhere",
-                "pop_bounds": (3, 9),
-                "max_generations_cap": 2,
-                "jobs": 2,
-                "modes": ["enas"],
-                "datasets": ["toy1"],
-            },
+            *("--runs", "5", "--seed", "77", "--out", "elsewhere", "--pop-bounds", "3", "9"),
+            *("--max-generations-cap", "2", "--jobs", "2", "--mode", "enas", "--dataset", "toy1"),
         )
         assert config.runs == 5
         assert config.base_seed == 77
@@ -337,13 +335,13 @@ class TestConfigFile:
             search_space={**TINY_SPACE, "max_generations": [low, 10]},
             static_params={"population_size": 4, "max_generations": 10},
         )
-        evolution = config_from_file(path, {"max_generations_cap": cap}).evolution
+        evolution = _with_flags(path, "--max-generations-cap", str(cap)).evolution
         assert evolution.space.max_generations == (min(low, cap), min(10, cap))
         assert evolution.max_generations == min(10, cap)
 
     def test_generation_cap_defaults_to_the_default_budgets(self, tmp_path):
         path = _write_config(tmp_path, search_space={}, static_params={"population_size": 4})
-        evolution = config_from_file(path, {"max_generations_cap": 10_000}).evolution
+        evolution = _with_flags(path, "--max-generations-cap", "10000").evolution
         assert evolution.space.max_generations == SearchSpace().max_generations
         assert evolution.max_generations == EvolutionConfig().max_generations
 
@@ -360,7 +358,7 @@ class TestConfigFile:
     def test_unknown_dataset_filter_rejected(self, tmp_path):
         path = _write_config(tmp_path)
         with pytest.raises(ExperimentError, match="unknown dataset"):
-            config_from_file(path, {"datasets": ["nope"]})
+            _with_flags(path, "--dataset", "nope")
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(ExperimentError, match="not found"):
@@ -408,6 +406,28 @@ class TestCli:
     def test_zero_override_rejected(self, tmp_path, capsys, flag):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path), flag, "0"])
+
+    def test_audit_without_summary_gives_one_error_line(self, tmp_path, capsys):
+        err = self._assert_one_line_error(capsys, ["audit", "--out", str(tmp_path)])
+        assert str(tmp_path / "summary.csv") in err
+
+    @pytest.mark.parametrize(
+        "edit, flags, named",
+        [
+            pytest.param({}, ["--dataset", "nope"], "--dataset", id="unknown-dataset"),
+            pytest.param({}, ["--pop-bounds", "5", "3"], "population_size", id="pop-bounds"),
+            pytest.param({"out_dir": 5}, ["--out", "x"], "config.out_dir", id="out-dir-under-out"),
+            pytest.param({"runs": 0}, ["--runs", "1"], "runs", id="runs-under-runs"),
+        ],
+    )
+    def test_bad_flag_or_file_value_under_a_flag_rejected(
+        self, tmp_path, capsys, monkeypatch, edit, flags, named
+    ):
+        # A file must be valid on its own: no flag hides a bad file value.
+        monkeypatch.chdir(tmp_path)
+        config_path = _write_config(tmp_path, datasets=1, **{"runs": 1, **edit})
+        argv = ["run", "--config", str(config_path), *flags]
+        assert named in self._assert_one_line_error(capsys, argv)
 
     @pytest.mark.parametrize(
         "section, key",

@@ -294,10 +294,10 @@ def _reference_update(kind, param, grad, state, lr):
         param -= lr * grad / (np.sqrt(v) + OPT_EPS)
 
 
-def _steps(kind, value, grads, **kwargs):
+def _steps(kind, value, grads):
     """Values of a one-entry parameter after each step against ``grads``."""
     params = np.array([value])
-    optimizer = Optimizer(kind, 1, **kwargs)
+    optimizer = Optimizer(kind, 1)
     seen = []
     for g in grads:
         optimizer.step(params, np.array([g]))
@@ -307,8 +307,9 @@ def _steps(kind, value, grads, **kwargs):
 
 class TestOptimizerStep:
     def test_sgd_basic_step(self):
-        (p,), _ = _steps("sgd", 1.0, [0.5], learning_rate=0.1)
-        assert p == pytest.approx(0.95)
+        # sgd's default rate is 0.01
+        (p,), _ = _steps("sgd", 1.0, [0.5])
+        assert p == pytest.approx(0.995)
 
     def test_adam_first_step_is_one_learning_rate(self):
         # bias-corrected first step: lr * g / (|g| + eps) for g=1
