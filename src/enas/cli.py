@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--jobs", type=int, default=None, help="parallel cells")
 
     audit_p = sub.add_parser(
-        "audit", help="recompute summary.csv from the history files and compare"
+        "audit", help="check summary.csv and the best-genome files against the history files"
     )
     audit_p.add_argument("--out", required=True, help="experiment output directory")
 
@@ -81,39 +81,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _replace(flag: str, obj, **changes):
+    """``obj`` with ``changes``; a check that fails on them names ``flag``."""
+    try:
+        return replace(obj, **changes)
+    except (ExperimentError, ConfigurationError, InvalidGenomeError) as exc:
+        raise ExperimentError(f"{flag}: {exc}") from None
+
+
 def apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     """``config`` with the fields that ``enas run``'s given flags replace.
 
-    Each new value passes the same checks as a file value. ``--dataset``
-    keeps the named datasets in config order, and ``--max-generations-cap``
-    only ever lowers the two generation budgets, so both modes keep the
-    same ceiling.
+    Each new value passes the same checks as a file value, and a failed
+    check names its flag. ``--dataset`` keeps the named datasets in config
+    order, and ``--max-generations-cap`` only ever lowers the two
+    generation budgets, so both modes keep the same ceiling.
     """
-    changes = {}
     if args.dataset is not None:
         unknown = sorted(set(args.dataset) - {spec.name for spec in config.datasets})
         if unknown:
             raise ExperimentError(f"--dataset: unknown dataset names {unknown}")
-        changes["datasets"] = [spec for spec in config.datasets if spec.name in args.dataset]
+        config = replace(config, datasets=[s for s in config.datasets if s.name in args.dataset])
     if args.mode is not None:
-        changes["modes"] = list(Mode) if args.mode == "both" else [Mode(args.mode)]
-    for name, value in (("runs", args.runs), ("base_seed", args.seed), ("jobs", args.jobs)):
+        config = replace(config, modes=list(Mode) if args.mode == "both" else [Mode(args.mode)])
+    out = None if args.out is None else Path(args.out)
+    for flag, name, value in (
+        ("--runs", "runs", args.runs),
+        ("--seed", "base_seed", args.seed),
+        ("--jobs", "jobs", args.jobs),
+        ("--out", "out_dir", out),
+    ):
         if value is not None:
-            changes[name] = value
-    if args.out is not None:
-        changes["out_dir"] = Path(args.out)
+            config = _replace(flag, config, **{name: value})
     evolution = config.evolution
-    space, static = {}, {}
     if args.pop_bounds is not None:
-        space["population_size"] = tuple(args.pop_bounds)
+        space = _replace("--pop-bounds", evolution.space, population_size=tuple(args.pop_bounds))
+        evolution = _replace("--pop-bounds", evolution, space=space)
     cap = args.max_generations_cap
     if cap is not None:
         if cap < 1:
             raise ExperimentError(f"--max-generations-cap must be at least 1, got {cap}")
-        space["max_generations"] = tuple(min(b, cap) for b in evolution.space.max_generations)
-        static["max_generations"] = min(evolution.max_generations, cap)
-    evolution = replace(evolution, space=replace(evolution.space, **space), **static)
-    return replace(config, evolution=evolution, **changes)
+        budgets = tuple(min(b, cap) for b in evolution.space.max_generations)
+        evolution = replace(
+            evolution,
+            space=replace(evolution.space, max_generations=budgets),
+            max_generations=min(evolution.max_generations, cap),
+        )
+    return replace(config, evolution=evolution)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -125,7 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     audit_output_dir(args.out)
-    print(f"audit passed: summary.csv matches the history files under {args.out}")
+    print(f"audit passed: summary.csv and best genomes match the histories under {args.out}")
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Protocol, Sequence
 
-from .fitness import FitnessRecord, evaluation_doc
+from .fitness import FitnessRecord
 from .genome import (
     CONTROL_GENES,
     Genome,
@@ -89,8 +89,9 @@ class EvolutionConfig:
                 raise ConfigurationError(f"{rate_name} must lie in [0, 1], got {rate}")
         if self.tournament_size < 1:
             raise ConfigurationError("tournament_size must be at least 1")
-        if self.elitism_size < 0:
-            raise ConfigurationError("elitism_size must be non-negative")
+        # The elite carries the best genome over, so the best score never regresses.
+        if self.elitism_size < 1:
+            raise ConfigurationError(f"elitism_size must be at least 1, got {self.elitism_size}")
         if self.population_size < max(2, self.elitism_size + 1):
             raise ConfigurationError(
                 f"population_size {self.population_size} cannot hold "
@@ -137,13 +138,17 @@ class EvolutionState:
     models_trained: int = 0
     history: list[GenerationRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
-    halted: bool = False
     wall_time: float = 0.0
 
     @property
     def best(self) -> Individual:
         """The fittest individual of the current population."""
         return best_individual(self.population)
+
+    @property
+    def halted(self) -> bool:
+        """A promotion lowered the live generation budget below the current generation."""
+        return self.generation > self.live.max_generations
 
 
 class EvaluatorPool:
@@ -198,9 +203,19 @@ def _evaluate_individuals(
     for ind, record in zip(individuals, records):
         ind.fitness = record
         state.models_trained += record.models_trained
-        doc = evaluation_doc(ind.id, genome_to_doc(ind.genome), record)
-        doc["generation"] = generation
-        state.events.append(doc)
+        state.events.append(
+            {
+                "type": "evaluation",
+                "individual": ind.id,
+                "genome": genome_to_doc(ind.genome),
+                "per_fold": list(record.per_fold),
+                "mean_f_measure": record.mean_f_measure,
+                "models_trained": record.models_trained,
+                "wall_time": record.wall_time,
+                "diverged_folds": list(record.diverged_folds),
+                "generation": generation,
+            }
+        )
 
 
 def init(
@@ -355,7 +370,7 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     """Promote the fittest individual's control genes to the live config (adaptive mode).
 
     When the newly promoted generation budget is already exceeded, the
-    run halts (``state.halted``) and the population is left untouched.
+    run has halted (``state.halted``) and the population is left untouched.
     """
     fittest = best_individual(state.population)
     genes = fittest.genome
@@ -367,7 +382,6 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
         max_generations=genes.max_generations,
     )
 
-    state.halted = state.generation > genes.max_generations
     state.events.append(
         {
             "type": "promotion",
@@ -420,8 +434,8 @@ def run(
     Per generation: evaluate, promote control genes (adaptive mode,
     which may resize the population or halt the run), record history,
     then breed, so freshly promoted rates govern the very next breeding
-    step. The loop ends when the generation counter reaches the live
-    budget or a promotion halts it.
+    step. The loop ends once the generation counter reaches the live
+    budget, or has passed a budget that a promotion lowered (a halt).
     """
     started = time.perf_counter()
     state = init(mode, config, fitness_fn, run_seed)
@@ -429,7 +443,7 @@ def run(
         if mode is Mode.ENAS:
             apply_eco_genes(state, fitness_fn)
         _record_generation(state)
-        if state.halted or state.generation >= state.live.max_generations:
+        if state.generation >= state.live.max_generations:
             break
         next_generation(state, fitness_fn)
     state.wall_time = time.perf_counter() - started

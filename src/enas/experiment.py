@@ -21,7 +21,7 @@ import numpy as np
 from . import evolution
 from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
 from .evolution import EvolutionConfig, EvolutionState, GenerationRecord, Mode
-from .fitness import CrossValFitness
+from .fitness import CrossValFitness, FitnessRecord
 from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
 from .seeding import derive_seed, make_rng
 
@@ -168,6 +168,16 @@ def _section(where: str, doc, hints: Mapping, required=()) -> dict:
     return {key: _typed(f"{where}.{key}", value, hints[key]) for key, value in doc.items()}
 
 
+def _read_json(path: Path):
+    """The JSON document in ``path``; an unreadable or malformed file raises ``ExperimentError``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise ExperimentError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        raise ExperimentError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def config_from_file(path: str | Path) -> ExperimentConfig:
     """Build a config from a JSON file; relative paths resolve next to it.
 
@@ -177,13 +187,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
-        raise ExperimentError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-        raise ExperimentError(f"config {path} is not valid JSON: {exc}") from exc
-    top = _section("config", doc, _CONFIG_HINTS)
+    top = _section("config", _read_json(path), _CONFIG_HINTS)
 
     datasets = []
     for i, raw in enumerate(top.pop("datasets", ())):
@@ -345,19 +349,20 @@ def _summary_text(rows: Sequence[SummaryRow], wall_time: float) -> str:
 
 
 def _aggregate_row(
-    dataset: str, mode: str, bests: Sequence[float], models: Sequence[int]
+    dataset: str, mode: str, histories: Sequence[Sequence[GenerationRecord]]
 ) -> SummaryRow:
-    """Shared by the harness and the auditor so both round identically."""
+    """The summary row of one cell's run histories: the harness writes it and
+    the auditor recomputes it here. A run's best is its highest ``best_f1``."""
+    bests = [max(record.best_f1 for record in history) for history in histories]
     fittest = max(bests)
-    lowest = min(bests)
     return SummaryRow(
         dataset=dataset,
         mode=mode,
         runs=len(bests),
         fittest=fittest,
         average=sum(bests) / len(bests),
-        range=fittest - lowest,
-        models_trained=int(sum(models)),
+        range=fittest - min(bests),
+        models_trained=sum(history[-1].models_trained_cumulative for history in histories),
     )
 
 
@@ -559,12 +564,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             runs.setdefault((name, mode), []).append(result)
 
     summary = [
-        _aggregate_row(
-            name,
-            mode.value,
-            [r.best.fitness.mean_f_measure for r in cell_runs],
-            [r.models_trained for r in cell_runs],
-        )
+        _aggregate_row(name, mode.value, [r.history for r in cell_runs])
         for (name, mode), cell_runs in runs.items()
     ]
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
@@ -581,8 +581,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(summary, efficiency, runs)
 
 
+# The entries of a best_genome_*.json file, as ``run_experiment`` writes them.
+_BEST_GENOME_HINTS = {
+    "genome": dict,
+    "mean_f_measure": float,
+    "per_fold": tuple[float, ...],
+    "individual_id": int,
+    "run_seed": int,
+}
+
+
+def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
+    """The file's score must be the mean of its fold scores and its run's last ``best_f1``."""
+    doc = _section(str(path), _read_json(path), _BEST_GENOME_HINTS, required=_BEST_GENOME_HINTS)
+    try:
+        record = FitnessRecord(per_fold=doc["per_fold"])
+    except ValueError as exc:
+        raise ExperimentError(f"{path}: {exc}") from None
+    for expected, what in (
+        (record.mean_f_measure, "the mean of its per_fold"),
+        (history[-1].best_f1, "the last best_f1 of its history"),
+    ):
+        if doc["mean_f_measure"] != expected:
+            raise AuditError(
+                f"{path}: mean_f_measure {doc['mean_f_measure']!r} is not {what}, {expected!r}"
+            )
+
+
 def audit_output_dir(out_dir: str | Path) -> None:
-    """Recompute summary.csv from the history files; raise on any mismatch."""
+    """Recompute summary.csv from the history files, and check each best-genome
+    file against its history; raise on any mismatch."""
     out = Path(out_dir)
     for where, cells in _read_csv(out / "summary.csv", SUMMARY_COLUMNS):
         dataset, mode = cells[:2]
@@ -592,12 +620,7 @@ def audit_output_dir(out_dir: str | Path) -> None:
             read_history_csv(out / f"history_{dataset}_{mode}_{run_index}.csv")
             for run_index in range(runs)
         ]
-        recomputed = _aggregate_row(
-            dataset,
-            mode,
-            [max(record.best_f1 for record in history) for history in histories],
-            [history[-1].models_trained_cumulative for history in histories],
-        )
+        recomputed = _aggregate_row(dataset, mode, histories)
         line, expected = ",".join(cells), _csv_line(astuple(recomputed))
         if expected != line:
             raise AuditError(
@@ -605,3 +628,5 @@ def audit_output_dir(out_dir: str | Path) -> None:
                 f"  summary.csv: {line}\n"
                 f"  recomputed:  {expected}"
             )
+        for run_index, history in enumerate(histories):
+            _audit_best_genome(out / f"best_genome_{dataset}_{mode}_{run_index}.json", history)

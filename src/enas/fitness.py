@@ -27,7 +27,6 @@ class FitnessRecord:
     re-evaluations of the same genome compare equal.
     """
 
-    mean_f_measure: float
     per_fold: tuple[float, ...]
     wall_time: float = field(compare=False, default=0.0)
     diverged_folds: tuple[int, ...] = ()
@@ -35,8 +34,14 @@ class FitnessRecord:
     def __post_init__(self) -> None:
         if not self.per_fold:
             raise ValueError("per_fold must contain at least one score")
-        if not 0.0 <= self.mean_f_measure <= 1.0:
-            raise ValueError(f"mean F-measure {self.mean_f_measure} outside [0, 1]")
+        for score in self.per_fold:
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"fold F-measure {score} outside [0, 1]")
+
+    @property
+    def mean_f_measure(self) -> float:
+        """The genome's fitness: the mean F-measure over its folds."""
+        return sum(self.per_fold) / len(self.per_fold)
 
     @property
     def models_trained(self) -> int:
@@ -128,7 +133,6 @@ class CrossValFitness:
             for model, test_idx in zip(models, self.folds)
         ]
         return FitnessRecord(
-            mean_f_measure=sum(per_fold) / len(per_fold),
             per_fold=tuple(per_fold),
             wall_time=time.perf_counter() - started,
             diverged_folds=tuple(fold for fold, model in enumerate(models) if model.diverged),
@@ -145,17 +149,3 @@ class CrossValFitness:
             train_sets * len(seeds),
             [derive_seed(seed, fold) for seed in seeds for fold in fold_ids],
         )
-
-
-def evaluation_doc(individual_id: int, genome_doc: dict, record: FitnessRecord) -> dict:
-    """JSON-compatible log line for one completed evaluation."""
-    return {
-        "type": "evaluation",
-        "individual": individual_id,
-        "genome": genome_doc,
-        "per_fold": list(record.per_fold),
-        "mean_f_measure": record.mean_f_measure,
-        "models_trained": record.models_trained,
-        "wall_time": record.wall_time,
-        "diverged_folds": list(record.diverged_folds),
-    }

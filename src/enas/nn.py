@@ -119,11 +119,15 @@ class TrainedModel:
     activations: tuple[str, ...]
     loss_history: list[float] = field(default_factory=list)
     stopped_early: bool = False
-    diverged: bool = False
 
     @property
     def epochs_run(self) -> int:
         return len(self.loss_history)
+
+    @property
+    def diverged(self) -> bool:
+        """Training stopped on a non-finite epoch loss."""
+        return bool(self.loss_history) and not math.isfinite(self.loss_history[-1])
 
     @property
     def input_width(self) -> int:
@@ -444,8 +448,8 @@ def train_folds(
     A fold's epoch loss is the mean loss of its training rows over the
     epoch. It stops at the configured epoch count, or earlier once its best
     epoch loss has not improved by more than the minimum delta for 5
-    epochs in a row. A non-finite epoch loss stops it and flags it as
-    diverged.
+    epochs in a row. A non-finite epoch loss stops it, as the last entry
+    of its ``loss_history``, so the model reads as ``diverged``.
 
     Folds train in lockstep groups of up to ``LOCKSTEP_PARAMS`` parameters:
     one stacked step per mini-batch serves the whole group, and each
@@ -515,12 +519,10 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
             epoch_loss = float(losses[r, :n].mean())
             model = models[f]
             model.loss_history.append(epoch_loss)
-            if not math.isfinite(epoch_loss):
-                model.diverged = True
-            elif stoppers[f].update(epoch_loss):
+            if not model.diverged:
+                if not stoppers[f].update(epoch_loss):
+                    continue
                 model.stopped_early = True
-            else:
-                continue
             stopped.append(r)
             # Compaction below copies the live rows out, so this stack is
             # never written again and a row view of it is final.

@@ -61,15 +61,11 @@ class SyntheticFitness:
         bonus += 0.1 * relu_share / (len(genome.activations) - 1)
         jitter = float(make_rng(seed, "synthetic").normal(0.0, self.noise))
         score = min(max(base + bonus + jitter, 0.0), 1.0)
-        return FitnessRecord(
-            mean_f_measure=score,
-            per_fold=(score,) * self.folds,
-            wall_time=0.0,
-        )
+        return FitnessRecord(per_fold=(score,) * self.folds, wall_time=0.0)
 
 
 def _record(score):
-    return FitnessRecord(mean_f_measure=score, per_fold=(score,))
+    return FitnessRecord(per_fold=(score,))
 
 
 def _individual(ident, score, birth=0, genome=None):

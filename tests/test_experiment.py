@@ -407,6 +407,34 @@ class TestCli:
         config_path = _write_config(tmp_path, datasets=1, runs=1)
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path), flag, "0"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--runs", "0"], ["--jobs", "0"], ["--pop-bounds", "1", "3"], ["--pop-bounds", "5", "3"]],
+        ids=["runs", "jobs", "pop-bounds-outside-limits", "pop-bounds-reversed"],
+    )
+    def test_failed_flag_check_names_the_flag(self, tmp_path, capsys, flags):
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path), *flags])
+        assert err.startswith(f"error: {flags[0]}: "), err
+
+    def test_zero_elitism_rejected(self, tmp_path, capsys):
+        # without an elite the search can lose its best genome
+        static = {"population_size": 4, "max_generations": 3, "elitism_size": 0}
+        config_path = _write_config(tmp_path, datasets=1, runs=1, static_params=static)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert "elitism_size" in err
+
+    def test_audit_rejects_a_tampered_best_genome(self, experiment_dir, tmp_path, capsys):
+        _, config, _ = experiment_dir
+        out = tmp_path / "out"
+        shutil.copytree(config.out_dir, out)
+        target = out / "best_genome_toy1_nas_plus_1.json"
+        doc = json.loads(target.read_text())
+        doc["mean_f_measure"] = doc["mean_f_measure"] / 2
+        target.write_text(json.dumps(doc))
+        assert main(["audit", "--out", str(out)]) == 1
+        assert target.name in capsys.readouterr().err
+
     def test_audit_without_summary_gives_one_error_line(self, tmp_path, capsys):
         err = self._assert_one_line_error(capsys, ["audit", "--out", str(tmp_path)])
         assert str(tmp_path / "summary.csv") in err
@@ -642,6 +670,16 @@ class TestCli:
             pytest.param("audit", "history_toy0_enas_1.csv", None, id="audit-missing-history"),
             pytest.param("audit", "summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
             pytest.param("audit", "summary.csv", lambda lines: [], id="empty-summary"),
+            pytest.param("audit", "best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
+            pytest.param(
+                "audit", "best_genome_toy0_enas_1.json", lambda lines: lines[:-1], id="cut-genome"
+            ),
+            pytest.param(
+                "audit",
+                "best_genome_toy0_enas_1.json",
+                lambda lines: [line.replace('"per_fold"', '"per_folds"') for line in lines],
+                id="renamed-genome-key",
+            ),
         ],
     )
     def test_malformed_outputs_give_one_error_line(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -85,11 +86,24 @@ class TestFMeasure:
 class TestFitnessRecord:
     def test_mean_must_be_in_unit_interval(self):
         with pytest.raises(ValueError):
-            FitnessRecord(mean_f_measure=1.2, per_fold=(1.2,))
+            FitnessRecord(per_fold=(1.2,))
+
+    @pytest.mark.parametrize(
+        "per_fold", [(), (0.5, 1.2), (-0.1, 1.0), (math.nan,)], ids=["empty", "high", "low", "nan"]
+    )
+    def test_each_fold_score_must_be_in_unit_interval(self, per_fold):
+        # (0.5, 1.2) and (-0.1, 1.0) have means inside [0, 1]
+        with pytest.raises(ValueError):
+            FitnessRecord(per_fold=per_fold)
+
+    def test_mean_is_the_mean_of_the_folds(self):
+        record = FitnessRecord(per_fold=(0.25, 0.5, 1.0))
+        assert record.mean_f_measure == (0.25 + 0.5 + 1.0) / 3
+        assert record.models_trained == 3
 
     def test_equality_ignores_wall_time(self):
-        a = FitnessRecord(0.5, (0.5,), wall_time=1.0)
-        b = FitnessRecord(0.5, (0.5,), wall_time=9.0)
+        a = FitnessRecord((0.5,), wall_time=1.0)
+        b = FitnessRecord((0.5,), wall_time=9.0)
         assert a == b
 
 
@@ -127,7 +141,7 @@ class TestEvaluate:
 
         def flaky_train_folds(*args):
             models = real_train_folds(*args)
-            models[1].diverged = True  # poison the second fold only
+            models[1].loss_history.append(math.nan)  # poison the second fold only
             return models
 
         monkeypatch.setattr("enas.fitness.nn.train_folds", flaky_train_folds)

@@ -11,6 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from enas import nn
+from enas.data import kfold_split
+from enas.evolution import EvaluatorPool, EvolutionConfig, Mode
+from enas.experiment import _run_cell
+from enas.fitness import CrossValFitness
+from enas.genome import SearchSpace, config_from_genome, sample_genome
+from enas.seeding import make_rng
+from enas.synthetic import make_threshold_dataset
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -43,3 +52,39 @@ def test_every_clocked_site_resolves(perfbench, name):
     tracer, rep = perfbench
     sites = getattr(rep, name)
     assert sites and not _unresolved(tracer, sites)
+
+
+# The tracer and rep.run_panel read these result attributes by name, the
+# tracer through getattr(..., None): a renamed or removed attribute would
+# otherwise turn into a silent None fact.
+SPACE = SearchSpace(population_size=(3, 4), max_generations=(1, 2), nodes=(2, 4), epochs=(1, 3))
+
+
+def _evaluator():
+    dataset = make_threshold_dataset(24, 3, seed=3)
+    return CrossValFitness(dataset, kfold_split(dataset, 3, seed=4))
+
+
+def test_train_probe_reads_every_fact_of_a_trained_model(perfbench):
+    tracer, _ = perfbench
+    dataset = make_threshold_dataset(24, 3, seed=1)
+    config = config_from_genome(sample_genome(SPACE, make_rng(2)))
+    args = (config, dataset.features, dataset.labels, 5)
+    facts = tracer.PROBES["nn.train"](args, nn.train(*args))
+    assert len(facts) == 3 and None not in facts
+
+
+def test_pool_probe_reads_every_fact_of_a_pool_call(perfbench, capsys):
+    tracer, _ = perfbench
+    config = EvolutionConfig(space=SPACE, population_size=3, max_generations=1)
+    tasks = [("toy", 0, mode, config, _evaluator(), 6) for mode in Mode]
+    pool = EvaluatorPool(_run_cell, jobs=1)
+    facts = tracer.PROBES["evolution.pool.evaluate"]((pool, tasks), pool.evaluate(tasks))
+    assert facts[0] == len(tasks) and None not in facts
+
+
+def test_panel_reads_every_fact_of_a_fitness_record():
+    record = _evaluator()(sample_genome(SPACE, make_rng(7)), 8)
+    folds = record.per_fold
+    assert len(folds) == record.models_trained == 3
+    assert record.mean_f_measure == sum(folds) / len(folds)
