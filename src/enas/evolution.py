@@ -159,12 +159,12 @@ class EvaluatorPool:
     workers were busy can be summed. ``jobs`` 1, or a single task, runs in
     the calling process; otherwise one worker per task, up to ``jobs``.
     Results come back in task order whatever the pool size, so with
-    deterministic tasks the outcome is bit-identical for any ``jobs``.
+    deterministic tasks the outcome is bit-identical for any ``jobs``. The
+    first failed task's error is raised when its turn in that order comes,
+    and no task starts after that.
     """
 
     def __init__(self, fn: Callable, jobs: int = 1):
-        if jobs < 1:
-            raise ConfigurationError("jobs must be at least 1")
         self.fn = fn
         self.jobs = jobs
 
@@ -173,8 +173,7 @@ class EvaluatorPool:
         if workers <= 1:
             return [self.fn(*task) for task in tasks]
         with ProcessPoolExecutor(workers) as executor:
-            futures = [executor.submit(self.fn, *task) for task in tasks]
-            return [future.result() for future in futures]
+            return list(executor.map(self.fn, *zip(*tasks)))
 
 
 def best_individual(population: list[Individual]) -> Individual:

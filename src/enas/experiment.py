@@ -34,6 +34,10 @@ class AuditError(AssertionError):
     """Emitted summary values disagree with the per-run history files."""
 
 
+# The dataset name goes into CSV cells and file names unquoted.
+_NAME_FORBIDDEN = (",", "/", "\\", "\0")
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     name: str
@@ -41,6 +45,14 @@ class DatasetSpec:
     label_column: int | str | None = None
     label_mapping: Mapping[str, int] | None = None
     normalize: bool = True
+
+    def __post_init__(self) -> None:
+        name = self.name
+        if name.splitlines() != [name] or set(name) & set(_NAME_FORBIDDEN):
+            raise ExperimentError(
+                "dataset name must be non-empty, without line breaks or any of "
+                f"{', '.join(map(repr, _NAME_FORBIDDEN))}; got {name!r}"
+            )
 
 
 @dataclass
@@ -85,8 +97,6 @@ def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ExperimentError(message)
 
-
-_NAME_FORBIDDEN = (",", "/", "\\", "\0")
 
 _KIND_NAMES = {
     int: "an integer",
@@ -191,15 +201,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
 
     datasets = []
     for i, raw in enumerate(top.pop("datasets", ())):
-        where = f"datasets[{i}]"
-        entry = _section(where, raw, _DATASET_HINTS, required=("name", "path"))
-        # The name goes into CSV cells and file names unquoted.
-        name = entry["name"]
-        _require(
-            name.splitlines() == [name] and not set(name) & set(_NAME_FORBIDDEN),
-            f"{where}.name must be non-empty, without line breaks or any of "
-            f"{', '.join(map(repr, _NAME_FORBIDDEN))}; got {name!r}",
-        )
+        entry = _section(f"datasets[{i}]", raw, _DATASET_HINTS, required=("name", "path"))
         datasets.append(DatasetSpec(**{**entry, "path": path.parent / entry["path"]}))
 
     if "modes" in top:
@@ -307,8 +309,6 @@ def read_history_csv(path: str | Path) -> list[GenerationRecord]:
 
 def emit_plot_data(history: Sequence[GenerationRecord], path: str | Path) -> Path:
     """Write the per-generation trajectory columns used for plotting."""
-    if not history:
-        raise ExperimentError("cannot emit plot data for an empty history")
     return write_csv(path, PLOT_COLUMNS, (astuple(r)[: len(PLOT_COLUMNS)] for r in history))
 
 
@@ -385,8 +385,6 @@ class EfficiencyRow:
 def _efficiency_row(
     dataset: str, static: Sequence[EvolutionState], adaptive: Sequence[EvolutionState]
 ) -> EfficiencyRow:
-    if len(static) != len(adaptive) or not static:
-        raise ExperimentError("efficiency comparison needs equal, non-empty run lists")
     models_s = [r.models_trained for r in static]
     models_a = [r.models_trained for r in adaptive]
     wall_s = [r.wall_time for r in static]
@@ -412,8 +410,6 @@ def summarize_efficiency(
     adaptive_runs: Mapping[str, Sequence[EvolutionState]],
 ) -> list[EfficiencyRow]:
     """Per-dataset resource deltas for paired-seed run lists, then the overall row."""
-    if set(static_runs) != set(adaptive_runs):
-        raise ExperimentError("efficiency comparison needs the same datasets in both modes")
     rows = [
         _efficiency_row(name, static_runs[name], adaptive_runs[name])
         for name in static_runs

@@ -202,11 +202,8 @@ _BREEDING_ORDER = ("hidden_layers", "activations") + tuple(
 
 
 def sample_gene(name: str, space: SearchSpace, rng: np.random.Generator):
-    """Draw gene ``name`` from its prior in ``space``."""
-    gene = GENES.get(name)
-    if gene is None or gene.prior is None:
-        drawable = [key for key, entry in GENES.items() if entry.prior is not None]
-        raise ValueError(f"no prior for gene {name!r}; genes with a prior: {drawable}")
+    """Draw gene ``name``, which must have a prior, from its prior in ``space``."""
+    gene = GENES[name]
     return gene.prior(getattr(space, gene.space_field), rng)
 
 
@@ -256,8 +253,6 @@ def crossover(a: Genome, b: Genome, rng: np.random.Generator) -> Genome:
 
 def mutate(genome: Genome, rate: float, space: SearchSpace, rng: np.random.Generator) -> Genome:
     """Resample each gene from its prior independently with probability `rate`."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"mutation rate must lie in [0, 1], got {rate}")
     genes: dict = {}
     for name in _BREEDING_ORDER:
         resample = rng.random() < rate

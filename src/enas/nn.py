@@ -136,8 +136,6 @@ class TrainedModel:
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Weight matrix with entries uniform on [-L, L], L = sqrt(6/(fan_in+fan_out))."""
-    if fan_in < 1 or fan_out < 1:
-        raise ValueError("fan_in and fan_out must be positive")
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
@@ -165,9 +163,7 @@ def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
     """Derivative of a sigmoid or tanh unit, from its activation ``a``."""
     if name == "sigmoid":
         return a * (1.0 - a)
-    if name == "tanh":
-        return 1.0 - a * a
-    raise TrainingError(f"no activation gradient for {name!r}")
+    return 1.0 - a * a
 
 
 def layer_dims(input_width: int, config: MLPConfig) -> tuple[int, ...]:
@@ -288,8 +284,6 @@ def loss_and_gradients(
     The output delta p - y folds the sigmoid and the cross-entropy
     together, which is exact as long as the loss cap is inactive.
     """
-    if activations[-1] != "sigmoid":
-        raise TrainingError("gradients require a sigmoid output unit")
     outs = _forward_chain(layers, activations, batch)
     z = outs[-1][..., 0]
     y = np.asarray(labels, dtype=np.float64)
@@ -365,8 +359,6 @@ class Optimizer:
     """
 
     def __init__(self, kind: str, shape):
-        if kind not in SUPPORTED_OPTIMIZERS:
-            raise TrainingError(f"unsupported optimizer {kind!r}")
         self.kind = kind
         self.lr = DEFAULT_LEARNING_RATES[kind]
         self.m = np.zeros(shape) if kind in ("adam", "adamax") else None

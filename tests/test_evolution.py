@@ -98,6 +98,14 @@ def _sleep_then_report(index, delay):
     return SimpleNamespace(index=index, finished=time.monotonic(), wall_time=delay)
 
 
+def _fail_first_else_mark(index, marker_dir):
+    if index == 0:
+        raise RuntimeError("task 0 failed")
+    time.sleep(0.2)
+    (marker_dir / str(index)).touch()
+    return SimpleNamespace(wall_time=0.2)
+
+
 class TestEvaluatorPool:
     def test_results_in_task_order_when_earlier_tasks_cost_more(self):
         tasks = [(0, 0.8), (1, 0.2), (2, 0.0), (3, 0.0)]
@@ -106,9 +114,12 @@ class TestEvaluatorPool:
         # The cheap tasks really did finish first, in the second worker.
         assert results[2].finished < results[0].finished
 
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EvaluatorPool(_sleep_then_report, jobs=0)
+    def test_no_task_starts_after_the_first_failure(self, tmp_path):
+        tasks = [(index, tmp_path) for index in range(12)]
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            EvaluatorPool(_fail_first_else_mark, jobs=2).evaluate(tasks)
+        # A worker may already hold the next few tasks, but not all eleven.
+        assert len(list(tmp_path.iterdir())) < 11
 
 
 class TestCloneCount:

@@ -70,11 +70,6 @@ class TestPriors:
         draws = [sample_gene("max_generations", SPACE, rng) for _ in range(5_000)]
         assert 1 <= min(draws) and max(draws) <= 500
 
-    @pytest.mark.parametrize("name", ["activations", "mutation_rates"])
-    def test_gene_without_prior_rejected(self, name):
-        with pytest.raises(ValueError, match=f"no prior for gene '{name}'"):
-            sample_gene(name, SPACE, make_rng(0))
-
 
 class TestSampleGenome:
     def test_fuzz_satisfies_invariants(self):
@@ -155,10 +150,6 @@ class TestMutate:
         for _ in range(300):
             child = mutate(_fixed_genome(), 1.0, SPACE, rng)
             validate_genome(child, SPACE)
-
-    def test_rate_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError):
-            mutate(_fixed_genome(), 1.5, SPACE, make_rng(0))
 
     def test_changed_fraction_matches_resample_collision_model(self):
         # P(change) per gene = rate * (1 - P(resample hits the old value)).

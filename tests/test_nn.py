@@ -82,10 +82,6 @@ class TestGlorot:
     def test_deterministic_per_seed(self):
         assert np.array_equal(glorot_uniform(5, 5, make_rng(3)), glorot_uniform(5, 5, make_rng(3)))
 
-    def test_bad_fans_rejected(self):
-        with pytest.raises(ValueError):
-            glorot_uniform(0, 3, make_rng(0))
-
 
 def _model(cfg, width, params):
     return TrainedModel(params=params, dims=layer_dims(width, cfg), activations=cfg.activations)
@@ -322,10 +318,6 @@ class TestOptimizerStep:
 
     def test_zero_gradient_leaves_adam_param(self):
         assert _steps("adam", 2.0, [0.0])[0] == [2.0]
-
-    def test_unknown_optimizer(self):
-        with pytest.raises(TrainingError):
-            Optimizer("sparrow", 1)
 
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax", "rmsprop"])
     def test_step_moves_against_gradient(self, kind):
