@@ -1,4 +1,4 @@
-"""Command-line entry points: run experiments, audit outputs, export plot data."""
+"""Command-line entry points: run experiments, audit outputs, write demo data."""
 
 from __future__ import annotations
 
@@ -15,16 +15,22 @@ from .experiment import (
     ExperimentError,
     audit_output_dir,
     config_from_file,
-    emit_plot_data,
-    read_history_csv,
     run_experiment,
 )
 from .genome import InvalidGenomeError
 from .synthetic import make_threshold_dataset, write_dataset_csv
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, its subcommands' included, are raised
+    for ``main`` to report as one ``error:`` line, like every other error."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="enas",
         description="Neuroevolution of feed-forward binary classifiers with "
         "self-adapting evolutionary parameters.",
@@ -50,20 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--out", default=None, help="output directory, relative to the working directory"
     )
-    run_p.add_argument(
-        "--pop-bounds",
-        nargs=2,
-        type=int,
-        metavar=("LO", "HI"),
-        default=None,
-        help="population size bounds for the adaptive search",
-    )
-    run_p.add_argument(
-        "--max-generations-cap",
-        type=int,
-        default=None,
-        help="upper bound on generations for both modes",
-    )
     run_p.add_argument("--jobs", type=int, default=None, help="parallel cells")
 
     audit_p = sub.add_parser(
@@ -71,22 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit_p.add_argument("--out", required=True, help="experiment output directory")
 
-    plot_p = sub.add_parser("plot-data", help="extract plot columns from a history CSV")
-    plot_p.add_argument("history", help="path to a history_*.csv file")
-    plot_p.add_argument("output", help="where to write the plot-ready CSV")
-
     demo_p = sub.add_parser("demo-data", help="generate small synthetic datasets to try the tool")
     demo_p.add_argument("--out", default="data", help="directory for the generated CSV files")
     demo_p.add_argument("--seed", type=int, default=7, help="generation seed")
     return parser
-
-
-def _replace(flag: str, obj, **changes):
-    """``obj`` with ``changes``; a check that fails on them names ``flag``."""
-    try:
-        return replace(obj, **changes)
-    except (ExperimentError, ConfigurationError, InvalidGenomeError) as exc:
-        raise ExperimentError(f"{flag}: {exc}") from None
 
 
 def apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -94,8 +74,7 @@ def apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> Exper
 
     Each new value passes the same checks as a file value, and a failed
     check names its flag. ``--dataset`` keeps the named datasets in config
-    order, and ``--max-generations-cap`` only ever lowers the two
-    generation budgets, so both modes keep the same ceiling.
+    order. The search settings are read from the config file alone.
     """
     if args.dataset is not None:
         unknown = sorted(set(args.dataset) - {spec.name for spec in config.datasets})
@@ -112,22 +91,11 @@ def apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> Exper
         ("--out", "out_dir", out),
     ):
         if value is not None:
-            config = _replace(flag, config, **{name: value})
-    evolution = config.evolution
-    if args.pop_bounds is not None:
-        space = _replace("--pop-bounds", evolution.space, population_size=tuple(args.pop_bounds))
-        evolution = _replace("--pop-bounds", evolution, space=space)
-    cap = args.max_generations_cap
-    if cap is not None:
-        if cap < 1:
-            raise ExperimentError(f"--max-generations-cap must be at least 1, got {cap}")
-        budgets = tuple(min(b, cap) for b in evolution.space.max_generations)
-        evolution = replace(
-            evolution,
-            space=replace(evolution.space, max_generations=budgets),
-            max_generations=min(evolution.max_generations, cap),
-        )
-    return replace(config, evolution=evolution)
+            try:
+                config = replace(config, **{name: value})
+            except ExperimentError as exc:
+                raise ExperimentError(f"{flag}: {exc}") from None
+    return config
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -140,12 +108,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     audit_output_dir(args.out)
     print(f"audit passed: summary.csv and best genomes match the histories under {args.out}")
-    return 0
-
-
-def _cmd_plot_data(args: argparse.Namespace) -> int:
-    emit_plot_data(read_history_csv(args.history), args.output)
-    print(f"wrote {args.output}")
     return 0
 
 
@@ -175,21 +137,23 @@ def _cmd_demo_data(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "audit": _cmd_audit,
-        "plot-data": _cmd_plot_data,
-        "demo-data": _cmd_demo_data,
-    }
+    handlers = {"run": _cmd_run, "audit": _cmd_audit, "demo-data": _cmd_demo_data}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except AuditError as exc:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 1
     # An OSError here is an input or output path the command cannot use,
     # such as an output directory that is an existing file.
-    except (ExperimentError, ConfigurationError, DatasetError, InvalidGenomeError, OSError) as exc:
+    except (
+        argparse.ArgumentError,
+        ExperimentError,
+        ConfigurationError,
+        DatasetError,
+        InvalidGenomeError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

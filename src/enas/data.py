@@ -88,8 +88,9 @@ def load_csv(
     row is auto-detected from non-numeric feature cells in the first row.
     """
     path = Path(path)
+    shown = repr(str(path))
     if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
+        raise DatasetError(f"dataset file not found: {shown}")
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             rows = [
@@ -98,14 +99,14 @@ def load_csv(
                 if any(cell.strip() for cell in row)
             ]
     except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+        raise DatasetError(f"cannot read dataset {shown}: {exc}") from exc
     if not rows:
-        raise DatasetError(f"no data rows in {path}")
+        raise DatasetError(f"no data rows in {shown}")
 
     width = len(rows[0])
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise DatasetError(f"ragged row {i} in {path}: {len(row)} != {width} cells")
+            raise DatasetError(f"ragged row {i} in {shown}: {len(row)} != {width} cells")
     if width < 2:
         raise DatasetError("need at least one feature column and one label column")
 
@@ -122,7 +123,7 @@ def load_csv(
             raise DatasetError(f"label column index {label_column} out of range")
         data = rows[1:] if _looks_like_header(rows[0], label_idx) else rows
     if not data:
-        raise DatasetError(f"no data rows in {path}")
+        raise DatasetError(f"no data rows in {shown}")
 
     mapping = {"0": 0, "1": 1} if label_mapping is None else dict(label_mapping)
     if not set(mapping.values()) <= {0, 1}:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Protocol, Sequence
@@ -35,6 +35,8 @@ from typing import Callable, Protocol, Sequence
 from .fitness import FitnessRecord
 from .genome import (
     CONTROL_GENES,
+    STATIC_GENERATION_MAX,
+    STATIC_POPULATION_MAX,
     Genome,
     SearchSpace,
     crossover,
@@ -97,12 +99,20 @@ class EvolutionConfig:
                 f"population_size {self.population_size} cannot hold "
                 f"{self.elitism_size} elites plus offspring"
             )
+        if self.population_size > STATIC_POPULATION_MAX:
+            raise ConfigurationError(
+                f"population_size must be at most {STATIC_POPULATION_MAX}, "
+                f"got {self.population_size}"
+            )
         if self.elitism_size >= self.space.population_size[0]:
             raise ConfigurationError(
                 "elitism_size must stay below the smallest allowed population"
             )
-        if self.max_generations < 1:
-            raise ConfigurationError("max_generations must be positive")
+        if not 1 <= self.max_generations <= STATIC_GENERATION_MAX:
+            raise ConfigurationError(
+                f"max_generations must lie in [1, {STATIC_GENERATION_MAX}], "
+                f"got {self.max_generations}"
+            )
 
 
 @dataclass
@@ -159,9 +169,10 @@ class EvaluatorPool:
     workers were busy can be summed. ``jobs`` 1, or a single task, runs in
     the calling process; otherwise one worker per task, up to ``jobs``.
     Results come back in task order whatever the pool size, so with
-    deterministic tasks the outcome is bit-identical for any ``jobs``. The
-    first failed task's error is raised when its turn in that order comes,
-    and no task starts after that.
+    deterministic tasks the outcome is bit-identical for any ``jobs``.
+    Tasks start in order, at most ``jobs`` at a time, and none starts once
+    a task has failed: the tasks still running finish, and the error of the
+    first failed task in task order is raised.
     """
 
     def __init__(self, fn: Callable, jobs: int = 1):
@@ -173,7 +184,15 @@ class EvaluatorPool:
         if workers <= 1:
             return [self.fn(*task) for task in tasks]
         with ProcessPoolExecutor(workers) as executor:
-            return list(executor.map(self.fn, *zip(*tasks)))
+            futures = []
+            for task in tasks:
+                running = [future for future in futures if not future.done()]
+                if len(running) == workers:
+                    wait(running, return_when=FIRST_COMPLETED)
+                if any(future.done() and future.exception() for future in futures):
+                    break
+                futures.append(executor.submit(self.fn, *task))
+            return [future.result() for future in futures]
 
 
 def best_individual(population: list[Individual]) -> Individual:

@@ -36,6 +36,9 @@ class AuditError(AssertionError):
 
 # The dataset name goes into CSV cells and file names unquoted.
 _NAME_FORBIDDEN = (",", "/", "\\", "\0")
+# Most runs per cell. Every cell is built, and every run's fold file written,
+# before the first cell starts, so a huge count would only fill memory and disk.
+MAX_RUNS = 1_000
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,8 @@ class ExperimentConfig:
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ExperimentError("runs must be at least 1")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise ExperimentError(f"runs must lie in [1, {MAX_RUNS}], got {self.runs}")
         if self.folds < 2:
             raise ExperimentError("folds must be at least 2")
         if self.jobs < 1:
@@ -183,9 +186,9 @@ def _read_json(path: Path):
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
-        raise ExperimentError(f"cannot read {path}: {exc}") from exc
+        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-        raise ExperimentError(f"{path} is not valid JSON: {exc}") from exc
+        raise ExperimentError(f"{str(path)!r} is not valid JSON: {exc}") from exc
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
@@ -196,7 +199,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     """
     path = Path(path)
     if not path.exists():
-        raise ExperimentError(f"config file not found: {path}")
+        raise ExperimentError(f"config file not found: {str(path)!r}")
     top = _section("config", _read_json(path), _CONFIG_HINTS)
 
     datasets = []
@@ -252,23 +255,24 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
 
 
 def _read_csv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list[str]]]:
-    """The rows ``write_csv`` wrote under ``columns``, each as ("file:line", cells)."""
+    """The rows ``write_csv`` wrote under ``columns``, each as ("'file':line", cells)."""
+    shown = repr(str(path))
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ExperimentError(f"cannot read {path}: {exc}") from exc
+        raise ExperimentError(f"cannot read {shown}: {exc}") from exc
     if not lines or lines[0] != _csv_line(columns):
-        raise ExperimentError(f"{path}:1: expected the header {_csv_line(columns)}")
+        raise ExperimentError(f"{shown}:1: expected the header {_csv_line(columns)}")
     if len(lines) < 2:
-        raise ExperimentError(f"{path}: no rows under the header")
+        raise ExperimentError(f"{shown}: no rows under the header")
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != len(columns):
             raise ExperimentError(
-                f"{path}:{number}: expected {len(columns)} cells, got {len(cells)}"
+                f"{shown}:{number}: expected {len(columns)} cells, got {len(cells)}"
             )
-        rows.append((f"{path}:{number}", cells))
+        rows.append((f"{shown}:{number}", cells))
     return rows
 
 
@@ -286,7 +290,6 @@ def _columns(cls) -> tuple[str, ...]:
 
 
 HISTORY_COLUMNS = _columns(GenerationRecord)
-PLOT_COLUMNS = HISTORY_COLUMNS[:-1]
 _HISTORY_KINDS = get_type_hints(GenerationRecord)
 
 
@@ -305,11 +308,6 @@ def read_history_csv(path: str | Path) -> list[GenerationRecord]:
         )
         for where, cells in _read_csv(path, HISTORY_COLUMNS)
     ]
-
-
-def emit_plot_data(history: Sequence[GenerationRecord], path: str | Path) -> Path:
-    """Write the per-generation trajectory columns used for plotting."""
-    return write_csv(path, PLOT_COLUMNS, (astuple(r)[: len(PLOT_COLUMNS)] for r in history))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +453,9 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
     dataset = load_csv(spec.path, label_column=spec.label_column, label_mapping=spec.label_mapping)
     labels = set(dataset.labels.tolist())
     if len(labels) == 1:
-        raise DatasetError(f"every row of {spec.path} has label {labels.pop()}; need 0 and 1")
+        raise DatasetError(
+            f"every row of {str(spec.path)!r} has label {labels.pop()}; need 0 and 1"
+        )
     return normalize_min_max(dataset) if spec.normalize else dataset
 
 
@@ -589,18 +589,19 @@ _BEST_GENOME_HINTS = {
 
 def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
     """The file's score must be the mean of its fold scores and its run's last ``best_f1``."""
-    doc = _section(str(path), _read_json(path), _BEST_GENOME_HINTS, required=_BEST_GENOME_HINTS)
+    shown = repr(str(path))
+    doc = _section(shown, _read_json(path), _BEST_GENOME_HINTS, required=_BEST_GENOME_HINTS)
     try:
         record = FitnessRecord(per_fold=doc["per_fold"])
     except ValueError as exc:
-        raise ExperimentError(f"{path}: {exc}") from None
+        raise ExperimentError(f"{shown}: {exc}") from None
     for expected, what in (
         (record.mean_f_measure, "the mean of its per_fold"),
         (history[-1].best_f1, "the last best_f1 of its history"),
     ):
         if doc["mean_f_measure"] != expected:
             raise AuditError(
-                f"{path}: mean_f_measure {doc['mean_f_measure']!r} is not {what}, {expected!r}"
+                f"{shown}: mean_f_measure {doc['mean_f_measure']!r} is not {what}, {expected!r}"
             )
 
 

@@ -36,6 +36,10 @@ INTEGER_GENE_LIMITS = {
     "population_size": POPULATION_LIMITS,
     "max_generations": GENERATION_LIMITS,
 }
+# Upper limits of the static-mode population size and generation budget
+# (``EvolutionConfig``), ten times its defaults of 100 and 500.
+STATIC_POPULATION_MAX = 1_000
+STATIC_GENERATION_MAX = 5_000
 # Least value of either parameter of a rate gene's beta prior. From 1 up the
 # prior's density stays finite at 0 and 1; below it, draws pile up near an
 # end and round to exactly 0.0 or 1.0, which is no rate.

@@ -25,7 +25,14 @@ from enas.evolution import (
 )
 from enas.data import kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord
-from enas.genome import CONTROL_GENES, Genome, SearchSpace, sample_genome
+from enas.genome import (
+    CONTROL_GENES,
+    STATIC_GENERATION_MAX,
+    STATIC_POPULATION_MAX,
+    Genome,
+    SearchSpace,
+    sample_genome,
+)
 from enas.seeding import make_rng
 from enas.synthetic import make_threshold_dataset
 
@@ -106,6 +113,17 @@ def _fail_first_else_mark(index, marker_dir):
     return SimpleNamespace(wall_time=0.2)
 
 
+def _slow_first_fail_second_else_mark(index, marker_dir):
+    if index == 0:
+        time.sleep(0.5)
+    elif index == 1:
+        raise RuntimeError("task 1 failed")
+    else:
+        time.sleep(0.05)
+        (marker_dir / str(index)).touch()
+    return SimpleNamespace(wall_time=0.0)
+
+
 class TestEvaluatorPool:
     def test_results_in_task_order_when_earlier_tasks_cost_more(self):
         tasks = [(0, 0.8), (1, 0.2), (2, 0.0), (3, 0.0)]
@@ -120,6 +138,14 @@ class TestEvaluatorPool:
             EvaluatorPool(_fail_first_else_mark, jobs=2).evaluate(tasks)
         # A worker may already hold the next few tasks, but not all eleven.
         assert len(list(tmp_path.iterdir())) < 11
+
+    def test_failure_stops_the_pool_before_its_turn_in_task_order(self, tmp_path):
+        # Task 1 fails while task 0 still runs: the free worker starts nothing
+        # more, although the failure is raised only once task 0 has finished.
+        tasks = [(index, tmp_path) for index in range(12)]
+        with pytest.raises(RuntimeError, match="task 1 failed"):
+            EvaluatorPool(_slow_first_fail_second_else_mark, jobs=2).evaluate(tasks)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCloneCount:
@@ -204,6 +230,15 @@ class TestInit:
             EvolutionConfig(space=DESK_SPACE, tournament_size=0)
         with pytest.raises(ConfigurationError):
             EvolutionConfig(space=DESK_SPACE, crossover_rate=1.5)
+
+    def test_static_limits_admit_their_bound_only(self):
+        EvolutionConfig(
+            population_size=STATIC_POPULATION_MAX, max_generations=STATIC_GENERATION_MAX
+        )
+        with pytest.raises(ConfigurationError, match="population_size must be at most"):
+            EvolutionConfig(population_size=STATIC_POPULATION_MAX + 1)
+        with pytest.raises(ConfigurationError, match="max_generations must lie in"):
+            EvolutionConfig(max_generations=STATIC_GENERATION_MAX + 1)
 
 
 class TestNextGeneration:

@@ -21,7 +21,6 @@ from enas.experiment import (
     ExperimentError,
     audit_output_dir,
     config_from_file,
-    emit_plot_data,
     genome_from_doc,
     read_history_csv,
     run_experiment,
@@ -214,35 +213,6 @@ class TestHistoryFiles:
         parsed = read_history_csv(path)
         assert [asdict(r) for r in parsed] == [asdict(r) for r in result.history]
 
-    def test_plot_data_shape(self, tmp_path):
-        result = run(
-            Mode.NAS_PLUS,
-            EvolutionConfig(
-                space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)),
-                population_size=4,
-                max_generations=5,
-            ),
-            SyntheticFitness(),
-            run_seed=4,
-        )
-        path = emit_plot_data(result.history, tmp_path / "plot.csv")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == len(result.history) + 1
-        assert lines[0].startswith("generation,best_f1,mean_f1,mutation_rate")
-        mutation_column = {line.split(",")[3] for line in lines[1:]}
-        assert len(mutation_column) == 1  # static mode keeps the rate constant
-
-    def test_plot_data_reemission_is_byte_identical(self, tmp_path):
-        result = run(
-            Mode.ENAS,
-            EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5))),
-            SyntheticFitness(),
-            run_seed=5,
-        )
-        a = emit_plot_data(result.history, tmp_path / "a.csv")
-        b = emit_plot_data(result.history, tmp_path / "b.csv")
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestCsvFiles:
     def test_writer_bytes_are_exact(self, tmp_path):
@@ -304,37 +274,16 @@ class TestConfigFile:
         path = _write_config(tmp_path)
         config = _with_flags(
             path,
-            *("--runs", "5", "--seed", "77", "--out", "elsewhere", "--pop-bounds", "3", "9"),
-            *("--max-generations-cap", "2", "--jobs", "2", "--mode", "enas", "--dataset", "toy1"),
+            *("--runs", "5", "--seed", "77", "--out", "elsewhere"),
+            *("--jobs", "2", "--mode", "enas", "--dataset", "toy1"),
         )
         assert config.runs == 5
         assert config.base_seed == 77
         assert config.out_dir == Path("elsewhere")  # cwd-relative, as typed
-        assert config.evolution.space.population_size == (3, 9)
-        assert config.evolution.space.max_generations[1] == 2
-        assert config.evolution.max_generations == 2
+        assert config.evolution == config_from_file(path).evolution  # the file's alone
         assert config.jobs == 2
         assert [m.value for m in config.modes] == ["enas"]
         assert [d.name for d in config.datasets] == ["toy1"]
-
-    @pytest.mark.parametrize("low", [1, 3])
-    @pytest.mark.parametrize("cap", [1, 5, 10, 60])
-    def test_generation_cap_only_lowers_budgets(self, tmp_path, low, cap):
-        # both modes keep one ceiling: the cap never raises the adaptive bound
-        path = _write_config(
-            tmp_path,
-            search_space={**TINY_SPACE, "max_generations": [low, 10]},
-            static_params={"population_size": 4, "max_generations": 10},
-        )
-        evolution = _with_flags(path, "--max-generations-cap", str(cap)).evolution
-        assert evolution.space.max_generations == (min(low, cap), min(10, cap))
-        assert evolution.max_generations == min(10, cap)
-
-    def test_generation_cap_defaults_to_the_default_budgets(self, tmp_path):
-        path = _write_config(tmp_path, search_space={}, static_params={"population_size": 4})
-        evolution = _with_flags(path, "--max-generations-cap", "10000").evolution
-        assert evolution.space.max_generations == SearchSpace().max_generations
-        assert evolution.max_generations == EvolutionConfig().max_generations
 
     def test_json_integer_for_a_number_is_read_as_float(self, tmp_path):
         path = _write_config(
@@ -398,6 +347,7 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         return err
 
+    # --max-generations-cap is not a flag: the parser rejects it, also in one line.
     @pytest.mark.parametrize("flag", ["--runs", "--jobs", "--max-generations-cap"])
     def test_zero_override_rejected(self, tmp_path, capsys, flag):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
@@ -405,13 +355,62 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--runs", "0"], ["--jobs", "0"], ["--pop-bounds", "1", "3"], ["--pop-bounds", "5", "3"]],
-        ids=["runs", "jobs", "pop-bounds-outside-limits", "pop-bounds-reversed"],
+        [["--runs", "0"], ["--jobs", "0"]],
+        ids=["runs", "jobs"],
     )
     def test_failed_flag_check_names_the_flag(self, tmp_path, capsys, flags):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path), *flags])
         assert err.startswith(f"error: {flags[0]}: "), err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["run", "--config", "c", "--pop-bounds", "3", "9"],
+                "unrecognized arguments: --pop-bounds 3 9",
+                id="pop-bounds",
+            ),
+            pytest.param(["plot-data", "a", "b"], "invalid choice: 'plot-data'", id="plot-data"),
+            pytest.param(
+                ["run", "--config", "c", "--runs", "two"],
+                "argument --runs: invalid int value: 'two'",
+                id="runs-not-an-integer",
+            ),
+            pytest.param(["run"], "the following arguments are required: --config", id="no-config"),
+        ],
+    )
+    def test_parser_error_gives_one_error_line(self, capsys, argv, message):
+        assert message in self._assert_one_line_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [({"runs": 2**70}, []), ({}, ["--runs", str(2**70)])],
+        ids=["file", "flag"],
+    )
+    def test_too_many_runs_rejected_before_any_write(self, tmp_path, capsys, edit, flags):
+        config_path = _write_config(tmp_path, datasets=1, **{"runs": 1, **edit})
+        argv = ["run", "--config", str(config_path), *flags]
+        assert "runs must lie in [1, 1000]" in self._assert_one_line_error(capsys, argv)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where", ["config", "dataset", "audit"])
+    def test_path_with_a_line_break_stays_on_one_line(self, tmp_path, capsys, where):
+        # The directory's name holds a line break; the message quotes it.
+        directory = tmp_path / "a\nb"
+        directory.mkdir()
+        if where == "config":
+            argv = ["run", "--config", str(directory)]
+        elif where == "dataset":
+            config_path = _write_config(tmp_path, datasets=1, runs=1)
+            doc = json.loads(config_path.read_text())
+            doc["datasets"][0]["path"] = "a\nb"
+            config_path.write_text(json.dumps(doc))
+            argv = ["run", "--config", str(config_path)]
+        else:
+            argv = ["audit", "--out", str(directory)]
+        err = self._assert_one_line_error(capsys, argv)
+        assert str(directory).replace("\n", "\\n") in err
 
     def test_zero_elitism_rejected(self, tmp_path, capsys):
         # without an elite the search can lose its best genome
@@ -439,7 +438,6 @@ class TestCli:
         "edit, flags, named",
         [
             pytest.param({}, ["--dataset", "nope"], "--dataset", id="unknown-dataset"),
-            pytest.param({}, ["--pop-bounds", "5", "3"], "population_size", id="pop-bounds"),
             pytest.param({"out_dir": 5}, ["--out", "x"], "config.out_dir", id="out-dir-under-out"),
             pytest.param({"runs": 0}, ["--runs", "1"], "runs", id="runs-under-runs"),
         ],
@@ -490,6 +488,13 @@ class TestCli:
             ),
             pytest.param(
                 lambda doc: {**doc, "search_space": {"nodes": [2, 10**12]}}, id="nodes-too-high"
+            ),
+            *(
+                pytest.param(
+                    lambda doc, key=key: {**doc, "static_params": {key: 2**70}},
+                    id=f"static-{key}-too-high",
+                )
+                for key in ("population_size", "max_generations")
             ),
             *(
                 pytest.param(_edit_dataset(key, value), id=f"dataset-{key}-{label}")
@@ -589,19 +594,15 @@ class TestCli:
         assert "folds 31" in err and "30 rows" in err and "'toy0'" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "demo-data", "plot-data"])
-    def test_unwritable_output_gives_one_error_line(self, experiment_dir, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["run", "demo-data"])
+    def test_unwritable_output_gives_one_error_line(self, tmp_path, capsys, command):
         taken = tmp_path / "taken"
         taken.write_text("")
         if command == "run":
             config_path = _write_config(tmp_path, datasets=1, runs=1)
             argv = ["run", "--config", str(config_path), "--out", str(taken)]
-        elif command == "demo-data":
-            argv = ["demo-data", "--out", str(taken)]
         else:
-            history = next(experiment_dir[1].out_dir.glob("history_*.csv"))
-            taken = tmp_path / "missing" / "plot.csv"
-            argv = ["plot-data", str(history), str(taken)]
+            argv = ["demo-data", "--out", str(taken)]
         assert str(taken) in self._assert_one_line_error(capsys, argv)
 
     @staticmethod
@@ -651,38 +652,22 @@ class TestCli:
         config = self._loaded_config(["run", "--config", str(config_path)])
         assert config.evolution.space == SearchSpace()
 
-    def test_plot_data_subcommand(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("enas",))
-        assert main(["run", "--config", str(config_path), "--out", "cli_out3"]) == 0
-        history = next((tmp_path / "cli_out3").glob("history_*.csv"))
-        target = tmp_path / "plot.csv"
-        assert main(["plot-data", str(history), str(target)]) == 0
-        assert target.exists()
-
     @pytest.mark.parametrize(
-        "command, name, edit",
+        "name, edit",
         [
-            pytest.param("plot-data", "history_toy0_enas_1.csv", None, id="plot-data-missing"),
-            pytest.param("plot-data", "history_toy0_enas_1.csv", lambda lines: [], id="empty"),
+            pytest.param("history_toy0_enas_1.csv", lambda lines: [], id="empty"),
+            pytest.param("history_toy0_enas_1.csv", _replace_last_cell(1, "x"), id="non-numeric"),
             pytest.param(
-                "plot-data", "history_toy0_enas_1.csv", _replace_last_cell(1, "x"), id="non-numeric"
-            ),
-            pytest.param(
-                "plot-data",
                 "history_toy0_enas_1.csv",
                 lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
                 id="short-row",
             ),
-            pytest.param("audit", "history_toy0_enas_1.csv", None, id="audit-missing-history"),
-            pytest.param("audit", "summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
-            pytest.param("audit", "summary.csv", lambda lines: [], id="empty-summary"),
-            pytest.param("audit", "best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
+            pytest.param("history_toy0_enas_1.csv", None, id="audit-missing-history"),
+            pytest.param("summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
+            pytest.param("summary.csv", lambda lines: [], id="empty-summary"),
+            pytest.param("best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
+            pytest.param("best_genome_toy0_enas_1.json", lambda lines: lines[:-1], id="cut-genome"),
             pytest.param(
-                "audit", "best_genome_toy0_enas_1.json", lambda lines: lines[:-1], id="cut-genome"
-            ),
-            pytest.param(
-                "audit",
                 "best_genome_toy0_enas_1.json",
                 lambda lines: [line.replace('"per_fold"', '"per_folds"') for line in lines],
                 id="renamed-genome-key",
@@ -690,7 +675,7 @@ class TestCli:
         ],
     )
     def test_malformed_outputs_give_one_error_line(
-        self, experiment_dir, tmp_path, capsys, command, name, edit
+        self, experiment_dir, tmp_path, capsys, name, edit
     ):
         _, config, _ = experiment_dir
         out = tmp_path / "out"
@@ -701,11 +686,7 @@ class TestCli:
         else:
             lines = edit(target.read_text().splitlines())
             target.write_text("".join(f"{line}\n" for line in lines))
-        if command == "audit":
-            argv = ["audit", "--out", str(out)]
-        else:
-            argv = ["plot-data", str(target), str(tmp_path / "plot.csv")]
-        assert name in self._assert_one_line_error(capsys, argv)
+        assert name in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
 
     @pytest.mark.parametrize(
         "path",
