@@ -65,27 +65,21 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
-def _looks_like_header(row: Sequence[str], label_idx: int) -> bool:
+def _looks_like_header(row: Sequence[str]) -> bool:
     # A first row is a header only when every feature cell fails to parse
-    # as a number; the label cell is excluded because string labels are
-    # data. A partially numeric first row is treated as data so that a
-    # corrupt cell surfaces as an error instead of being skipped.
-    return all(
-        _parse_float(cell) is None for i, cell in enumerate(row) if i != label_idx
-    )
+    # as a number; the last cell, the label, is excluded because string
+    # labels are data. A partially numeric first row is treated as data so
+    # that a corrupt cell surfaces as an error instead of being skipped.
+    return all(_parse_float(cell) is None for cell in row[:-1])
 
 
-def load_csv(
-    path: str | Path,
-    label_column: int | str | None = None,
-    label_mapping: Mapping[str, int] | None = None,
-) -> Dataset:
+def load_csv(path: str | Path, label_mapping: Mapping[str, int] | None = None) -> Dataset:
     """Load a comma-separated dataset and encode its labels to {0, 1}.
 
-    ``label_column`` may be a column index, a header name, or None for
-    the last column. ``label_mapping`` maps raw label strings to 0/1;
-    when omitted, labels must already be the literals "0"/"1". A header
-    row is auto-detected from non-numeric feature cells in the first row.
+    The label is the last column. ``label_mapping`` maps raw label strings
+    to 0/1; when omitted, labels must already be the literals "0"/"1". A
+    header row is auto-detected from non-numeric feature cells in the first
+    row.
     """
     path = Path(path)
     shown = repr(str(path))
@@ -98,7 +92,7 @@ def load_csv(
                 for row in csv.reader(fh)
                 if any(cell.strip() for cell in row)
             ]
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read dataset {shown}: {exc}") from exc
     if not rows:
         raise DatasetError(f"no data rows in {shown}")
@@ -110,18 +104,7 @@ def load_csv(
     if width < 2:
         raise DatasetError("need at least one feature column and one label column")
 
-    if isinstance(label_column, str):
-        header, data = rows[0], rows[1:]
-        if label_column not in header:
-            raise DatasetError(f"label column {label_column!r} not in header {header}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = width - 1 if label_column is None else label_column
-        if label_idx < 0:
-            label_idx += width
-        if not 0 <= label_idx < width:
-            raise DatasetError(f"label column index {label_column} out of range")
-        data = rows[1:] if _looks_like_header(rows[0], label_idx) else rows
+    data = rows[1:] if _looks_like_header(rows[0]) else rows
     if not data:
         raise DatasetError(f"no data rows in {shown}")
 
@@ -132,21 +115,17 @@ def load_csv(
     features = np.empty((len(data), width - 1), dtype=np.float64)
     labels = np.empty(len(data), dtype=np.int64)
     for r, row in enumerate(data):
-        raw = row[label_idx]
+        raw = row[-1]
         if raw not in mapping:
             raise DatasetError(f"unmapped label value {raw!r} on row {r}")
         labels[r] = mapping[raw]
-        c = 0
-        for i, cell in enumerate(row):
-            if i == label_idx:
-                continue
+        for i, cell in enumerate(row[:-1]):
             value = _parse_float(cell)
             if value is None:
                 raise DatasetError(f"non-numeric feature cell {cell!r} at row {r}, column {i}")
             if not math.isfinite(value):
                 raise DatasetError(f"non-finite feature value at row {r}, column {i}")
-            features[r, c] = value
-            c += 1
+            features[r, i] = value
 
     return Dataset(features=features, labels=labels)
 

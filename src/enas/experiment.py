@@ -39,15 +39,16 @@ _NAME_FORBIDDEN = (",", "/", "\\", "\0")
 # Most runs per cell. Every cell is built, and every run's fold file written,
 # before the first cell starts, so a huge count would only fill memory and disk.
 MAX_RUNS = 1_000
+# Most worker processes. A pool starts one per cell up to ``jobs``, and there
+# can be thousands of cells, so an unbounded value could start thousands.
+MAX_JOBS = 64
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     name: str
     path: Path
-    label_column: int | str | None = None
     label_mapping: Mapping[str, int] | None = None
-    normalize: bool = True
 
     def __post_init__(self) -> None:
         name = self.name
@@ -81,8 +82,8 @@ class ExperimentConfig:
             raise ExperimentError(f"runs must lie in [1, {MAX_RUNS}], got {self.runs}")
         if self.folds < 2:
             raise ExperimentError("folds must be at least 2")
-        if self.jobs < 1:
-            raise ExperimentError("jobs must be at least 1")
+        if not 1 <= self.jobs <= MAX_JOBS:
+            raise ExperimentError(f"jobs must lie in [1, {MAX_JOBS}], got {self.jobs}")
         if not self.datasets:
             raise ExperimentError("at least one dataset is required")
         if not self.modes:
@@ -106,7 +107,6 @@ _KIND_NAMES = {
     float: "a number",
     str: "a string",
     Path: "a string",
-    bool: "true or false",
     tuple: "a list",
     dict: "an object",
     Mapping: "an object",
@@ -449,14 +449,14 @@ def _run_seed(config: ExperimentConfig, dataset: str, run_index: int, mode: Mode
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
-    """The dataset of ``spec``; a search needs rows of both classes."""
-    dataset = load_csv(spec.path, label_column=spec.label_column, label_mapping=spec.label_mapping)
+    """The dataset of ``spec``, min-max scaled; a search needs rows of both classes."""
+    dataset = load_csv(spec.path, label_mapping=spec.label_mapping)
     labels = set(dataset.labels.tolist())
     if len(labels) == 1:
         raise DatasetError(
             f"every row of {str(spec.path)!r} has label {labels.pop()}; need 0 and 1"
         )
-    return normalize_min_max(dataset) if spec.normalize else dataset
+    return normalize_min_max(dataset)
 
 
 def _run_cell(

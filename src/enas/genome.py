@@ -11,7 +11,6 @@ mutate exactly like any other gene. Every gene is declared once, in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -40,10 +39,12 @@ INTEGER_GENE_LIMITS = {
 # (``EvolutionConfig``), ten times its defaults of 100 and 500.
 STATIC_POPULATION_MAX = 1_000
 STATIC_GENERATION_MAX = 5_000
-# Least value of either parameter of a rate gene's beta prior. From 1 up the
-# prior's density stays finite at 0 and 1; below it, draws pile up near an
-# end and round to exactly 0.0 or 1.0, which is no rate.
-BETA_PARAMETER_MIN = 1.0
+# The beta priors of the two rate genes, with means 0.1 and 0.3 and usable
+# upper tails. With both shapes above 1, numpy draws beta(a, b) as X / (X + Y)
+# from two positive gamma draws, so a draw is never 0.0; it would round to 1.0
+# only if Y were about 1e-16 times X, which these shapes never give in practice.
+MUTATION_RATE_PRIOR = (2.0, 18.0)
+CLONING_RATE_PRIOR = (3.0, 7.0)
 
 
 class InvalidGenomeError(ValueError):
@@ -52,12 +53,10 @@ class InvalidGenomeError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Bounds and priors every gene is sampled from.
+    """Bounds and choice sets the architecture and size genes are sampled from.
 
-    Integer bounds are inclusive. The two rate genes are beta-distributed:
-    the mutation-rate prior has mean 0.1 and the cloning-rate prior mean
-    0.3, both with usable upper tails. Each beta parameter is finite and
-    at least ``BETA_PARAMETER_MIN``.
+    Integer bounds are inclusive. The two rate genes have fixed priors,
+    ``MUTATION_RATE_PRIOR`` and ``CLONING_RATE_PRIOR``.
     """
 
     hidden_layers: tuple[int, int] = (1, 4)
@@ -66,8 +65,6 @@ class SearchSpace:
     batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
     optimizers: tuple[str, ...] = SUPPORTED_OPTIMIZERS
     activations: tuple[str, ...] = SUPPORTED_ACTIVATIONS
-    mutation_rate_beta: tuple[float, float] = (2.0, 18.0)
-    cloning_rate_beta: tuple[float, float] = (3.0, 7.0)
     population_size: tuple[int, int] = POPULATION_LIMITS
     max_generations: tuple[int, int] = GENERATION_LIMITS
 
@@ -92,13 +89,6 @@ class SearchSpace:
             if unknown:
                 raise InvalidGenomeError(
                     f"unsupported {name} {unknown}; expected {list(supported)}"
-                )
-        for name in ("mutation_rate_beta", "cloning_rate_beta"):
-            shape = getattr(self, name)
-            if not all(math.isfinite(value) and value >= BETA_PARAMETER_MIN for value in shape):
-                raise InvalidGenomeError(
-                    f"{name} parameters must be finite and at least "
-                    f"{BETA_PARAMETER_MIN}, got {list(shape)}"
                 )
 
 
@@ -154,23 +144,29 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
     return genome
 
 
-def _uniform(bounds: tuple[int, int], rng: np.random.Generator) -> int:
-    return int(rng.integers(bounds[0], bounds[1] + 1))
+def _uniform(field: str) -> Callable:
+    """An integer drawn uniformly from the space's inclusive bounds ``field``."""
+
+    def prior(space: SearchSpace, rng: np.random.Generator) -> int:
+        lo, hi = getattr(space, field)
+        return int(rng.integers(lo, hi + 1))
+
+    return prior
 
 
-def _choice(options: tuple, rng: np.random.Generator):
-    return options[int(rng.integers(0, len(options)))]
+def _choice(field: str) -> Callable:
+    """One of the options in the space's choice set ``field``."""
+
+    def prior(space: SearchSpace, rng: np.random.Generator):
+        options = getattr(space, field)
+        return options[int(rng.integers(0, len(options)))]
+
+    return prior
 
 
-def _beta(shape: tuple[float, float], rng: np.random.Generator) -> float:
-    # A prior massed close to 0 or 1 (say (1e20, 1)) can still round a draw
-    # to an end; that is an error, never a clamped rate.
-    rate = float(rng.beta(*shape))
-    if not 0.0 < rate < 1.0:
-        raise InvalidGenomeError(
-            f"beta prior {list(shape)} drew {rate}; a rate must lie inside (0, 1)"
-        )
-    return rate
+def _beta(shape: tuple[float, float]) -> Callable:
+    """A rate drawn from the fixed beta prior ``shape``."""
+    return lambda space, rng: float(rng.beta(*shape))
 
 
 @dataclass(frozen=True)
@@ -178,24 +174,23 @@ class Gene:
     """How one gene is serialized and drawn."""
 
     key: str  # its name in the serialized document
-    space_field: str  # the SearchSpace field its values come from
-    prior: Callable | None = None  # (that field's value, rng) -> a draw
+    prior: Callable | None = None  # (space, rng) -> a draw
 
 
 # Every gene, in Genome field order, which is also the document's key order
 # and the order sample_genome draws in. The activation list has no prior of
 # its own, because its length follows the depth.
 GENES = {
-    "hidden_layers": Gene("hidden_layers", "hidden_layers", _uniform),
-    "nodes": Gene("nodes", "nodes", _uniform),
-    "activations": Gene("activation functions", "activations"),
-    "optimizer": Gene("optimiser", "optimizers", _choice),
-    "epochs": Gene("number of epochs", "epochs", _uniform),
-    "batch_size": Gene("batch size", "batch_sizes", _choice),
-    "mutation_rate": Gene("mutation rate", "mutation_rate_beta", _beta),
-    "population_size": Gene("population size", "population_size", _uniform),
-    "cloning_rate": Gene("cloning rate", "cloning_rate_beta", _beta),
-    "max_generations": Gene("max generations", "max_generations", _uniform),
+    "hidden_layers": Gene("hidden_layers", _uniform("hidden_layers")),
+    "nodes": Gene("nodes", _uniform("nodes")),
+    "activations": Gene("activation functions"),
+    "optimizer": Gene("optimiser", _choice("optimizers")),
+    "epochs": Gene("number of epochs", _uniform("epochs")),
+    "batch_size": Gene("batch size", _choice("batch_sizes")),
+    "mutation_rate": Gene("mutation rate", _beta(MUTATION_RATE_PRIOR)),
+    "population_size": Gene("population size", _uniform("population_size")),
+    "cloning_rate": Gene("cloning rate", _beta(CLONING_RATE_PRIOR)),
+    "max_generations": Gene("max generations", _uniform("max_generations")),
 }
 # The self-adaptation genes, which an adaptive run promotes to its live values.
 CONTROL_GENES = ("mutation_rate", "population_size", "cloning_rate", "max_generations")
@@ -207,8 +202,7 @@ _BREEDING_ORDER = ("hidden_layers", "activations") + tuple(
 
 def sample_gene(name: str, space: SearchSpace, rng: np.random.Generator):
     """Draw gene ``name``, which must have a prior, from its prior in ``space``."""
-    gene = GENES[name]
-    return gene.prior(getattr(space, gene.space_field), rng)
+    return GENES[name].prior(space, rng)
 
 
 def _rebuild_activations(source: tuple[str, ...], hidden_layers: int) -> tuple[str, ...]:

@@ -57,18 +57,6 @@ class TestLoadCsv:
         assert ds.instance_count == 2
         assert ds.features[0].tolist() == [1.0, 2.0]
 
-    def test_label_column_by_name(self, write_csv):
-        path = write_csv(["target,f1", "1,5.0", "0,6.0"])
-        ds = load_csv(path, label_column="target")
-        assert ds.labels.tolist() == [1, 0]
-        assert ds.features.ravel().tolist() == [5.0, 6.0]
-
-    def test_label_column_by_index(self, write_csv):
-        path = write_csv(["yes,1.0,2.0", "no,3.0,4.0"])
-        ds = load_csv(path, label_column=0, label_mapping={"yes": 1, "no": 0})
-        assert ds.labels.tolist() == [1, 0]
-        assert ds.features.shape[1] == 2
-
     def test_row_order_preserved(self, write_csv):
         path = write_csv([f"{i}.0,{i % 2}" for i in range(10)])
         ds = load_csv(path)
@@ -215,10 +203,11 @@ class TestKFold:
 
     def test_exported_rows_are_input_rows(self, write_csv, tmp_path, monkeypatch):
         # Feature 0 of each data row is its row number, counted from 0 without
-        # the header and the blank line, so a fold's test rows name themselves.
+        # the header and the blank line, so a fold's test rows name themselves;
+        # min-max scaling maps row number i to i / 19.
         lines = ["row,x,label", *(f"{i},{i * 7 % 10},{i % 2}" for i in range(20))]
         lines.insert(9, "")
-        spec = DatasetSpec("rows", write_csv(lines), normalize=False)
+        spec = DatasetSpec("rows", write_csv(lines))
         scored = []
         real_run = evolution.run
 
@@ -233,9 +222,9 @@ class TestKFold:
             text = (tmp_path / "out" / f"folds_rows_{run_index}.csv").read_text()
             exported = {int(i): int(k) for i, k in (line.split(",") for line in text.split()[1:])}
             tested = {
-                int(row): k
+                round(19 * x): k
                 for k, fold in enumerate(fitness.folds)
-                for row in fitness.dataset.features[fold, 0]
+                for x in fitness.dataset.features[fold, 0]
             }
             assert exported == tested
             assert sorted(exported) == list(range(20))

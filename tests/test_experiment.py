@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import shutil
 import tempfile
 from dataclasses import asdict, fields
@@ -12,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enas import evolution
 from enas.cli import _build_parser, apply_run_flags, main
-from enas.evolution import EvolutionConfig, Mode, run
+from enas.evolution import ConfigurationError, EvolutionConfig, Mode, run
 from enas.experiment import (
+    MAX_JOBS,
     AuditError,
     DatasetSpec,
     ExperimentConfig,
@@ -30,7 +31,7 @@ from enas.experiment import (
 )
 from enas.fitness import CrossValFitness
 from enas.genome import SearchSpace, genome_to_doc, sample_genome
-from enas.seeding import make_rng
+from enas.seeding import derive_seed, make_rng
 from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .test_evolution import SyntheticFitness
@@ -288,12 +289,9 @@ class TestConfigFile:
     def test_json_integer_for_a_number_is_read_as_float(self, tmp_path):
         path = _write_config(
             tmp_path,
-            search_space={**TINY_SPACE, "mutation_rate_beta": [2, 18]},
             static_params={"population_size": 4, "max_generations": 3, "crossover_rate": 1},
         )
-        config = config_from_file(path)
-        for value in (config.evolution.crossover_rate, *config.evolution.space.mutation_rate_beta):
-            assert type(value) is float
+        assert type(config_from_file(path).evolution.crossover_rate) is float
 
     def test_unknown_dataset_filter_rejected(self, tmp_path):
         path = _write_config(tmp_path)
@@ -394,6 +392,19 @@ class TestCli:
         assert "runs must lie in [1, 1000]" in self._assert_one_line_error(capsys, argv)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "edit, flags",
+        [({"jobs": 2**70}, []), ({}, ["--jobs", str(MAX_JOBS + 1)])],
+        ids=["file", "flag"],
+    )
+    def test_too_many_jobs_rejected_before_any_write(self, tmp_path, capsys, edit, flags):
+        # Rejected while the config is built, so no worker process is started.
+        config_path = _write_config(tmp_path, datasets=1, runs=1, **edit)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path), *flags])
+        assert f"jobs must lie in [1, {MAX_JOBS}], got " in err
+        assert err.startswith("error: --jobs: ") == bool(flags)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("where", ["config", "dataset", "audit"])
     def test_path_with_a_line_break_stays_on_one_line(self, tmp_path, capsys, where):
         # The directory's name holds a line break; the message quotes it.
@@ -458,6 +469,10 @@ class TestCli:
             ("datasets", "pathh"),
             ("search_space", "nodez"),
             ("static_params", "tournament_sise"),
+            ("datasets", "label_column"),
+            ("datasets", "normalize"),
+            ("search_space", "mutation_rate_beta"),
+            ("search_space", "cloning_rate_beta"),
         ],
     )
     def test_unknown_config_key_rejected(self, tmp_path, capsys, section, key):
@@ -466,7 +481,8 @@ class TestCli:
         target = doc if section is None else doc[section]
         (target[0] if section == "datasets" else target)[key] = 1
         config_path.write_text(json.dumps(doc))
-        assert key in self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert err.startswith("error: unknown keys in ") and key in err
 
     @pytest.mark.parametrize(
         "edit",
@@ -496,13 +512,9 @@ class TestCli:
                 )
                 for key in ("population_size", "max_generations")
             ),
-            *(
-                pytest.param(_edit_dataset(key, value), id=f"dataset-{key}-{label}")
-                for key, label, value in [
-                    ("label_mapping", "not-integer", {"0": 0, "1": True}),
-                    ("label_column", "float", 1.5),
-                    ("normalize", "integer", 1),
-                ]
+            pytest.param(
+                _edit_dataset("label_mapping", {"0": 0, "1": True}),
+                id="dataset-label_mapping-not-integer",
             ),
             *(
                 pytest.param(_edit_dataset("name", name), id=f"dataset-name-{label}")
@@ -522,45 +534,29 @@ class TestCli:
         config_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
 
-    @pytest.mark.parametrize("shape", [[math.inf, 2.0], [1e-300, 1e-300]], ids=["inf", "tiny"])
-    def test_degenerate_beta_prior_rejected(self, tmp_path, capsys, shape):
-        config_path = _write_config(
-            tmp_path,
-            datasets=1,
-            runs=1,
-            modes=("enas",),
-            search_space={**TINY_SPACE, "mutation_rate_beta": shape},
-        )
-        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
-        assert "mutation_rate_beta" in err
+    def test_failed_cell_in_a_worker_gives_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # Run 1's cell fails (9 is _write_config's base seed); the forked
+        # workers inherit the patched module.
+        failing_seed = derive_seed(9, "toy0", 1, "enas")
 
-    def test_rate_drawn_at_an_end_gives_one_error_line(self, tmp_path, capsys):
-        config_path = _write_config(
-            tmp_path,
-            datasets=1,
-            runs=1,
-            modes=("enas",),
-            search_space={**TINY_SPACE, "cloning_rate_beta": [1e20, 1.0]},
-        )
-        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
-        assert "drew 1.0" in err
+        def fail_one_cell(mode, config, fitness, run_seed):
+            if run_seed == failing_seed:
+                raise ConfigurationError("cell toy0 enas 1 failed")
+            return run(mode, config, fitness, run_seed)
 
-    def test_failed_cell_in_a_worker_gives_one_error_line(self, tmp_path, capsys):
-        config_path = _write_config(
-            tmp_path,
-            datasets=1,
-            runs=2,
-            modes=("enas",),
-            search_space={**TINY_SPACE, "cloning_rate_beta": [1e20, 1.0]},
-        )
+        monkeypatch.setattr(evolution, "run", fail_one_cell)
+        config_path = _write_config(tmp_path, datasets=1, runs=2, modes=("enas",))
         argv = ["run", "--config", str(config_path), "--jobs", "2"]
-        assert "drew 1.0" in self._assert_one_line_error(capsys, argv)
+        assert "cell toy0 enas 1 failed" in self._assert_one_line_error(capsys, argv)
 
     @pytest.mark.parametrize(
         "make",
         [
             pytest.param(lambda path: path.mkdir(), id="directory"),
             pytest.param(lambda path: path.write_bytes(b"1,0\n\xff,1\n"), id="not-utf-8"),
+            pytest.param(
+                lambda path: path.write_text(f"1,{'0' * 200_000},1\n"), id="oversized-cell"
+            ),
         ],
     )
     def test_unreadable_dataset_gives_one_error_line(self, tmp_path, capsys, make):
@@ -620,17 +616,16 @@ class TestCli:
         config = self._loaded_config(["run", "--config", str(config_path), "--mode", flag])
         assert config.modes == modes
 
-    @pytest.mark.parametrize("label_column", ["class", 3])
-    def test_dataset_entry_with_every_field_loads_exactly(self, tmp_path, label_column):
+    # A label that reads as a number ("3") must stay a string key, as the CSV cells are.
+    @pytest.mark.parametrize("label", ["class", "3"])
+    def test_dataset_entry_with_every_field_loads_exactly(self, tmp_path, label):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
         doc = json.loads(config_path.read_text())
         doc["datasets"] = [
             {
                 "name": "toy",
                 "path": "data/toy0.csv",
-                "label_column": label_column,
-                "label_mapping": {"m": 0, "r": 1},
-                "normalize": False,
+                "label_mapping": {label: 0, "r": 1},
             }
         ]
         config_path.write_text(json.dumps(doc))
@@ -639,15 +634,13 @@ class TestCli:
             DatasetSpec(
                 name="toy",
                 path=tmp_path / "data" / "toy0.csv",
-                label_column=label_column,
-                label_mapping={"m": 0, "r": 1},
-                normalize=False,
+                label_mapping={label: 0, "r": 1},
             )
         ]
 
     def test_search_space_of_defaults_loads_to_default_space(self, tmp_path):
         defaults = asdict(SearchSpace())
-        assert len(defaults) == 10
+        assert len(defaults) == 8
         config_path = _write_config(tmp_path, datasets=1, runs=1, search_space=defaults)
         config = self._loaded_config(["run", "--config", str(config_path)])
         assert config.evolution.space == SearchSpace()
@@ -729,7 +722,7 @@ FIELD_NAMES = {
     None: sorted(VALID_DOC),
     "search_space": [f.name for f in fields(SearchSpace)],
     "static_params": [f.name for f in fields(EvolutionConfig) if f.name != "space"],
-    "dataset": ["name", "path", "label_column", "label_mapping", "normalize"],
+    "dataset": [f.name for f in fields(DatasetSpec)],
 }
 
 

@@ -371,33 +371,11 @@ class TestValidation:
             ("batch_sizes", (4, 0)),
             ("optimizers", ("adam", "sparrow")),
             ("activations", ("relu", "step")),
-            ("mutation_rate_beta", (float("nan"), 2.0)),
         ],
     )
     def test_space_rejects_choices_training_cannot_use(self, field, value):
         with pytest.raises(InvalidGenomeError):
             SearchSpace(**{field: value})
-
-    @pytest.mark.parametrize(
-        "shape", [(float("inf"), 2.0), (2.0, float("inf")), (1e-300, 1e-300), (0.5, 2.0)]
-    )
-    @pytest.mark.parametrize("field", ["mutation_rate_beta", "cloning_rate_beta"])
-    def test_space_rejects_beta_priors_below_one_or_infinite(self, field, shape):
-        with pytest.raises(InvalidGenomeError, match=f"{field} parameters must be finite"):
-            SearchSpace(**{field: shape})
-
-    def test_space_accepts_the_flat_beta_prior(self):
-        assert SearchSpace(mutation_rate_beta=(1.0, 1.0)).mutation_rate_beta == (1.0, 1.0)
-
-    @pytest.mark.parametrize(
-        "gene, field",
-        [("mutation_rate", "mutation_rate_beta"), ("cloning_rate", "cloning_rate_beta")],
-    )
-    def test_rate_drawn_as_exactly_one_is_an_error_not_a_clamp(self, gene, field):
-        # Allowed parameters, but massed so close to 1 that every draw rounds to it.
-        space = SearchSpace(**{field: (1e20, 1.0)})
-        with pytest.raises(InvalidGenomeError, match=r"drew 1\.0; a rate must lie inside \(0, 1\)"):
-            sample_gene(gene, space, make_rng(3))
 
     def test_network_config_is_exactly_the_network_genes(self):
         genome = _fixed_genome()
