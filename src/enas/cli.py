@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import DatasetError
-from .evolution import ConfigurationError, Mode
+from .evolution import ConfigurationError
 from .experiment import (
     AuditError,
     ExperimentConfig,
@@ -40,23 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="execute the experiment described by a JSON config")
     run_p.add_argument("--config", required=True, help="path to the experiment config JSON")
     run_p.add_argument(
-        "--dataset",
-        action="append",
-        default=None,
-        help="restrict to this dataset name from the config (repeatable)",
+        "--out", type=Path, help="output directory, relative to the working directory"
     )
-    run_p.add_argument(
-        "--mode",
-        choices=["nas_plus", "enas", "both"],
-        default=None,
-        help="modes to run in place of the configured list",
-    )
-    run_p.add_argument("--runs", type=int, default=None, help="repeated runs per cell")
-    run_p.add_argument("--seed", type=int, default=None, help="base seed")
-    run_p.add_argument(
-        "--out", default=None, help="output directory, relative to the working directory"
-    )
-    run_p.add_argument("--jobs", type=int, default=None, help="parallel cells")
+    run_p.add_argument("--jobs", type=int, help="parallel cells")
 
     audit_p = sub.add_parser(
         "audit", help="check summary.csv and the best-genome files against the history files"
@@ -73,23 +59,9 @@ def apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> Exper
     """``config`` with the fields that ``enas run``'s given flags replace.
 
     Each new value passes the same checks as a file value, and a failed
-    check names its flag. ``--dataset`` keeps the named datasets in config
-    order. The search settings are read from the config file alone.
+    check names its flag. Every other setting is read from the config file.
     """
-    if args.dataset is not None:
-        unknown = sorted(set(args.dataset) - {spec.name for spec in config.datasets})
-        if unknown:
-            raise ExperimentError(f"--dataset: unknown dataset names {unknown}")
-        config = replace(config, datasets=[s for s in config.datasets if s.name in args.dataset])
-    if args.mode is not None:
-        config = replace(config, modes=list(Mode) if args.mode == "both" else [Mode(args.mode)])
-    out = None if args.out is None else Path(args.out)
-    for flag, name, value in (
-        ("--runs", "runs", args.runs),
-        ("--seed", "base_seed", args.seed),
-        ("--jobs", "jobs", args.jobs),
-        ("--out", "out_dir", out),
-    ):
+    for flag, name, value in (("--jobs", "jobs", args.jobs), ("--out", "out_dir", args.out)):
         if value is not None:
             try:
                 config = replace(config, **{name: value})

@@ -9,6 +9,7 @@ and their results are directly comparable.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import astuple, dataclass, field, fields
@@ -470,14 +471,15 @@ def _run_cell(
     """One (dataset, run, mode) cell: a whole search, then its progress line."""
     # Looked up on the module so that a wrapper installed there is called.
     result = evolution.run(mode, config, fitness, run_seed)
-    print(
+    # One write per line, so that the lines of parallel cells never interleave.
+    sys.stdout.write(
         f"{dataset} {mode.value} run {run_index}: "
         f"best={result.best.fitness.mean_f_measure:.4f} "
         f"generations={result.generation} "
         f"models={result.models_trained} "
-        f"({result.wall_time:.1f}s)",
-        flush=True,
+        f"({result.wall_time:.1f}s)\n"
     )
+    sys.stdout.flush()
     return result
 
 
@@ -577,7 +579,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(summary, efficiency, runs)
 
 
-# The entries of a best_genome_*.json file, as ``run_experiment`` writes them.
+# The entries of a best_genome_*.json file, as ``run_experiment`` writes them;
+# ``genome`` is then read by ``genome_from_doc``.
 _BEST_GENOME_HINTS = {
     "genome": dict,
     "mean_f_measure": float,
@@ -588,12 +591,14 @@ _BEST_GENOME_HINTS = {
 
 
 def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
-    """The file's score must be the mean of its fold scores and its run's last ``best_f1``."""
+    """The file's genome must be valid, and its score the mean of its fold
+    scores and its run's last ``best_f1``."""
     shown = repr(str(path))
     doc = _section(shown, _read_json(path), _BEST_GENOME_HINTS, required=_BEST_GENOME_HINTS)
     try:
+        genome_from_doc(doc["genome"])
         record = FitnessRecord(per_fold=doc["per_fold"])
-    except ValueError as exc:
+    except ValueError as exc:  # an ExperimentError is one too
         raise ExperimentError(f"{shown}: {exc}") from None
     for expected, what in (
         (record.mean_f_measure, "the mean of its per_fold"),
@@ -606,17 +611,21 @@ def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
 
 
 def audit_output_dir(out_dir: str | Path) -> None:
-    """Recompute summary.csv from the history files, and check each best-genome
-    file against its history; raise on any mismatch."""
+    """Recompute summary.csv from the history files, check each best-genome
+    file against its history, and require every history and best-genome file
+    to belong to exactly one summary row; raise on any mismatch."""
     out = Path(out_dir)
+    accounted: set[str] = set()
     for where, cells in _read_csv(out / "summary.csv", SUMMARY_COLUMNS):
         dataset, mode = cells[:2]
         runs = _parse(where, "runs", int, cells[2])
         _require(runs >= 1, f"{where}: runs must be at least 1, got {runs}")
-        histories = [
-            read_history_csv(out / f"history_{dataset}_{mode}_{run_index}.csv")
-            for run_index in range(runs)
-        ]
+        stems = [f"{dataset}_{mode}_{run_index}" for run_index in range(runs)]
+        files = {f for s in stems for f in (f"history_{s}.csv", f"best_genome_{s}.json")}
+        if files & accounted:
+            raise AuditError(f"{where}: the row for ({dataset}, {mode}) repeats an earlier row")
+        accounted |= files
+        histories = [read_history_csv(out / f"history_{stem}.csv") for stem in stems]
         recomputed = _aggregate_row(dataset, mode, histories)
         line, expected = ",".join(cells), _csv_line(astuple(recomputed))
         if expected != line:
@@ -625,5 +634,9 @@ def audit_output_dir(out_dir: str | Path) -> None:
                 f"  summary.csv: {line}\n"
                 f"  recomputed:  {expected}"
             )
-        for run_index, history in enumerate(histories):
-            _audit_best_genome(out / f"best_genome_{dataset}_{mode}_{run_index}.json", history)
+        for stem, history in zip(stems, histories):
+            _audit_best_genome(out / f"best_genome_{stem}.json", history)
+    found = {path.name for path in [*out.glob("history_*.csv"), *out.glob("best_genome_*.json")]}
+    if found - accounted:
+        stray = out / min(found - accounted)
+        raise AuditError(f"no row of summary.csv accounts for {str(stray)!r}")

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import re
 import shutil
+import sys
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +22,7 @@ from enas.experiment import (
     DatasetSpec,
     ExperimentConfig,
     ExperimentError,
+    _run_cell,
     audit_output_dir,
     config_from_file,
     genome_from_doc,
@@ -80,6 +83,11 @@ def _with_flags(path, *flags):
 
 def _edit_dataset(key, value):
     return lambda doc: {**doc, "datasets": [{**doc["datasets"][0], key: value}]}
+
+
+def _rewrite_lines(path, edit):
+    lines = edit(path.read_text().splitlines())
+    path.write_text("".join(f"{line}\n" for line in lines))
 
 
 def _replace_last_cell(index, value):
@@ -169,6 +177,15 @@ class TestRunExperiment:
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
         result = run_experiment(config)
         assert result.summary[0].range == 0.0
+
+    def test_progress_line_is_one_write(self, monkeypatch):
+        # Parallel cells share one stdout: a line written in two parts can
+        # have another cell's line written between them.
+        writes = []
+        monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
+        config = EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)))
+        _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5)
+        assert len(writes) == 1 and re.fullmatch(r"toy enas run 0: .*\n", writes[0]), writes
 
     def test_cross_val_call_runs_once_per_evaluation_event(self, tmp_path, monkeypatch):
         # perfbench samples host speed after, and traces fitness.eval as, each
@@ -273,18 +290,11 @@ class TestEfficiency:
 class TestConfigFile:
     def test_overrides_applied(self, tmp_path):
         path = _write_config(tmp_path)
-        config = _with_flags(
-            path,
-            *("--runs", "5", "--seed", "77", "--out", "elsewhere"),
-            *("--jobs", "2", "--mode", "enas", "--dataset", "toy1"),
-        )
-        assert config.runs == 5
-        assert config.base_seed == 77
+        config = _with_flags(path, "--out", "elsewhere", "--jobs", "2")
         assert config.out_dir == Path("elsewhere")  # cwd-relative, as typed
-        assert config.evolution == config_from_file(path).evolution  # the file's alone
         assert config.jobs == 2
-        assert [m.value for m in config.modes] == ["enas"]
-        assert [d.name for d in config.datasets] == ["toy1"]
+        # every other setting is the file's alone
+        assert config == replace(config_from_file(path), out_dir=Path("elsewhere"), jobs=2)
 
     def test_json_integer_for_a_number_is_read_as_float(self, tmp_path):
         path = _write_config(
@@ -292,11 +302,6 @@ class TestConfigFile:
             static_params={"population_size": 4, "max_generations": 3, "crossover_rate": 1},
         )
         assert type(config_from_file(path).evolution.crossover_rate) is float
-
-    def test_unknown_dataset_filter_rejected(self, tmp_path):
-        path = _write_config(tmp_path)
-        with pytest.raises(ExperimentError, match="unknown dataset"):
-            _with_flags(path, "--dataset", "nope")
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(ExperimentError, match="not found"):
@@ -346,16 +351,12 @@ class TestCli:
         return err
 
     # --max-generations-cap is not a flag: the parser rejects it, also in one line.
-    @pytest.mark.parametrize("flag", ["--runs", "--jobs", "--max-generations-cap"])
+    @pytest.mark.parametrize("flag", ["--jobs", "--max-generations-cap"])
     def test_zero_override_rejected(self, tmp_path, capsys, flag):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path), flag, "0"])
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--runs", "0"], ["--jobs", "0"]],
-        ids=["runs", "jobs"],
-    )
+    @pytest.mark.parametrize("flags", [["--jobs", "0"]], ids=["jobs"])
     def test_failed_flag_check_names_the_flag(self, tmp_path, capsys, flags):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path), *flags])
@@ -371,9 +372,23 @@ class TestCli:
             ),
             pytest.param(["plot-data", "a", "b"], "invalid choice: 'plot-data'", id="plot-data"),
             pytest.param(
-                ["run", "--config", "c", "--runs", "two"],
-                "argument --runs: invalid int value: 'two'",
-                id="runs-not-an-integer",
+                ["run", "--config", "c", "--jobs", "two"],
+                "argument --jobs: invalid int value: 'two'",
+                id="jobs-not-an-integer",
+            ),
+            # Every experiment setting is read from the config file alone.
+            *(
+                pytest.param(
+                    ["run", "--config", "c", *removed],
+                    f"unrecognized arguments: {' '.join(removed)}",
+                    id=f"removed-{removed[0][2:]}",
+                )
+                for removed in (
+                    ["--dataset", "toy0"],
+                    ["--mode", "enas"],
+                    ["--runs", "2"],
+                    ["--seed", "3"],
+                )
             ),
             pytest.param(["run"], "the following arguments are required: --config", id="no-config"),
         ],
@@ -381,14 +396,24 @@ class TestCli:
     def test_parser_error_gives_one_error_line(self, capsys, argv, message):
         assert message in self._assert_one_line_error(capsys, argv)
 
-    @pytest.mark.parametrize(
-        "edit, flags",
-        [({"runs": 2**70}, []), ({}, ["--runs", str(2**70)])],
-        ids=["file", "flag"],
-    )
-    def test_too_many_runs_rejected_before_any_write(self, tmp_path, capsys, edit, flags):
-        config_path = _write_config(tmp_path, datasets=1, **{"runs": 1, **edit})
-        argv = ["run", "--config", str(config_path), *flags]
+    @staticmethod
+    def _flags():
+        """Each subcommand's name -> the option strings its parser accepts."""
+        (commands,) = _build_parser()._subparsers._group_actions
+        return {name: set(p._option_string_actions) for name, p in commands.choices.items()}
+
+    def test_run_takes_only_the_deployment_flags(self):
+        assert self._flags()["run"] == {"-h", "--help", "--config", "--out", "--jobs"}
+
+    def test_readme_names_no_flag_the_parser_lacks(self):
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", (ROOT / "README.md").read_text()))
+        unknown = named - set.union(*self._flags().values())
+        assert named and not unknown, sorted(unknown)
+
+    @pytest.mark.parametrize("edit", [{"runs": 2**70}], ids=["file"])
+    def test_too_many_runs_rejected_before_any_write(self, tmp_path, capsys, edit):
+        config_path = _write_config(tmp_path, datasets=1, **edit)
+        argv = ["run", "--config", str(config_path)]
         assert "runs must lie in [1, 1000]" in self._assert_one_line_error(capsys, argv)
         assert not (tmp_path / "out").exists()
 
@@ -441,6 +466,38 @@ class TestCli:
         assert main(["audit", "--out", str(out)]) == 1
         assert target.name in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            pytest.param(
+                lambda out: _rewrite_lines(out / "summary.csv", lambda lines: lines[:2]),
+                "best_genome_toy0_enas_0.json",
+                id="rows-left-out",
+            ),
+            pytest.param(
+                lambda out: _rewrite_lines(out / "summary.csv", lambda lines: lines + lines[1:2]),
+                "(toy0, nas_plus) repeats",
+                id="row-repeated",
+            ),
+            pytest.param(
+                lambda out: shutil.copy(
+                    out / "history_toy0_enas_0.csv", out / "history_toy0_enas_2.csv"
+                ),
+                "history_toy0_enas_2.csv",
+                id="stale-history",
+            ),
+        ],
+    )
+    def test_audit_fails_unless_each_file_has_one_summary_row(
+        self, experiment_dir, tmp_path, capsys, edit, named
+    ):
+        _, config, _ = experiment_dir
+        out = tmp_path / "out"
+        shutil.copytree(config.out_dir, out)
+        edit(out)
+        assert main(["audit", "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+
     def test_audit_without_summary_gives_one_error_line(self, tmp_path, capsys):
         err = self._assert_one_line_error(capsys, ["audit", "--out", str(tmp_path)])
         assert str(tmp_path / "summary.csv") in err
@@ -448,9 +505,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit, flags, named",
         [
-            pytest.param({}, ["--dataset", "nope"], "--dataset", id="unknown-dataset"),
             pytest.param({"out_dir": 5}, ["--out", "x"], "config.out_dir", id="out-dir-under-out"),
-            pytest.param({"runs": 0}, ["--runs", "1"], "runs", id="runs-under-runs"),
+            pytest.param({"jobs": 0}, ["--jobs", "1"], "error: jobs must", id="jobs-under-jobs"),
         ],
     )
     def test_bad_flag_or_file_value_under_a_flag_rejected(
@@ -608,14 +664,6 @@ class TestCli:
             assert main(argv) == 0
         return stub.call_args.args[0]
 
-    @pytest.mark.parametrize(
-        "flag, modes", [("enas", [Mode.ENAS]), ("both", [Mode.NAS_PLUS, Mode.ENAS])]
-    )
-    def test_mode_flag_sets_modes(self, tmp_path, flag, modes):
-        config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("nas_plus",))
-        config = self._loaded_config(["run", "--config", str(config_path), "--mode", flag])
-        assert config.modes == modes
-
     # A label that reads as a number ("3") must stay a string key, as the CSV cells are.
     @pytest.mark.parametrize("label", ["class", "3"])
     def test_dataset_entry_with_every_field_loads_exactly(self, tmp_path, label):
@@ -665,6 +713,13 @@ class TestCli:
                 lambda lines: [line.replace('"per_fold"', '"per_folds"') for line in lines],
                 id="renamed-genome-key",
             ),
+            pytest.param(
+                "best_genome_toy0_enas_1.json",
+                lambda lines: json.dumps(
+                    {**json.loads("".join(lines)), "genome": {"nodes": "lots", "junk": True}}
+                ).splitlines(),
+                id="junk-genome",
+            ),
         ],
     )
     def test_malformed_outputs_give_one_error_line(
@@ -677,8 +732,7 @@ class TestCli:
         if edit is None:
             target.unlink()
         else:
-            lines = edit(target.read_text().splitlines())
-            target.write_text("".join(f"{line}\n" for line in lines))
+            _rewrite_lines(target, edit)
         assert name in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
 
     @pytest.mark.parametrize(
