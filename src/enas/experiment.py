@@ -85,6 +85,8 @@ class ExperimentConfig:
             raise ExperimentError("folds must be at least 2")
         if not 1 <= self.jobs <= MAX_JOBS:
             raise ExperimentError(f"jobs must lie in [1, {MAX_JOBS}], got {self.jobs}")
+        if "\0" in str(self.out_dir):  # no file system takes it in a path
+            raise ExperimentError(f"out_dir must not contain a NUL byte, got {str(self.out_dir)!r}")
         if not self.datasets:
             raise ExperimentError("at least one dataset is required")
         if not self.modes:
@@ -291,6 +293,8 @@ def _columns(cls) -> tuple[str, ...]:
 
 
 HISTORY_COLUMNS = _columns(GenerationRecord)
+# A run's fold file: each input row, in row order, and the fold it was tested in.
+FOLD_COLUMNS = ("instance_index", "fold_id")
 _HISTORY_KINDS = get_type_hints(GenerationRecord)
 
 
@@ -509,7 +513,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             folds = fold_split(dataset, config.folds, _data_seed(config, spec.name, run_index))
             write_csv(
                 out / f"folds_{spec.name}_{run_index}.csv",
-                ("instance_index", "fold_id"),
+                FOLD_COLUMNS,
                 sorted((int(i), k) for k, fold in enumerate(folds) for i in fold),
             )
             fitness = CrossValFitness(dataset, folds)
@@ -612,14 +616,17 @@ def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
 
 def audit_output_dir(out_dir: str | Path) -> None:
     """Recompute summary.csv from the history files, check each best-genome
-    file against its history, and require every history and best-genome file
-    to belong to exactly one summary row; raise on any mismatch."""
+    file against its history and each fold file's rows, and require every
+    history, best-genome and fold file to belong to a summary row (every
+    history and best-genome file to exactly one); raise on any mismatch."""
     out = Path(out_dir)
     accounted: set[str] = set()
+    fold_files: set[str] = set()  # the two modes of a dataset share its runs' folds
     for where, cells in _read_csv(out / "summary.csv", SUMMARY_COLUMNS):
         dataset, mode = cells[:2]
         runs = _parse(where, "runs", int, cells[2])
-        _require(runs >= 1, f"{where}: runs must be at least 1, got {runs}")
+        _require(1 <= runs <= MAX_RUNS, f"{where}: runs must lie in [1, {MAX_RUNS}], got {runs}")
+        fold_files.update(f"folds_{dataset}_{run_index}.csv" for run_index in range(runs))
         stems = [f"{dataset}_{mode}_{run_index}" for run_index in range(runs)]
         files = {f for s in stems for f in (f"history_{s}.csv", f"best_genome_{s}.json")}
         if files & accounted:
@@ -636,7 +643,12 @@ def audit_output_dir(out_dir: str | Path) -> None:
             )
         for stem, history in zip(stems, histories):
             _audit_best_genome(out / f"best_genome_{stem}.json", history)
-    found = {path.name for path in [*out.glob("history_*.csv"), *out.glob("best_genome_*.json")]}
-    if found - accounted:
-        stray = out / min(found - accounted)
-        raise AuditError(f"no row of summary.csv accounts for {str(stray)!r}")
+    for fold_file in sorted(fold_files):  # integer cells, and instance indices 0..n-1 in order
+        for index, (where, cells) in enumerate(_read_csv(out / fold_file, FOLD_COLUMNS)):
+            instance, _ = (_parse(where, key, int, cell) for key, cell in zip(FOLD_COLUMNS, cells))
+            _require(instance == index, f"{where}: instance_index must be {index}, got {instance}")
+    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv")
+    stray = {path.name for pattern in patterns for path in out.glob(pattern)}
+    stray -= accounted | fold_files
+    if stray:
+        raise AuditError(f"no row of summary.csv accounts for {str(out / min(stray))!r}")

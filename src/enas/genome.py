@@ -11,7 +11,7 @@ mutate exactly like any other gene. Every gene is declared once, in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -23,11 +23,16 @@ from .nn import SUPPORTED_ACTIVATIONS, SUPPORTED_OPTIMIZERS, MLPConfig, Training
 POPULATION_LIMITS = (3, 50)
 GENERATION_LIMITS = (1, 500)
 # The same for the integer architecture genes, so that every network the
-# search can sample is one that can be allocated and trained.
-HIDDEN_LAYER_LIMITS = (1, 16)
+# search can sample is one that can be allocated and trained. No run
+# narrows the depth: every search draws it from this range.
+HIDDEN_LAYER_LIMITS = (1, 4)
 NODE_LIMITS = (1, 1024)
 EPOCH_LIMITS = (1, 10_000)
-# Integer gene -> its hard rails; the gene names are also SearchSpace fields.
+# The batch sizes every search draws from; its optimizers and hidden
+# activations are every one that training supports.
+BATCH_SIZES = (1, 2, 4, 8, 16, 32)
+# Integer gene -> its hard rails; every gene but the depth is also a
+# SearchSpace field.
 INTEGER_GENE_LIMITS = {
     "hidden_layers": HIDDEN_LAYER_LIMITS,
     "nodes": NODE_LIMITS,
@@ -53,42 +58,26 @@ class InvalidGenomeError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Bounds and choice sets the architecture and size genes are sampled from.
+    """The inclusive bounds a run samples its width, epoch and size genes from.
 
-    Integer bounds are inclusive. The two rate genes have fixed priors,
-    ``MUTATION_RATE_PRIOR`` and ``CLONING_RATE_PRIOR``.
+    Every other gene has a fixed prior; the depth, for one, is drawn from
+    its hard rails ``HIDDEN_LAYER_LIMITS``.
     """
 
-    hidden_layers: tuple[int, int] = (1, 4)
     nodes: tuple[int, int] = (2, 128)
     epochs: tuple[int, int] = (1, 100)
-    batch_sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32)
-    optimizers: tuple[str, ...] = SUPPORTED_OPTIMIZERS
-    activations: tuple[str, ...] = SUPPORTED_ACTIVATIONS
     population_size: tuple[int, int] = POPULATION_LIMITS
     max_generations: tuple[int, int] = GENERATION_LIMITS
 
     def __post_init__(self) -> None:
-        for name, limits in INTEGER_GENE_LIMITS.items():
+        for name in (f.name for f in fields(self)):
             lo, hi = getattr(self, name)
+            limits = INTEGER_GENE_LIMITS[name]
             if lo > hi:
                 raise InvalidGenomeError(f"{name} low bound {lo} is above its high bound {hi}")
             if lo < limits[0] or hi > limits[1]:
                 raise InvalidGenomeError(
                     f"{name} bounds must sit inside {limits}, got ({lo}, {hi})"
-                )
-        if not self.batch_sizes or not self.optimizers or not self.activations:
-            raise InvalidGenomeError("choice sets must be non-empty")
-        if min(self.batch_sizes) < 1:
-            raise InvalidGenomeError(f"batch sizes must be positive, got {list(self.batch_sizes)}")
-        for name, chosen, supported in (
-            ("optimizers", self.optimizers, SUPPORTED_OPTIMIZERS),
-            ("activations", self.activations, SUPPORTED_ACTIVATIONS),
-        ):
-            unknown = sorted(set(chosen) - set(supported))
-            if unknown:
-                raise InvalidGenomeError(
-                    f"unsupported {name} {unknown}; expected {list(supported)}"
                 )
 
 
@@ -125,7 +114,7 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
         raise InvalidGenomeError("mutation and cloning rates must lie inside (0, 1)")
     for name, limits in INTEGER_GENE_LIMITS.items():
         value = getattr(g, name)
-        # The hard rails, then the run's own bounds when a space is given.
+        # The hard rails, then the run's own bounds when a space gives them.
         for bounds in (limits, getattr(space, name, limits)):
             if not bounds[0] <= value <= bounds[1]:
                 raise InvalidGenomeError(f"{name} value {value} outside bounds {bounds}")
@@ -133,35 +122,24 @@ def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
         config_from_genome(g)
     except TrainingError as exc:
         raise InvalidGenomeError(str(exc)) from exc
-    if space is not None:
-        if g.batch_size not in space.batch_sizes:
-            raise InvalidGenomeError(f"batch size {g.batch_size} not in {space.batch_sizes}")
-        if g.optimizer not in space.optimizers:
-            raise InvalidGenomeError(f"optimizer {g.optimizer!r} not in {space.optimizers}")
-        for name in g.activations[:-1]:
-            if name not in space.activations:
-                raise InvalidGenomeError(f"activation {name!r} not in {space.activations}")
+    if g.batch_size not in BATCH_SIZES:  # a hard rail too
+        raise InvalidGenomeError(f"batch size {g.batch_size} not in {BATCH_SIZES}")
     return genome
 
 
 def _uniform(field: str) -> Callable:
-    """An integer drawn uniformly from the space's inclusive bounds ``field``."""
+    """An integer drawn uniformly from the space's inclusive bounds ``field``, else its rails."""
 
     def prior(space: SearchSpace, rng: np.random.Generator) -> int:
-        lo, hi = getattr(space, field)
+        lo, hi = getattr(space, field, INTEGER_GENE_LIMITS[field])
         return int(rng.integers(lo, hi + 1))
 
     return prior
 
 
-def _choice(field: str) -> Callable:
-    """One of the options in the space's choice set ``field``."""
-
-    def prior(space: SearchSpace, rng: np.random.Generator):
-        options = getattr(space, field)
-        return options[int(rng.integers(0, len(options)))]
-
-    return prior
+def _choice(options: tuple) -> Callable:
+    """One of the fixed ``options``."""
+    return lambda space, rng: options[int(rng.integers(0, len(options)))]
 
 
 def _beta(shape: tuple[float, float]) -> Callable:
@@ -184,9 +162,9 @@ GENES = {
     "hidden_layers": Gene("hidden_layers", _uniform("hidden_layers")),
     "nodes": Gene("nodes", _uniform("nodes")),
     "activations": Gene("activation functions"),
-    "optimizer": Gene("optimiser", _choice("optimizers")),
+    "optimizer": Gene("optimiser", _choice(SUPPORTED_OPTIMIZERS)),
     "epochs": Gene("number of epochs", _uniform("epochs")),
-    "batch_size": Gene("batch size", _choice("batch_sizes")),
+    "batch_size": Gene("batch size", _choice(BATCH_SIZES)),
     "mutation_rate": Gene("mutation rate", _beta(MUTATION_RATE_PRIOR)),
     "population_size": Gene("population size", _uniform("population_size")),
     "cloning_rate": Gene("cloning rate", _beta(CLONING_RATE_PRIOR)),
@@ -220,8 +198,8 @@ def _draw(name: str, genes: dict, space: SearchSpace, rng: np.random.Generator):
     """Draw gene ``name``; the activation list takes the depth already in ``genes``."""
     if name != "activations":
         return sample_gene(name, space, rng)
-    picks = rng.integers(0, len(space.activations), size=genes["hidden_layers"] + 1)
-    return tuple(space.activations[i] for i in picks) + ("sigmoid",)
+    picks = rng.integers(0, len(SUPPORTED_ACTIVATIONS), size=genes["hidden_layers"] + 1)
+    return tuple(SUPPORTED_ACTIVATIONS[i] for i in picks) + ("sigmoid",)
 
 
 def sample_genome(space: SearchSpace, rng: np.random.Generator) -> Genome:

@@ -232,7 +232,7 @@ class TestKFold:
 
 def _one_generation(spec, out_dir, runs):
     """A one-mode experiment on ``spec`` with 3 folds and one tiny generation."""
-    space = SearchSpace(hidden_layers=(1, 1), nodes=(2, 2), epochs=(1, 1), population_size=(3, 3))
+    space = SearchSpace(nodes=(2, 2), epochs=(1, 1), population_size=(3, 3))
     return ExperimentConfig(
         datasets=[spec],
         modes=[Mode.NAS_PLUS],

@@ -431,20 +431,11 @@ def _without_wall_time(events):
     return [{key: value for key, value in doc.items() if key != "wall_time"} for doc in events]
 
 
-# Few distinct network configs, so that breeding yields same-config siblings.
+# One width and one epoch count, so that breeding yields same-config siblings.
 NARROW_CONFIG = EvolutionConfig(
-    space=SearchSpace(
-        hidden_layers=(1, 1),
-        nodes=(2, 3),
-        epochs=(1, 3),
-        batch_sizes=(4,),
-        optimizers=("sgd",),
-        activations=("relu", "tanh"),
-        population_size=(3, 6),
-        max_generations=(1, 4),
-    ),
-    population_size=5,
-    max_generations=3,
+    space=SearchSpace(nodes=(2, 2), epochs=(1, 1), population_size=(3, 8), max_generations=(2, 6)),
+    population_size=6,
+    max_generations=4,
 )
 
 

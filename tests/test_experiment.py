@@ -350,12 +350,6 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         return err
 
-    # --max-generations-cap is not a flag: the parser rejects it, also in one line.
-    @pytest.mark.parametrize("flag", ["--jobs", "--max-generations-cap"])
-    def test_zero_override_rejected(self, tmp_path, capsys, flag):
-        config_path = _write_config(tmp_path, datasets=1, runs=1)
-        self._assert_one_line_error(capsys, ["run", "--config", str(config_path), flag, "0"])
-
     @pytest.mark.parametrize("flags", [["--jobs", "0"]], ids=["jobs"])
     def test_failed_flag_check_names_the_flag(self, tmp_path, capsys, flags):
         config_path = _write_config(tmp_path, datasets=1, runs=1)
@@ -388,6 +382,7 @@ class TestCli:
                     ["--mode", "enas"],
                     ["--runs", "2"],
                     ["--seed", "3"],
+                    ["--max-generations-cap", "0"],
                 )
             ),
             pytest.param(["run"], "the following arguments are required: --config", id="no-config"),
@@ -486,6 +481,11 @@ class TestCli:
                 "history_toy0_enas_2.csv",
                 id="stale-history",
             ),
+            pytest.param(
+                lambda out: shutil.copy(out / "folds_toy0_0.csv", out / "folds_ghost_0.csv"),
+                "folds_ghost_0.csv",
+                id="stale-folds",
+            ),
         ],
     )
     def test_audit_fails_unless_each_file_has_one_summary_row(
@@ -529,6 +529,10 @@ class TestCli:
             ("datasets", "normalize"),
             ("search_space", "mutation_rate_beta"),
             ("search_space", "cloning_rate_beta"),
+            ("search_space", "hidden_layers"),
+            ("search_space", "batch_sizes"),
+            ("search_space", "optimizers"),
+            ("search_space", "activations"),
         ],
     )
     def test_unknown_config_key_rejected(self, tmp_path, capsys, section, key):
@@ -549,6 +553,7 @@ class TestCli:
                 id="runs-of-5000-digits",
             ),
             pytest.param(lambda doc: {**doc, "runs": "x"}, id="runs-not-integer"),
+            pytest.param(lambda doc: {**doc, "out_dir": "o\u0000p"}, id="out-dir-with-nul"),
             pytest.param(lambda doc: {**doc, "modes": ["nope"]}, id="unknown-mode"),
             pytest.param(lambda doc: {**doc, "modes": "both"}, id="modes-not-a-list"),
             pytest.param(lambda doc: {**doc, "search_space": [1, 2]}, id="search-space-list"),
@@ -688,7 +693,7 @@ class TestCli:
 
     def test_search_space_of_defaults_loads_to_default_space(self, tmp_path):
         defaults = asdict(SearchSpace())
-        assert len(defaults) == 8
+        assert len(defaults) == 4
         config_path = _write_config(tmp_path, datasets=1, runs=1, search_space=defaults)
         config = self._loaded_config(["run", "--config", str(config_path)])
         assert config.evolution.space == SearchSpace()
@@ -705,6 +710,21 @@ class TestCli:
             ),
             pytest.param("history_toy0_enas_1.csv", None, id="audit-missing-history"),
             pytest.param("summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
+            # Refused before any file name is built, so the audit never lists 10^12 runs.
+            pytest.param("summary.csv", _replace_last_cell(2, str(10**12)), id="runs-too-many"),
+            pytest.param("folds_toy1_0.csv", None, id="audit-missing-folds"),
+            pytest.param(
+                "folds_toy1_0.csv", _replace_last_cell(0, "x"), id="fold-index-not-integer"
+            ),
+            pytest.param("folds_toy1_0.csv", _replace_last_cell(1, "1.5"), id="fold-not-integer"),
+            pytest.param(
+                "folds_toy1_0.csv", lambda lines: [lines[0], *lines[2:]], id="fold-row-missing"
+            ),
+            pytest.param(
+                "folds_toy1_0.csv",
+                lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+                id="fold-rows-out-of-order",
+            ),
             pytest.param("summary.csv", lambda lines: [], id="empty-summary"),
             pytest.param("best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
             pytest.param("best_genome_toy0_enas_1.json", lambda lines: lines[:-1], id="cut-genome"),
