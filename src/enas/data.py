@@ -86,7 +86,8 @@ def load_csv(path: str | Path, label_mapping: Mapping[str, int] | None = None) -
     if not path.exists():
         raise DatasetError(f"dataset file not found: {shown}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, which would glue onto the first cell
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = [
                 [cell.strip() for cell in row]
                 for row in csv.reader(fh)
@@ -131,10 +132,21 @@ def load_csv(path: str | Path, label_mapping: Mapping[str, int] | None = None) -
 
 
 def normalize_min_max(dataset: Dataset) -> Dataset:
-    """Map each feature column affinely onto [0, 1]; constant columns to 0."""
+    """Map each feature column affinely onto [0, 1]; constant columns to 0.
+
+    A column whose range, max - min, exceeds the largest float cannot be
+    scaled, and raises ``DatasetError``.
+    """
     x = dataset.features
-    lo = x.min(axis=0)
-    span = x.max(axis=0) - lo
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    overflowed = np.flatnonzero(np.isinf(span))
+    if overflowed.size:
+        i = overflowed[0]
+        raise DatasetError(
+            f"feature column {i} ranges from {lo[i]:g} to {hi[i]:g}, wider than the largest float"
+        )
     keep = span > 0
     scaled = np.zeros_like(x)
     scaled[:, keep] = (x[:, keep] - lo[keep]) / span[keep]

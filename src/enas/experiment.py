@@ -461,7 +461,10 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         raise DatasetError(
             f"every row of {str(spec.path)!r} has label {labels.pop()}; need 0 and 1"
         )
-    return normalize_min_max(dataset)
+    try:
+        return normalize_min_max(dataset)
+    except DatasetError as exc:
+        raise DatasetError(f"cannot scale {str(spec.path)!r}: {exc}") from None
 
 
 def _run_cell(

@@ -7,9 +7,10 @@ same-config genomes in the batch as one lockstep stack.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,14 +76,16 @@ class CrossValFitness:
     ``evaluate(pairs)`` scores a batch of (genome, seed) pairs, such as
     one generation's offspring. Genomes with the same network config
     (``config_from_genome``, epochs included) train together: the k fold
-    networks of every member go into one ``nn.train_folds`` call, fold f
+    networks of every member come from one ``nn.train_folds`` call, fold f
     of a member on the rows of the other folds with seed
     ``derive_seed(seed, f)``. ``folds`` holds arrays of row numbers of
     ``dataset`` that cover each row exactly once.
     ``train_folds`` trains each network bit-identically to training it
     alone, so a record does not depend on which genomes shared its call.
-    ``__call__`` then scores each genome from its own fold models; given
-    no models, it trains them alone first.
+    ``__call__`` scores each genome from its own fold models; given no
+    models, it trains them alone first. The models are drawn lazily and
+    each is scored before the next is drawn, so a fold network is freed
+    once it is scored, before the next lockstep group trains.
 
     A fold whose training diverges scores 0.0 and is flagged; the
     evaluation still completes so the search can discard bad genomes
@@ -102,9 +105,11 @@ class CrossValFitness:
     def evaluate(self, pairs: Sequence[tuple[Genome, int]]) -> list[FitnessRecord]:
         """One record per (genome, seed) pair, in order; same-config genomes train in one call.
 
-        Groups train in the order their configs first appear. A record's
-        ``wall_time`` is its group's training time split evenly across
-        the group's members, plus its own scoring time.
+        Groups train in the order their configs first appear. Each member
+        is scored from its k models as they come out of the group's call,
+        so training and scoring interleave; a record's ``wall_time`` is an
+        even share of its group's elapsed time, training and scoring
+        together.
         """
         groups: dict[nn.MLPConfig, list[int]] = {}
         for index, (genome, _) in enumerate(pairs):
@@ -113,33 +118,38 @@ class CrossValFitness:
         records: dict[int, FitnessRecord] = {}
         for config, members in groups.items():
             started = time.perf_counter()
-            models = self._train(config, [pairs[i][1] for i in members])
+            models = iter(self._train(config, [pairs[i][1] for i in members]))
+            scored = [self(*pairs[i], itertools.islice(models, k)) for i in members]
             share = (time.perf_counter() - started) / len(members)
-            for n, i in enumerate(members):
-                record = self(*pairs[i], models[n * k : (n + 1) * k])
-                records[i] = replace(record, wall_time=record.wall_time + share)
+            for i, record in zip(members, scored):
+                records[i] = replace(record, wall_time=share)
         return [records[i] for i in range(len(pairs))]
 
     def __call__(
-        self, genome: Genome, seed: int, models: list[nn.TrainedModel] | None = None
+        self, genome: Genome, seed: int, models: Iterable[nn.TrainedModel] | None = None
     ) -> FitnessRecord:
         """Score one genome from its k fold models, trained here when not given."""
         started = time.perf_counter()
         if models is None:
             models = self._train(config_from_genome(genome), [seed])
-        x, y = self.dataset.features, self.dataset.labels
-        per_fold = [
-            0.0 if model.diverged else f_measure(nn.predict(model, x[test_idx]), y[test_idx])
-            for model, test_idx in zip(models, self.folds)
-        ]
+        # map drops each model once scored; zip's reused result tuple would
+        # keep it alive while the next fold trains
+        scores = list(map(self._score, models, self.folds))
         return FitnessRecord(
-            per_fold=tuple(per_fold),
+            per_fold=tuple(0.0 if score is None else score for score in scores),
             wall_time=time.perf_counter() - started,
-            diverged_folds=tuple(fold for fold, model in enumerate(models) if model.diverged),
+            diverged_folds=tuple(fold for fold, score in enumerate(scores) if score is None),
         )
 
-    def _train(self, config: nn.MLPConfig, seeds: list[int]) -> list[nn.TrainedModel]:
-        """The k fold models of each seed in turn, from one ``nn.train_folds`` call."""
+    def _score(self, model: nn.TrainedModel, test_idx: np.ndarray) -> float | None:
+        """The fold model's F-measure on its test rows; None when its training diverged."""
+        if model.diverged:
+            return None
+        x, y = self.dataset.features, self.dataset.labels
+        return f_measure(nn.predict(model, x[test_idx]), y[test_idx])
+
+    def _train(self, config: nn.MLPConfig, seeds: list[int]) -> Iterator[nn.TrainedModel]:
+        """The k fold models of each seed in turn, drawn lazily from one ``nn.train_folds`` call."""
         fold_ids = range(len(self.folds))
         train_sets = [np.concatenate([*self.folds[:f], *self.folds[f + 1 :]]) for f in fold_ids]
         return nn.train_folds(

@@ -9,17 +9,24 @@ A network's weights and biases live in one flat vector. Cross-validation
 trains its k fold networks together (``train_folds``): their vectors are
 the rows of one (g, P) stack, and each mini-batch step is one batched
 forward/backward pass and one optimizer update over the whole stack,
-bit-identical to training each fold alone. ``train`` is the one-fold case.
+bit-identical to training each fold alone. ``train_folds`` yields the
+models of one such lockstep group before it trains the next, so a caller
+that scores and drops each model holds about one group's networks at a
+time. ``train`` is the one-fold case.
 A step returns the output pre-activations of its batch. Once per epoch, a
 network's epoch loss is taken from them as one mean of its training
-rows' ``row_losses``.
+rows' ``row_losses``. The optimizer update then consumes the gradient
+buffer: it serves as the update's scratch space until the next step
+rewrites it.
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -350,23 +357,24 @@ class Optimizer:
     ``m`` is the first moment and ``v`` the second (for adamax, the
     decayed infinity norm), each one array of the parameters' shape. ``t``
     holds one step count per network, so networks of a stack that take
-    different numbers of steps keep their own bias corrections. Every
-    step writes its intermediates into two scratch buffers made here, so
-    a step allocates nothing the size of the parameters. Each expression
-    keeps the operation order of the textbook form, e.g.
+    different numbers of steps keep their own bias corrections. A step
+    writes its intermediates into one scratch buffer made here (none for
+    ``sgd``) and into the gradient it consumes, so it allocates nothing
+    the size of the parameters. Each expression keeps the operation order
+    of the textbook form, e.g.
     ``(lr * m_hat) / (sqrt(v_hat) + eps)``, so results do not depend on
     how the parameters are laid out or stacked.
     """
 
     def __init__(self, kind: str, shape):
+        shape = tuple(np.atleast_1d(shape))
         self.kind = kind
         self.lr = DEFAULT_LEARNING_RATES[kind]
         self.m = np.zeros(shape) if kind in ("adam", "adamax") else None
         self.v = np.zeros(shape) if kind != "sgd" else None
-        self._a = np.empty(shape)
-        self._b = np.empty(shape) if kind != "sgd" else None
+        self._a = np.empty(shape) if kind != "sgd" else None
         # one count per network, shaped to broadcast over its row
-        self.t = np.zeros(self._a.shape[:-1] + (1,), dtype=np.int64)
+        self.t = np.zeros(shape[:-1] + (1,), dtype=np.int64)
 
     def rows(self, index) -> Optimizer:
         """The state of the stacked networks at ``index``.
@@ -375,16 +383,19 @@ class Optimizer:
         ``self``; an index array gives a compacted copy.
         """
         part = copy.copy(self)
-        for name in ("m", "v", "_a", "_b", "t"):
+        for name in ("m", "v", "_a", "t"):
             value = getattr(self, name)
             setattr(part, name, None if value is None else value[index])
         return part
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        """Update ``params`` against ``grad`` (both of the state's shape) in place."""
-        kind, lr, m, v, a, b = self.kind, self.lr, self.m, self.v, self._a, self._b
+        """Update ``params`` against ``grad`` (both of the state's shape) in place.
+
+        ``grad`` is consumed: after its last read, the step writes intermediates there.
+        """
+        kind, lr, m, v, a = self.kind, self.lr, self.m, self.v, self._a
         if kind == "sgd":
-            params -= np.multiply(grad, lr, out=a)
+            params -= np.multiply(grad, lr, out=grad)
             return
         self.t += 1
         if kind in ("adam", "adamax"):
@@ -394,20 +405,20 @@ class Optimizer:
             v *= BETA_2
             v += np.multiply(np.multiply(grad, 1.0 - BETA_2, out=a), grad, out=a)
             np.multiply(np.divide(m, _M_CORRECTION(self.t), out=a), lr, out=a)
-            np.sqrt(np.divide(v, _V_CORRECTION(self.t), out=b), out=b)
-            b += OPT_EPS
+            np.sqrt(np.divide(v, _V_CORRECTION(self.t), out=grad), out=grad)
+            grad += OPT_EPS
         elif kind == "adamax":
             v *= BETA_2
             np.maximum(v, np.abs(grad, out=a), out=v)
             np.multiply(m, np.divide(lr, _M_CORRECTION(self.t)), out=a)
-            np.add(v, OPT_EPS, out=b)
+            np.add(v, OPT_EPS, out=grad)
         else:  # rmsprop
             v *= RMS_RHO
             v += np.multiply(np.multiply(grad, 1.0 - RMS_RHO, out=a), grad, out=a)
             np.multiply(grad, lr, out=a)
-            np.sqrt(v, out=b)
-            b += OPT_EPS
-        params -= np.divide(a, b, out=a)
+            np.sqrt(v, out=grad)
+            grad += OPT_EPS
+        params -= np.divide(a, grad, out=a)
 
 
 def train(
@@ -422,7 +433,7 @@ def train(
     batch order; a Generator is used as it is.
     """
     rows = np.arange(np.shape(train_labels)[0])
-    return train_folds(config, train_features, train_labels, [rows], [seed])[0]
+    return next(train_folds(config, train_features, train_labels, [rows], [seed]))
 
 
 def train_folds(
@@ -431,7 +442,7 @@ def train_folds(
     labels: np.ndarray,
     train_sets,
     seeds,
-) -> list[TrainedModel]:
+) -> Iterator[TrainedModel]:
     """Mini-batch gradient descent on binary cross-entropy, one network per fold.
 
     Fold f trains on the rows of ``features`` indexed by ``train_sets[f]``
@@ -445,7 +456,10 @@ def train_folds(
 
     Folds train in lockstep groups of up to ``LOCKSTEP_PARAMS`` parameters:
     one stacked step per mini-batch serves the whole group, and each
-    network comes out bit-identical to training it alone.
+    network comes out bit-identical to training it alone. The models come
+    out in fold order, lazily: a group trains when its first model is
+    drawn, and the previous group is released by then unless the caller
+    still holds its models. The arguments are checked at the call.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -460,11 +474,10 @@ def train_folds(
 
     dims = layer_dims(x.shape[1], config)
     group = max(1, min(len(train_sets), LOCKSTEP_PARAMS // param_count(dims)))
-    models: list[TrainedModel] = []
-    for first in range(0, len(train_sets), group):
-        chunk = slice(first, first + group)
-        models += _train_lockstep(config, x, y, dims, train_sets[chunk], seeds[chunk])
-    return models
+    return itertools.chain.from_iterable(
+        _train_lockstep(config, x, y, dims, train_sets[i : i + group], seeds[i : i + group])
+        for i in range(0, len(train_sets), group)
+    )
 
 
 def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]:

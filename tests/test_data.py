@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,13 @@ class TestLoadCsv:
         inverse = {v: k for k, v in mapping.items()}
         assert [inverse[v] for v in ds.labels.tolist()] == raw
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeff0.5,1.0,1\n0.2,0.3,0\n".encode("utf-8"))
+        ds = load_csv(path)
+        assert ds.features.tolist() == [[0.5, 1.0], [0.2, 0.3]]
+        assert ds.labels.tolist() == [1, 0]
+
     @pytest.mark.skipif(not SONAR_PATH.exists(), reason="sonar.csv not supplied locally")
     def test_sonar_shape(self):
         ds = load_csv(SONAR_PATH, label_mapping={"m": 0, "r": 1})
@@ -78,6 +87,14 @@ class TestLoadCsv:
 
 
 class TestNormalize:
+    def test_range_wider_than_the_largest_float_rejected(self):
+        features = np.array([[0.0, 1e308], [1.0, -1e308], [0.5, 0.0]])
+        ds = Dataset(features=features, labels=np.array([0, 1, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError, match="column 1 ranges from -1e[+]308 to 1e[+]308"):
+                normalize_min_max(ds)
+
     def test_affine_endpoints(self):
         ds = Dataset(features=np.array([[2.0], [4.0], [6.0]]), labels=np.array([0, 1, 0]))
         out = normalize_min_max(ds)

@@ -5,6 +5,7 @@ import re
 import shutil
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -627,6 +628,17 @@ class TestCli:
         make(dataset)
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
         assert str(dataset) in err
+
+    def test_column_range_overflow_gives_one_error_line(self, tmp_path, capsys):
+        # Every value is finite, but max - min of column 1 overflows; numpy's
+        # overflow warnings used to print ahead of a false "non-finite" error.
+        config_path = _write_config(tmp_path, datasets=1, runs=1)
+        dataset = tmp_path / "data" / "toy0.csv"
+        dataset.write_text("0.1,1e308,1\n0.9,-1e308,0\n0.5,0.0,1\n0.3,2.0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert str(dataset) in err and "column 1" in err and "non-finite" not in err
 
     def test_repeated_mode_rejected(self, tmp_path, capsys):
         # It used to run both copies and write summary rows that audit could not read back.

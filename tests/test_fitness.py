@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -140,7 +141,7 @@ class TestEvaluate:
         real_train_folds = nn.train_folds
 
         def flaky_train_folds(*args):
-            models = real_train_folds(*args)
+            models = list(real_train_folds(*args))
             models[1].loss_history.append(math.nan)  # poison the second fold only
             return models
 
@@ -281,7 +282,7 @@ class TestEvaluateBatch:
         _assert_same_records(fitness.evaluate(pairs), alone)
         assert stacks == [2, 2, 2, 2, 1]
 
-    def test_wall_time_is_an_even_share_of_training_plus_own_scoring(self, fitness, monkeypatch):
+    def test_wall_time_is_an_even_share_of_training_and_scoring(self, fitness, monkeypatch):
         clock = [0.0]
         real_train_folds, real_predict = nn.train_folds, nn.predict
 
@@ -299,9 +300,34 @@ class TestEvaluateBatch:
         other = replace(SMALL_GENOME, nodes=5)
         pairs = [(SMALL_GENOME, 1), (SMALL_GENOME, 2), (other, 3), (SMALL_GENOME, 4)]
         records = fitness.evaluate(pairs)
-        # three members share 6 s of training; each scores 3 folds at 1 s
+        # three members share 6 s of training and 9 s of scoring
         assert [record.wall_time for record in records] == [5.0, 5.0, 9.0, 5.0]
         assert sum(record.wall_time for record in records) == clock[0]
 
     def test_empty_batch(self, fitness):
         assert fitness.evaluate([]) == []
+
+    def test_wide_genome_holds_under_eight_parameter_vectors(self):
+        # 4 x 128 hidden units on 60 columns: 73,985 parameters, one network
+        # per lockstep group. Training holds the parameters, the gradient and
+        # adam's two moments and one scratch array; a fold network is freed
+        # once it is scored, so the five never coexist.
+        dataset = make_threshold_dataset(208, 60, seed=52)
+        fitness = CrossValFitness(dataset, kfold_split(dataset, 5, seed=53))
+        wide = replace(
+            REASONABLE_GENOME,
+            hidden_layers=4,
+            nodes=128,
+            activations=("relu",) * 5 + ("sigmoid",),
+            epochs=1,
+            batch_size=32,
+        )
+        vector_bytes = 8 * nn.param_count(nn.layer_dims(60, config_from_genome(wide)))
+        tracemalloc.start()
+        try:
+            [record] = fitness.evaluate([(wide, 54)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.models_trained == 5
+        assert peak < 8 * vector_bytes

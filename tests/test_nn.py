@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -325,6 +326,18 @@ class TestOptimizerStep:
         assert p < 1.0
         assert p2 < p
 
+    def test_sgd_allocates_no_scratch(self):
+        shape = (3, 1000)
+        params, grad = np.zeros(shape), np.ones(shape)
+        tracemalloc.start()
+        try:
+            Optimizer("sgd", shape).step(params, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes
+        assert np.array_equal(params, np.full(shape, -0.01))
+
     @pytest.mark.parametrize("kind", ["sgd", "adam", "adamax", "rmsprop"])
     def test_flat_steps_bit_identical_to_per_tensor_reference(self, kind):
         dims = (5, 4, 4, 3, 1)
@@ -336,7 +349,7 @@ class TestOptimizerStep:
         for step in range(6):
             grad = rng.normal(scale=10.0 ** (step - 3), size=params.size)
             grad[rng.random(params.size) < 0.2] = 0.0
-            optimizer.step(params, grad)
+            optimizer.step(params, grad.copy())  # the step consumes its gradient
             grads = [g for layer in param_views(grad, dims) for g in layer]
             for tensor, g, state in zip(tensors, grads, states):
                 _reference_update(kind, tensor, g, state, DEFAULT_LEARNING_RATES[kind])
@@ -590,7 +603,7 @@ class TestTrainFolds:
             epochs=6,
             batch_size=batch_size,
         )
-        models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+        models = list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
         assert len(models) == 4
         _assert_matches_each_fold_alone(config, x, y, train_sets, models)
 
@@ -598,7 +611,7 @@ class TestTrainFolds:
         monkeypatch.setitem(nn.DEFAULT_LEARNING_RATES, "adam", 0.03)
         x, y, train_sets = _ragged_folds()
         config = _config(activations=("tanh", "relu", "sigmoid"), epochs=40, batch_size=1)
-        models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+        models = list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
         # three folds leave the stack at three different epochs, one trains on
         assert [(m.epochs_run, m.stopped_early) for m in models] == [
             (40, False),
@@ -618,7 +631,7 @@ class TestTrainFolds:
         config = _config(
             optimizer="sgd", activations=("linear", "linear", "sigmoid"), epochs=10, batch_size=3
         )
-        models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+        models = list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
         assert [m.diverged for m in models] == [False, False, True, False]
         assert not math.isfinite(models[2].loss_history[-1])
         _assert_matches_each_fold_alone(config, x, y, train_sets, models, skip=(2,))
@@ -639,7 +652,7 @@ class TestTrainFolds:
 
             monkeypatch.setattr(nn, "LOCKSTEP_PARAMS", cap)
             monkeypatch.setattr(nn, "loss_and_gradients", spy)
-            models = train_folds(config, x, y, train_sets, FOLD_SEEDS)
+            models = list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
             assert max(stacks) == group
             results[cap] = [(m.params.tolist(), m.loss_history) for m in models]
         assert all(value == results[size] for value in results.values())
@@ -655,7 +668,7 @@ class TestTrainFolds:
         del junk
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            train_folds(config, x, y, train_sets, FOLD_SEEDS)
+            list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
 
     def test_seed_count_must_match(self):
         x, y, train_sets = _ragged_folds()
