@@ -175,7 +175,7 @@ class EvaluatorPool:
     first failed task in task order is raised.
     """
 
-    def __init__(self, fn: Callable, jobs: int = 1):
+    def __init__(self, fn: Callable, jobs: int):
         self.fn = fn
         self.jobs = jobs
 

@@ -426,16 +426,6 @@ def summarize_efficiency(
 # ---------------------------------------------------------------------------
 # The harness itself.
 
-@dataclass
-class ExperimentResult:
-    """Summary rows in config order, the efficiency rows when both modes ran,
-    and each cell's finished runs, keyed by (dataset, mode), in run order."""
-
-    summary: list[SummaryRow]
-    efficiency: list[EfficiencyRow] | None
-    runs: dict[tuple[str, Mode], list[EvolutionState]]
-
-
 def _data_seed(config: ExperimentConfig, dataset: str, run_index: int) -> int:
     # Mode deliberately excluded: both modes of a pair share the row order
     # and fold assignment.
@@ -490,7 +480,7 @@ def _run_cell(
     return result
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> None:
     """Execute every (dataset, run, mode) cell and write all artifacts.
 
     Cells are independent searches, so they are what runs in parallel
@@ -575,15 +565,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
     print(_summary_text(summary, time.perf_counter() - started), flush=True)
 
-    efficiency = None
     if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:
         efficiency = summarize_efficiency(
             {spec.name: runs[(spec.name, Mode.NAS_PLUS)] for spec in config.datasets},
             {spec.name: runs[(spec.name, Mode.ENAS)] for spec in config.datasets},
         )
         write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency))
-
-    return ExperimentResult(summary, efficiency, runs)
 
 
 # The entries of a best_genome_*.json file, as ``run_experiment`` writes them;

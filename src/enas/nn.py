@@ -67,24 +67,22 @@ class EarlyStopper:
     """Patience rule on the epoch loss.
 
     Training stops at the first epoch for which none of the last
-    `patience` epochs improved the best loss seen so far by more than
-    `min_delta`.
+    ``EARLY_STOP_PATIENCE`` epochs improved the best loss seen so far by
+    more than ``EARLY_STOP_MIN_DELTA``.
     """
 
-    def __init__(self, patience: int = EARLY_STOP_PATIENCE, min_delta: float = EARLY_STOP_MIN_DELTA):
-        self.patience = patience
-        self.min_delta = min_delta
+    def __init__(self):
         self.best = math.inf
         self.stale = 0
 
     def update(self, loss: float) -> bool:
         """Record one epoch loss; True means stop now."""
-        if self.best - loss > self.min_delta:
+        if self.best - loss > EARLY_STOP_MIN_DELTA:
             self.best = loss
             self.stale = 0
             return False
         self.stale += 1
-        return self.stale >= self.patience
+        return self.stale >= EARLY_STOP_PATIENCE
 
 
 @dataclass(frozen=True)
@@ -136,10 +134,6 @@ class TrainedModel:
         """Training stopped on a non-finite epoch loss."""
         return bool(self.loss_history) and not math.isfinite(self.loss_history[-1])
 
-    @property
-    def input_width(self) -> int:
-        return int(self.dims[0])
-
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """Weight matrix with entries uniform on [-L, L], L = sqrt(6/(fan_in+fan_out))."""
@@ -161,9 +155,7 @@ def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nda
         return out
     if name == "tanh":
         return np.tanh(z, out=out)
-    if name == "linear":
-        return z
-    raise TrainingError(f"unsupported activation {name!r}")
+    return z  # linear
 
 
 def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
@@ -237,21 +229,13 @@ def _forward_chain(
     return outs
 
 
-def forward(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
-    """Predicted positive-class probabilities, strictly inside (0, 1)."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-    if batch.shape[1] != model.input_width:
-        raise TrainingError(
-            f"batch has {batch.shape[1]} columns, model expects {model.input_width}"
-        )
-    outs = _forward_chain(param_views(model.params, model.dims), model.activations, batch)
-    p = _activate(model.activations[-1], outs[-1], out=outs[-1])
-    return np.clip(p.ravel(), LOSS_EPS, 1.0 - LOSS_EPS)
-
-
 def predict(model: TrainedModel, batch: np.ndarray) -> np.ndarray:
-    """Hard 0/1 labels: 1 where the predicted probability is at least 0.5."""
-    return (forward(model, batch) >= 0.5).astype(np.int64)
+    """Hard 0/1 labels: 1 where the output unit's sigmoid is at least 0.5.
+
+    A NaN output labels its row 0.
+    """
+    z = _forward_chain(param_views(model.params, model.dims), model.activations, batch)[-1]
+    return (_activate("sigmoid", z, out=z).ravel() >= 0.5).astype(np.int64)
 
 
 def row_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -276,17 +260,17 @@ def loss_and_gradients(
     batch: np.ndarray,
     labels: np.ndarray,
     grad_layers: Layers,
-    weights_t: list[np.ndarray] | None = None,
+    weights_t: list[np.ndarray],
 ) -> np.ndarray:
     """The batch's output pre-activations; its mean loss's gradient goes into ``grad_layers``.
 
     ``layers`` and ``grad_layers`` are ``param_views`` of the parameters
     and of a gradient buffer with the same layout; ``weights_t`` holds each
-    layer's weights transposed, and is built here when not given. For one
-    network the batch is (n, width) and the labels and the result (n,);
-    for a stack of g networks they are (g, n, width) and (g, n), and every
-    matmul is a batched one. The batch's loss is the mean of
-    ``row_losses`` of the result; a trainer takes one mean per epoch instead.
+    layer's weights transposed. For one network the batch is (n, width)
+    and the labels and the result (n,); for a stack of g networks they are
+    (g, n, width) and (g, n), and every matmul is a batched one. The
+    batch's loss is the mean of ``row_losses`` of the result; a trainer
+    takes one mean per epoch instead.
 
     The output delta p - y folds the sigmoid and the cross-entropy
     together, which is exact as long as the loss cap is inactive.
@@ -296,8 +280,6 @@ def loss_and_gradients(
     y = np.asarray(labels, dtype=np.float64)
     if z.shape != y.shape:
         raise TrainingError(f"shape mismatch: {z.shape} vs {y.shape}")
-    if weights_t is None:
-        weights_t = [w.swapaxes(-1, -2) for w, _ in layers]
 
     delta = _activate("sigmoid", outs[-1])
     delta -= y[..., None]

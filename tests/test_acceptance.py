@@ -42,8 +42,9 @@ from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .conftest import SONAR_PATH
 from .test_evolution import SyntheticFitness
+from .test_experiment import read_summary_rows
 from .test_fitness import brute_force_f1
-from .test_nn import batch_loss
+from .test_nn import batch_loss, transposes
 
 
 def _announce(line):
@@ -90,7 +91,7 @@ def test_analytic_gradients_match_finite_differences_on_20_networks():
         scratch_layers = param_views(scratch, dims)
         x = rng.uniform(0.0, 1.0, size=(8, width))
         y = rng.integers(0, 2, size=8).astype(float)
-        loss_and_gradients(layers, config.activations, x, y, grad_layers)
+        loss_and_gradients(layers, config.activations, x, y, grad_layers, transposes(layers))
         h = 1e-5
         for i in range(params.size):
             original = params[i]
@@ -360,9 +361,10 @@ def test_two_mode_four_dataset_summary_is_fully_auditable(tmp_path):
         )
     )
     config = config_from_file(config_path)
-    result = run_experiment(config)
-    assert len(result.summary) == 8  # 4 datasets x 2 modes
-    for row in result.summary:
+    run_experiment(config)
+    rows = read_summary_rows(config.out_dir)
+    assert len(rows) == 8  # 4 datasets x 2 modes
+    for row in rows:
         assert 0.0 <= row.fittest <= 1.0
         assert row.range >= 0.0
         assert row.fittest - row.range <= row.average <= row.fittest

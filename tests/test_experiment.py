@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import re
 import shutil
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -23,6 +25,7 @@ from enas.experiment import (
     DatasetSpec,
     ExperimentConfig,
     ExperimentError,
+    SummaryRow,
     _run_cell,
     audit_output_dir,
     config_from_file,
@@ -100,32 +103,46 @@ def _replace_last_cell(index, value):
     return edit
 
 
+def read_summary_rows(out_dir):
+    """The rows of ``out_dir``'s summary.csv."""
+    kinds = [str, str, int, float, float, float, int]
+    lines = (Path(out_dir) / "summary.csv").read_text().splitlines()
+    return [
+        SummaryRow(*(kind(cell) for kind, cell in zip(kinds, line.split(","))))
+        for line in lines[1:]
+    ]
+
+
+def _run_complete_docs(out_dir):
+    lines = (Path(out_dir) / "events.jsonl").read_text().splitlines()
+    return [doc for doc in map(json.loads, lines) if doc["type"] == "run_complete"]
+
+
 @pytest.fixture(scope="module")
 def experiment_dir(tmp_path_factory):
-    tmp_path = tmp_path_factory.mktemp("exp")
-    config = config_from_file(_write_config(tmp_path))
-    result = run_experiment(config)
-    return tmp_path, config, result
+    """The config of an experiment that has run, two datasets x two runs x two modes."""
+    config = config_from_file(_write_config(tmp_path_factory.mktemp("exp")))
+    run_experiment(config)
+    return config
 
 
 class TestRunExperiment:
     def test_summary_has_one_row_per_dataset_mode_cell(self, experiment_dir):
-        _, config, result = experiment_dir
-        assert len(result.summary) == len(config.datasets) * len(config.modes)
-        assert list(result.runs) == [
-            (spec.name, mode) for spec in config.datasets for mode in config.modes
+        config = experiment_dir
+        rows = read_summary_rows(config.out_dir)
+        assert [(row.dataset, row.mode) for row in rows] == [
+            (spec.name, mode.value) for spec in config.datasets for mode in config.modes
         ]
-        assert all(len(runs) == config.runs for runs in result.runs.values())
+        assert all(row.runs == config.runs for row in rows)
 
     def test_summary_row_invariants(self, experiment_dir):
-        _, _, result = experiment_dir
-        for row in result.summary:
+        for row in read_summary_rows(experiment_dir.out_dir):
             assert row.range >= 0
             assert row.fittest - row.range <= row.average <= row.fittest
             assert 0.0 <= row.fittest <= 1.0
 
     def test_artifacts_written(self, experiment_dir):
-        _, config, _ = experiment_dir
+        config = experiment_dir
         out = config.out_dir
         for spec in config.datasets:
             for run_index in range(config.runs):
@@ -139,21 +156,20 @@ class TestRunExperiment:
         assert (out / "events.jsonl").exists()
 
     def test_best_genome_document_is_loadable(self, experiment_dir):
-        _, config, result = experiment_dir
-        (name, mode), runs = next(iter(result.runs.items()))
-        doc = json.loads((config.out_dir / f"best_genome_{name}_{mode.value}_0.json").read_text())
+        out = experiment_dir.out_dir
+        doc = json.loads((out / "best_genome_toy0_nas_plus_0.json").read_text())
         genome = genome_from_doc(doc["genome"])
         assert genome.hidden_layers >= 1
-        assert doc["mean_f_measure"] == runs[0].best.fitness.mean_f_measure
+        assert doc["mean_f_measure"] == _run_complete_docs(out)[0]["best_f1"]
 
     def test_audit_passes_on_fresh_output(self, experiment_dir):
-        _, config, _ = experiment_dir
+        config = experiment_dir
         audit_output_dir(config.out_dir)
 
     def test_audit_detects_tampering(self, experiment_dir, tmp_path):
         import shutil
 
-        _, config, _ = experiment_dir
+        config = experiment_dir
         copy = tmp_path / "tampered"
         shutil.copytree(config.out_dir, copy)
         target = next(copy.glob("history_*_0.csv"))
@@ -166,8 +182,8 @@ class TestRunExperiment:
             audit_output_dir(copy)
 
     def test_histories_reproducible_from_summary_values(self, experiment_dir):
-        _, config, result = experiment_dir
-        for row in result.summary:
+        config = experiment_dir
+        for row in read_summary_rows(config.out_dir):
             bests = []
             for run_index in range(row.runs):
                 path = config.out_dir / f"history_{row.dataset}_{row.mode}_{run_index}.csv"
@@ -176,8 +192,8 @@ class TestRunExperiment:
 
     def test_single_run_range_is_zero(self, tmp_path):
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
-        result = run_experiment(config)
-        assert result.summary[0].range == 0.0
+        run_experiment(config)
+        assert read_summary_rows(config.out_dir)[0].range == 0.0
 
     def test_progress_line_is_one_write(self, monkeypatch):
         # Parallel cells share one stdout: a line written in two parts can
@@ -241,15 +257,23 @@ class TestCsvFiles:
         assert path.read_bytes() == b"name,count,sum,tiny\na b,3,0.30000000000000004,1e-300\n"
 
     def test_summary_and_efficiency_files_are_exact(self, experiment_dir):
-        _, config, result = experiment_dir
-        row = result.summary[0]
-        assert (config.out_dir / "summary.csv").read_text().startswith(
+        # every float is written with repr, so each file reproduces the values
+        # recomputed here from the history files and the run_complete events
+        out = experiment_dir.out_dir
+        histories = [read_history_csv(out / f"history_toy0_nas_plus_{i}.csv") for i in range(2)]
+        bests = [max(record.best_f1 for record in history) for history in histories]
+        models = sum(history[-1].models_trained_cumulative for history in histories)
+        assert (out / "summary.csv").read_text().startswith(
             "dataset,mode,runs,fittest,average,range,models_trained\n"
-            f"{row.dataset},{row.mode},{row.runs},{row.fittest!r},{row.average!r},"
-            f"{row.range!r},{row.models_trained}\n"
+            f"toy0,nas_plus,2,{max(bests)!r},{sum(bests) / 2!r},"
+            f"{max(bests) - min(bests)!r},{models}\n"
         )
-        e = result.efficiency[-1]
-        text = (config.out_dir / "efficiency.csv").read_text()
+        runs = {}
+        for doc in _run_complete_docs(out):
+            run_ = SimpleNamespace(models_trained=doc["models_trained"], wall_time=doc["wall_time"])
+            runs.setdefault(doc["mode"], {}).setdefault(doc["dataset"], []).append(run_)
+        e = summarize_efficiency(runs["nas_plus"], runs["enas"])[-1]
+        text = (out / "efficiency.csv").read_text()
         assert text.startswith(
             "dataset,pairs,mean_models_static,mean_models_adaptive,models_delta_pct,"
             "mean_wall_static,mean_wall_adaptive,wall_delta_pct,adaptive_fewer_models_fraction\n"
@@ -327,6 +351,22 @@ class TestCli:
         assert (out_dir / "summary.csv").exists()
         assert main(["audit", "--out", "cli_out"]) == 0
         assert "audit passed" in capsys.readouterr().out
+
+    def test_printed_summary_matches_summary_csv(self, tmp_path, capsys):
+        config_path = _write_config(tmp_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = read_summary_rows(tmp_path / "out")
+        # the table's header, one line per row, the totals line, the last line
+        header = next(i for i, line in enumerate(lines) if line.startswith("dataset "))
+        assert header + len(rows) + 3 == len(lines)
+        assert [line.split() for line in lines[header + 1 : -2]] == [
+            [f"{cell:.4f}" if isinstance(cell, float) else str(cell) for cell in astuple(row)]
+            for row in rows
+        ]
+        totals = re.fullmatch(r"totals: (\d+) models trained, \d+\.\ds wall time", lines[-2])
+        assert totals and int(totals[1]) == sum(row.models_trained for row in rows)
+        assert lines[-1] == f"artifacts written to {tmp_path / 'out'}"
 
     def test_audit_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -452,7 +492,7 @@ class TestCli:
         assert "elitism_size" in err
 
     def test_audit_rejects_a_tampered_best_genome(self, experiment_dir, tmp_path, capsys):
-        _, config, _ = experiment_dir
+        config = experiment_dir
         out = tmp_path / "out"
         shutil.copytree(config.out_dir, out)
         target = out / "best_genome_toy1_nas_plus_1.json"
@@ -492,7 +532,7 @@ class TestCli:
     def test_audit_fails_unless_each_file_has_one_summary_row(
         self, experiment_dir, tmp_path, capsys, edit, named
     ):
-        _, config, _ = experiment_dir
+        config = experiment_dir
         out = tmp_path / "out"
         shutil.copytree(config.out_dir, out)
         edit(out)
@@ -597,8 +637,9 @@ class TestCli:
         self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
 
     def test_failed_cell_in_a_worker_gives_one_error_line(self, tmp_path, capsys, monkeypatch):
-        # Run 1's cell fails (9 is _write_config's base seed); the forked
-        # workers inherit the patched module.
+        # Run 1's cell fails (9 is _write_config's base seed), first by
+        # raising, then by ending its worker process; the forked workers
+        # inherit the patched module.
         failing_seed = derive_seed(9, "toy0", 1, "enas")
 
         def fail_one_cell(mode, config, fitness, run_seed):
@@ -606,10 +647,21 @@ class TestCli:
                 raise ConfigurationError("cell toy0 enas 1 failed")
             return run(mode, config, fitness, run_seed)
 
-        monkeypatch.setattr(evolution, "run", fail_one_cell)
-        config_path = _write_config(tmp_path, datasets=1, runs=2, modes=("enas",))
-        argv = ["run", "--config", str(config_path), "--jobs", "2"]
-        assert "cell toy0 enas 1 failed" in self._assert_one_line_error(capsys, argv)
+        def end_one_worker(mode, config, fitness, run_seed):
+            if run_seed == failing_seed:
+                os._exit(9)
+            return run(mode, config, fitness, run_seed)
+
+        for patch, message in (
+            (fail_one_cell, "cell toy0 enas 1 failed"),
+            (end_one_worker, "terminated abruptly"),
+        ):
+            monkeypatch.setattr(evolution, "run", patch)
+            workdir = tmp_path / patch.__name__
+            workdir.mkdir()
+            config_path = _write_config(workdir, datasets=1, runs=2, modes=("enas",))
+            argv = ["run", "--config", str(config_path), "--jobs", "2"]
+            assert message in self._assert_one_line_error(capsys, argv)
 
     @pytest.mark.parametrize(
         "make",
@@ -757,7 +809,7 @@ class TestCli:
     def test_malformed_outputs_give_one_error_line(
         self, experiment_dir, tmp_path, capsys, name, edit
     ):
-        _, config, _ = experiment_dir
+        config = experiment_dir
         out = tmp_path / "out"
         shutil.copytree(config.out_dir, out)
         target = out / name

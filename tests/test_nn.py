@@ -21,7 +21,6 @@ from enas.nn import (
     Optimizer,
     TrainedModel,
     TrainingError,
-    forward,
     glorot_uniform,
     init_params,
     layer_dims,
@@ -88,40 +87,33 @@ def _model(cfg, width, params):
     return TrainedModel(params=params, dims=layer_dims(width, cfg), activations=cfg.activations)
 
 
-class TestForward:
+class TestPredict:
     def _zero_model(self, width=3):
         cfg = _config()
         return _model(cfg, width, np.zeros_like(init_params(cfg, width, make_rng(0))))
 
-    def test_zero_weights_give_half(self):
-        model = self._zero_model()
-        out = forward(model, np.ones((5, 3)))
-        assert np.allclose(out, 0.5)
+    def test_zero_weights_label_every_row_1(self):
+        # sigmoid(0) is exactly 0.5, which labels 1
+        assert np.array_equal(predict(self._zero_model(), np.ones((5, 3))), np.ones(5))
 
-    def test_single_unit_identity_at_zero_input(self):
-        # one weighted path: sigmoid(w*x + b) with w=1, b=0, x=0 -> 0.5
+    def test_nan_parameters_label_every_row_0(self):
+        model = self._zero_model()
+        model.params = np.full_like(model.params, np.nan)
+        assert np.array_equal(predict(model, np.ones((5, 3))), np.zeros(5))
+
+    def test_single_unit_thresholds_at_zero_input(self):
+        # one weighted path: sigmoid(w*x + b) with w=1, b=0
         model = TrainedModel(params=np.array([1.0, 0.0]), dims=(1, 1), activations=("sigmoid",))
-        assert forward(model, np.array([[0.0]]))[0] == pytest.approx(0.5)
+        assert predict(model, np.array([[-1.0], [0.0], [1.0]])).tolist() == [0, 1, 1]
 
     def test_parameter_count_must_fit_dims(self):
         model = TrainedModel(params=np.zeros(3), dims=(1, 1), activations=("sigmoid",))
         with pytest.raises(TrainingError, match="parameters"):
-            forward(model, np.array([[0.0]]))
+            predict(model, np.array([[0.0]]))
 
     def test_output_length_matches_batch(self):
         model = self._zero_model()
-        assert forward(model, np.ones((7, 3))).shape == (7,)
-
-    def test_dimension_mismatch(self):
-        model = self._zero_model(width=3)
-        with pytest.raises(TrainingError, match="columns"):
-            forward(model, np.ones((2, 4)))
-
-    def test_outputs_strictly_inside_unit_interval(self):
-        cfg = _config(hidden_layers=2, activations=("tanh", "relu", "linear", "sigmoid"))
-        model = _model(cfg, 4, init_params(cfg, 4, make_rng(9)))
-        out = forward(model, make_rng(10).uniform(-50, 50, size=(100, 4)))
-        assert (out > 0.0).all() and (out < 1.0).all()
+        assert predict(model, np.ones((7, 3))).shape == (7,)
 
 
 def binary_cross_entropy(predictions, labels):
@@ -150,11 +142,16 @@ IDENTITY_ACTIVATIONS = ("linear", "linear", "sigmoid")
 IDENTITY_PARAMS = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 
 
+def transposes(layers):
+    """The ``weights_t`` argument of ``loss_and_gradients`` for ``layers``."""
+    return [w.swapaxes(-1, -2) for w, _ in layers]
+
+
 def batch_loss(layers, activations, batch, labels, grad_layers):
     """Mean ``row_losses`` of one batch, from one ``loss_and_gradients``
     pass (which also writes the gradient into ``grad_layers``)."""
     y = np.asarray(labels, dtype=np.float64)
-    z = loss_and_gradients(layers, activations, batch, y, grad_layers)
+    z = loss_and_gradients(layers, activations, batch, y, grad_layers, transposes(layers))
     return np.add.reduce(row_losses(z, y), axis=-1) / batch.shape[-2]
 
 
@@ -438,10 +435,13 @@ class TestTrain:
         assert model.epochs_run == len(model.loss_history) <= 5
 
     def test_predict_thresholds_at_half(self, small_dataset):
+        # the labels of the output's sigmoid clipped to [LOSS_EPS, 1 - LOSS_EPS]
+        # at 0.5: a clip on either side of 0.5 changes no label
         model = train(_config(epochs=20), small_dataset.features, small_dataset.labels, 0)
-        hard = predict(model, small_dataset.features)
-        soft = forward(model, small_dataset.features)
-        assert np.array_equal(hard, (soft >= 0.5).astype(int))
+        layers = param_views(model.params, model.dims)
+        z = nn._forward_chain(layers, model.activations, small_dataset.features)[-1].ravel()
+        soft = np.clip(nn._activate("sigmoid", z), LOSS_EPS, 1.0 - LOSS_EPS)
+        assert np.array_equal(predict(model, small_dataset.features), (soft >= 0.5).astype(int))
 
 
 class TestEarlyStopper:
@@ -457,10 +457,12 @@ class TestEarlyStopper:
         assert stopped_at == first_stop_epoch(losses)
 
     def test_exact_boundary_is_not_an_improvement(self):
-        stopper = EarlyStopper(patience=2, min_delta=0.1)
-        assert not stopper.update(1.0)
-        assert not stopper.update(0.9)  # improvement of exactly min_delta: stale
-        assert stopper.update(0.91)
+        stopper = EarlyStopper()
+        assert not stopper.update(EARLY_STOP_MIN_DELTA)
+        # each an improvement of exactly the minimum delta: stale
+        assert [stopper.update(0.0) for _ in range(EARLY_STOP_PATIENCE)] == [False] * (
+            EARLY_STOP_PATIENCE - 1
+        ) + [True]
 
 
 class TestConfigValidation:
@@ -501,7 +503,7 @@ class TestGradients:
             scratch_layers = param_views(scratch, dims)
             x = rng.uniform(0, 1, size=(6, width))
             y = rng.integers(0, 2, size=6).astype(float)
-            loss_and_gradients(layers, cfg.activations, x, y, grad_layers)
+            loss_and_gradients(layers, cfg.activations, x, y, grad_layers, transposes(layers))
             h = 1e-5
             for i in range(params.size):
                 original = params[i]
@@ -525,13 +527,15 @@ def _reference_train(config, x, y, rng):
     grad = np.empty_like(params)
     layers, grad_layers = param_views(params, dims), param_views(grad, dims)
     optimizer = Optimizer(config.optimizer, params.size)
-    stopper, losses = EarlyStopper(), []
+    weights_t, stopper, losses = transposes(layers), EarlyStopper(), []
     for _ in range(config.epochs):
         order = rng.permutation(len(y))
         epoch_rows = []
         for start in range(0, len(y), config.batch_size):
             idx = order[start : start + config.batch_size]
-            z = loss_and_gradients(layers, config.activations, x[idx], y[idx], grad_layers)
+            z = loss_and_gradients(
+                layers, config.activations, x[idx], y[idx], grad_layers, weights_t
+            )
             epoch_rows.append(row_losses(z, y[idx]))
             optimizer.step(params, grad)
         losses.append(float(np.concatenate(epoch_rows).mean()))
