@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,11 +117,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"audit failed: {exc}", file=sys.stderr)
         return 1
     # An OSError here is an input or output path the command cannot use,
-    # such as an output directory that is an existing file; a broken pool
-    # is a worker process that died while running a cell.
+    # such as an output directory that is an existing file.
     except (
         argparse.ArgumentError,
-        BrokenProcessPool,
         ExperimentError,
         ConfigurationError,
         DatasetError,

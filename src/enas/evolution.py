@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Protocol, Sequence
@@ -161,6 +162,14 @@ class EvolutionState:
         return self.generation > self.live.max_generations
 
 
+class TasksLost(BrokenProcessPool):
+    """A worker process died; ``tasks`` holds the indices of the tasks then in flight."""
+
+    def __init__(self, message: str, tasks: list[int]):
+        super().__init__(message)
+        self.tasks = tasks
+
+
 class EvaluatorPool:
     """Maps tasks to ``fn(*task)`` in task order, serially or in worker processes.
 
@@ -172,7 +181,8 @@ class EvaluatorPool:
     deterministic tasks the outcome is bit-identical for any ``jobs``.
     Tasks start in order, at most ``jobs`` at a time, and none starts once
     a task has failed: the tasks still running finish, and the error of the
-    first failed task in task order is raised.
+    first failed task in task order is raised, or ``TasksLost`` if a worker
+    process died.
     """
 
     def __init__(self, fn: Callable, jobs: int):
@@ -185,14 +195,21 @@ class EvaluatorPool:
             return [self.fn(*task) for task in tasks]
         with ProcessPoolExecutor(workers) as executor:
             futures = []
-            for task in tasks:
-                running = [future for future in futures if not future.done()]
-                if len(running) == workers:
-                    wait(running, return_when=FIRST_COMPLETED)
-                if any(future.done() and future.exception() for future in futures):
-                    break
-                futures.append(executor.submit(self.fn, *task))
-            return [future.result() for future in futures]
+            try:
+                for task in tasks:
+                    running = [future for future in futures if not future.done()]
+                    if len(running) == workers:
+                        wait(running, return_when=FIRST_COMPLETED)
+                    if any(future.done() and future.exception() for future in futures):
+                        break
+                    futures.append(executor.submit(self.fn, *task))
+                return [future.result() for future in futures]
+            except BrokenProcessPool as exc:
+                # a broken pool fails every future it has not finished: those in flight
+                lost = [
+                    i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)
+                ]
+                raise TasksLost(str(exc), lost) from exc
 
 
 def best_individual(population: list[Individual]) -> Individual:

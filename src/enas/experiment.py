@@ -262,7 +262,7 @@ def _read_csv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list[
     shown = repr(str(path))
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise ExperimentError(f"cannot read {shown}: {exc}") from exc
     if not lines or lines[0] != _csv_line(columns):
         raise ExperimentError(f"{shown}:1: expected the header {_csv_line(columns)}")
@@ -457,6 +457,10 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         raise DatasetError(f"cannot scale {str(spec.path)!r}: {exc}") from None
 
 
+def _cell_name(dataset: str, run_index: int, mode: Mode) -> str:
+    return f"{dataset} {mode.value} run {run_index}"
+
+
 def _run_cell(
     dataset: str,
     run_index: int,
@@ -470,7 +474,7 @@ def _run_cell(
     result = evolution.run(mode, config, fitness, run_seed)
     # One write per line, so that the lines of parallel cells never interleave.
     sys.stdout.write(
-        f"{dataset} {mode.value} run {run_index}: "
+        f"{_cell_name(dataset, run_index, mode)}: "
         f"best={result.best.fitness.mean_f_measure:.4f} "
         f"generations={result.generation} "
         f"models={result.models_trained} "
@@ -513,7 +517,11 @@ def run_experiment(config: ExperimentConfig) -> None:
             for mode in config.modes:
                 run_seed = _run_seed(config, spec.name, run_index, mode)
                 cells.append((spec.name, run_index, mode, config.evolution, fitness, run_seed))
-    results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
+    try:
+        results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
+    except evolution.TasksLost as exc:
+        lost = ", ".join(_cell_name(*cells[i][:3]) for i in exc.tasks) or "none"
+        raise ExperimentError(f"a worker process died; cells in flight: {lost} ({exc})") from None
 
     runs: dict[tuple[str, Mode], list[EvolutionState]] = {}
     with events_path.open("w", encoding="utf-8") as events:
@@ -627,9 +635,8 @@ def audit_output_dir(out_dir: str | Path) -> None:
         line, expected = ",".join(cells), _csv_line(astuple(recomputed))
         if expected != line:
             raise AuditError(
-                f"summary row for ({dataset}, {mode}) does not match its histories:\n"
-                f"  summary.csv: {line}\n"
-                f"  recomputed:  {expected}"
+                f"summary row for ({dataset}, {mode}) does not match its histories: "
+                f"summary.csv has {line}, recomputed {expected}"
             )
         for stem, history in zip(stems, histories):
             _audit_best_genome(out / f"best_genome_{stem}.json", history)

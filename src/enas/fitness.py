@@ -51,22 +51,11 @@ class FitnessRecord:
 
 
 def f_measure(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """F1 on the positive class (label 1); 0 when precision+recall is 0."""
-    p = np.asarray(predictions).ravel()
-    y = np.asarray(labels).ravel()
-    if p.size == 0:
-        raise ValueError("f_measure needs at least one instance")
-    if p.shape != y.shape:
-        raise ValueError(f"length mismatch: {p.size} predictions vs {y.size} labels")
-    if not np.isin(p, (0, 1)).all() or not np.isin(y, (0, 1)).all():
-        raise ValueError("predictions and labels must be 0/1 vectors")
-    tp = int(np.sum((p == 1) & (y == 1)))
-    fp = int(np.sum((p == 1) & (y == 0)))
-    fn = int(np.sum((p == 0) & (y == 1)))
-    denominator = 2 * tp + fp + fn
+    """F1 of two 0/1 integer vectors on the positive class; 0 when precision+recall is 0."""
+    denominator = int(predictions.sum() + labels.sum())  # 2 tp + fp + fn
     if denominator == 0:
         return 0.0
-    return 2 * tp / denominator
+    return 2 * int(predictions @ labels) / denominator
 
 
 @dataclass(frozen=True)
@@ -78,8 +67,8 @@ class CrossValFitness:
     (``config_from_genome``, epochs included) train together: the k fold
     networks of every member come from one ``nn.train_folds`` call, fold f
     of a member on the rows of the other folds with seed
-    ``derive_seed(seed, f)``. ``folds`` holds arrays of row numbers of
-    ``dataset`` that cover each row exactly once.
+    ``derive_seed(seed, f)``. ``folds`` holds two or more non-empty arrays
+    of row numbers of ``dataset`` that cover each row exactly once.
     ``train_folds`` trains each network bit-identically to training it
     alone, so a record does not depend on which genomes shared its call.
     ``__call__`` scores each genome from its own fold models; given no
@@ -96,6 +85,8 @@ class CrossValFitness:
     folds: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        if len(self.folds) < 2 or any(len(fold) == 0 for fold in self.folds):
+            raise ValueError("fold split must hold at least two folds, none of them empty")
         if any(np.asarray(fold).dtype.kind not in "iu" for fold in self.folds):
             raise ValueError("fold split must hold integer row numbers")
         rows = np.sort(np.concatenate(self.folds))

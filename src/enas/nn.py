@@ -60,7 +60,7 @@ Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
 class TrainingError(ValueError):
-    """Invalid network configuration or incompatible training inputs."""
+    """Invalid network configuration, or parameters that do not fit it."""
 
 
 class EarlyStopper:
@@ -276,13 +276,8 @@ def loss_and_gradients(
     together, which is exact as long as the loss cap is inactive.
     """
     outs = _forward_chain(layers, activations, batch)
-    z = outs[-1][..., 0]
-    y = np.asarray(labels, dtype=np.float64)
-    if z.shape != y.shape:
-        raise TrainingError(f"shape mismatch: {z.shape} vs {y.shape}")
-
     delta = _activate("sigmoid", outs[-1])
-    delta -= y[..., None]
+    delta -= labels[..., None]
     delta /= batch.shape[-2]
     for layer in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[layer]
@@ -296,7 +291,7 @@ def loss_and_gradients(
                 delta *= outs[layer] > 0
             elif act != "linear":
                 delta *= _activation_grad(act, outs[layer])
-    return z
+    return outs[-1][..., 0]
 
 
 class _BiasCorrection:
@@ -441,19 +436,11 @@ def train_folds(
     network comes out bit-identical to training it alone. The models come
     out in fold order, lazily: a group trains when its first model is
     drawn, and the previous group is released by then unless the caller
-    still holds its models. The arguments are checked at the call.
+    still holds its models. The data is a ``Dataset``'s, and each training
+    set is non-empty, with one seed per set, as ``CrossValFitness`` ensures.
     """
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise TrainingError("features and labels disagree on the instance count")
-    if len(train_sets) != len(seeds):
-        raise TrainingError(f"{len(train_sets)} training sets but {len(seeds)} seeds")
-    if any(len(rows) == 0 for rows in train_sets):
-        raise TrainingError("every fold needs at least one training row")
-    if not np.isin(y[np.concatenate(train_sets)], (0.0, 1.0)).all():
-        raise TrainingError("training labels must be 0 or 1")
-
+    y = np.asarray(labels, dtype=np.float64)
     dims = layer_dims(x.shape[1], config)
     group = max(1, min(len(train_sets), LOCKSTEP_PARAMS // param_count(dims)))
     return itertools.chain.from_iterable(

@@ -173,24 +173,19 @@ class TestKFold:
         split = kfold_split(ds, k=5, seed=1)
         assert sorted(f.size for f in split) == [41, 41, 42, 42, 42]
 
-    def test_k_of_one_rejected(self, small_dataset):
-        with pytest.raises(ValueError, match="at least 2"):
-            kfold_split(small_dataset, k=1, seed=0)
-
-    def test_k_above_instance_count_rejected(self, small_dataset):
-        with pytest.raises(ValueError, match="exceeds"):
-            kfold_split(small_dataset, k=25, seed=0)
-
-    @given(st.integers(2, 9), st.integers(0, 2**32))
+    @given(st.data())
     @settings(max_examples=40)
-    def test_folds_partition_indices(self, k, seed):
-        n = 37
+    def test_folds_partition_indices(self, data):
+        # every k that ExperimentConfig and run_experiment let through
+        n = data.draw(st.integers(2, 60), label="n")
+        k = data.draw(st.integers(2, n), label="k")
         ds = Dataset(features=np.ones((n, 1)), labels=np.zeros(n, dtype=np.int64))
-        split = kfold_split(ds, k=k, seed=seed)
+        split = kfold_split(ds, k=k, seed=data.draw(st.integers(0, 2**32), label="seed"))
         combined = np.concatenate(split)
         assert sorted(combined.tolist()) == list(range(n))
         sizes = [f.size for f in split]
-        assert max(sizes) - min(sizes) <= 1
+        assert len(sizes) == k and min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+        CrossValFitness(ds, split)
 
     def test_deterministic_in_seed(self, small_dataset):
         a = kfold_split(small_dataset, k=3, seed=5)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import sys
 import tempfile
 import warnings
@@ -378,7 +379,11 @@ class TestCli:
         cells[3] = "0.123456"
         lines[1] = ",".join(cells)
         summary.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
         assert main(["audit", "--out", str(tmp_path / "cli_out2")]) == 1
+        # one line, like every other error
+        err = capsys.readouterr().err
+        assert err.startswith("audit failed: ") and err.count("\n") == 1, err
 
     def test_bad_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
@@ -539,6 +544,16 @@ class TestCli:
         assert main(["audit", "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", [0, 1], ids=["dataset", "mode"])
+    def test_nul_in_a_summary_name_cell_gives_one_error_line(
+        self, experiment_dir, tmp_path, capsys, column
+    ):
+        # the cell goes into a file name, and no file system takes a NUL there
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        _rewrite_lines(out / "summary.csv", _replace_last_cell(column, "a\0b"))
+        assert "null byte" in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+
     def test_audit_without_summary_gives_one_error_line(self, tmp_path, capsys):
         err = self._assert_one_line_error(capsys, ["audit", "--out", str(tmp_path)])
         assert str(tmp_path / "summary.csv") in err
@@ -594,6 +609,7 @@ class TestCli:
                 id="runs-of-5000-digits",
             ),
             pytest.param(lambda doc: {**doc, "runs": "x"}, id="runs-not-integer"),
+            pytest.param(lambda doc: {**doc, "folds": 1}, id="folds-of-one"),
             pytest.param(lambda doc: {**doc, "out_dir": "o\u0000p"}, id="out-dir-with-nul"),
             pytest.param(lambda doc: {**doc, "modes": ["nope"]}, id="unknown-mode"),
             pytest.param(lambda doc: {**doc, "modes": "both"}, id="modes-not-a-list"),
@@ -652,16 +668,17 @@ class TestCli:
                 os._exit(9)
             return run(mode, config, fitness, run_seed)
 
-        for patch, message in (
-            (fail_one_cell, "cell toy0 enas 1 failed"),
-            (end_one_worker, "terminated abruptly"),
+        for patch, messages in (
+            (fail_one_cell, ["cell toy0 enas 1 failed"]),
+            (end_one_worker, ["terminated abruptly", "toy0 enas run 1"]),
         ):
             monkeypatch.setattr(evolution, "run", patch)
             workdir = tmp_path / patch.__name__
             workdir.mkdir()
             config_path = _write_config(workdir, datasets=1, runs=2, modes=("enas",))
             argv = ["run", "--config", str(config_path), "--jobs", "2"]
-            assert message in self._assert_one_line_error(capsys, argv)
+            err = self._assert_one_line_error(capsys, argv)
+            assert all(message in err for message in messages), err
 
     @pytest.mark.parametrize(
         "make",
@@ -945,3 +962,101 @@ def test_fuzzed_genome_document_loads_exactly_or_gives_one_error(doc):
     }
     written = genome_to_doc(genome)
     assert json.dumps(written, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# The files ``enas audit`` reads, in a one-run output directory.
+AUDITED_FILES = (
+    "summary.csv",
+    "history_toy0_enas_0.csv",
+    "best_genome_toy0_nas_plus_0.json",
+    "folds_toy0_0.csv",
+)
+CELL_VALUES = st.sampled_from(
+    ["", "-1", "0", "1.5", "nan", "inf", "1e309", "9" * 5000, "a/b", "a\0b", "enas", "toy0"]
+) | st.text(max_size=8)
+NOT_UTF_8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+
+
+@pytest.fixture(scope="module")
+def audit_source(tmp_path_factory):
+    """A real output directory: one dataset, one run, both modes, generation cap 1."""
+    space = {**TINY_SPACE, "max_generations": [1, 1]}
+    static = {"population_size": 4, "max_generations": 1}
+    path = _write_config(
+        tmp_path_factory.mktemp("audit-fuzz"),
+        datasets=1,
+        runs=1,
+        jobs=1,
+        search_space=space,
+        static_params=static,
+    )
+    config = config_from_file(path)
+    run_experiment(config)
+    return config.out_dir
+
+
+class Overtime(BaseException):
+    """An example ran past its time cap. Not an ``Exception``, so that no
+    handler under test turns it into an error line."""
+
+
+@contextlib.contextmanager
+def time_cap(seconds):
+    """Interrupt this process once ``seconds`` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise Overtime(f"over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _edited(data, original: bytes, json_file: bool) -> bytes:
+    """``original`` truncated, with a replaced CSV cell or JSON value, with a
+    line dropped or repeated, or with bytes that are not UTF-8."""
+    kind = data.draw(st.sampled_from(["truncate", "replace", "drop", "repeat", "not-utf-8"]))
+    if kind == "truncate":
+        return original[: data.draw(st.integers(0, len(original) - 1), label="length")]
+    if kind == "not-utf-8":
+        at = data.draw(st.integers(0, len(original)), label="at")
+        return original[:at] + data.draw(NOT_UTF_8) + original[at:]
+    lines = original.splitlines(keepends=True)
+    if kind != "replace":
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        kept = lines[:i] + lines[i + 1 :] if kind == "drop" else lines[: i + 1] + lines[i:]
+        return b"".join(kept)
+    if json_file:
+        doc = json.loads(original)
+        target = data.draw(st.sampled_from([doc, doc["genome"]]))
+        target[data.draw(st.sampled_from(sorted(target)), label="key")] = data.draw(JSON_VALUES)
+        return json.dumps(doc).encode()
+    rows = [line.split(",") for line in original.decode().splitlines()]
+    row = data.draw(st.sampled_from(rows), label="row")
+    row[data.draw(st.integers(0, len(row) - 1), label="cell")] = data.draw(CELL_VALUES)
+    return "".join(",".join(cells) + "\n" for cells in rows).encode()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_audit_input_passes_or_gives_one_error_line(audit_source, data):
+    name = data.draw(st.sampled_from(AUDITED_FILES), label="file")
+    edited = _edited(data, (audit_source / name).read_bytes(), name.endswith(".json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(audit_source, out)
+        (out / name).write_bytes(edited)
+        err = io.StringIO()
+        with time_cap(5.0), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = main(["audit", "--out", str(out)])
+    message = err.getvalue()
+    if code == 0:
+        assert message == ""
+    else:
+        prefix = {1: "audit failed: ", 2: "error: "}[code]
+        assert message.startswith(prefix) and message.count("\n") == 1, message

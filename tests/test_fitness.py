@@ -68,14 +68,6 @@ class TestFMeasure:
         with pytest.raises(ValueError, match="mismatch"):
             f_measure(np.array([1, 0]), np.array([1]))
 
-    def test_empty_input(self):
-        with pytest.raises(ValueError, match="at least one"):
-            f_measure(np.array([]), np.array([]))
-
-    def test_non_binary_values_rejected(self):
-        with pytest.raises(ValueError):
-            f_measure(np.array([2, 0]), np.array([1, 0]))
-
     @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
     @settings(max_examples=300)
     def test_matches_brute_force_oracle(self, pairs):
@@ -175,6 +167,17 @@ class TestEvaluate:
         split = kfold_split(other, 4, seed=38)
         with pytest.raises(ValueError, match="cover"):
             CrossValFitness(dataset, split)
+
+    def test_split_of_one_fold_rejected(self):
+        dataset = make_threshold_dataset(6, 2, seed=44)
+        with pytest.raises(ValueError, match="at least two folds"):
+            CrossValFitness(dataset, kfold_split(dataset, 1, seed=45))
+
+    def test_split_with_an_empty_fold_rejected(self):
+        # seven folds of six rows: one fold is empty, so its model has no test rows
+        dataset = make_threshold_dataset(6, 2, seed=44)
+        with pytest.raises(ValueError, match="none of them empty"):
+            CrossValFitness(dataset, kfold_split(dataset, 7, seed=45))
 
     @pytest.mark.parametrize("second_fold", [[3, 4, -6], [3, 4, 9]], ids=["negative", "past-end"])
     def test_split_must_index_each_row_once(self, second_fold):

@@ -183,10 +183,6 @@ class TestBinaryCrossEntropy:
     def test_symmetric_pair_gives_ln2(self):
         assert _loss_at_logits([0.0, 0.0], [0, 1]) == pytest.approx(math.log(2))
 
-    def test_length_mismatch(self):
-        with pytest.raises(TrainingError):
-            _loss_at_logits([0.0, 0.0], [1])
-
     def test_stacked_rows_give_one_loss_each(self):
         z = np.array([[0.0, 0.0], [2.2, -1.4]])
         y = np.array([[0, 1], [1, 0]])
@@ -425,10 +421,6 @@ class TestTrain:
         assert model.diverged
         assert not np.isfinite(model.loss_history[-1])
         assert model.epochs_run == len(model.loss_history) <= 30
-
-    def test_bad_labels_rejected(self):
-        with pytest.raises(TrainingError):
-            train(_config(), np.ones((2, 1)), np.array([1, 2]), 0)
 
     def test_loss_history_length_bounded_by_epochs(self, small_dataset):
         model = train(_config(epochs=5), small_dataset.features, small_dataset.labels, 0)
@@ -673,14 +665,3 @@ class TestTrainFolds:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
-
-    def test_seed_count_must_match(self):
-        x, y, train_sets = _ragged_folds()
-        with pytest.raises(TrainingError, match="seeds"):
-            train_folds(_config(), x, y, train_sets, FOLD_SEEDS[:3])
-
-    def test_empty_training_set_rejected(self):
-        x, y, train_sets = _ragged_folds()
-        with pytest.raises(TrainingError, match="at least one"):
-            empty = np.array([], dtype=np.int64)
-            train_folds(_config(), x, y, [train_sets[0], empty], FOLD_SEEDS[:2])
