@@ -3,8 +3,8 @@
 The parameters in force are always an ``EvolutionConfig``: the run's own
 config with its four control values (mutation rate, population size,
 cloning rate, generation budget) swapped for the ones now live; the
-tournament is fitted to the population only at selection. Two modes
-share one engine:
+crossover rate, tournament size and elitism are module constants. Two
+modes share one engine:
 
 * static mode ("nas_plus"): the live config is the run's config, fixed
   for the whole run;
@@ -65,49 +65,38 @@ class FitnessFunction(Protocol):
         ...
 
 
+# Breeding settings that no experiment varies: the baseline hand-sets only the
+# four control values. Selection fits the tournament to a smaller population.
+CROSSOVER_RATE = 0.9
+TOURNAMENT_SIZE = 4
+ELITISM_SIZE = 1  # the elite carries the best genome over, so the best score never regresses
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Evolutionary parameters plus the gene search space.
+    """The four control values plus the gene search space.
 
     A run's config holds the static-mode settings. The engine's live
     config (``EvolutionState.live``) is a copy with the control values now
     in force: in adaptive mode the four ``CONTROL_GENES`` fields come from
-    the genes, so ``crossover_rate``, ``tournament_size`` and
-    ``elitism_size`` stay as configured. Every copy passes the same checks.
+    the genes. Every copy passes the same checks.
     """
 
     space: SearchSpace = SearchSpace()
     population_size: int = 100
     max_generations: int = 500
-    crossover_rate: float = 0.9
     mutation_rate: float = 0.2
     cloning_rate: float = 0.3
-    tournament_size: int = 4
-    elitism_size: int = 1
 
     def __post_init__(self) -> None:
-        for rate_name in ("crossover_rate", "mutation_rate", "cloning_rate"):
+        for rate_name in ("mutation_rate", "cloning_rate"):
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(f"{rate_name} must lie in [0, 1], got {rate}")
-        if self.tournament_size < 1:
-            raise ConfigurationError("tournament_size must be at least 1")
-        # The elite carries the best genome over, so the best score never regresses.
-        if self.elitism_size < 1:
-            raise ConfigurationError(f"elitism_size must be at least 1, got {self.elitism_size}")
-        if self.population_size < max(2, self.elitism_size + 1):
+        if not 2 <= self.population_size <= STATIC_POPULATION_MAX:  # an elite and an offspring
             raise ConfigurationError(
-                f"population_size {self.population_size} cannot hold "
-                f"{self.elitism_size} elites plus offspring"
-            )
-        if self.population_size > STATIC_POPULATION_MAX:
-            raise ConfigurationError(
-                f"population_size must be at most {STATIC_POPULATION_MAX}, "
+                f"population_size must lie in [2, {STATIC_POPULATION_MAX}], "
                 f"got {self.population_size}"
-            )
-        if self.elitism_size >= self.space.population_size[0]:
-            raise ConfigurationError(
-                "elitism_size must stay below the smallest allowed population"
             )
         if not 1 <= self.max_generations <= STATIC_GENERATION_MAX:
             raise ConfigurationError(
@@ -279,12 +268,12 @@ def init(
 
 
 def _tournament_size(state: EvolutionState) -> int:
-    """The configured tournament, fitted to the current population.
+    """``TOURNAMENT_SIZE``, fitted to the current population.
 
     Only selection fits it, so a freshly shrunken population never starves
-    selection and a regrown one breeds with the configured size again.
+    selection and a regrown one breeds with the full size again.
     """
-    return min(state.live.tournament_size, len(state.population))
+    return min(TOURNAMENT_SIZE, len(state.population))
 
 
 def tournament_select(state: EvolutionState, rng) -> Individual:
@@ -294,7 +283,7 @@ def tournament_select(state: EvolutionState, rng) -> Individual:
     return best_individual([population[i] for i in picks])
 
 
-def clone_count(population_size: int, cloning_rate: float, elitism_size: int) -> int:
+def clone_count(population_size: int, cloning_rate: float) -> int:
     """Clones to select beyond the automatic elite copies.
 
     The total round(cloning_rate * population_size) includes the elite,
@@ -302,8 +291,7 @@ def clone_count(population_size: int, cloning_rate: float, elitism_size: int) ->
     even when the rate rounds to zero.
     """
     total = math.floor(population_size * cloning_rate + 0.5)
-    total = max(total, elitism_size)
-    return total - elitism_size
+    return max(total, ELITISM_SIZE) - ELITISM_SIZE
 
 
 def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
@@ -316,17 +304,17 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     ranked = sorted(
         state.population, key=lambda ind: (-ind.fitness.mean_f_measure, ind.id)
     )
-    elites = ranked[: live.elitism_size]
+    elites = ranked[:ELITISM_SIZE]
 
     clones = []
-    for _ in range(clone_count(target, live.cloning_rate, live.elitism_size)):
+    for _ in range(clone_count(target, live.cloning_rate)):
         winner = tournament_select(state, rng)
         clones.append(_born(state, winner.genome, new_generation, winner.fitness))
 
     offspring = []
     for _ in range(target - len(elites) - len(clones)):
         first = tournament_select(state, rng)
-        if rng.random() < live.crossover_rate:
+        if rng.random() < CROSSOVER_RATE:
             second = tournament_select(state, rng)
             child = crossover(first.genome, second.genome, rng)
         else:

@@ -119,7 +119,15 @@ _KIND_NAMES = {
 _JSON_CLASSES = {float: (int, float), Path: (str,), tuple: (list,), Mapping: (dict,)}
 
 _SPACE_HINTS = get_type_hints(SearchSpace)
+# Engine constants that perfbench/search.json still restates in static_params,
+# where each is read at its fixed value only.
+_FIXED_STATIC = {
+    "crossover_rate": evolution.CROSSOVER_RATE,
+    "tournament_size": evolution.TOURNAMENT_SIZE,
+    "elitism_size": evolution.ELITISM_SIZE,
+}
 _STATIC_HINTS = {k: v for k, v in get_type_hints(EvolutionConfig).items() if k != "space"}
+_STATIC_HINTS.update((key, type(fixed)) for key, fixed in _FIXED_STATIC.items())
 _DATASET_HINTS = get_type_hints(DatasetSpec)
 # The file's top level: ExperimentConfig's fields, where the lists of dataset
 # entries and mode names and the two sections that fill ``evolution`` are
@@ -221,6 +229,9 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     except InvalidGenomeError as exc:
         raise ExperimentError(f"search_space: {exc}") from exc
     static = _section("static_params", top.pop("static_params", {}), _STATIC_HINTS)
+    for key, fixed in _FIXED_STATIC.items():
+        value = static.pop(key, fixed)
+        _require(value == fixed, f"static_params.{key} is fixed at {fixed}, got {value}")
     # Joined to the config's directory, an absolute path stays as it is.
     top["out_dir"] = path.parent / top.get("out_dir", ExperimentConfig.out_dir)
     return ExperimentConfig(
@@ -614,7 +625,7 @@ def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
 
 def audit_output_dir(out_dir: str | Path) -> None:
     """Recompute summary.csv from the history files, check each best-genome
-    file against its history and each fold file's rows, and require every
+    file against its history and each fold file's rows and split, and require every
     history, best-genome and fold file to belong to a summary row (every
     history and best-genome file to exactly one); raise on any mismatch."""
     out = Path(out_dir)
@@ -640,10 +651,28 @@ def audit_output_dir(out_dir: str | Path) -> None:
             )
         for stem, history in zip(stems, histories):
             _audit_best_genome(out / f"best_genome_{stem}.json", history)
+    reference = None  # (file, k): every run's fold file splits into the same k folds
     for fold_file in sorted(fold_files):  # integer cells, and instance indices 0..n-1 in order
+        sizes: dict[int, int] = {}  # fold id -> rows
         for index, (where, cells) in enumerate(_read_csv(out / fold_file, FOLD_COLUMNS)):
-            instance, _ = (_parse(where, key, int, cell) for key, cell in zip(FOLD_COLUMNS, cells))
+            instance, fold = (_parse(where, name, int, c) for name, c in zip(FOLD_COLUMNS, cells))
             _require(instance == index, f"{where}: instance_index must be {index}, got {instance}")
+            if fold < 0:
+                raise AuditError(f"{where}: fold_id must be at least 0, got {fold}")
+            sizes[fold] = sizes.get(fold, 0) + 1
+        # fold ids 0..k-1 with sizes that differ by at most one, as np.array_split gives
+        shown, ids = repr(str(out / fold_file)), sorted(sizes)
+        gap = next((j for j, fold in enumerate(ids) if fold != j), None)
+        if gap is not None:
+            raise AuditError(f"{shown}: fold {gap} has no rows, but fold {ids[-1]} has")
+        if len(ids) < 2:
+            raise AuditError(f"{shown}: every row is in fold 0, but a split has at least 2 folds")
+        reference = reference or (shown, len(ids))
+        if len(ids) != reference[1]:
+            raise AuditError(f"{shown}: {len(ids)} folds, but {reference[0]} has {reference[1]}")
+        low, high = min(sizes.values()), max(sizes.values())
+        if high - low > 1:
+            raise AuditError(f"{shown}: fold sizes range from {low} to {high}, more than one apart")
     patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv")
     stray = {path.name for pattern in patterns for path in out.glob(pattern)}
     stray -= accounted | fold_files

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from enas.data import load_csv, normalize_min_max
-from enas.evolution import EvolutionConfig, Mode, run
+from enas.evolution import TOURNAMENT_SIZE, EvolutionConfig, Mode, run
 from enas.experiment import (
     audit_output_dir,
     config_from_file,
@@ -162,7 +162,7 @@ def _check_mechanism_invariants(result):
     for event in result.events:
         if event["type"] == "generation_end":
             assert event["population_len"] == event["live_population_size"]
-            expected = min(DESK_CONFIG.tournament_size, event["population_len"])
+            expected = min(TOURNAMENT_SIZE, event["population_len"])
             assert event["tournament_size"] == expected
         elif event["type"] == "cull":
             removed_top = max(item["fitness"] for item in event["removed"])

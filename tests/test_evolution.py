@@ -6,8 +6,11 @@ from typing import Sequence
 
 import pytest
 
-from enas import nn
+from enas import evolution, nn
 from enas.evolution import (
+    CROSSOVER_RATE,
+    ELITISM_SIZE,
+    TOURNAMENT_SIZE,
     ConfigurationError,
     EvaluatorPool,
     EvolutionConfig,
@@ -80,7 +83,7 @@ def _individual(ident, score, birth=0, genome=None):
     return Individual(id=ident, genome=genome, fitness=_record(score), birth_generation=birth)
 
 
-def _state(scores, mode=Mode.ENAS, generation=0, tournament=4):
+def _state(scores, mode=Mode.ENAS, generation=0):
     population = [_individual(i, s) for i, s in enumerate(scores)]
     # A lone individual is below any config's population size, so the live
     # size then stays at the space's floor.
@@ -88,7 +91,6 @@ def _state(scores, mode=Mode.ENAS, generation=0, tournament=4):
         space=DESK_SPACE,
         population_size=max(len(population), DESK_SPACE.population_size[0]),
         max_generations=40,
-        tournament_size=tournament,
     )
     return EvolutionState(
         mode=mode,
@@ -151,16 +153,17 @@ class TestEvaluatorPool:
 class TestCloneCount:
     def test_thirty_percent_of_ten_with_one_elite(self):
         # total round(0.3 * 10) = 3 clones, one of which is the elite
-        assert clone_count(10, 0.3, elitism_size=1) == 2
+        assert clone_count(10, 0.3) == 2
 
     def test_tiny_rate_floors_at_the_elite(self):
-        assert clone_count(10, 0.04, elitism_size=1) == 0
+        assert clone_count(10, 0.04) == 0
 
-    def test_no_elitism_half_rate(self):
-        assert clone_count(4, 0.5, elitism_size=0) == 2
+    def test_half_rate_counts_the_elite(self):
+        assert clone_count(4, 0.5) == 1
 
     def test_round_half_up(self):
-        assert clone_count(10, 0.05, elitism_size=0) == 1
+        # round(2.5) is 3 here, where round-half-to-even would give 2
+        assert clone_count(10, 0.25) == 2
 
 
 class TestTournament:
@@ -169,16 +172,16 @@ class TestTournament:
         assert tournament_select(state, make_rng(0)).id == 0
 
     def test_full_tournament_returns_global_best(self):
-        state = _state([0.1, 0.9, 0.4], tournament=3)
+        state = _state([0.1, 0.9, 0.4])
         for seed in range(10):
             assert tournament_select(state, make_rng(seed)).id == 1
 
     def test_oversized_tournament_clamps_to_population(self):
-        state = _state([0.1, 0.9, 0.4], tournament=4)
+        state = _state([0.1, 0.9, 0.4])
         assert tournament_select(state, make_rng(0)).id == 1
 
     def test_ties_break_to_lower_id(self):
-        state = _state([0.5, 0.5, 0.5], tournament=3)
+        state = _state([0.5, 0.5, 0.5])
         assert tournament_select(state, make_rng(0)).id == 0
 
 
@@ -192,11 +195,11 @@ class TestInit:
         assert (
             config.population_size,
             config.max_generations,
-            config.crossover_rate,
+            CROSSOVER_RATE,
             config.mutation_rate,
             config.cloning_rate,
-            config.tournament_size,
-            config.elitism_size,
+            TOURNAMENT_SIZE,
+            ELITISM_SIZE,
         ) == (100, 500, 0.9, 0.2, 0.3, 4, 1)
         assert len(state.population) == 100
 
@@ -205,10 +208,7 @@ class TestInit:
         state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=7)
         assert state.live.population_size == 12
         assert state.live.max_generations == 25
-        assert state.live.crossover_rate == 0.9
         assert state.live.mutation_rate == 0.2
-        assert state.live.tournament_size == 4
-        assert state.live.elitism_size == 1
         assert len(state.population) == 12
         assert all(ind.fitness is not None for ind in state.population)
 
@@ -224,18 +224,18 @@ class TestInit:
         assert [ind.genome for ind in a.population] == [ind.genome for ind in b.population]
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EvolutionConfig(space=DESK_SPACE, population_size=3, elitism_size=3)
-        with pytest.raises(ConfigurationError):
-            EvolutionConfig(space=DESK_SPACE, tournament_size=0)
-        with pytest.raises(ConfigurationError):
-            EvolutionConfig(space=DESK_SPACE, crossover_rate=1.5)
+        # a population of one holds the elite and no offspring
+        with pytest.raises(ConfigurationError, match=r"population_size must lie in \[2, "):
+            EvolutionConfig(space=DESK_SPACE, population_size=1)
+        EvolutionConfig(space=DESK_SPACE, population_size=2)
+        with pytest.raises(ConfigurationError, match="mutation_rate must lie in"):
+            EvolutionConfig(space=DESK_SPACE, mutation_rate=1.5)
 
     def test_static_limits_admit_their_bound_only(self):
         EvolutionConfig(
             population_size=STATIC_POPULATION_MAX, max_generations=STATIC_GENERATION_MAX
         )
-        with pytest.raises(ConfigurationError, match="population_size must be at most"):
+        with pytest.raises(ConfigurationError, match="population_size must lie in"):
             EvolutionConfig(population_size=STATIC_POPULATION_MAX + 1)
         with pytest.raises(ConfigurationError, match="max_generations must lie in"):
             EvolutionConfig(max_generations=STATIC_GENERATION_MAX + 1)
@@ -257,13 +257,10 @@ class TestNextGeneration:
             next_generation(state, SyntheticFitness())
             assert len(state.population) == DESK_CONFIG.population_size
 
-    def test_degenerate_operators_copy_tournament_winners(self):
+    def test_degenerate_operators_copy_tournament_winners(self, monkeypatch):
+        monkeypatch.setattr(evolution, "CROSSOVER_RATE", 0.0)
         config = EvolutionConfig(
-            space=DESK_SPACE,
-            population_size=6,
-            max_generations=5,
-            crossover_rate=0.0,
-            mutation_rate=0.0,
+            space=DESK_SPACE, population_size=6, max_generations=5, mutation_rate=0.0
         )
         state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=5)
         parents = {ind.genome for ind in state.population}
@@ -303,7 +300,7 @@ class TestApplyEcoGenes:
 
     def test_regrown_population_breeds_with_the_configured_tournament(self):
         # selection fits the tournament to a population cut to 3 only while it is 3
-        state = _state([0.2, 0.8, 0.5, 0.4, 0.6], tournament=4)
+        state = _state([0.2, 0.8, 0.5, 0.4, 0.6])
         sizes = []
         rng = SimpleNamespace(choice=lambda n, size, replace: sizes.append(size) or range(size))
         for population_size in (3, 5):
@@ -312,8 +309,7 @@ class TestApplyEcoGenes:
             apply_eco_genes(state, SyntheticFitness())
             assert len(state.population) == population_size
             tournament_select(state, rng)
-        assert sizes == [3, 4]
-        assert state.live.tournament_size == 4
+        assert sizes == [3, TOURNAMENT_SIZE]
 
 
 class TestResize:

@@ -104,6 +104,11 @@ def _replace_last_cell(index, value):
     return edit
 
 
+def _move_two_rows_to_fold_zero(lines):
+    moved = [i for i, line in enumerate(lines) if i and not line.endswith(",0")][:2]
+    return [line.split(",")[0] + ",0" if i in moved else line for i, line in enumerate(lines)]
+
+
 def read_summary_rows(out_dir):
     """The rows of ``out_dir``'s summary.csv."""
     kinds = [str, str, int, float, float, float, int]
@@ -325,9 +330,25 @@ class TestConfigFile:
     def test_json_integer_for_a_number_is_read_as_float(self, tmp_path):
         path = _write_config(
             tmp_path,
-            static_params={"population_size": 4, "max_generations": 3, "crossover_rate": 1},
+            static_params={"population_size": 4, "max_generations": 3, "mutation_rate": 1},
         )
-        assert type(config_from_file(path).evolution.crossover_rate) is float
+        assert type(config_from_file(path).evolution.mutation_rate) is float
+
+    @pytest.mark.parametrize(
+        "key, value, constant",
+        [
+            ("crossover_rate", 0.9, "CROSSOVER_RATE"),
+            ("tournament_size", 4, "TOURNAMENT_SIZE"),
+            ("elitism_size", 1, "ELITISM_SIZE"),
+        ],
+    )
+    def test_engine_constant_restated_at_its_value_loads(self, tmp_path, key, value, constant):
+        # perfbench/search.json still restates the three; the engine reads its constants
+        assert getattr(evolution, constant) == value
+        static = {"population_size": 4, "max_generations": 3}
+        plain = config_from_file(_write_config(tmp_path, static_params=static))
+        restated = _write_config(tmp_path, static_params={**static, key: value})
+        assert config_from_file(restated) == plain
 
     def test_missing_config_rejected(self, tmp_path):
         with pytest.raises(ExperimentError, match="not found"):
@@ -494,7 +515,26 @@ class TestCli:
         static = {"population_size": 4, "max_generations": 3, "elitism_size": 0}
         config_path = _write_config(tmp_path, datasets=1, runs=1, static_params=static)
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
-        assert "elitism_size" in err
+        assert err == "error: static_params.elitism_size is fixed at 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tournament_size", 3, "is fixed at 4, got 3"),
+            ("crossover_rate", 1, "is fixed at 0.9, got 1.0"),
+            ("tournament_size", 4.0, "must be an integer, got 4.0"),
+            ("elitism_size", 1.0, "must be an integer, got 1.0"),
+            ("elitism_size", True, "must be an integer, got true"),
+            ("crossover_rate", True, "must be a number, got true"),
+        ],
+    )
+    def test_engine_constant_restated_otherwise_rejected(
+        self, tmp_path, capsys, key, value, message
+    ):
+        static = {"population_size": 4, "max_generations": 3, key: value}
+        config_path = _write_config(tmp_path, datasets=1, runs=1, static_params=static)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert err == f"error: static_params.{key} {message}\n"
 
     def test_audit_rejects_a_tampered_best_genome(self, experiment_dir, tmp_path, capsys):
         config = experiment_dir
@@ -543,6 +583,46 @@ class TestCli:
         edit(out)
         assert main(["audit", "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            pytest.param(
+                "folds_toy0_0.csv",
+                lambda lines: [lines[0], "0,-7", *lines[2:]],
+                "folds_toy0_0.csv':2: fold_id must be at least 0, got -7",
+                id="negative-fold-id",
+            ),
+            pytest.param(
+                "folds_toy0_0.csv",
+                _move_two_rows_to_fold_zero,
+                "folds_toy0_0.csv': fold sizes range from 8 to 12,",
+                id="one-fold-two-rows-larger",
+            ),
+            pytest.param(
+                "folds_toy1_0.csv",
+                _replace_last_cell(1, "5"),
+                "folds_toy1_0.csv': fold 3 has no rows, but fold 5 has",
+                id="fold-id-past-a-gap",
+            ),
+            pytest.param(
+                "folds_toy1_1.csv",
+                lambda lines: [re.sub(",2$", ",1", line) for line in lines],
+                "folds_toy1_1.csv': 2 folds, but ",
+                id="fewer-folds-than-the-other-runs",
+            ),
+        ],
+    )
+    def test_audit_rejects_a_fold_file_that_is_no_split(
+        self, experiment_dir, tmp_path, capsys, name, edit, message
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        _rewrite_lines(out / name, edit)
+        assert main(["audit", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("audit failed: ") and err.count("\n") == 1, err
+        assert message in err
 
     @pytest.mark.parametrize("column", [0, 1], ids=["dataset", "mode"])
     def test_nul_in_a_summary_name_cell_gives_one_error_line(
@@ -844,6 +924,14 @@ class TestCli:
     def test_shipped_configs_load(self, path):
         config_from_file(path)
 
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+    def test_shipped_configs_leave_the_engine_constants_out(self, path):
+        # Only perfbench/search.json still restates them, so that the rule
+        # accepting each at its fixed value can go once it no longer does.
+        text = path.read_text()
+        for key in ("crossover_rate", "tournament_size", "elitism_size"):
+            assert f'"{key}"' not in text
+
     def test_demo_data_subcommand(self, tmp_path):
         target = tmp_path / "demo"
         assert main(["demo-data", "--out", str(target), "--seed", "3"]) == 0
@@ -876,7 +964,12 @@ VALID_DOC = {
 FIELD_NAMES = {
     None: sorted(VALID_DOC),
     "search_space": [f.name for f in fields(SearchSpace)],
-    "static_params": [f.name for f in fields(EvolutionConfig) if f.name != "space"],
+    "static_params": [
+        *(f.name for f in fields(EvolutionConfig) if f.name != "space"),
+        "crossover_rate",
+        "tournament_size",
+        "elitism_size",
+    ],
     "dataset": [f.name for f in fields(DatasetSpec)],
 }
 
@@ -1057,6 +1150,83 @@ def test_fuzzed_audit_input_passes_or_gives_one_error_line(audit_source, data):
     message = err.getvalue()
     if code == 0:
         assert message == ""
+    else:
+        prefix = {1: "audit failed: ", 2: "error: "}[code]
+        assert message.startswith(prefix) and message.count("\n") == 1, message
+
+
+DATASET_CELLS = st.sampled_from(
+    ["", "nan", "inf", "-inf", "1e308", "-1e308", "1e309", "9" * 400, "9" * 5000, "0x1p3", "m", '"']
+) | st.text(max_size=8)
+BYTE_ORDER_MARK = "\ufeff".encode()
+
+
+@pytest.fixture(scope="module")
+def dataset_source(tmp_path_factory):
+    """A demo dataset's bytes, and a config that runs it alone: one run,
+    generation cap 1, ``jobs`` 1."""
+    directory = tmp_path_factory.mktemp("dataset-fuzz")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["demo-data", "--out", str(directory)])
+    doc = {
+        "runs": 1,
+        "folds": 3,
+        "jobs": 1,
+        "datasets": [{"name": "demo_small", "path": "demo_small.csv"}],
+        "search_space": {**TINY_SPACE, "max_generations": [1, 1], "epochs": [1, 3]},
+        "static_params": {"population_size": 4, "max_generations": 1},
+    }
+    return (directory / "demo_small.csv").read_bytes(), json.dumps(doc)
+
+
+def _edited_dataset(data, original: bytes) -> bytes:
+    """``original`` truncated; with a replaced cell; with a line dropped, repeated
+    or made ragged; with one label on every row; or with bytes that are not
+    UTF-8 or a byte-order mark inserted."""
+    kind = data.draw(
+        st.sampled_from(
+            ["truncate", "cell", "drop", "repeat", "ragged", "one-label", "not-utf-8", "bom"]
+        )
+    )
+    if kind == "truncate":
+        return original[: data.draw(st.integers(0, len(original) - 1), label="length")]
+    if kind in ("not-utf-8", "bom"):
+        at = data.draw(st.sampled_from([0, len(original) // 2]), label="at")
+        inserted = data.draw(NOT_UTF_8) if kind == "not-utf-8" else BYTE_ORDER_MARK
+        return original[:at] + inserted + original[at:]
+    rows = [line.split(",") for line in original.decode().splitlines()]
+    i = data.draw(st.integers(0, len(rows) - 1), label="line")
+    if kind == "cell":
+        rows[i][data.draw(st.integers(0, len(rows[i]) - 1), label="cell")] = data.draw(DATASET_CELLS)
+    elif kind == "drop":
+        del rows[i]
+    elif kind == "repeat":
+        rows.insert(i, list(rows[i]))
+    elif kind == "ragged":
+        rows[i] = rows[i][:-1] if data.draw(st.booleans(), label="shorter") else rows[i] + ["0"]
+    else:
+        label = data.draw(st.sampled_from(["0", "1"]), label="label")
+        rows = [[*row[:-1], label] for row in rows]
+    return "".join(",".join(cells) + "\n" for cells in rows).encode()
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_dataset_runs_or_gives_one_error_line(dataset_source, data):
+    original, config_text = dataset_source
+    edited = _edited_dataset(data, original)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "demo_small.csv").write_bytes(edited)
+        (Path(tmp) / "config.json").write_text(config_text)
+        err = io.StringIO()
+        with time_cap(5.0), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "--config", str(Path(tmp) / "config.json")])
+                # a run that passes leaves an output that passes the audit
+                audited = main(["audit", "--out", str(Path(tmp) / "out")]) if code == 0 else 0
+    message = err.getvalue()
+    if code == 0:
+        assert message == "" and audited == 0, message
     else:
         prefix = {1: "audit failed: ", 2: "error: "}[code]
         assert message.startswith(prefix) and message.count("\n") == 1, message
