@@ -9,10 +9,11 @@ and their results are directly comparable.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 import time
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -472,6 +473,18 @@ def _cell_name(dataset: str, run_index: int, mode: Mode) -> str:
     return f"{dataset} {mode.value} run {run_index}"
 
 
+@dataclass(frozen=True)
+class BestGenomeDoc:
+    """A best_genome_*.json file: a run's fittest individual. Its ``genome``
+    is read by ``genome_from_doc``."""
+
+    genome: dict
+    mean_f_measure: float
+    per_fold: tuple[float, ...]
+    individual_id: int
+    run_seed: int
+
+
 def _run_cell(
     dataset: str,
     run_index: int,
@@ -479,14 +492,41 @@ def _run_cell(
     config: EvolutionConfig,
     fitness: CrossValFitness,
     run_seed: int,
+    out: Path,
 ) -> EvolutionState:
-    """One (dataset, run, mode) cell: a whole search, then its progress line."""
+    """One (dataset, run, mode) cell: a whole search, then its files and progress line.
+
+    The cell writes its history, its best genome and ``events_<stem>.jsonl``,
+    the part of ``events.jsonl`` that ``run_experiment`` joins; the state it
+    returns holds no events.
+    """
     # Looked up on the module so that a wrapper installed there is called.
     result = evolution.run(mode, config, fitness, run_seed)
+    best, stem = result.best, f"{dataset}_{mode.value}_{run_index}"
+    write_history_csv(result.history, out / f"history_{stem}.csv")
+    doc = BestGenomeDoc(
+        genome=genome_to_doc(best.genome),
+        mean_f_measure=best.fitness.mean_f_measure,
+        per_fold=best.fitness.per_fold,
+        individual_id=best.id,
+        run_seed=result.run_seed,
+    )
+    (out / f"best_genome_{stem}.json").write_text(
+        json.dumps(asdict(doc), indent=2) + "\n", encoding="utf-8"
+    )
+    keys = {"dataset": dataset, "mode": mode.value, "run": run_index}
+    complete = {"type": "run_complete", **keys, "best_f1": best.fitness.mean_f_measure,
+                "generations": result.generation, "models_trained": result.models_trained,
+                "halted": result.halted, "wall_time": result.wall_time}
+    with (out / f"events_{stem}.jsonl").open("w", encoding="utf-8") as part:
+        for event in result.events:
+            part.write(json.dumps({**keys, **event}) + "\n")
+        part.write(json.dumps(complete) + "\n")
+    result.events.clear()
     # One write per line, so that the lines of parallel cells never interleave.
     sys.stdout.write(
         f"{_cell_name(dataset, run_index, mode)}: "
-        f"best={result.best.fitness.mean_f_measure:.4f} "
+        f"best={best.fitness.mean_f_measure:.4f} "
         f"generations={result.generation} "
         f"models={result.models_trained} "
         f"({result.wall_time:.1f}s)\n"
@@ -499,9 +539,11 @@ def run_experiment(config: ExperimentConfig) -> None:
     """Execute every (dataset, run, mode) cell and write all artifacts.
 
     Cells are independent searches, so they are what runs in parallel
-    (``config.jobs`` worker processes, at most one per cell). Progress
-    lines arrive in completion order; every file is written afterwards,
-    in config order, so the outputs are the same for any pool size.
+    (``config.jobs`` worker processes, at most one per cell). Each cell
+    writes its own files when it ends, and progress lines arrive in
+    completion order; ``events.jsonl``, ``summary.csv`` and
+    ``efficiency.csv`` are written after the last cell, in config order,
+    so the outputs are the same for any pool size.
     """
     loaded = [load_dataset(spec) for spec in config.datasets]
     for spec, dataset in zip(config.datasets, loaded):
@@ -512,7 +554,6 @@ def run_experiment(config: ExperimentConfig) -> None:
         )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    events_path = out / "events.jsonl"
     started = time.perf_counter()
 
     cells = []
@@ -527,54 +568,26 @@ def run_experiment(config: ExperimentConfig) -> None:
             fitness = CrossValFitness(dataset, folds)
             for mode in config.modes:
                 run_seed = _run_seed(config, spec.name, run_index, mode)
-                cells.append((spec.name, run_index, mode, config.evolution, fitness, run_seed))
+                cells.append(
+                    (spec.name, run_index, mode, config.evolution, fitness, run_seed, out)
+                )
     try:
         results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
     except evolution.TasksLost as exc:
         lost = ", ".join(_cell_name(*cells[i][:3]) for i in exc.tasks) or "none"
         raise ExperimentError(f"a worker process died; cells in flight: {lost} ({exc})") from None
 
-    runs: dict[tuple[str, Mode], list[EvolutionState]] = {}
-    with events_path.open("w", encoding="utf-8") as events:
-
-        def log(doc: dict) -> None:
-            events.write(json.dumps(doc) + "\n")
-
-        log({"type": "experiment_start", "runs": config.runs, "folds": config.folds,
+    start = {"type": "experiment_start", "runs": config.runs, "folds": config.folds,
              "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
-             "datasets": [spec.name for spec in config.datasets]})
+             "datasets": [spec.name for spec in config.datasets]}
+    runs: dict[tuple[str, Mode], list[EvolutionState]] = {}
+    with (out / "events.jsonl").open("w", encoding="utf-8") as events:
+        events.write(json.dumps(start) + "\n")
         for (name, run_index, mode, *_), result in zip(cells, results):
-            stem = f"{name}_{mode.value}_{run_index}"
-            write_history_csv(result.history, out / f"history_{stem}.csv")
-            (out / f"best_genome_{stem}.json").write_text(
-                json.dumps(
-                    {
-                        "genome": genome_to_doc(result.best.genome),
-                        "mean_f_measure": result.best.fitness.mean_f_measure,
-                        "per_fold": list(result.best.fitness.per_fold),
-                        "individual_id": result.best.id,
-                        "run_seed": result.run_seed,
-                    },
-                    indent=2,
-                )
-                + "\n",
-                encoding="utf-8",
-            )
-            for doc in result.events:
-                log({"dataset": name, "mode": mode.value, "run": run_index, **doc})
-            log(
-                {
-                    "type": "run_complete",
-                    "dataset": name,
-                    "mode": mode.value,
-                    "run": run_index,
-                    "best_f1": result.best.fitness.mean_f_measure,
-                    "generations": result.generation,
-                    "models_trained": result.models_trained,
-                    "halted": result.halted,
-                    "wall_time": result.wall_time,
-                }
-            )
+            part = out / f"events_{name}_{mode.value}_{run_index}.jsonl"
+            with part.open(encoding="utf-8") as lines:
+                shutil.copyfileobj(lines, events)
+            part.unlink()
             runs.setdefault((name, mode), []).append(result)
 
     summary = [
@@ -592,22 +605,12 @@ def run_experiment(config: ExperimentConfig) -> None:
         write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency))
 
 
-# The entries of a best_genome_*.json file, as ``run_experiment`` writes them;
-# ``genome`` is then read by ``genome_from_doc``.
-_BEST_GENOME_HINTS = {
-    "genome": dict,
-    "mean_f_measure": float,
-    "per_fold": tuple[float, ...],
-    "individual_id": int,
-    "run_seed": int,
-}
-
-
 def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
     """The file's genome must be valid, and its score the mean of its fold
     scores and its run's last ``best_f1``."""
     shown = repr(str(path))
-    doc = _section(shown, _read_json(path), _BEST_GENOME_HINTS, required=_BEST_GENOME_HINTS)
+    hints = get_type_hints(BestGenomeDoc)
+    doc = _section(shown, _read_json(path), hints, required=hints)
     try:
         genome_from_doc(doc["genome"])
         record = FitnessRecord(per_fold=doc["per_fold"])
@@ -673,7 +676,7 @@ def audit_output_dir(out_dir: str | Path) -> None:
         low, high = min(sizes.values()), max(sizes.values())
         if high - low > 1:
             raise AuditError(f"{shown}: fold sizes range from {low} to {high}, more than one apart")
-    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv")
+    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "events_*.jsonl")
     stray = {path.name for pattern in patterns for path in out.glob(pattern)}
     stray -= accounted | fold_files
     if stray:

@@ -7,6 +7,7 @@ import shutil
 import signal
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
@@ -201,14 +202,63 @@ class TestRunExperiment:
         run_experiment(config)
         assert read_summary_rows(config.out_dir)[0].range == 0.0
 
-    def test_progress_line_is_one_write(self, monkeypatch):
+    def test_progress_line_is_one_write(self, tmp_path, monkeypatch):
         # Parallel cells share one stdout: a line written in two parts can
         # have another cell's line written between them.
         writes = []
         monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
         config = EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)))
-        _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5)
+        _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5, tmp_path)
         assert len(writes) == 1 and re.fullmatch(r"toy enas run 0: .*\n", writes[0]), writes
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_evaluation_event_waits_in_the_parent(self, tmp_path, monkeypatch, jobs):
+        # Each cell writes its events to its own part file when it ends, so a
+        # long search holds no cell's events in the parent until the last ends.
+        returned = []
+        real_evaluate = evolution.EvaluatorPool.evaluate
+
+        def recorded(self, tasks):
+            results = real_evaluate(self, tasks)
+            returned.extend(results)
+            return results
+
+        monkeypatch.setattr(evolution.EvaluatorPool, "evaluate", recorded)
+        config = _with_flags(_write_config(tmp_path, datasets=1), "--jobs", str(jobs))
+        run_experiment(config)
+        assert len(returned) == 4 and all(state.events == [] for state in returned)
+        lines = (config.out_dir / "events.jsonl").read_text().splitlines()
+        assert any(json.loads(line)["type"] == "evaluation" for line in lines)
+        assert not list(config.out_dir.glob("events_*.jsonl"))
+
+    def test_events_keep_config_order_when_cells_finish_out_of_order(
+        self, tmp_path, capfd, monkeypatch
+    ):
+        first_seed = derive_seed(9, "toy0", 0, "enas")  # 9 is _write_config's base seed
+
+        def delay_first_cell(mode, config, fitness, run_seed):
+            if run_seed == first_seed:
+                time.sleep(0.3)
+            return run(mode, config, fitness, run_seed)
+
+        monkeypatch.setattr(evolution, "run", delay_first_cell)
+        config_path = _write_config(tmp_path, datasets=1, runs=3, modes=("enas",))
+        outputs = {}
+        for jobs in (1, 2):
+            flags = ["--jobs", str(jobs), "--out", str(tmp_path / f"out{jobs}")]
+            config = _with_flags(config_path, *flags)
+            run_experiment(config)
+            outputs[jobs] = {path.name: path.read_bytes() for path in config.out_dir.iterdir()}
+            events = outputs[jobs].pop("events.jsonl").decode().splitlines()
+            outputs[jobs]["events"] = [
+                {key: value for key, value in json.loads(line).items() if key != "wall_time"}
+                for line in events
+            ]
+        # Progress lines come in completion order: jobs 1, then jobs 2.
+        finished = re.findall(r"^toy0 enas run (\d): ", capfd.readouterr().out, re.MULTILINE)
+        assert finished[:3] == ["0", "1", "2"] and finished[3] != "0", finished
+        assert len(outputs[1]) == 3 + 3 + 3 + 1 + 1  # histories, genomes, folds, summary, events
+        assert outputs[1] == outputs[2]
 
     def test_cross_val_call_runs_once_per_evaluation_event(self, tmp_path, monkeypatch):
         # perfbench samples host speed after, and traces fitness.eval as, each
@@ -572,6 +622,11 @@ class TestCli:
                 "folds_ghost_0.csv",
                 id="stale-folds",
             ),
+            pytest.param(
+                lambda out: shutil.copy(out / "events.jsonl", out / "events_toy0_enas_0.jsonl"),
+                "events_toy0_enas_0.jsonl",
+                id="left-event-part",
+            ),
         ],
     )
     def test_audit_fails_unless_each_file_has_one_summary_row(
@@ -582,7 +637,9 @@ class TestCli:
         shutil.copytree(config.out_dir, out)
         edit(out)
         assert main(["audit", "--out", str(out)]) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("audit failed: ") and err.count("\n") == 1, err
+        assert named in err
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -759,6 +816,29 @@ class TestCli:
             argv = ["run", "--config", str(config_path), "--jobs", "2"]
             err = self._assert_one_line_error(capsys, argv)
             assert all(message in err for message in messages), err
+
+    def test_failed_cell_leaves_the_finished_cells_files(self, tmp_path, capsys, monkeypatch):
+        # Each cell writes its files when it ends; only the experiment's own
+        # files wait for the last cell, so a failed run has none of them.
+        calls = []
+
+        def fail_third_cell(mode, config, fitness, run_seed):
+            calls.append(run_seed)
+            if len(calls) == 3:
+                raise ConfigurationError("the third cell failed")
+            return run(mode, config, fitness, run_seed)
+
+        monkeypatch.setattr(evolution, "run", fail_third_cell)
+        config_path = _write_config(tmp_path, datasets=1, runs=2)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert "the third cell failed" in err
+        out = tmp_path / "out"
+        stems = ["toy0_nas_plus_0", "toy0_enas_0"]
+        kinds = (("history", "csv"), ("best_genome", "json"), ("events", "jsonl"))
+        written = [f"{kind}_{stem}.{ext}" for stem in stems for kind, ext in kinds]
+        folds = ["folds_toy0_0.csv", "folds_toy0_1.csv"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(written + folds)
+        self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
 
     @pytest.mark.parametrize(
         "make",

@@ -74,10 +74,10 @@ def test_train_probe_reads_every_fact_of_a_trained_model(perfbench):
     assert len(facts) == 3 and None not in facts
 
 
-def test_pool_probe_reads_every_fact_of_a_pool_call(perfbench, capsys):
+def test_pool_probe_reads_every_fact_of_a_pool_call(perfbench, capsys, tmp_path):
     tracer, _ = perfbench
     config = EvolutionConfig(space=SPACE, population_size=3, max_generations=1)
-    tasks = [("toy", 0, mode, config, _evaluator(), 6) for mode in Mode]
+    tasks = [("toy", 0, mode, config, _evaluator(), 6, tmp_path) for mode in Mode]
     pool = EvaluatorPool(_run_cell, jobs=1)
     facts = tracer.PROBES["evolution.pool.evaluate"]((pool, tasks), pool.evaluate(tasks))
     assert facts[0] == len(tasks) and None not in facts
