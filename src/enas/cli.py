@@ -45,7 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--jobs", type=int, help="parallel cells")
 
     audit_p = sub.add_parser(
-        "audit", help="check summary.csv and the best-genome files against the history files"
+        "audit",
+        help="check summary.csv and the best-genome files against the history files, "
+        "and efficiency.csv against events.jsonl",
     )
     audit_p.add_argument("--out", required=True, help="experiment output directory")
 
@@ -79,7 +81,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     audit_output_dir(args.out)
-    print(f"audit passed: summary.csv and best genomes match the histories under {args.out}")
+    print(
+        "audit passed: summary.csv and best genomes match the histories, and "
+        f"efficiency.csv the events, under {args.out}"
+    )
     return 0
 
 

@@ -9,11 +9,14 @@ and their results are directly comparable.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import sys
 import time
 from collections.abc import Iterable, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import evolution
 from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
-from .evolution import EvolutionConfig, EvolutionState, GenerationRecord, Mode
+from .evolution import EvolutionConfig, GenerationRecord, Mode
 from .fitness import CrossValFitness, FitnessRecord
 from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
 from .seeding import derive_seed, make_rng
@@ -107,6 +110,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 _KIND_NAMES = {
+    bool: "true or false",
     int: "an integer",
     float: "a number",
     str: "a string",
@@ -252,6 +256,16 @@ def genome_from_doc(doc: Mapping) -> Genome:
         raise ExperimentError(f"genome: {exc}") from exc
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text file open as ``<path>.tmp``, moved to ``path`` once the block has
+    written it, so that no reader finds a partly written file under ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as file:
+        yield file
+    os.replace(tmp, path)
+
+
 # ---------------------------------------------------------------------------
 # CSV files. Every table goes through one writer, and floats are written
 # with repr() so that a parsed file reproduces the in-memory values bit
@@ -265,7 +279,8 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
     """Write a header line of ``columns``, then one line per row of cells."""
     path = Path(path)
     lines = [_csv_line(columns), *map(_csv_line, rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(path) as file:
+        file.write("\n".join(lines) + "\n")
     return path
 
 
@@ -366,8 +381,8 @@ def _summary_text(rows: Sequence[SummaryRow], wall_time: float) -> str:
 def _aggregate_row(
     dataset: str, mode: str, histories: Sequence[Sequence[GenerationRecord]]
 ) -> SummaryRow:
-    """The summary row of one cell's run histories: the harness writes it and
-    the auditor recomputes it here. A run's best is its highest ``best_f1``."""
+    """The summary row of one cell's run histories, as read back from its files
+    both by the harness and by the auditor. A run's best is its highest ``best_f1``."""
     bests = [max(record.best_f1 for record in history) for history in histories]
     fittest = max(bests)
     return SummaryRow(
@@ -385,6 +400,21 @@ def _aggregate_row(
 # Efficiency comparison of paired static/adaptive runs.
 
 @dataclass(frozen=True)
+class RunComplete:
+    """A run_complete event, the last line of each run's part of events.jsonl:
+    what a cell returns, and what efficiency.csv is built from."""
+
+    dataset: str
+    mode: str
+    run: int
+    best_f1: float
+    generations: int
+    models_trained: int
+    halted: bool
+    wall_time: float
+
+
+@dataclass(frozen=True)
 class EfficiencyRow:
     dataset: str
     pairs: int
@@ -398,7 +428,7 @@ class EfficiencyRow:
 
 
 def _efficiency_row(
-    dataset: str, static: Sequence[EvolutionState], adaptive: Sequence[EvolutionState]
+    dataset: str, static: Sequence[RunComplete], adaptive: Sequence[RunComplete]
 ) -> EfficiencyRow:
     models_s = [r.models_trained for r in static]
     models_a = [r.models_trained for r in adaptive]
@@ -421,8 +451,8 @@ def _efficiency_row(
 
 
 def summarize_efficiency(
-    static_runs: Mapping[str, Sequence[EvolutionState]],
-    adaptive_runs: Mapping[str, Sequence[EvolutionState]],
+    static_runs: Mapping[str, Sequence[RunComplete]],
+    adaptive_runs: Mapping[str, Sequence[RunComplete]],
 ) -> list[EfficiencyRow]:
     """Per-dataset resource deltas for paired-seed run lists, then the overall row."""
     rows = [
@@ -433,6 +463,14 @@ def summarize_efficiency(
     all_adaptive = [r for runs in adaptive_runs.values() for r in runs]
     rows.append(_efficiency_row("overall", all_static, all_adaptive))
     return rows
+
+
+def _efficiency(records: Iterable[RunComplete]) -> list[EfficiencyRow]:
+    """``summarize_efficiency`` of both modes' records, each dataset's runs in record order."""
+    runs: dict[str, dict[str, list[RunComplete]]] = {}
+    for record in records:
+        runs.setdefault(record.mode, {}).setdefault(record.dataset, []).append(record)
+    return summarize_efficiency(runs[Mode.NAS_PLUS.value], runs[Mode.ENAS.value])
 
 
 # ---------------------------------------------------------------------------
@@ -493,12 +531,12 @@ def _run_cell(
     fitness: CrossValFitness,
     run_seed: int,
     out: Path,
-) -> EvolutionState:
+) -> RunComplete:
     """One (dataset, run, mode) cell: a whole search, then its files and progress line.
 
     The cell writes its history, its best genome and ``events_<stem>.jsonl``,
-    the part of ``events.jsonl`` that ``run_experiment`` joins; the state it
-    returns holds no events.
+    the part of ``events.jsonl`` that ``run_experiment`` joins, and returns
+    the part's last line, its ``run_complete`` record, in place of its state.
     """
     # Looked up on the module so that a wrapper installed there is called.
     result = evolution.run(mode, config, fitness, run_seed)
@@ -511,28 +549,27 @@ def _run_cell(
         individual_id=best.id,
         run_seed=result.run_seed,
     )
-    (out / f"best_genome_{stem}.json").write_text(
-        json.dumps(asdict(doc), indent=2) + "\n", encoding="utf-8"
+    with _replacing(out / f"best_genome_{stem}.json") as file:
+        file.write(json.dumps(asdict(doc), indent=2) + "\n")
+    record = RunComplete(
+        dataset, mode.value, run_index, best.fitness.mean_f_measure, result.generation,
+        result.models_trained, result.halted, result.wall_time,
     )
     keys = {"dataset": dataset, "mode": mode.value, "run": run_index}
-    complete = {"type": "run_complete", **keys, "best_f1": best.fitness.mean_f_measure,
-                "generations": result.generation, "models_trained": result.models_trained,
-                "halted": result.halted, "wall_time": result.wall_time}
-    with (out / f"events_{stem}.jsonl").open("w", encoding="utf-8") as part:
+    with _replacing(out / f"events_{stem}.jsonl") as part:
         for event in result.events:
             part.write(json.dumps({**keys, **event}) + "\n")
-        part.write(json.dumps(complete) + "\n")
-    result.events.clear()
+        part.write(json.dumps({"type": "run_complete", **asdict(record)}) + "\n")
     # One write per line, so that the lines of parallel cells never interleave.
     sys.stdout.write(
         f"{_cell_name(dataset, run_index, mode)}: "
-        f"best={best.fitness.mean_f_measure:.4f} "
-        f"generations={result.generation} "
-        f"models={result.models_trained} "
-        f"({result.wall_time:.1f}s)\n"
+        f"best={record.best_f1:.4f} "
+        f"generations={record.generations} "
+        f"models={record.models_trained} "
+        f"({record.wall_time:.1f}s)\n"
     )
     sys.stdout.flush()
-    return result
+    return record
 
 
 def run_experiment(config: ExperimentConfig) -> None:
@@ -543,7 +580,9 @@ def run_experiment(config: ExperimentConfig) -> None:
     writes its own files when it ends, and progress lines arrive in
     completion order; ``events.jsonl``, ``summary.csv`` and
     ``efficiency.csv`` are written after the last cell, in config order,
-    so the outputs are the same for any pool size.
+    so the outputs are the same for any pool size. The summary is built
+    from the history files, as ``audit_output_dir`` rebuilds it, and the
+    efficiency table from the cells' ``run_complete`` records.
     """
     loaded = [load_dataset(spec) for spec in config.datasets]
     for spec, dataset in zip(config.datasets, loaded):
@@ -572,7 +611,7 @@ def run_experiment(config: ExperimentConfig) -> None:
                     (spec.name, run_index, mode, config.evolution, fitness, run_seed, out)
                 )
     try:
-        results = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
+        records = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
     except evolution.TasksLost as exc:
         lost = ", ".join(_cell_name(*cells[i][:3]) for i in exc.tasks) or "none"
         raise ExperimentError(f"a worker process died; cells in flight: {lost} ({exc})") from None
@@ -580,29 +619,26 @@ def run_experiment(config: ExperimentConfig) -> None:
     start = {"type": "experiment_start", "runs": config.runs, "folds": config.folds,
              "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
              "datasets": [spec.name for spec in config.datasets]}
-    runs: dict[tuple[str, Mode], list[EvolutionState]] = {}
     with (out / "events.jsonl").open("w", encoding="utf-8") as events:
         events.write(json.dumps(start) + "\n")
-        for (name, run_index, mode, *_), result in zip(cells, results):
+        for name, run_index, mode, *_ in cells:
             part = out / f"events_{name}_{mode.value}_{run_index}.jsonl"
             with part.open(encoding="utf-8") as lines:
                 shutil.copyfileobj(lines, events)
             part.unlink()
-            runs.setdefault((name, mode), []).append(result)
 
-    summary = [
-        _aggregate_row(name, mode.value, [r.history for r in cell_runs])
-        for (name, mode), cell_runs in runs.items()
-    ]
+    summary = []
+    for spec in config.datasets:
+        for mode in config.modes:
+            stems = [f"{spec.name}_{mode.value}_{i}" for i in range(config.runs)]
+            histories = [read_history_csv(out / f"history_{stem}.csv") for stem in stems]
+            summary.append(_aggregate_row(spec.name, mode.value, histories))
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
     print(_summary_text(summary, time.perf_counter() - started), flush=True)
 
     if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:
-        efficiency = summarize_efficiency(
-            {spec.name: runs[(spec.name, Mode.NAS_PLUS)] for spec in config.datasets},
-            {spec.name: runs[(spec.name, Mode.ENAS)] for spec in config.datasets},
-        )
-        write_csv(out / "efficiency.csv", _columns(EfficiencyRow), map(astuple, efficiency))
+        efficiency = map(astuple, _efficiency(records))
+        write_csv(out / "efficiency.csv", _columns(EfficiencyRow), efficiency)
 
 
 def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
@@ -626,14 +662,66 @@ def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
             )
 
 
+def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
+    """The run_complete events of ``path``, an events.jsonl, by (dataset, mode, run)."""
+    shown, hints = repr(str(path)), get_type_hints(RunComplete)
+    records: dict[tuple[str, str, int], RunComplete] = {}
+    try:
+        with path.open(encoding="utf-8") as lines:
+            for number, line in enumerate(lines, start=1):
+                where = f"{shown}:{number}"
+                try:
+                    doc = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ExperimentError(f"{where}: not a JSON line: {exc}") from None
+                if _typed(where, doc, dict).get("type") != "run_complete":
+                    continue
+                entries = {key: value for key, value in doc.items() if key != "type"}
+                record = RunComplete(**_section(where, entries, hints, required=hints))
+                key = (record.dataset, record.mode, record.run)
+                if key in records:
+                    raise AuditError(f"{where}: a second run_complete for {key}")
+                records[key] = record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ExperimentError(f"cannot read {shown}: {exc}") from exc
+    return records
+
+
+def _audit_efficiency(out: Path, rows: Sequence[tuple[str, str, int]]) -> None:
+    """efficiency.csv must be what ``summarize_efficiency`` makes of the
+    run_complete events of events.jsonl, for the runs of the summary ``rows``."""
+    modes = Mode.NAS_PLUS.value, Mode.ENAS.value
+    static, adaptive = ({(d, runs) for d, mode, runs in rows if mode == m} for m in modes)
+    if static != adaptive:
+        raise AuditError("summary.csv does not hold the same runs of each dataset in both modes")
+    events = out / "events.jsonl"
+    records = _read_run_completes(events)
+    runs = []
+    for dataset, mode, count in rows:
+        for key in ((dataset, mode, run_index) for run_index in range(count)):
+            if key not in records:
+                raise AuditError(f"{str(events)!r} has no run_complete for {key}")
+            runs.append(records[key])
+    path = out / "efficiency.csv"
+    found = [",".join(cells) for _, cells in _read_csv(path, _columns(EfficiencyRow))]
+    expected = [_csv_line(astuple(row)) for row in _efficiency(runs)]
+    for number, (line, recomputed) in enumerate(zip_longest(found, expected), start=2):
+        if line != recomputed:
+            raise AuditError(
+                f"{str(path)!r}:{number}: has {line}, recomputed {recomputed} from {str(events)!r}"
+            )
+
+
 def audit_output_dir(out_dir: str | Path) -> None:
     """Recompute summary.csv from the history files, check each best-genome
     file against its history and each fold file's rows and split, and require every
     history, best-genome and fold file to belong to a summary row (every
-    history and best-genome file to exactly one); raise on any mismatch."""
+    history and best-genome file to exactly one); when the summary holds both
+    modes, recompute efficiency.csv from events.jsonl. Raise on any mismatch."""
     out = Path(out_dir)
     accounted: set[str] = set()
     fold_files: set[str] = set()  # the two modes of a dataset share its runs' folds
+    rows: list[tuple[str, str, int]] = []
     for where, cells in _read_csv(out / "summary.csv", SUMMARY_COLUMNS):
         dataset, mode = cells[:2]
         runs = _parse(where, "runs", int, cells[2])
@@ -644,6 +732,7 @@ def audit_output_dir(out_dir: str | Path) -> None:
         if files & accounted:
             raise AuditError(f"{where}: the row for ({dataset}, {mode}) repeats an earlier row")
         accounted |= files
+        rows.append((dataset, mode, runs))
         histories = [read_history_csv(out / f"history_{stem}.csv") for stem in stems]
         recomputed = _aggregate_row(dataset, mode, histories)
         line, expected = ",".join(cells), _csv_line(astuple(recomputed))
@@ -676,8 +765,10 @@ def audit_output_dir(out_dir: str | Path) -> None:
         low, high = min(sizes.values()), max(sizes.values())
         if high - low > 1:
             raise AuditError(f"{shown}: fold sizes range from {low} to {high}, more than one apart")
-    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "events_*.jsonl")
+    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "events_*.jsonl", "*.tmp")
     stray = {path.name for pattern in patterns for path in out.glob(pattern)}
     stray -= accounted | fold_files
     if stray:
         raise AuditError(f"no row of summary.csv accounts for {str(out / min(stray))!r}")
+    if {Mode.NAS_PLUS.value, Mode.ENAS.value} <= {mode for _, mode, _ in rows}:
+        _audit_efficiency(out, rows)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enas import evolution
+from enas import evolution, experiment
 from enas.cli import _build_parser, apply_run_flags, main
 from enas.evolution import ConfigurationError, EvolutionConfig, Mode, run
 from enas.experiment import (
@@ -27,6 +27,7 @@ from enas.experiment import (
     DatasetSpec,
     ExperimentConfig,
     ExperimentError,
+    RunComplete,
     SummaryRow,
     _run_cell,
     audit_output_dir,
@@ -101,6 +102,17 @@ def _replace_last_cell(index, value):
         cells = lines[-1].split(",")
         cells[index] = value
         return [*lines[:-1], ",".join(cells)]
+
+    return edit
+
+
+RUN_1_COMPLETE = '{"type": "run_complete", "dataset": "toy0", "mode": "nas_plus", "run": 1,'
+
+
+def _edit_first_run_complete(pattern, replacement):
+    def edit(lines):
+        first = next(i for i, line in enumerate(lines) if '"type": "run_complete"' in line)
+        return [*lines[:first], re.sub(pattern, replacement, lines[first]), *lines[first + 1 :]]
 
     return edit
 
@@ -201,6 +213,9 @@ class TestRunExperiment:
         config = config_from_file(_write_config(tmp_path, datasets=1, runs=1, modes=("enas",)))
         run_experiment(config)
         assert read_summary_rows(config.out_dir)[0].range == 0.0
+        # with one mode there is no efficiency.csv, and the audit needs none
+        assert not (config.out_dir / "efficiency.csv").exists()
+        audit_output_dir(config.out_dir)
 
     def test_progress_line_is_one_write(self, tmp_path, monkeypatch):
         # Parallel cells share one stdout: a line written in two parts can
@@ -211,10 +226,52 @@ class TestRunExperiment:
         _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5, tmp_path)
         assert len(writes) == 1 and re.fullmatch(r"toy enas run 0: .*\n", writes[0]), writes
 
+    def test_cell_whose_part_write_fails_leaves_no_part(self, tmp_path, monkeypatch):
+        # Each cell file is written under a temporary name and then renamed,
+        # so a write cut short leaves only the temporary file.
+        real_asdict = experiment.asdict
+
+        def fail_at_run_complete(obj):
+            if isinstance(obj, RunComplete):
+                raise OSError("no space left on device")
+            return real_asdict(obj)
+
+        monkeypatch.setattr(experiment, "asdict", fail_at_run_complete)
+        config = EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)))
+        with pytest.raises(OSError, match="no space left"):
+            _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "best_genome_toy_enas_0.json",
+            "events_toy_enas_0.jsonl.tmp",
+            "history_toy_enas_0.csv",
+        ]
+        assert (tmp_path / "events_toy_enas_0.jsonl.tmp").read_text().count("\n") > 1
+
+    def test_summary_is_built_from_the_history_files(self, tmp_path, monkeypatch):
+        # With every history written without its last row, summary.csv still
+        # agrees with the history files, and so no longer with the searches.
+        real_write = experiment.write_history_csv
+        monkeypatch.setattr(
+            experiment, "write_history_csv", lambda history, path: real_write(history[:-1], path)
+        )
+        config = config_from_file(_write_config(tmp_path, datasets=1))
+        run_experiment(config)
+        rows = read_summary_rows(config.out_dir)
+        for row in rows:
+            histories = [
+                read_history_csv(config.out_dir / f"history_toy0_{row.mode}_{i}.csv")
+                for i in range(row.runs)
+            ]
+            assert row.models_trained == sum(h[-1].models_trained_cumulative for h in histories)
+            assert row.fittest == max(max(r.best_f1 for r in h) for h in histories)
+        searched = sum(doc["models_trained"] for doc in _run_complete_docs(config.out_dir))
+        assert sum(row.models_trained for row in rows) < searched
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_evaluation_event_waits_in_the_parent(self, tmp_path, monkeypatch, jobs):
-        # Each cell writes its events to its own part file when it ends, so a
-        # long search holds no cell's events in the parent until the last ends.
+        # Each cell writes its events to its own part file when it ends and
+        # returns only its run_complete record, so a long search holds no
+        # cell's state or events in the parent until the last ends.
         returned = []
         real_evaluate = evolution.EvaluatorPool.evaluate
 
@@ -226,7 +283,9 @@ class TestRunExperiment:
         monkeypatch.setattr(evolution.EvaluatorPool, "evaluate", recorded)
         config = _with_flags(_write_config(tmp_path, datasets=1), "--jobs", str(jobs))
         run_experiment(config)
-        assert len(returned) == 4 and all(state.events == [] for state in returned)
+        assert len(returned) == 4 and all(type(record) is RunComplete for record in returned)
+        written = _run_complete_docs(config.out_dir)
+        assert [{"type": "run_complete", **asdict(record)} for record in returned] == written
         lines = (config.out_dir / "events.jsonl").read_text().splitlines()
         assert any(json.loads(line)["type"] == "evaluation" for line in lines)
         assert not list(config.out_dir.glob("events_*.jsonl"))
@@ -627,6 +686,11 @@ class TestCli:
                 "events_toy0_enas_0.jsonl",
                 id="left-event-part",
             ),
+            pytest.param(
+                lambda out: shutil.copy(out / "summary.csv", out / "summary.csv.tmp"),
+                "summary.csv.tmp",
+                id="left-temporary-file",
+            ),
         ],
     )
     def test_audit_fails_unless_each_file_has_one_summary_row(
@@ -636,6 +700,38 @@ class TestCli:
         out = tmp_path / "out"
         shutil.copytree(config.out_dir, out)
         edit(out)
+        assert main(["audit", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("audit failed: ") and err.count("\n") == 1, err
+        assert named in err
+
+    @pytest.mark.parametrize(
+        "name, edit, named",
+        [
+            pytest.param(
+                "efficiency.csv", _replace_last_cell(1, "3"), "efficiency.csv':4: has overall,3,",
+                id="edited-efficiency-cell",
+            ),
+            pytest.param(
+                "events.jsonl",
+                _edit_first_run_complete(r'"wall_time": [^}]*', '"wall_time": 1e9'),
+                "efficiency.csv':2: has toy0,",
+                id="edited-run-complete-wall-time",
+            ),
+            pytest.param(
+                "events.jsonl",
+                lambda lines: [line for line in lines if not line.startswith(RUN_1_COMPLETE)],
+                "events.jsonl' has no run_complete for ('toy0', 'nas_plus', 1)",
+                id="dropped-run-complete",
+            ),
+        ],
+    )
+    def test_audit_recomputes_efficiency_from_the_events(
+        self, experiment_dir, tmp_path, capsys, name, edit, named
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        _rewrite_lines(out / name, edit)
         assert main(["audit", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("audit failed: ") and err.count("\n") == 1, err
@@ -968,6 +1064,14 @@ class TestCli:
             ),
             pytest.param("summary.csv", lambda lines: [], id="empty-summary"),
             pytest.param("best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
+            pytest.param("efficiency.csv", None, id="audit-missing-efficiency"),
+            pytest.param("events.jsonl", None, id="audit-missing-events"),
+            pytest.param(
+                "events.jsonl",
+                _edit_first_run_complete(r'"halted": \w+', '"halted": 0'),
+                id="run-complete-halted-not-boolean",
+            ),
+            pytest.param("events.jsonl", lambda lines: [*lines, "{"], id="events-line-cut"),
             pytest.param("best_genome_toy0_enas_1.json", lambda lines: lines[:-1], id="cut-genome"),
             pytest.param(
                 "best_genome_toy0_enas_1.json",
@@ -1143,6 +1247,8 @@ AUDITED_FILES = (
     "history_toy0_enas_0.csv",
     "best_genome_toy0_nas_plus_0.json",
     "folds_toy0_0.csv",
+    "efficiency.csv",
+    "events.jsonl",
 )
 CELL_VALUES = st.sampled_from(
     ["", "-1", "0", "1.5", "nan", "inf", "1e309", "9" * 5000, "a/b", "a\0b", "enas", "toy0"]
