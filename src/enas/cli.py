@@ -46,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit_p = sub.add_parser(
         "audit",
-        help="check summary.csv and the best-genome files against the history files, "
-        "and efficiency.csv against events.jsonl",
+        help="check summary.csv, the best-genome files and the run_complete events against "
+        "the history files, and efficiency.csv against events.jsonl",
     )
     audit_p.add_argument("--out", required=True, help="experiment output directory")
 
@@ -80,10 +80,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    audit_output_dir(args.out)
+    efficiency = ", and efficiency.csv the events," if audit_output_dir(args.out) else ""
     print(
-        "audit passed: summary.csv and best genomes match the histories, and "
-        f"efficiency.csv the events, under {args.out}"
+        "audit passed: summary.csv, best genomes and run_complete events match the "
+        f"histories{efficiency} under {args.out}"
     )
     return 0
 

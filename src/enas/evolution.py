@@ -132,12 +132,12 @@ class EvolutionState:
     mode: Mode
     run_seed: int
     live: EvolutionConfig
+    emit: Callable[[dict], None]  # called with each event of the run as it happens
     population: list[Individual] = field(default_factory=list)
     generation: int = 0
     next_id: int = 0
     models_trained: int = 0
     history: list[GenerationRecord] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
 
     @property
@@ -227,19 +227,12 @@ def _evaluate_individuals(
     for ind, record in zip(individuals, records):
         ind.fitness = record
         state.models_trained += record.models_trained
-        state.events.append(
-            {
-                "type": "evaluation",
-                "individual": ind.id,
-                "genome": genome_to_doc(ind.genome),
-                "per_fold": list(record.per_fold),
-                "mean_f_measure": record.mean_f_measure,
-                "models_trained": record.models_trained,
-                "wall_time": record.wall_time,
-                "diverged_folds": list(record.diverged_folds),
-                "generation": generation,
-            }
-        )
+        state.emit({
+            "type": "evaluation", "individual": ind.id, "genome": genome_to_doc(ind.genome),
+            "per_fold": list(record.per_fold), "mean_f_measure": record.mean_f_measure,
+            "models_trained": record.models_trained, "wall_time": record.wall_time,
+            "diverged_folds": list(record.diverged_folds), "generation": generation,
+        })
 
 
 def init(
@@ -247,6 +240,7 @@ def init(
     config: EvolutionConfig,
     fitness_fn: FitnessFunction,
     run_seed: int,
+    emit: Callable[[dict], None],
 ) -> EvolutionState:
     """Spawn and evaluate the initial random population."""
     rng = make_rng(run_seed, "init")
@@ -259,7 +253,7 @@ def init(
             live, **{name: sample_gene(name, config.space, rng) for name in CONTROL_GENES}
         )
 
-    state = EvolutionState(mode=mode, run_seed=run_seed, live=live)
+    state = EvolutionState(mode=mode, run_seed=run_seed, live=live, emit=emit)
     state.population = [
         _born(state, sample_genome(config.space, rng), 0) for _ in range(live.population_size)
     ]
@@ -325,15 +319,10 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     state.generation = new_generation
     _evaluate_individuals(state, offspring, fitness_fn, generation=new_generation)
     state.population = elites + clones + offspring
-    state.events.append(
-        {
-            "type": "bred",
-            "generation": new_generation,
-            "elites": [ind.id for ind in elites],
-            "clones": [ind.id for ind in clones],
-            "offspring": [ind.id for ind in offspring],
-        }
-    )
+    state.emit({
+        "type": "bred", "generation": new_generation, "elites": [ind.id for ind in elites],
+        "clones": [ind.id for ind in clones], "offspring": [ind.id for ind in offspring],
+    })
 
 
 def resize_population(
@@ -352,13 +341,8 @@ def resize_population(
         ]
         _evaluate_individuals(state, spawned, fitness_fn, generation=state.generation)
         state.population.extend(spawned)
-        state.events.append(
-            {
-                "type": "spawn",
-                "generation": state.generation,
-                "ids": [ind.id for ind in spawned],
-            }
-        )
+        ids = [ind.id for ind in spawned]
+        state.emit({"type": "spawn", "generation": state.generation, "ids": ids})
     elif new_size < current:
         # Ascending fitness; among equals the older individual goes first,
         # which keeps fresher genetic material around.
@@ -369,23 +353,15 @@ def resize_population(
         removed = order[: current - new_size]
         removed_ids = {ind.id for ind in removed}
         state.population = [ind for ind in state.population if ind.id not in removed_ids]
-        state.events.append(
-            {
-                "type": "cull",
-                "generation": state.generation,
-                "removed": [
-                    {
-                        "id": ind.id,
-                        "fitness": ind.fitness.mean_f_measure,
-                        "birth_generation": ind.birth_generation,
-                    }
-                    for ind in removed
-                ],
-                "survivor_fitness_min": min(
-                    ind.fitness.mean_f_measure for ind in state.population
-                ),
-            }
-        )
+        state.emit({
+            "type": "cull", "generation": state.generation,
+            "removed": [
+                {"id": ind.id, "fitness": ind.fitness.mean_f_measure,
+                 "birth_generation": ind.birth_generation}
+                for ind in removed
+            ],
+            "survivor_fitness_min": min(ind.fitness.mean_f_measure for ind in state.population),
+        })
     state.live = replace(state.live, population_size=new_size)
 
 
@@ -405,15 +381,10 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
         max_generations=genes.max_generations,
     )
 
-    state.events.append(
-        {
-            "type": "promotion",
-            "generation": state.generation,
-            "fittest": fittest.id,
-            **{name: getattr(genes, name) for name in CONTROL_GENES},
-            "halted": state.halted,
-        }
-    )
+    state.emit({
+        "type": "promotion", "generation": state.generation, "fittest": fittest.id,
+        **{name: getattr(genes, name) for name in CONTROL_GENES}, "halted": state.halted,
+    })
     if state.halted:
         return
     rng = make_rng(state.run_seed, "resize", state.generation)
@@ -434,16 +405,12 @@ def _record_generation(state: EvolutionState) -> None:
             models_trained_cumulative=state.models_trained,
         )
     )
-    state.events.append(
-        {
-            "type": "generation_end",
-            "generation": state.generation,
-            "population_len": len(state.population),
-            "live_population_size": state.live.population_size,
-            "tournament_size": _tournament_size(state),
-            "best": best.id,
-        }
-    )
+    state.emit({
+        "type": "generation_end", "generation": state.generation,
+        "population_len": len(state.population),
+        "live_population_size": state.live.population_size,
+        "tournament_size": _tournament_size(state), "best": best.id,
+    })
 
 
 def run(
@@ -451,8 +418,10 @@ def run(
     config: EvolutionConfig,
     fitness_fn: FitnessFunction,
     run_seed: int,
+    emit: Callable[[dict], None],
 ) -> EvolutionState:
-    """Execute one full search and return its final state, timed in ``wall_time``.
+    """Execute one full search, passing each event to ``emit`` as it happens, and
+    return its final state, timed in ``wall_time``.
 
     Per generation: evaluate, promote control genes (adaptive mode,
     which may resize the population or halt the run), record history,
@@ -461,7 +430,7 @@ def run(
     budget, or has passed a budget that a promotion lowered (a halt).
     """
     started = time.perf_counter()
-    state = init(mode, config, fitness_fn, run_seed)
+    state = init(mode, config, fitness_fn, run_seed, emit)
     while True:
         if mode is Mode.ENAS:
             apply_eco_genes(state, fitness_fn)

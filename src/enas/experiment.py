@@ -13,7 +13,7 @@ import os
 import shutil
 import sys
 import time
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import zip_longest
@@ -119,6 +119,7 @@ _KIND_NAMES = {
     dict: "an object",
     Mapping: "an object",
     NoneType: "null",
+    Mode: "one of " + ", ".join(mode.value for mode in Mode),
 }
 # Annotation class -> the classes of the JSON values it is read from, where not itself.
 _JSON_CLASSES = {float: (int, float), Path: (str,), tuple: (list,), Mapping: (dict,)}
@@ -258,10 +259,11 @@ def genome_from_doc(doc: Mapping) -> Genome:
 
 @contextmanager
 def _replacing(path: Path):
-    """A text file open as ``<path>.tmp``, moved to ``path`` once the block has
-    written it, so that no reader finds a partly written file under ``path``."""
+    """A text file open as ``<path>.tmp``, line-buffered, moved to ``path`` once
+    the block has written it, so that no reader finds a partly written file
+    under ``path``. A block that raises leaves the ``.tmp`` file."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as file:
+    with tmp.open("w", encoding="utf-8", buffering=1) as file:
         yield file
     os.replace(tmp, path)
 
@@ -476,10 +478,54 @@ def _efficiency(records: Iterable[RunComplete]) -> list[EfficiencyRow]:
 # ---------------------------------------------------------------------------
 # The harness itself.
 
-def _data_seed(config: ExperimentConfig, dataset: str, run_index: int) -> int:
-    # Mode deliberately excluded: both modes of a pair share the row order
-    # and fold assignment.
-    return derive_seed(config.base_seed, dataset, run_index, "data")
+@dataclass(frozen=True)
+class Cell:
+    """One (dataset, mode, run) search of an experiment: the names of its
+    files, its progress name (``str(cell)``) and its seeds."""
+
+    dataset: str
+    mode: Mode
+    run: int
+
+    def __str__(self) -> str:
+        return f"{self.dataset} {self.mode.value} run {self.run}"
+
+    @property
+    def stem(self) -> str:
+        return f"{self.dataset}_{self.mode.value}_{self.run}"
+
+    @property
+    def history_file(self) -> str:
+        return f"history_{self.stem}.csv"
+
+    @property
+    def best_genome_file(self) -> str:
+        return f"best_genome_{self.stem}.json"
+
+    @property
+    def events_file(self) -> str:
+        """Its part of events.jsonl, renamed from ``<name>.tmp`` when the cell ends."""
+        return f"events_{self.stem}.jsonl"
+
+    @property
+    def folds_file(self) -> str:
+        """Its run's folds, which the cells of the run's other modes share."""
+        return f"folds_{self.dataset}_{self.run}.csv"
+
+    def data_seed(self, base_seed: int) -> int:
+        # Mode left out: both modes of a run share its row order and folds.
+        return derive_seed(base_seed, self.dataset, self.run, "data")
+
+    def run_seed(self, base_seed: int) -> int:
+        return derive_seed(base_seed, self.dataset, self.run, self.mode.value)
+
+
+def cells(config: ExperimentConfig) -> Iterator[Cell]:
+    """The cells of ``config`` in task order: by dataset, then run, then mode."""
+    for spec in config.datasets:
+        for run_index in range(config.runs):
+            for mode in config.modes:
+                yield Cell(spec.name, mode, run_index)
 
 
 def fold_split(dataset: Dataset, k: int, data_seed: int) -> tuple[np.ndarray, ...]:
@@ -487,10 +533,6 @@ def fold_split(dataset: Dataset, k: int, data_seed: int) -> tuple[np.ndarray, ..
     positions of a row order from the "shuffle" stream, and each maps to its row."""
     order = make_rng(data_seed, "shuffle").permutation(dataset.instance_count)
     return tuple(order[fold] for fold in kfold_split(dataset, k, derive_seed(data_seed, "folds")))
-
-
-def _run_seed(config: ExperimentConfig, dataset: str, run_index: int, mode: Mode) -> int:
-    return derive_seed(config.base_seed, dataset, run_index, mode.value)
 
 
 def load_dataset(spec: DatasetSpec) -> Dataset:
@@ -507,10 +549,6 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         raise DatasetError(f"cannot scale {str(spec.path)!r}: {exc}") from None
 
 
-def _cell_name(dataset: str, run_index: int, mode: Mode) -> str:
-    return f"{dataset} {mode.value} run {run_index}"
-
-
 @dataclass(frozen=True)
 class BestGenomeDoc:
     """A best_genome_*.json file: a run's fittest individual. Its ``genome``
@@ -524,49 +562,39 @@ class BestGenomeDoc:
 
 
 def _run_cell(
-    dataset: str,
-    run_index: int,
-    mode: Mode,
-    config: EvolutionConfig,
-    fitness: CrossValFitness,
-    run_seed: int,
-    out: Path,
+    cell: Cell, config: EvolutionConfig, fitness: CrossValFitness, base_seed: int, out: Path
 ) -> RunComplete:
-    """One (dataset, run, mode) cell: a whole search, then its files and progress line.
+    """One cell: a whole search, then its files and progress line.
 
-    The cell writes its history, its best genome and ``events_<stem>.jsonl``,
-    the part of ``events.jsonl`` that ``run_experiment`` joins, and returns
-    the part's last line, its ``run_complete`` record, in place of its state.
-    """
-    # Looked up on the module so that a wrapper installed there is called.
-    result = evolution.run(mode, config, fitness, run_seed)
-    best, stem = result.best, f"{dataset}_{mode.value}_{run_index}"
-    write_history_csv(result.history, out / f"history_{stem}.csv")
-    doc = BestGenomeDoc(
-        genome=genome_to_doc(best.genome),
-        mean_f_measure=best.fitness.mean_f_measure,
-        per_fold=best.fitness.per_fold,
-        individual_id=best.id,
-        run_seed=result.run_seed,
-    )
-    with _replacing(out / f"best_genome_{stem}.json") as file:
-        file.write(json.dumps(asdict(doc), indent=2) + "\n")
-    record = RunComplete(
-        dataset, mode.value, run_index, best.fitness.mean_f_measure, result.generation,
-        result.models_trained, result.halted, result.wall_time,
-    )
-    keys = {"dataset": dataset, "mode": mode.value, "run": run_index}
-    with _replacing(out / f"events_{stem}.jsonl") as part:
-        for event in result.events:
-            part.write(json.dumps({**keys, **event}) + "\n")
+    The search's events stream into the cell's part of ``events.jsonl``, open
+    as ``<part>.tmp``. Its history and best genome follow, then the part gets
+    its last line, the ``run_complete`` record the cell returns, and is renamed
+    last, so a part under its final name means a finished cell."""
+    keys = {"dataset": cell.dataset, "mode": cell.mode.value, "run": cell.run}
+    with _replacing(out / cell.events_file) as part:
+        emit = lambda event: part.write(json.dumps({**keys, **event}) + "\n")
+        # Looked up on the module so that a wrapper installed there is called.
+        result = evolution.run(cell.mode, config, fitness, cell.run_seed(base_seed), emit)
+        best = result.best
+        write_history_csv(result.history, out / cell.history_file)
+        doc = BestGenomeDoc(
+            genome=genome_to_doc(best.genome),
+            mean_f_measure=best.fitness.mean_f_measure,
+            per_fold=best.fitness.per_fold,
+            individual_id=best.id,
+            run_seed=result.run_seed,
+        )
+        with _replacing(out / cell.best_genome_file) as file:
+            file.write(json.dumps(asdict(doc), indent=2) + "\n")
+        record = RunComplete(
+            *keys.values(), best.fitness.mean_f_measure, result.generation,
+            result.models_trained, result.halted, result.wall_time,
+        )
         part.write(json.dumps({"type": "run_complete", **asdict(record)}) + "\n")
     # One write per line, so that the lines of parallel cells never interleave.
     sys.stdout.write(
-        f"{_cell_name(dataset, run_index, mode)}: "
-        f"best={record.best_f1:.4f} "
-        f"generations={record.generations} "
-        f"models={record.models_trained} "
-        f"({record.wall_time:.1f}s)\n"
+        f"{cell}: best={record.best_f1:.4f} generations={record.generations} "
+        f"models={record.models_trained} ({record.wall_time:.1f}s)\n"
     )
     sys.stdout.flush()
     return record
@@ -577,43 +605,38 @@ def run_experiment(config: ExperimentConfig) -> None:
 
     Cells are independent searches, so they are what runs in parallel
     (``config.jobs`` worker processes, at most one per cell). Each cell
-    writes its own files when it ends, and progress lines arrive in
-    completion order; ``events.jsonl``, ``summary.csv`` and
-    ``efficiency.csv`` are written after the last cell, in config order,
-    so the outputs are the same for any pool size. The summary is built
-    from the history files, as ``audit_output_dir`` rebuilds it, and the
-    efficiency table from the cells' ``run_complete`` records.
+    writes its own files, and progress lines arrive in completion order;
+    ``events.jsonl``, ``summary.csv`` and ``efficiency.csv`` are written
+    after the last cell, in config order, so the outputs are the same for
+    any pool size. The summary is built from the history files, as
+    ``audit_output_dir`` rebuilds it, and the efficiency table from the
+    cells' ``run_complete`` records.
     """
-    loaded = [load_dataset(spec) for spec in config.datasets]
-    for spec, dataset in zip(config.datasets, loaded):
+    loaded = {spec.name: load_dataset(spec) for spec in config.datasets}
+    for name, dataset in loaded.items():
         _require(
             config.folds <= dataset.instance_count,
             f"folds {config.folds} exceeds the {dataset.instance_count} rows "
-            f"of dataset {spec.name!r}",
+            f"of dataset {name!r}",
         )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
 
-    cells = []
-    for spec, dataset in zip(config.datasets, loaded):
-        for run_index in range(config.runs):
-            folds = fold_split(dataset, config.folds, _data_seed(config, spec.name, run_index))
-            write_csv(
-                out / f"folds_{spec.name}_{run_index}.csv",
-                FOLD_COLUMNS,
-                sorted((int(i), k) for k, fold in enumerate(folds) for i in fold),
-            )
-            fitness = CrossValFitness(dataset, folds)
-            for mode in config.modes:
-                run_seed = _run_seed(config, spec.name, run_index, mode)
-                cells.append(
-                    (spec.name, run_index, mode, config.evolution, fitness, run_seed, out)
-                )
+    fitness: dict[str, CrossValFitness] = {}  # by fold file, which a run's modes share
+    tasks = []
+    for cell in cells(config):
+        if cell.folds_file not in fitness:
+            dataset = loaded[cell.dataset]
+            folds = fold_split(dataset, config.folds, cell.data_seed(config.base_seed))
+            assignment = sorted((int(i), k) for k, fold in enumerate(folds) for i in fold)
+            write_csv(out / cell.folds_file, FOLD_COLUMNS, assignment)
+            fitness[cell.folds_file] = CrossValFitness(dataset, folds)
+        tasks.append((cell, config.evolution, fitness[cell.folds_file], config.base_seed, out))
     try:
-        records = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(cells)
+        records = evolution.EvaluatorPool(_run_cell, config.jobs).evaluate(tasks)
     except evolution.TasksLost as exc:
-        lost = ", ".join(_cell_name(*cells[i][:3]) for i in exc.tasks) or "none"
+        lost = ", ".join(str(tasks[i][0]) for i in exc.tasks) or "none"
         raise ExperimentError(f"a worker process died; cells in flight: {lost} ({exc})") from None
 
     start = {"type": "experiment_start", "runs": config.runs, "folds": config.folds,
@@ -621,17 +644,16 @@ def run_experiment(config: ExperimentConfig) -> None:
              "datasets": [spec.name for spec in config.datasets]}
     with (out / "events.jsonl").open("w", encoding="utf-8") as events:
         events.write(json.dumps(start) + "\n")
-        for name, run_index, mode, *_ in cells:
-            part = out / f"events_{name}_{mode.value}_{run_index}.jsonl"
-            with part.open(encoding="utf-8") as lines:
+        for cell, *_ in tasks:
+            with (out / cell.events_file).open(encoding="utf-8") as lines:
                 shutil.copyfileobj(lines, events)
-            part.unlink()
+            (out / cell.events_file).unlink()
 
     summary = []
     for spec in config.datasets:
         for mode in config.modes:
-            stems = [f"{spec.name}_{mode.value}_{i}" for i in range(config.runs)]
-            histories = [read_history_csv(out / f"history_{stem}.csv") for stem in stems]
+            row = [Cell(spec.name, mode, run_index) for run_index in range(config.runs)]
+            histories = [read_history_csv(out / cell.history_file) for cell in row]
             summary.append(_aggregate_row(spec.name, mode.value, histories))
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
     print(_summary_text(summary, time.perf_counter() - started), flush=True)
@@ -639,27 +661,6 @@ def run_experiment(config: ExperimentConfig) -> None:
     if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:
         efficiency = map(astuple, _efficiency(records))
         write_csv(out / "efficiency.csv", _columns(EfficiencyRow), efficiency)
-
-
-def _audit_best_genome(path: Path, history: Sequence[GenerationRecord]) -> None:
-    """The file's genome must be valid, and its score the mean of its fold
-    scores and its run's last ``best_f1``."""
-    shown = repr(str(path))
-    hints = get_type_hints(BestGenomeDoc)
-    doc = _section(shown, _read_json(path), hints, required=hints)
-    try:
-        genome_from_doc(doc["genome"])
-        record = FitnessRecord(per_fold=doc["per_fold"])
-    except ValueError as exc:  # an ExperimentError is one too
-        raise ExperimentError(f"{shown}: {exc}") from None
-    for expected, what in (
-        (record.mean_f_measure, "the mean of its per_fold"),
-        (history[-1].best_f1, "the last best_f1 of its history"),
-    ):
-        if doc["mean_f_measure"] != expected:
-            raise AuditError(
-                f"{shown}: mean_f_measure {doc['mean_f_measure']!r} is not {what}, {expected!r}"
-            )
 
 
 def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
@@ -687,67 +688,92 @@ def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
     return records
 
 
-def _audit_efficiency(out: Path, rows: Sequence[tuple[str, str, int]]) -> None:
+def audit_cell(
+    out: Path, cell: Cell, history: Sequence[GenerationRecord], completes: dict
+) -> RunComplete:
+    """Check a finished cell against its ``history``. Its best-genome file's
+    genome must be valid, and its score the mean of its fold scores and the
+    history's last ``best_f1``; its run_complete event, taken out of
+    ``completes`` and returned, must end where the history ends."""
+    path, last = out / cell.best_genome_file, history[-1]
+    shown, hints = repr(str(path)), get_type_hints(BestGenomeDoc)
+    doc = _section(shown, _read_json(path), hints, required=hints)
+    try:
+        genome_from_doc(doc["genome"])
+        scores = FitnessRecord(per_fold=doc["per_fold"])
+    except ValueError as exc:  # an ExperimentError is one too
+        raise ExperimentError(f"{shown}: {exc}") from None
+    for expected, what in (
+        (scores.mean_f_measure, "the mean of its per_fold"),
+        (last.best_f1, "the last best_f1 of its history"),
+    ):
+        if doc["mean_f_measure"] != expected:
+            raise AuditError(
+                f"{shown}: mean_f_measure {doc['mean_f_measure']!r} is not {what}, {expected!r}"
+            )
+    key = (cell.dataset, cell.mode.value, cell.run)
+    record = completes.pop(key, None)
+    ends = last.best_f1, last.generation, last.models_trained_cumulative
+    if record is None or (record.best_f1, record.generations, record.models_trained) != ends:
+        raise AuditError(
+            f"{str(out / 'events.jsonl')!r} has no run_complete for {key} whose best_f1, "
+            f"generations and models_trained are its history's last, {ends}"
+        )
+    return record
+
+
+def _audit_efficiency(out: Path, rows: Sequence[list[Cell]], records: list[RunComplete]) -> None:
     """efficiency.csv must be what ``summarize_efficiency`` makes of the
-    run_complete events of events.jsonl, for the runs of the summary ``rows``."""
-    modes = Mode.NAS_PLUS.value, Mode.ENAS.value
-    static, adaptive = ({(d, runs) for d, mode, runs in rows if mode == m} for m in modes)
+    run_complete ``records`` of the summary ``rows``, in summary order."""
+    static, adaptive = ({(r[0].dataset, len(r)) for r in rows if r[0].mode is m} for m in Mode)
     if static != adaptive:
         raise AuditError("summary.csv does not hold the same runs of each dataset in both modes")
-    events = out / "events.jsonl"
-    records = _read_run_completes(events)
-    runs = []
-    for dataset, mode, count in rows:
-        for key in ((dataset, mode, run_index) for run_index in range(count)):
-            if key not in records:
-                raise AuditError(f"{str(events)!r} has no run_complete for {key}")
-            runs.append(records[key])
     path = out / "efficiency.csv"
     found = [",".join(cells) for _, cells in _read_csv(path, _columns(EfficiencyRow))]
-    expected = [_csv_line(astuple(row)) for row in _efficiency(runs)]
+    expected = [_csv_line(astuple(row)) for row in _efficiency(records)]
     for number, (line, recomputed) in enumerate(zip_longest(found, expected), start=2):
         if line != recomputed:
-            raise AuditError(
-                f"{str(path)!r}:{number}: has {line}, recomputed {recomputed} from {str(events)!r}"
-            )
+            raise AuditError(f"{str(path)!r}:{number}: has {line}, recomputed {recomputed}")
 
 
-def audit_output_dir(out_dir: str | Path) -> None:
-    """Recompute summary.csv from the history files, check each best-genome
-    file against its history and each fold file's rows and split, and require every
-    history, best-genome and fold file to belong to a summary row (every
-    history and best-genome file to exactly one); when the summary holds both
-    modes, recompute efficiency.csv from events.jsonl. Raise on any mismatch."""
+def audit_output_dir(out_dir: str | Path) -> bool:
+    """Recompute summary.csv from the history files, check each of its cells
+    (``audit_cell``) and fold files, and require every cell file and
+    run_complete event to belong to a summary row; when the summary holds both
+    modes, recompute efficiency.csv too. Raise on any mismatch, and return
+    whether efficiency.csv was checked."""
     out = Path(out_dir)
+    summary = _read_csv(out / "summary.csv", SUMMARY_COLUMNS)
+    completes = _read_run_completes(out / "events.jsonl")
     accounted: set[str] = set()
-    fold_files: set[str] = set()  # the two modes of a dataset share its runs' folds
-    rows: list[tuple[str, str, int]] = []
-    for where, cells in _read_csv(out / "summary.csv", SUMMARY_COLUMNS):
-        dataset, mode = cells[:2]
-        runs = _parse(where, "runs", int, cells[2])
+    rows: list[list[Cell]] = []
+    records: list[RunComplete] = []
+    for where, values in summary:
+        dataset, mode = values[:2]
+        runs, cell_mode = _parse(where, "runs", int, values[2]), _parse(where, "mode", Mode, mode)
         _require(1 <= runs <= MAX_RUNS, f"{where}: runs must lie in [1, {MAX_RUNS}], got {runs}")
-        fold_files.update(f"folds_{dataset}_{run_index}.csv" for run_index in range(runs))
-        stems = [f"{dataset}_{mode}_{run_index}" for run_index in range(runs)]
-        files = {f for s in stems for f in (f"history_{s}.csv", f"best_genome_{s}.json")}
+        row = [Cell(dataset, cell_mode, run_index) for run_index in range(runs)]
+        files = {name for cell in row for name in (cell.history_file, cell.best_genome_file)}
         if files & accounted:
             raise AuditError(f"{where}: the row for ({dataset}, {mode}) repeats an earlier row")
         accounted |= files
-        rows.append((dataset, mode, runs))
-        histories = [read_history_csv(out / f"history_{stem}.csv") for stem in stems]
-        recomputed = _aggregate_row(dataset, mode, histories)
-        line, expected = ",".join(cells), _csv_line(astuple(recomputed))
+        rows.append(row)
+        histories = [read_history_csv(out / cell.history_file) for cell in row]
+        line = ",".join(values)
+        expected = _csv_line(astuple(_aggregate_row(dataset, mode, histories)))
         if expected != line:
             raise AuditError(
                 f"summary row for ({dataset}, {mode}) does not match its histories: "
                 f"summary.csv has {line}, recomputed {expected}"
             )
-        for stem, history in zip(stems, histories):
-            _audit_best_genome(out / f"best_genome_{stem}.json", history)
+        for cell, history in zip(row, histories):
+            records.append(audit_cell(out, cell, history, completes))
+    fold_files = {cell.folds_file for row in rows for cell in row}
     reference = None  # (file, k): every run's fold file splits into the same k folds
     for fold_file in sorted(fold_files):  # integer cells, and instance indices 0..n-1 in order
         sizes: dict[int, int] = {}  # fold id -> rows
-        for index, (where, cells) in enumerate(_read_csv(out / fold_file, FOLD_COLUMNS)):
-            instance, fold = (_parse(where, name, int, c) for name, c in zip(FOLD_COLUMNS, cells))
+        for index, (where, values) in enumerate(_read_csv(out / fold_file, FOLD_COLUMNS)):
+            instance, fold = (_parse(where, name, int, v) for name, v in zip(FOLD_COLUMNS, values))
             _require(instance == index, f"{where}: instance_index must be {index}, got {instance}")
             if fold < 0:
                 raise AuditError(f"{where}: fold_id must be at least 0, got {fold}")
@@ -765,10 +791,15 @@ def audit_output_dir(out_dir: str | Path) -> None:
         low, high = min(sizes.values()), max(sizes.values())
         if high - low > 1:
             raise AuditError(f"{shown}: fold sizes range from {low} to {high}, more than one apart")
+    both_modes = set(Mode) <= {row[0].mode for row in rows}
     patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "events_*.jsonl", "*.tmp")
+    patterns += () if both_modes else ("efficiency.csv",)
     stray = {path.name for pattern in patterns for path in out.glob(pattern)}
     stray -= accounted | fold_files
     if stray:
         raise AuditError(f"no row of summary.csv accounts for {str(out / min(stray))!r}")
-    if {Mode.NAS_PLUS.value, Mode.ENAS.value} <= {mode for _, mode, _ in rows}:
-        _audit_efficiency(out, rows)
+    if completes:
+        raise AuditError(f"no row of summary.csv accounts for {min(completes)}'s run_complete")
+    if both_modes:
+        _audit_efficiency(out, rows, records)
+    return both_modes

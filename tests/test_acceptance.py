@@ -41,8 +41,8 @@ from enas.seeding import derive_seed, make_rng
 from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .conftest import SONAR_PATH
-from .test_evolution import SyntheticFitness
-from .test_experiment import read_summary_rows
+from .test_evolution import SyntheticFitness, discard, run_logged
+from .test_experiment import read_summary_rows, run_complete
 from .test_fitness import brute_force_f1
 from .test_nn import batch_loss, transposes
 
@@ -156,10 +156,10 @@ DESK_SPACE = SearchSpace(population_size=(3, 20), max_generations=(1, 60))
 DESK_CONFIG = EvolutionConfig(space=DESK_SPACE, population_size=10, max_generations=30)
 
 
-def _check_mechanism_invariants(result):
+def _check_mechanism_invariants(result, events):
     bests = [row.best_f1 for row in result.history]
     assert all(b2 >= b1 for b1, b2 in zip(bests, bests[1:])), "best fitness regressed"
-    for event in result.events:
+    for event in events:
         if event["type"] == "generation_end":
             assert event["population_len"] == event["live_population_size"]
             expected = min(TOURNAMENT_SIZE, event["population_len"])
@@ -181,14 +181,14 @@ def test_mechanism_invariants_over_50_desk_runs():
     fitness = SyntheticFitness()
     halted_runs = 0
     for seed in range(50):
-        result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=seed)
-        _check_mechanism_invariants(result)
+        result, events = run_logged(Mode.ENAS, DESK_CONFIG, fitness, run_seed=seed)
+        _check_mechanism_invariants(result, events)
         assert result.generation <= DESK_SPACE.max_generations[1]
         halted_runs += result.halted
     assert halted_runs >= 1  # the budget-halt path must actually be exercised
     for seed in range(10):
-        result = run(Mode.NAS_PLUS, DESK_CONFIG, fitness, run_seed=seed)
-        _check_mechanism_invariants(result)
+        result, events = run_logged(Mode.NAS_PLUS, DESK_CONFIG, fitness, run_seed=seed)
+        _check_mechanism_invariants(result, events)
         for row in result.history:
             assert row.mutation_rate == DESK_CONFIG.mutation_rate
             assert row.population_size == DESK_CONFIG.population_size
@@ -292,7 +292,7 @@ def test_adaptive_search_reaches_080_on_sonar(tmp_path):
     for run_index in range(5):
         split = fold_split(dataset, 5, derive_seed(2024, "sonar", run_index, "data"))
         run_seed = derive_seed(2024, "sonar", run_index, "enas")
-        result = run(Mode.ENAS, config, CrossValFitness(dataset, split), run_seed)
+        result = run(Mode.ENAS, config, CrossValFitness(dataset, split), run_seed, discard)
         score = result.best.fitness.mean_f_measure
         scores.append(round(score, 4))
         successes += score >= 0.80
@@ -305,10 +305,14 @@ def test_adaptive_mode_trains_fewer_models_in_most_paired_runs():
     space = SearchSpace(population_size=(3, 20), max_generations=(1, 30))
     config = EvolutionConfig(space=space, population_size=10, max_generations=30)
     fitness = SyntheticFitness()
-    static_runs, adaptive_runs = [], []
+    searches = {mode: [] for mode in (Mode.NAS_PLUS, Mode.ENAS)}
     for pair in range(20):
-        static_runs.append(run(Mode.NAS_PLUS, config, fitness, run_seed=derive_seed("pair", pair)))
-        adaptive_runs.append(run(Mode.ENAS, config, fitness, run_seed=derive_seed("pair", pair)))
+        for mode, states in searches.items():
+            states.append(run(mode, config, fitness, derive_seed("pair", pair), discard))
+    static_runs, adaptive_runs = (
+        [run_complete(state, "synthetic", pair) for pair, state in enumerate(states)]
+        for states in searches.values()
+    )
     fewer = sum(
         1 for a, s in zip(adaptive_runs, static_runs) if a.models_trained < s.models_trained
     )
@@ -316,8 +320,8 @@ def test_adaptive_mode_trains_fewer_models_in_most_paired_runs():
 
     overall = summarize_efficiency({"synthetic": static_runs}, {"synthetic": adaptive_runs})[-1]
     # hand-audit the counters straight from the history files' final rows
-    audited_static = [r.history[-1].models_trained_cumulative for r in static_runs]
-    audited_adaptive = [r.history[-1].models_trained_cumulative for r in adaptive_runs]
+    audited_static = [r.history[-1].models_trained_cumulative for r in searches[Mode.NAS_PLUS]]
+    audited_adaptive = [r.history[-1].models_trained_cumulative for r in searches[Mode.ENAS]]
     mean_static = sum(audited_static) / len(audited_static)
     mean_adaptive = sum(audited_adaptive) / len(audited_adaptive)
     assert overall.mean_models_static == mean_static

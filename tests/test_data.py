@@ -15,6 +15,7 @@ from enas.seeding import derive_seed
 from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .conftest import SONAR_PATH
+from .test_evolution import discard
 
 
 class TestLoadCsv:
@@ -149,9 +150,9 @@ class TestShuffle:
         order = np.random.default_rng(derive_seed(71, "shuffle")).permutation(36)
         shuffled = Dataset(features=dataset.features[order], labels=dataset.labels[order])
         positions = kfold_split(shuffled, 3, derive_seed(71, "folds"))
-        copy = evolution.run(mode, SPLIT_CONFIG, CrossValFitness(shuffled, positions), 72)
+        copy = evolution.run(mode, SPLIT_CONFIG, CrossValFitness(shuffled, positions), 72, discard)
         rows = fold_split(dataset, 3, data_seed=71)
-        split = evolution.run(mode, SPLIT_CONFIG, CrossValFitness(dataset, rows), 72)
+        split = evolution.run(mode, SPLIT_CONFIG, CrossValFitness(dataset, rows), 72, discard)
         assert split.history == copy.history
         assert split.best.genome == copy.best.genome
         assert split.best.fitness.per_fold == copy.best.fitness.per_fold
@@ -223,9 +224,9 @@ class TestKFold:
         scored = []
         real_run = evolution.run
 
-        def spy(mode, config, fitness, run_seed):
+        def spy(mode, config, fitness, run_seed, emit):
             scored.append(fitness)
-            return real_run(mode, config, fitness, run_seed)
+            return real_run(mode, config, fitness, run_seed, emit)
 
         monkeypatch.setattr(evolution, "run", spy)
         run_experiment(_one_generation(spec, tmp_path / "out", runs=2))

@@ -83,6 +83,16 @@ def _individual(ident, score, birth=0, genome=None):
     return Individual(id=ident, genome=genome, fitness=_record(score), birth_generation=birth)
 
 
+def discard(event):
+    """An ``emit`` for a search whose events the test does not read."""
+
+
+def run_logged(mode, config, fitness, run_seed):
+    """``run``'s final state, and the events it emitted, in order."""
+    events = []
+    return run(mode, config, fitness, run_seed, events.append), events
+
+
 def _state(scores, mode=Mode.ENAS, generation=0):
     population = [_individual(i, s) for i, s in enumerate(scores)]
     # A lone individual is below any config's population size, so the live
@@ -96,6 +106,7 @@ def _state(scores, mode=Mode.ENAS, generation=0):
         mode=mode,
         run_seed=42,
         live=live,
+        emit=discard,
         population=population,
         generation=generation,
         next_id=len(population),
@@ -190,7 +201,7 @@ class TestInit:
         # the out-of-the-box baseline: population 100 for 500 generations,
         # 90% crossover, 20% mutation, tournament of 4, one elite
         config = EvolutionConfig()
-        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=1)
+        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=1, emit=discard)
         assert state.live == config
         assert (
             config.population_size,
@@ -205,7 +216,7 @@ class TestInit:
 
     def test_static_mode_uses_configured_live_params(self):
         config = EvolutionConfig(space=DESK_SPACE, population_size=12, max_generations=25)
-        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=7)
+        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=7, emit=discard)
         assert state.live.population_size == 12
         assert state.live.max_generations == 25
         assert state.live.mutation_rate == 0.2
@@ -214,13 +225,13 @@ class TestInit:
 
     def test_adaptive_mode_population_within_bounds(self):
         for seed in range(5):
-            state = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
+            state = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed, emit=discard)
             lo, hi = DESK_SPACE.population_size
             assert lo <= len(state.population) <= hi
 
     def test_deterministic_population(self):
-        a = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=11)
-        b = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=11)
+        a = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=11, emit=discard)
+        b = init(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=11, emit=discard)
         assert [ind.genome for ind in a.population] == [ind.genome for ind in b.population]
 
     def test_invalid_config_rejected(self):
@@ -243,7 +254,7 @@ class TestInit:
 
 class TestNextGeneration:
     def test_best_never_worsens(self):
-        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=3)
+        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=3, emit=discard)
         best = best_individual(state.population).fitness.mean_f_measure
         for _ in range(5):
             next_generation(state, SyntheticFitness())
@@ -252,7 +263,7 @@ class TestNextGeneration:
             best = new_best
 
     def test_population_size_constant_in_static_mode(self):
-        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=4)
+        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=4, emit=discard)
         for _ in range(4):
             next_generation(state, SyntheticFitness())
             assert len(state.population) == DESK_CONFIG.population_size
@@ -262,13 +273,13 @@ class TestNextGeneration:
         config = EvolutionConfig(
             space=DESK_SPACE, population_size=6, max_generations=5, mutation_rate=0.0
         )
-        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=5)
+        state = init(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=5, emit=discard)
         parents = {ind.genome for ind in state.population}
         next_generation(state, SyntheticFitness())
         assert {ind.genome for ind in state.population} <= parents
 
     def test_elite_keeps_identity_and_cached_fitness(self):
-        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=6)
+        state = init(Mode.NAS_PLUS, DESK_CONFIG, SyntheticFitness(), run_seed=6, emit=discard)
         elite = best_individual(state.population)
         record = elite.fitness
         next_generation(state, SyntheticFitness())
@@ -347,14 +358,14 @@ class TestResize:
 class TestRun:
     def test_static_run_records_configured_generations_plus_init(self):
         config = EvolutionConfig(space=DESK_SPACE, population_size=5, max_generations=3)
-        result = run(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=9)
+        result = run(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=9, emit=discard)
         assert result.generation == 3
         assert len(result.history) == 4  # init row plus one per generation
         assert [r.generation for r in result.history] == [0, 1, 2, 3]
 
     def test_static_live_params_never_change(self):
         config = EvolutionConfig(space=DESK_SPACE, population_size=5, max_generations=6)
-        result = run(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=10)
+        result = run(Mode.NAS_PLUS, config, SyntheticFitness(), run_seed=10, emit=discard)
         for row in result.history:
             assert row.mutation_rate == config.mutation_rate
             assert row.population_size == config.population_size
@@ -363,33 +374,33 @@ class TestRun:
 
     def test_adaptive_run_terminates_within_budget_bounds(self):
         for seed in range(8):
-            result = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
+            result = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed, emit=discard)
             assert result.generation <= DESK_SPACE.max_generations[1]
 
     def test_replay_is_identical(self):
-        a = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12)
-        b = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12)
+        a = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12, emit=discard)
+        b = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=12, emit=discard)
         assert [asdict(r) for r in a.history] == [asdict(r) for r in b.history]
 
     def test_each_individual_evaluated_exactly_once(self):
-        result = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=13)
-        evaluated = [e["individual"] for e in result.events if e["type"] == "evaluation"]
+        result, events = run_logged(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=13)
+        evaluated = [e["individual"] for e in events if e["type"] == "evaluation"]
         assert len(evaluated) == len(set(evaluated))
-        clones = {i for doc in result.events if doc["type"] == "bred" for i in doc["clones"]}
+        clones = {i for doc in events if doc["type"] == "bred" for i in doc["clones"]}
         assert set(evaluated) == set(range(result.next_id)) - clones
 
     def test_models_counter_matches_evaluations(self):
         fitness = SyntheticFitness(folds=3)
-        result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=14)
-        evaluations = [doc for doc in result.events if doc["type"] == "evaluation"]
+        result, events = run_logged(Mode.ENAS, DESK_CONFIG, fitness, run_seed=14)
+        evaluations = [doc for doc in events if doc["type"] == "evaluation"]
         assert result.models_trained == 3 * len(evaluations)
         assert result.history[-1].models_trained_cumulative == result.models_trained
 
     def test_adaptive_run_returns_its_final_state(self):
         halted = set()
         for seed in range(5):
-            state = run(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
-            promotion = [doc for doc in state.events if doc["type"] == "promotion"][-1]
+            state, events = run_logged(Mode.ENAS, DESK_CONFIG, SyntheticFitness(), run_seed=seed)
+            promotion = [doc for doc in events if doc["type"] == "promotion"][-1]
             promoted = {name: promotion[name] for name in CONTROL_GENES}
             if promotion["halted"]:
                 # a halting promotion leaves the population, and its size, as they were
@@ -440,7 +451,7 @@ class TestBatchEvaluation:
     def test_run_with_shared_training_equals_one_genome_at_a_time(self, mode, monkeypatch):
         dataset = make_threshold_dataset(36, 3, seed=60)
         fitness = CrossValFitness(dataset, kfold_split(dataset, 3, seed=61))
-        alone = run(mode, NARROW_CONFIG, OneAtATime(fitness), run_seed=62)
+        alone, alone_events = run_logged(mode, NARROW_CONFIG, OneAtATime(fitness), run_seed=62)
         networks = []
         real_train_folds = nn.train_folds
 
@@ -449,23 +460,23 @@ class TestBatchEvaluation:
             return real_train_folds(config, x, y, train_sets, seeds)
 
         monkeypatch.setattr(nn, "train_folds", spy)
-        shared = run(mode, NARROW_CONFIG, fitness, run_seed=62)
+        shared, shared_events = run_logged(mode, NARROW_CONFIG, fitness, run_seed=62)
         assert max(networks) > len(fitness.folds)  # some genomes did share a stack
         assert shared.history == alone.history
         assert shared.best.genome == alone.best.genome
         assert shared.best.fitness == alone.best.fitness
-        assert _without_wall_time(shared.events) == _without_wall_time(alone.events)
+        assert _without_wall_time(shared_events) == _without_wall_time(alone_events)
 
     def test_one_evaluate_call_per_batch(self):
         fitness = CountingFitness(SyntheticFitness())
-        result = run(Mode.ENAS, DESK_CONFIG, fitness, run_seed=6)
+        _, events = run_logged(Mode.ENAS, DESK_CONFIG, fitness, run_seed=6)
         # the initial population is every evaluation before the first other event
-        initial = next(i for i, doc in enumerate(result.events) if doc["type"] != "evaluation")
+        initial = next(i for i, doc in enumerate(events) if doc["type"] != "evaluation")
         later = [
             len(doc["offspring"] if doc["type"] == "bred" else doc["ids"])
-            for doc in result.events
+            for doc in events
             if doc["type"] in ("bred", "spawn")
         ]
-        assert [doc["type"] for doc in result.events].count("spawn") == 2
+        assert [doc["type"] for doc in events].count("spawn") == 2
         assert fitness.batches == [initial, *later]
-        assert sum(fitness.batches) == [doc["type"] for doc in result.events].count("evaluation")
+        assert sum(fitness.batches) == [doc["type"] for doc in events].count("evaluation")

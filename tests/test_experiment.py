@@ -11,7 +11,6 @@ import time
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -24,6 +23,7 @@ from enas.evolution import ConfigurationError, EvolutionConfig, Mode, run
 from enas.experiment import (
     MAX_JOBS,
     AuditError,
+    Cell,
     DatasetSpec,
     ExperimentConfig,
     ExperimentError,
@@ -39,12 +39,11 @@ from enas.experiment import (
     write_csv,
     write_history_csv,
 )
-from enas.fitness import CrossValFitness
 from enas.genome import SearchSpace, genome_to_doc, sample_genome
 from enas.seeding import derive_seed, make_rng
 from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
-from .test_evolution import SyntheticFitness
+from .test_evolution import SyntheticFitness, discard
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -137,12 +136,30 @@ def _run_complete_docs(out_dir):
     return [doc for doc in map(json.loads, lines) if doc["type"] == "run_complete"]
 
 
+def run_complete(state, dataset="toy", run_index=0):
+    """The run_complete record of a cell whose search ended in ``state``."""
+    best_f1 = state.best.fitness.mean_f_measure
+    return RunComplete(
+        dataset, state.mode.value, run_index, best_f1, state.generation,
+        state.models_trained, state.halted, state.wall_time,
+    )
+
+
 @pytest.fixture(scope="module")
 def experiment_dir(tmp_path_factory):
     """The config of an experiment that has run, two datasets x two runs x two modes."""
     config = config_from_file(_write_config(tmp_path_factory.mktemp("exp")))
     run_experiment(config)
     return config
+
+
+@pytest.fixture(scope="module")
+def one_mode_dir(tmp_path_factory):
+    """The output directory of an experiment of one dataset x two runs x the adaptive mode."""
+    config_path = _write_config(tmp_path_factory.mktemp("one-mode"), datasets=1, modes=("enas",))
+    config = config_from_file(config_path)
+    run_experiment(config)
+    return config.out_dir
 
 
 class TestRunExperiment:
@@ -223,7 +240,7 @@ class TestRunExperiment:
         writes = []
         monkeypatch.setattr(sys, "stdout", mock.Mock(write=writes.append))
         config = EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)))
-        _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5, tmp_path)
+        _run_cell(Cell("toy", Mode.ENAS, 0), config, SyntheticFitness(), 5, tmp_path)
         assert len(writes) == 1 and re.fullmatch(r"toy enas run 0: .*\n", writes[0]), writes
 
     def test_cell_whose_part_write_fails_leaves_no_part(self, tmp_path, monkeypatch):
@@ -239,7 +256,7 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "asdict", fail_at_run_complete)
         config = EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)))
         with pytest.raises(OSError, match="no space left"):
-            _run_cell("toy", 0, Mode.ENAS, config, SyntheticFitness(), 5, tmp_path)
+            _run_cell(Cell("toy", Mode.ENAS, 0), config, SyntheticFitness(), 5, tmp_path)
         assert sorted(path.name for path in tmp_path.iterdir()) == [
             "best_genome_toy_enas_0.json",
             "events_toy_enas_0.jsonl.tmp",
@@ -295,10 +312,10 @@ class TestRunExperiment:
     ):
         first_seed = derive_seed(9, "toy0", 0, "enas")  # 9 is _write_config's base seed
 
-        def delay_first_cell(mode, config, fitness, run_seed):
+        def delay_first_cell(mode, config, fitness, run_seed, emit):
             if run_seed == first_seed:
                 time.sleep(0.3)
-            return run(mode, config, fitness, run_seed)
+            return run(mode, config, fitness, run_seed, emit)
 
         monkeypatch.setattr(evolution, "run", delay_first_cell)
         config_path = _write_config(tmp_path, datasets=1, runs=3, modes=("enas",))
@@ -319,24 +336,32 @@ class TestRunExperiment:
         assert len(outputs[1]) == 3 + 3 + 3 + 1 + 1  # histories, genomes, folds, summary, events
         assert outputs[1] == outputs[2]
 
-    def test_cross_val_call_runs_once_per_evaluation_event(self, tmp_path, monkeypatch):
-        # perfbench samples host speed after, and traces fitness.eval as, each
-        # CrossValFitness.__call__; a search that scored genomes without it
-        # would leave the search workload with no probe samples.
-        calls = []
-        real_call = CrossValFitness.__call__
+    def test_events_stream_into_the_part_while_the_search_runs(self, tmp_path):
+        # The part is open as <part>.tmp, line-buffered, from the start of the
+        # search, so generation 0's events are on disk while generation 1 is
+        # scored; a search that raises leaves that part and no other file.
+        part = tmp_path / "events_toy_nas_plus_0.jsonl.tmp"
+        seen = []
 
-        def counted(self, *args):
-            calls.append(args)
-            return real_call(self, *args)
+        class ReadThenFail:
+            calls = 0
 
-        monkeypatch.setattr(CrossValFitness, "__call__", counted)
-        config = config_from_file(_write_config(tmp_path, datasets=1, runs=1))
-        run_experiment(config)
-        lines = (config.out_dir / "events.jsonl").read_text().splitlines()
-        evaluations = [doc for doc in map(json.loads, lines) if doc["type"] == "evaluation"]
-        assert config.jobs == 1 and evaluations
-        assert len(calls) == len(evaluations)
+            def evaluate(self, pairs):
+                self.calls += 1
+                if self.calls == 2:  # generation 1's offspring
+                    seen.extend(map(json.loads, part.read_text().splitlines()))
+                    raise RuntimeError("generation 1 failed")
+                return SyntheticFitness().evaluate(pairs)
+
+        space = SearchSpace(population_size=(3, 6), max_generations=(1, 5))
+        config = EvolutionConfig(space=space, population_size=4, max_generations=3)
+        with pytest.raises(RuntimeError, match="generation 1 failed"):
+            _run_cell(Cell("toy", Mode.NAS_PLUS, 0), config, ReadThenFail(), 5, tmp_path)
+        assert [doc["type"] for doc in seen] == ["evaluation"] * 4 + ["generation_end"]
+        keys = {"dataset": "toy", "mode": "nas_plus", "run": 0, "generation": 0}
+        assert all(doc.items() >= keys.items() for doc in seen)
+        assert [path.name for path in tmp_path.iterdir()] == [part.name]
+        assert part.read_text().count("\n") == len(seen)
 
     def test_missing_dataset_aborts_before_any_run(self, tmp_path):
         path = _write_config(tmp_path, datasets=1)
@@ -358,6 +383,7 @@ class TestHistoryFiles:
             EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5))),
             SyntheticFitness(),
             run_seed=3,
+            emit=discard,
         )
         path = write_history_csv(result.history, tmp_path / "h.csv")
         parsed = read_history_csv(path)
@@ -385,8 +411,8 @@ class TestCsvFiles:
         )
         runs = {}
         for doc in _run_complete_docs(out):
-            run_ = SimpleNamespace(models_trained=doc["models_trained"], wall_time=doc["wall_time"])
-            runs.setdefault(doc["mode"], {}).setdefault(doc["dataset"], []).append(run_)
+            record = RunComplete(**{key: value for key, value in doc.items() if key != "type"})
+            runs.setdefault(doc["mode"], {}).setdefault(doc["dataset"], []).append(record)
         e = summarize_efficiency(runs["nas_plus"], runs["enas"])[-1]
         text = (out / "efficiency.csv").read_text()
         assert text.startswith(
@@ -404,7 +430,10 @@ class TestEfficiency:
     def _runs(self, mode, seeds, max_generations=8):
         space = SearchSpace(population_size=(3, 8), max_generations=(1, max_generations))
         config = EvolutionConfig(space=space, population_size=6, max_generations=max_generations)
-        return [run(mode, config, SyntheticFitness(), run_seed=s) for s in seeds]
+        return [
+            run_complete(run(mode, config, SyntheticFitness(), s, discard), run_index=s)
+            for s in seeds
+        ]
 
     def test_identical_run_lists_give_zero_delta(self):
         runs = self._runs(Mode.NAS_PLUS, range(3))
@@ -482,6 +511,14 @@ class TestCli:
         assert (out_dir / "summary.csv").exists()
         assert main(["audit", "--out", "cli_out"]) == 0
         assert "audit passed" in capsys.readouterr().out
+
+    def test_audit_pass_line_names_efficiency_only_when_checked(
+        self, experiment_dir, one_mode_dir, capsys
+    ):
+        for out, named in ((experiment_dir.out_dir, True), (one_mode_dir, False)):
+            assert main(["audit", "--out", str(out)]) == 0
+            passed = capsys.readouterr().out
+            assert passed.startswith("audit passed: ") and ("efficiency.csv" in passed) == named
 
     def test_printed_summary_matches_summary_csv(self, tmp_path, capsys):
         config_path = _write_config(tmp_path)
@@ -738,6 +775,64 @@ class TestCli:
         assert named in err
 
     @pytest.mark.parametrize(
+        "edit, code, named",
+        [
+            pytest.param(
+                lambda out: (out / "events.jsonl").write_text("garbage{\n"),
+                2,
+                "events.jsonl':1: not a JSON line",
+                id="garbage-events",
+            ),
+            pytest.param(
+                lambda out: (out / "events.jsonl").unlink(), 2, "events.jsonl", id="missing-events"
+            ),
+            pytest.param(
+                lambda out: (out / "efficiency.csv").write_text("dataset,pairs\n"),
+                1,
+                str(Path("out", "efficiency.csv'")),
+                id="stray-efficiency",
+            ),
+            pytest.param(
+                lambda out: _rewrite_lines(
+                    out / "events.jsonl",
+                    _edit_first_run_complete(r'"models_trained": \d+', '"models_trained": 1'),
+                ),
+                1,
+                "has no run_complete for ('toy0', 'enas', 0) whose best_f1, generations",
+                id="run-complete-off-its-history",
+            ),
+            pytest.param(
+                lambda out: _rewrite_lines(
+                    out / "events.jsonl",
+                    lambda lines: [line for line in lines if '"type": "run_complete"' not in line],
+                ),
+                1,
+                "events.jsonl' has no run_complete for ('toy0', 'enas', 0)",
+                id="dropped-run-completes",
+            ),
+            pytest.param(
+                lambda out: _rewrite_lines(
+                    out / "events.jsonl",
+                    lambda lines: [*lines, lines[-1].replace('"run": 1', '"run": 2')],
+                ),
+                1,
+                "accounts for ('toy0', 'enas', 2)'s run_complete",
+                id="run-complete-of-no-cell",
+            ),
+        ],
+    )
+    def test_audit_reads_the_events_of_a_one_mode_output(
+        self, one_mode_dir, tmp_path, capsys, edit, code, named
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(one_mode_dir, out)
+        edit(out)
+        assert main(["audit", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("", "audit failed: ", "error: ")[code]) and err.count("\n") == 1
+        assert named in err, err
+
+    @pytest.mark.parametrize(
         "name, edit, message",
         [
             pytest.param(
@@ -777,15 +872,20 @@ class TestCli:
         assert err.startswith("audit failed: ") and err.count("\n") == 1, err
         assert message in err
 
-    @pytest.mark.parametrize("column", [0, 1], ids=["dataset", "mode"])
+    @pytest.mark.parametrize(
+        "column, message",
+        [(0, "null byte"), (1, "summary.csv':5: mode must be one of nas_plus, enas, got 'a\\x00b'")],
+        ids=["dataset", "mode"],
+    )
     def test_nul_in_a_summary_name_cell_gives_one_error_line(
-        self, experiment_dir, tmp_path, capsys, column
+        self, experiment_dir, tmp_path, capsys, column, message
     ):
-        # the cell goes into a file name, and no file system takes a NUL there
+        # a dataset cell goes into a file name, and no file system takes a NUL
+        # there; a mode cell must name a mode before any file name is built
         out = tmp_path / "out"
         shutil.copytree(experiment_dir.out_dir, out)
         _rewrite_lines(out / "summary.csv", _replace_last_cell(column, "a\0b"))
-        assert "null byte" in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+        assert message in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
 
     def test_audit_without_summary_gives_one_error_line(self, tmp_path, capsys):
         err = self._assert_one_line_error(capsys, ["audit", "--out", str(tmp_path)])
@@ -891,15 +991,15 @@ class TestCli:
         # inherit the patched module.
         failing_seed = derive_seed(9, "toy0", 1, "enas")
 
-        def fail_one_cell(mode, config, fitness, run_seed):
+        def fail_one_cell(mode, config, fitness, run_seed, emit):
             if run_seed == failing_seed:
                 raise ConfigurationError("cell toy0 enas 1 failed")
-            return run(mode, config, fitness, run_seed)
+            return run(mode, config, fitness, run_seed, emit)
 
-        def end_one_worker(mode, config, fitness, run_seed):
+        def end_one_worker(mode, config, fitness, run_seed, emit):
             if run_seed == failing_seed:
                 os._exit(9)
-            return run(mode, config, fitness, run_seed)
+            return run(mode, config, fitness, run_seed, emit)
 
         for patch, messages in (
             (fail_one_cell, ["cell toy0 enas 1 failed"]),
@@ -915,14 +1015,15 @@ class TestCli:
 
     def test_failed_cell_leaves_the_finished_cells_files(self, tmp_path, capsys, monkeypatch):
         # Each cell writes its files when it ends; only the experiment's own
-        # files wait for the last cell, so a failed run has none of them.
+        # files wait for the last cell, so a failed run has none of them. The
+        # failed cell leaves only the part its events streamed into.
         calls = []
 
-        def fail_third_cell(mode, config, fitness, run_seed):
+        def fail_third_cell(mode, config, fitness, run_seed, emit):
             calls.append(run_seed)
             if len(calls) == 3:
                 raise ConfigurationError("the third cell failed")
-            return run(mode, config, fitness, run_seed)
+            return run(mode, config, fitness, run_seed, emit)
 
         monkeypatch.setattr(evolution, "run", fail_third_cell)
         config_path = _write_config(tmp_path, datasets=1, runs=2)
@@ -933,7 +1034,8 @@ class TestCli:
         kinds = (("history", "csv"), ("best_genome", "json"), ("events", "jsonl"))
         written = [f"{kind}_{stem}.{ext}" for stem in stems for kind, ext in kinds]
         folds = ["folds_toy0_0.csv", "folds_toy0_1.csv"]
-        assert sorted(path.name for path in out.iterdir()) == sorted(written + folds)
+        left = ["events_toy0_nas_plus_1.jsonl.tmp"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(written + folds + left)
         self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
 
     @pytest.mark.parametrize(
@@ -1063,6 +1165,7 @@ class TestCli:
                 id="fold-rows-out-of-order",
             ),
             pytest.param("summary.csv", lambda lines: [], id="empty-summary"),
+            pytest.param("summary.csv", _replace_last_cell(1, "bogus"), id="summary-unknown-mode"),
             pytest.param("best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
             pytest.param("efficiency.csv", None, id="audit-missing-efficiency"),
             pytest.param("events.jsonl", None, id="audit-missing-events"),

@@ -6,6 +6,7 @@ read-only: no bytecode is written next to them.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from enas import nn
 from enas.data import kfold_split
 from enas.evolution import EvaluatorPool, EvolutionConfig, Mode
-from enas.experiment import _run_cell
+from enas.experiment import Cell, _run_cell, config_from_file, run_experiment
 from enas.fitness import CrossValFitness
 from enas.genome import SearchSpace, config_from_genome, sample_genome
 from enas.seeding import make_rng
@@ -77,7 +78,7 @@ def test_train_probe_reads_every_fact_of_a_trained_model(perfbench):
 def test_pool_probe_reads_every_fact_of_a_pool_call(perfbench, capsys, tmp_path):
     tracer, _ = perfbench
     config = EvolutionConfig(space=SPACE, population_size=3, max_generations=1)
-    tasks = [("toy", 0, mode, config, _evaluator(), 6, tmp_path) for mode in Mode]
+    tasks = [(Cell("toy", mode, 0), config, _evaluator(), 6, tmp_path) for mode in Mode]
     pool = EvaluatorPool(_run_cell, jobs=1)
     facts = tracer.PROBES["evolution.pool.evaluate"]((pool, tasks), pool.evaluate(tasks))
     assert facts[0] == len(tasks) and None not in facts
@@ -88,3 +89,32 @@ def test_panel_reads_every_fact_of_a_fitness_record():
     folds = record.per_fold
     assert len(folds) == record.models_trained == 3
     assert record.mean_f_measure == sum(folds) / len(folds)
+
+
+def test_search_scores_every_genome_by_call_inside_one_pool_call(tmp_path, monkeypatch):
+    # rep.HostProbe samples the host's speed after each CrossValFitness.__call__,
+    # and run.py's host_factor takes their median, so a search that scored
+    # genomes without it would leave the search workload with no samples;
+    # rep.Pieces clocks EvaluatorPool.evaluate, which must run the whole search.
+    from .test_experiment import _write_config
+
+    calls, pool_calls = [], []
+    real_call, real_evaluate = CrossValFitness.__call__, EvaluatorPool.evaluate
+
+    def counted(self, *args):
+        calls.append(args)
+        return real_call(self, *args)
+
+    def counted_pool(self, tasks):
+        pool_calls.append(len(tasks))
+        return real_evaluate(self, tasks)
+
+    monkeypatch.setattr(CrossValFitness, "__call__", counted)
+    monkeypatch.setattr(EvaluatorPool, "evaluate", counted_pool)
+    config = config_from_file(_write_config(tmp_path, datasets=1, runs=1))
+    run_experiment(config)
+    lines = (config.out_dir / "events.jsonl").read_text().splitlines()
+    evaluations = [doc for doc in map(json.loads, lines) if doc["type"] == "evaluation"]
+    assert config.jobs == 1 and evaluations
+    assert len(calls) == len(evaluations)
+    assert pool_calls == [len(config.modes)]
