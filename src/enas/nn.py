@@ -18,6 +18,13 @@ network's epoch loss is taken from them as one mean of its training
 rows' ``row_losses``. The optimizer update then consumes the gradient
 buffer: it serves as the update's scratch space until the next step
 rewrites it.
+
+Two rules keep a step's numpy calls few and cheap without changing a
+double of its results. Every scalar operand of the step is a read-only
+0-d float64 module constant (``Optimizer.lr`` too), so numpy takes it as
+it is instead of converting a Python float on each call. A one-row batch
+skips the mean's divide by n (x / 1 is x) and copies its delta into each
+bias gradient in place of a sum over one row.
 """
 
 from __future__ import annotations
@@ -41,6 +48,22 @@ BETA_1 = 0.9
 BETA_2 = 0.999
 RMS_RHO = 0.9
 OPT_EPS = 1e-7
+
+
+def _scalar(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array: the same double, but an
+    operand numpy takes as it is, where it converts a Python float again
+    on every call."""
+    value = np.array(value, dtype=np.float64)
+    value.flags.writeable = False
+    return value
+
+
+# The step's scalar operands.
+_ZERO, _HALF, _ONE = _scalar(0.0), _scalar(0.5), _scalar(1.0)
+_BETA_1, _BETA_2, _RMS_RHO = _scalar(BETA_1), _scalar(BETA_2), _scalar(RMS_RHO)
+_BETA_1_C, _BETA_2_C, _RMS_RHO_C = (_scalar(1.0 - b) for b in (BETA_1, BETA_2, RMS_RHO))
+_OPT_EPS = _scalar(OPT_EPS)
 
 LOSS_EPS = 1e-7
 # Per-row loss range: the losses of a probability clipped to
@@ -144,14 +167,14 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
 def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The activation of ``z``, written to ``out``: a new array by default, or ``z`` itself."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, _ZERO, out=out)
     if name == "sigmoid":
         # 0.5 * (1 + tanh(z / 2)): equal to 1 / (1 + exp(-z)), with no
         # exp to overflow; exactly 0 and 1 at -inf and +inf.
-        out = np.multiply(z, 0.5, out=out)
+        out = np.multiply(z, _HALF, out=out)
         np.tanh(out, out=out)
-        out += 1.0
-        out *= 0.5
+        out += _ONE
+        out *= _HALF
         return out
     if name == "tanh":
         return np.tanh(z, out=out)
@@ -161,8 +184,8 @@ def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nda
 def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
     """Derivative of a sigmoid or tanh unit, from its activation ``a``."""
     if name == "sigmoid":
-        return a * (1.0 - a)
-    return 1.0 - a * a
+        return a * (_ONE - a)
+    return _ONE - a * a
 
 
 def layer_dims(input_width: int, config: MLPConfig) -> tuple[int, ...]:
@@ -278,17 +301,22 @@ def loss_and_gradients(
     outs = _forward_chain(layers, activations, batch)
     delta = _activate("sigmoid", outs[-1])
     delta -= labels[..., None]
-    delta /= batch.shape[-2]
+    one_row = batch.shape[-2] == 1
+    if not one_row:
+        delta /= batch.shape[-2]
     for layer in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grad_layers[layer]
         np.matmul(outs[layer].swapaxes(-1, -2), delta, out=grad_w)
-        np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
+        if one_row:
+            np.copyto(grad_b, delta)
+        else:
+            np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
         if layer > 0:
             delta = delta @ weights_t[layer]
             act = activations[layer - 1]
             if act == "relu":
                 # the layer's output is positive exactly where its input is
-                delta *= outs[layer] > 0
+                delta *= outs[layer] > _ZERO
             elif act != "linear":
                 delta *= _activation_grad(act, outs[layer])
     return outs[-1][..., 0]
@@ -346,7 +374,7 @@ class Optimizer:
     def __init__(self, kind: str, shape):
         shape = tuple(np.atleast_1d(shape))
         self.kind = kind
-        self.lr = DEFAULT_LEARNING_RATES[kind]
+        self.lr = _scalar(DEFAULT_LEARNING_RATES[kind])
         self.m = np.zeros(shape) if kind in ("adam", "adamax") else None
         self.v = np.zeros(shape) if kind != "sgd" else None
         self._a = np.empty(shape) if kind != "sgd" else None
@@ -376,25 +404,25 @@ class Optimizer:
             return
         self.t += 1
         if kind in ("adam", "adamax"):
-            m *= BETA_1
-            m += np.multiply(grad, 1.0 - BETA_1, out=a)
+            m *= _BETA_1
+            m += np.multiply(grad, _BETA_1_C, out=a)
         if kind == "adam":
-            v *= BETA_2
-            v += np.multiply(np.multiply(grad, 1.0 - BETA_2, out=a), grad, out=a)
+            v *= _BETA_2
+            v += np.multiply(np.multiply(grad, _BETA_2_C, out=a), grad, out=a)
             np.multiply(np.divide(m, _M_CORRECTION(self.t), out=a), lr, out=a)
             np.sqrt(np.divide(v, _V_CORRECTION(self.t), out=grad), out=grad)
-            grad += OPT_EPS
+            grad += _OPT_EPS
         elif kind == "adamax":
-            v *= BETA_2
+            v *= _BETA_2
             np.maximum(v, np.abs(grad, out=a), out=v)
             np.multiply(m, np.divide(lr, _M_CORRECTION(self.t)), out=a)
-            np.add(v, OPT_EPS, out=grad)
+            np.add(v, _OPT_EPS, out=grad)
         else:  # rmsprop
-            v *= RMS_RHO
-            v += np.multiply(np.multiply(grad, 1.0 - RMS_RHO, out=a), grad, out=a)
+            v *= _RMS_RHO
+            v += np.multiply(np.multiply(grad, _RMS_RHO_C, out=a), grad, out=a)
             np.multiply(grad, lr, out=a)
             np.sqrt(v, out=grad)
-            grad += OPT_EPS
+            grad += _OPT_EPS
         params -= np.divide(a, grad, out=a)
 
 

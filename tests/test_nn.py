@@ -495,18 +495,21 @@ class TestGradients:
             scratch_layers = param_views(scratch, dims)
             x = rng.uniform(0, 1, size=(6, width))
             y = rng.integers(0, 2, size=6).astype(float)
-            loss_and_gradients(layers, cfg.activations, x, y, grad_layers, transposes(layers))
-            h = 1e-5
-            for i in range(params.size):
-                original = params[i]
-                params[i] = original + h
-                up = batch_loss(layers, cfg.activations, x, y, scratch_layers)
-                params[i] = original - h
-                down = batch_loss(layers, cfg.activations, x, y, scratch_layers)
-                params[i] = original
-                fd = (up - down) / (2 * h)
-                scale = max(abs(fd), abs(grad[i]), 1e-8)
-                assert abs(fd - grad[i]) / scale < 1e-4
+            # six rows, then the first alone: a one-row batch has its own path
+            for rows in (6, 1):
+                xs, ys = x[:rows], y[:rows]
+                loss_and_gradients(layers, cfg.activations, xs, ys, grad_layers, transposes(layers))
+                h = 1e-5
+                for i in range(params.size):
+                    original = params[i]
+                    params[i] = original + h
+                    up = batch_loss(layers, cfg.activations, xs, ys, scratch_layers)
+                    params[i] = original - h
+                    down = batch_loss(layers, cfg.activations, xs, ys, scratch_layers)
+                    params[i] = original
+                    fd = (up - down) / (2 * h)
+                    scale = max(abs(fd), abs(grad[i]), 1e-8)
+                    assert abs(fd - grad[i]) / scale < 1e-4, (trial, rows, i)
 
 
 def _reference_train(config, x, y, rng):
