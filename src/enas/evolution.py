@@ -162,10 +162,10 @@ class TasksLost(BrokenProcessPool):
 class EvaluatorPool:
     """Maps tasks to ``fn(*task)`` in task order, serially or in worker processes.
 
-    ``fn`` must be a module-level function, so that workers can import it,
-    and each of its results carries a ``wall_time``, so that the time the
-    workers were busy can be summed. ``jobs`` 1, or a single task, runs in
-    the calling process; otherwise one worker per task, up to ``jobs``.
+    ``fn`` must be a module-level function, so that workers can import it. No code in
+    ``enas`` sums the ``wall_time`` of its results; only the benchmark's pool probe
+    (``_evaluate_facts`` in ``perfbench/tracer.py``) does. ``jobs`` 1, or a single task,
+    runs in the calling process; otherwise one worker per task, up to ``jobs``.
     Results come back in task order whatever the pool size, so with
     deterministic tasks the outcome is bit-identical for any ``jobs``.
     Tasks start in order, at most ``jobs`` at a time, and none starts once
@@ -201,9 +201,13 @@ class EvaluatorPool:
                 raise TasksLost(str(exc), lost) from exc
 
 
+def _fittest_first(ind: Individual) -> tuple[float, int]:
+    """The ranking key: highest mean F-measure first, ties broken towards the lower id."""
+    return -ind.fitness.mean_f_measure, ind.id
+
+
 def best_individual(population: list[Individual]) -> Individual:
-    """Highest mean F-measure; ties broken towards the lower id."""
-    return min(population, key=lambda ind: (-ind.fitness.mean_f_measure, ind.id))
+    return min(population, key=_fittest_first)
 
 
 def _born(
@@ -295,9 +299,7 @@ def next_generation(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     rng = make_rng(state.run_seed, "breed", new_generation)
     target = live.population_size
 
-    ranked = sorted(
-        state.population, key=lambda ind: (-ind.fitness.mean_f_measure, ind.id)
-    )
+    ranked = sorted(state.population, key=_fittest_first)
     elites = ranked[:ELITISM_SIZE]
 
     clones = []

@@ -380,16 +380,15 @@ def _summary_text(rows: Sequence[SummaryRow], wall_time: float) -> str:
     return "\n".join(out)
 
 
-def _aggregate_row(
-    dataset: str, mode: str, histories: Sequence[Sequence[GenerationRecord]]
-) -> SummaryRow:
-    """The summary row of one cell's run histories, as read back from its files
-    both by the harness and by the auditor. A run's best is its highest ``best_f1``."""
+def _summary_row(out: Path, cells: Sequence[Cell]) -> SummaryRow:
+    """One (dataset, mode)'s summary row, from its ``cells``' history files in ``out``,
+    for ``enas run`` and ``enas audit`` alike. A run's best is its highest ``best_f1``."""
+    histories = [read_history_csv(out / cell.history_file) for cell in cells]
     bests = [max(record.best_f1 for record in history) for history in histories]
     fittest = max(bests)
     return SummaryRow(
-        dataset=dataset,
-        mode=mode,
+        dataset=cells[0].dataset,
+        mode=cells[0].mode.value,
         runs=len(bests),
         fittest=fittest,
         average=sum(bests) / len(bests),
@@ -429,50 +428,30 @@ class EfficiencyRow:
     adaptive_fewer_models_fraction: float
 
 
-def _efficiency_row(
-    dataset: str, static: Sequence[RunComplete], adaptive: Sequence[RunComplete]
-) -> EfficiencyRow:
-    models_s = [r.models_trained for r in static]
-    models_a = [r.models_trained for r in adaptive]
-    wall_s = [r.wall_time for r in static]
-    wall_a = [r.wall_time for r in adaptive]
+def summarize_efficiency(records: Iterable[RunComplete]) -> list[EfficiencyRow]:
+    """One row per dataset, in the order the datasets first appear, then the
+    ``overall`` row of every dataset's runs joined in that order. A dataset's
+    i-th static run in ``records`` is paired with its i-th adaptive run."""
+    runs: dict[str, tuple[list[RunComplete], list[RunComplete]]] = {}  # (static, adaptive)
+    for record in records:
+        static, adaptive = runs.setdefault(record.dataset, ([], []))
+        (adaptive if record.mode == Mode.ENAS.value else static).append(record)
+    joined = tuple([r for pair in runs.values() for r in pair[side]] for side in (0, 1))
     mean = lambda xs: sum(xs) / len(xs)
     pct = lambda new, old: 100.0 * (new - old) / old if old else 0.0
-    fewer = sum(1 for a, s in zip(models_a, models_s) if a < s)
-    return EfficiencyRow(
-        dataset=dataset,
-        pairs=len(static),
-        mean_models_static=mean(models_s),
-        mean_models_adaptive=mean(models_a),
-        models_delta_pct=pct(mean(models_a), mean(models_s)),
-        mean_wall_static=mean(wall_s),
-        mean_wall_adaptive=mean(wall_a),
-        wall_delta_pct=pct(mean(wall_a), mean(wall_s)),
-        adaptive_fewer_models_fraction=fewer / len(static),
-    )
-
-
-def summarize_efficiency(
-    static_runs: Mapping[str, Sequence[RunComplete]],
-    adaptive_runs: Mapping[str, Sequence[RunComplete]],
-) -> list[EfficiencyRow]:
-    """Per-dataset resource deltas for paired-seed run lists, then the overall row."""
-    rows = [
-        _efficiency_row(name, static_runs[name], adaptive_runs[name])
-        for name in static_runs
-    ]
-    all_static = [r for runs in static_runs.values() for r in runs]
-    all_adaptive = [r for runs in adaptive_runs.values() for r in runs]
-    rows.append(_efficiency_row("overall", all_static, all_adaptive))
+    rows = []
+    for dataset, (static, adaptive) in [*runs.items(), ("overall", joined)]:
+        models_s, models_a = ([r.models_trained for r in rs] for rs in (static, adaptive))
+        wall_s, wall_a = ([r.wall_time for r in rs] for rs in (static, adaptive))
+        fewer = sum(a < s for a, s in zip(models_a, models_s))
+        rows.append(EfficiencyRow(
+            dataset=dataset, pairs=len(static), adaptive_fewer_models_fraction=fewer / len(static),
+            mean_models_static=mean(models_s), mean_models_adaptive=mean(models_a),
+            models_delta_pct=pct(mean(models_a), mean(models_s)),
+            mean_wall_static=mean(wall_s), mean_wall_adaptive=mean(wall_a),
+            wall_delta_pct=pct(mean(wall_a), mean(wall_s)),
+        ))
     return rows
-
-
-def _efficiency(records: Iterable[RunComplete]) -> list[EfficiencyRow]:
-    """``summarize_efficiency`` of both modes' records, each dataset's runs in record order."""
-    runs: dict[str, dict[str, list[RunComplete]]] = {}
-    for record in records:
-        runs.setdefault(record.mode, {}).setdefault(record.dataset, []).append(record)
-    return summarize_efficiency(runs[Mode.NAS_PLUS.value], runs[Mode.ENAS.value])
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +587,9 @@ def run_experiment(config: ExperimentConfig) -> None:
     writes its own files, and progress lines arrive in completion order;
     ``events.jsonl``, ``summary.csv`` and ``efficiency.csv`` are written
     after the last cell, in config order, so the outputs are the same for
-    any pool size. The summary is built from the history files, as
-    ``audit_output_dir`` rebuilds it, and the efficiency table from the
-    cells' ``run_complete`` records.
+    any pool size. ``_summary_row`` builds the summary from the history
+    files and ``summarize_efficiency`` the efficiency table from the cells'
+    ``run_complete`` records, as ``audit_output_dir`` rebuilds them.
     """
     loaded = {spec.name: load_dataset(spec) for spec in config.datasets}
     for name, dataset in loaded.items():
@@ -642,24 +621,23 @@ def run_experiment(config: ExperimentConfig) -> None:
     start = {"type": "experiment_start", "runs": config.runs, "folds": config.folds,
              "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
              "datasets": [spec.name for spec in config.datasets]}
-    with (out / "events.jsonl").open("w", encoding="utf-8") as events:
+    with _replacing(out / "events.jsonl") as events:
         events.write(json.dumps(start) + "\n")
         for cell, *_ in tasks:
             with (out / cell.events_file).open(encoding="utf-8") as lines:
                 shutil.copyfileobj(lines, events)
-            (out / cell.events_file).unlink()
+    for cell, *_ in tasks:  # only once events.jsonl holds them all
+        (out / cell.events_file).unlink()
 
-    summary = []
-    for spec in config.datasets:
-        for mode in config.modes:
-            row = [Cell(spec.name, mode, run_index) for run_index in range(config.runs)]
-            histories = [read_history_csv(out / cell.history_file) for cell in row]
-            summary.append(_aggregate_row(spec.name, mode.value, histories))
+    summary = [
+        _summary_row(out, [Cell(spec.name, mode, run) for run in range(config.runs)])
+        for spec in config.datasets for mode in config.modes
+    ]
     write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
     print(_summary_text(summary, time.perf_counter() - started), flush=True)
 
     if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:
-        efficiency = map(astuple, _efficiency(records))
+        efficiency = map(astuple, summarize_efficiency(records))
         write_csv(out / "efficiency.csv", _columns(EfficiencyRow), efficiency)
 
 
@@ -688,14 +666,12 @@ def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
     return records
 
 
-def audit_cell(
-    out: Path, cell: Cell, history: Sequence[GenerationRecord], completes: dict
-) -> RunComplete:
-    """Check a finished cell against its ``history``. Its best-genome file's
+def audit_cell(out: Path, cell: Cell, completes: dict) -> RunComplete:
+    """Check a finished cell against its history file. Its best-genome file's
     genome must be valid, and its score the mean of its fold scores and the
     history's last ``best_f1``; its run_complete event, taken out of
     ``completes`` and returned, must end where the history ends."""
-    path, last = out / cell.best_genome_file, history[-1]
+    path, last = out / cell.best_genome_file, read_history_csv(out / cell.history_file)[-1]
     shown, hints = repr(str(path)), get_type_hints(BestGenomeDoc)
     doc = _section(shown, _read_json(path), hints, required=hints)
     try:
@@ -730,7 +706,7 @@ def _audit_efficiency(out: Path, rows: Sequence[list[Cell]], records: list[RunCo
         raise AuditError("summary.csv does not hold the same runs of each dataset in both modes")
     path = out / "efficiency.csv"
     found = [",".join(cells) for _, cells in _read_csv(path, _columns(EfficiencyRow))]
-    expected = [_csv_line(astuple(row)) for row in _efficiency(records)]
+    expected = [_csv_line(astuple(row)) for row in summarize_efficiency(records)]
     for number, (line, recomputed) in enumerate(zip_longest(found, expected), start=2):
         if line != recomputed:
             raise AuditError(f"{str(path)!r}:{number}: has {line}, recomputed {recomputed}")
@@ -758,16 +734,13 @@ def audit_output_dir(out_dir: str | Path) -> bool:
             raise AuditError(f"{where}: the row for ({dataset}, {mode}) repeats an earlier row")
         accounted |= files
         rows.append(row)
-        histories = [read_history_csv(out / cell.history_file) for cell in row]
-        line = ",".join(values)
-        expected = _csv_line(astuple(_aggregate_row(dataset, mode, histories)))
+        line, expected = ",".join(values), _csv_line(astuple(_summary_row(out, row)))
         if expected != line:
             raise AuditError(
                 f"summary row for ({dataset}, {mode}) does not match its histories: "
                 f"summary.csv has {line}, recomputed {expected}"
             )
-        for cell, history in zip(row, histories):
-            records.append(audit_cell(out, cell, history, completes))
+        records.extend(audit_cell(out, cell, completes) for cell in row)
     fold_files = {cell.folds_file for row in rows for cell in row}
     reference = None  # (file, k): every run's fold file splits into the same k folds
     for fold_file in sorted(fold_files):  # integer cells, and instance indices 0..n-1 in order

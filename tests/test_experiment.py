@@ -25,6 +25,7 @@ from enas.experiment import (
     AuditError,
     Cell,
     DatasetSpec,
+    EfficiencyRow,
     ExperimentConfig,
     ExperimentError,
     RunComplete,
@@ -264,6 +265,25 @@ class TestRunExperiment:
         ]
         assert (tmp_path / "events_toy_enas_0.jsonl.tmp").read_text().count("\n") > 1
 
+    def test_events_file_is_replaced_whole_and_parts_kept_until_then(self, tmp_path, monkeypatch):
+        # events.jsonl is written as events.jsonl.tmp and renamed, and no part is
+        # deleted before the rename, so a merge that fails loses no event.
+        real_copy, copies = shutil.copyfileobj, []
+
+        def fail_at_second_part(source, target):
+            copies.append(source.name)
+            if len(copies) == 2:
+                raise OSError("no space left on device")
+            real_copy(source, target)
+
+        monkeypatch.setattr(experiment.shutil, "copyfileobj", fail_at_second_part)
+        config = config_from_file(_write_config(tmp_path, datasets=1, runs=1))
+        with pytest.raises(OSError, match="no space left"):
+            run_experiment(config)
+        names = {path.name for path in config.out_dir.iterdir()}
+        assert {"events_toy0_nas_plus_0.jsonl", "events_toy0_enas_0.jsonl"} <= names
+        assert "events.jsonl.tmp" in names and "events.jsonl" not in names
+
     def test_summary_is_built_from_the_history_files(self, tmp_path, monkeypatch):
         # With every history written without its last row, summary.csv still
         # agrees with the history files, and so no longer with the searches.
@@ -409,11 +429,11 @@ class TestCsvFiles:
             f"toy0,nas_plus,2,{max(bests)!r},{sum(bests) / 2!r},"
             f"{max(bests) - min(bests)!r},{models}\n"
         )
-        runs = {}
-        for doc in _run_complete_docs(out):
-            record = RunComplete(**{key: value for key, value in doc.items() if key != "type"})
-            runs.setdefault(doc["mode"], {}).setdefault(doc["dataset"], []).append(record)
-        e = summarize_efficiency(runs["nas_plus"], runs["enas"])[-1]
+        records = [
+            RunComplete(**{key: value for key, value in doc.items() if key != "type"})
+            for doc in _run_complete_docs(out)
+        ]
+        e = summarize_efficiency(records)[-1]
         text = (out / "efficiency.csv").read_text()
         assert text.startswith(
             "dataset,pairs,mean_models_static,mean_models_adaptive,models_delta_pct,"
@@ -437,14 +457,15 @@ class TestEfficiency:
 
     def test_identical_run_lists_give_zero_delta(self):
         runs = self._runs(Mode.NAS_PLUS, range(3))
-        overall = summarize_efficiency({"toy": runs}, {"toy": runs})[-1]
+        same = [replace(record, mode=Mode.ENAS.value) for record in runs]
+        overall = summarize_efficiency(runs + same)[-1]
         assert overall.models_delta_pct == 0.0
         assert overall.adaptive_fewer_models_fraction == 0.0
 
     def test_delta_matches_hand_computation(self):
         static = self._runs(Mode.NAS_PLUS, range(4))
         adaptive = self._runs(Mode.ENAS, range(4))
-        overall = summarize_efficiency({"toy": static}, {"toy": adaptive})[-1]
+        overall = summarize_efficiency(static + adaptive)[-1]
         mean_s = sum(r.models_trained for r in static) / 4
         mean_a = sum(r.models_trained for r in adaptive) / 4
         assert overall.mean_models_static == mean_s
@@ -454,6 +475,31 @@ class TestEfficiency:
         )
         fewer = sum(1 for a, s in zip(adaptive, static) if a.models_trained < s.models_trained)
         assert overall.adaptive_fewer_models_fraction == fewer / 4
+
+    def test_rows_per_dataset_then_overall(self):
+        # (models trained, wall time) per dataset, run and mode; every mean and
+        # delta below is exact in binary floating point
+        runs = {
+            "toy": [{"nas_plus": (10, 2.0), "enas": (15, 1.0)},
+                    {"nas_plus": (30, 6.0), "enas": (5, 2.0)}],
+            "overall": [{"nas_plus": (25, 3.0), "enas": (20, 4.0)},
+                        {"nas_plus": (15, 5.0), "enas": (30, 6.0)}],
+        }
+        records = [  # in task order: dataset, then run, then mode
+            RunComplete(dataset, mode, run_index, 0.5, 1, models, False, wall)
+            for dataset, pairs in runs.items()
+            for run_index, pair in enumerate(pairs)
+            for mode, (models, wall) in pair.items()
+        ]
+        # Paired by run index, toy's adaptive runs trained fewer in run 1 only
+        # and the dataset named overall's in run 0 only; paired the other way
+        # round, the fractions would be 1.0 and 0.0.
+        assert summarize_efficiency(records) == [
+            EfficiencyRow("toy", 2, 20.0, 10.0, -50.0, 4.0, 1.5, -62.5, 0.5),
+            EfficiencyRow("overall", 2, 20.0, 25.0, 25.0, 4.0, 5.0, 25.0, 0.5),
+            # all four pairs: static models 80 / 4, adaptive 70 / 4; walls 16 / 4 and 13 / 4
+            EfficiencyRow("overall", 4, 20.0, 17.5, -12.5, 4.0, 3.25, -18.75, 0.5),
+        ]
 
 
 class TestConfigFile:
