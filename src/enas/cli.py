@@ -46,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit_p = sub.add_parser(
         "audit",
-        help="check summary.csv, the best-genome files and the run_complete events against "
-        "the history files, and efficiency.csv against events.jsonl",
+        help="rebuild the experiment from events.jsonl: check each cell's best genome and "
+        "run_complete event against its history, and summary.csv, efficiency.csv and the fold "
+        "files against what enas run writes",
     )
     audit_p.add_argument("--out", required=True, help="experiment output directory")
 
@@ -80,10 +81,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    efficiency = ", and efficiency.csv the events," if audit_output_dir(args.out) else ""
+    tables = "summary.csv, efficiency.csv" if audit_output_dir(args.out) else "summary.csv"
     print(
-        "audit passed: summary.csv, best genomes and run_complete events match the "
-        f"histories{efficiency} under {args.out}"
+        "audit passed: best genomes and run_complete events match the histories, and "
+        f"{tables} and the fold files match their rebuild, under {args.out}"
     )
     return 0
 

@@ -36,7 +36,7 @@ class ExperimentError(ValueError):
 
 
 class AuditError(AssertionError):
-    """Emitted summary values disagree with the per-run history files."""
+    """An output file disagrees with the files and records it is built from."""
 
 
 # The dataset name goes into CSV cells and file names unquoted.
@@ -119,7 +119,6 @@ _KIND_NAMES = {
     dict: "an object",
     Mapping: "an object",
     NoneType: "null",
-    Mode: "one of " + ", ".join(mode.value for mode in Mode),
 }
 # Annotation class -> the classes of the JSON values it is read from, where not itself.
 _JSON_CLASSES = {float: (int, float), Path: (str,), tuple: (list,), Mapping: (dict,)}
@@ -277,22 +276,29 @@ def _csv_line(cells: Iterable) -> str:
     return ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in cells)
 
 
+def _csv_lines(columns: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
+    """A header line of ``columns``, then one line per row of cells."""
+    return [_csv_line(columns), *map(_csv_line, rows)]
+
+
 def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write a header line of ``columns``, then one line per row of cells."""
+    """Write the ``_csv_lines`` of ``columns`` and ``rows``."""
     path = Path(path)
-    lines = [_csv_line(columns), *map(_csv_line, rows)]
     with _replacing(path) as file:
-        file.write("\n".join(lines) + "\n")
+        file.write("\n".join(_csv_lines(columns, rows)) + "\n")
     return path
+
+
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
+        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
 def _read_csv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list[str]]]:
     """The rows ``write_csv`` wrote under ``columns``, each as ("'file':line", cells)."""
-    shown = repr(str(path))
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
-        raise ExperimentError(f"cannot read {shown}: {exc}") from exc
+    shown, lines = repr(str(path)), _read_lines(Path(path))
     if not lines or lines[0] != _csv_line(columns):
         raise ExperimentError(f"{shown}:1: expected the header {_csv_line(columns)}")
     if len(lines) < 2:
@@ -322,7 +328,6 @@ def _columns(cls) -> tuple[str, ...]:
 
 
 HISTORY_COLUMNS = _columns(GenerationRecord)
-# A run's fold file: each input row, in row order, and the fold it was tested in.
 FOLD_COLUMNS = ("instance_index", "fold_id")
 _HISTORY_KINDS = get_type_hints(GenerationRecord)
 
@@ -358,12 +363,9 @@ class SummaryRow:
     models_trained: int
 
 
-SUMMARY_COLUMNS = _columns(SummaryRow)
-
-
 def _summary_text(rows: Sequence[SummaryRow], wall_time: float) -> str:
     """The summary rows as an aligned table, then a totals line."""
-    header = [*SUMMARY_COLUMNS[:-1], "models"]
+    header = [*_columns(SummaryRow)[:-1], "models"]
     body = [
         [f"{cell:.4f}" if isinstance(cell, float) else str(cell) for cell in astuple(row)]
         for row in rows
@@ -514,6 +516,23 @@ def fold_split(dataset: Dataset, k: int, data_seed: int) -> tuple[np.ndarray, ..
     return tuple(order[fold] for fold in kfold_split(dataset, k, derive_seed(data_seed, "folds")))
 
 
+def _fold_rows(folds: Sequence[np.ndarray]) -> list[tuple[int, int]]:
+    """A run's fold file: each input row, in row order, and the fold it is tested in."""
+    return sorted((int(i), k) for k, fold in enumerate(folds) for i in fold)
+
+
+def _tables(out: Path, config: ExperimentConfig, records: Iterable[RunComplete]) -> dict[str, list]:
+    """By file name, the rows that ``enas run`` writes and ``enas audit`` rebuilds: summary.csv's
+    from the history files in ``out``, and with both modes, efficiency.csv's from ``records``."""
+    summary = [
+        _summary_row(out, [Cell(spec.name, mode, run) for run in range(config.runs)])
+        for spec in config.datasets for mode in config.modes
+    ]
+    if set(Mode) <= set(config.modes):
+        return {"summary.csv": summary, "efficiency.csv": summarize_efficiency(records)}
+    return {"summary.csv": summary}
+
+
 def load_dataset(spec: DatasetSpec) -> Dataset:
     """The dataset of ``spec``, min-max scaled; a search needs rows of both classes."""
     dataset = load_csv(spec.path, label_mapping=spec.label_mapping)
@@ -587,9 +606,8 @@ def run_experiment(config: ExperimentConfig) -> None:
     writes its own files, and progress lines arrive in completion order;
     ``events.jsonl``, ``summary.csv`` and ``efficiency.csv`` are written
     after the last cell, in config order, so the outputs are the same for
-    any pool size. ``_summary_row`` builds the summary from the history
-    files and ``summarize_efficiency`` the efficiency table from the cells'
-    ``run_complete`` records, as ``audit_output_dir`` rebuilds them.
+    any pool size. ``_fold_rows`` and ``_tables`` build the fold files and
+    the two tables, as ``audit_output_dir`` rebuilds them.
     """
     loaded = {spec.name: load_dataset(spec) for spec in config.datasets}
     for name, dataset in loaded.items():
@@ -608,8 +626,7 @@ def run_experiment(config: ExperimentConfig) -> None:
         if cell.folds_file not in fitness:
             dataset = loaded[cell.dataset]
             folds = fold_split(dataset, config.folds, cell.data_seed(config.base_seed))
-            assignment = sorted((int(i), k) for k, fold in enumerate(folds) for i in fold)
-            write_csv(out / cell.folds_file, FOLD_COLUMNS, assignment)
+            write_csv(out / cell.folds_file, FOLD_COLUMNS, _fold_rows(folds))
             fitness[cell.folds_file] = CrossValFitness(dataset, folds)
         tasks.append((cell, config.evolution, fitness[cell.folds_file], config.base_seed, out))
     try:
@@ -629,22 +646,32 @@ def run_experiment(config: ExperimentConfig) -> None:
     for cell, *_ in tasks:  # only once events.jsonl holds them all
         (out / cell.events_file).unlink()
 
-    summary = [
-        _summary_row(out, [Cell(spec.name, mode, run) for run in range(config.runs)])
-        for spec in config.datasets for mode in config.modes
-    ]
-    write_csv(out / "summary.csv", SUMMARY_COLUMNS, map(astuple, summary))
-    print(_summary_text(summary, time.perf_counter() - started), flush=True)
-
-    if Mode.NAS_PLUS in config.modes and Mode.ENAS in config.modes:
-        efficiency = map(astuple, summarize_efficiency(records))
-        write_csv(out / "efficiency.csv", _columns(EfficiencyRow), efficiency)
+    tables = _tables(out, config, records)
+    for name, rows in tables.items():
+        write_csv(out / name, _columns(type(rows[0])), map(astuple, rows))
+    print(_summary_text(tables["summary.csv"], time.perf_counter() - started), flush=True)
 
 
-def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
-    """The run_complete events of ``path``, an events.jsonl, by (dataset, mode, run)."""
+_START_HINTS = {"runs": int, "folds": int, "base_seed": int,
+                "modes": tuple[str, ...], "datasets": tuple[str, ...]}
+
+
+def _experiment_start(where: str, doc) -> ExperimentConfig:
+    """The experiment of an experiment_start record's entries but ``type``. Dataset paths
+    are not recorded, so each ``DatasetSpec`` gets an empty one, which no audit opens."""
+    start = _section(where, doc, _START_HINTS, required=_START_HINTS)
+    try:
+        specs = [DatasetSpec(name, Path()) for name in start.pop("datasets")]
+        modes = [Mode(name) for name in start.pop("modes")]
+        return ExperimentConfig(specs, modes, **start)
+    except ValueError as exc:  # an ExperimentError is one too
+        raise ExperimentError(f"{where}: {exc}") from None
+
+
+def _read_events(path: Path) -> tuple[ExperimentConfig, dict[tuple[str, str, int], RunComplete]]:
+    """An events.jsonl's experiment, from its experiment_start line, and run_completes by cell."""
     shown, hints = repr(str(path)), get_type_hints(RunComplete)
-    records: dict[tuple[str, str, int], RunComplete] = {}
+    config, records = None, {}
     try:
         with path.open(encoding="utf-8") as lines:
             for number, line in enumerate(lines, start=1):
@@ -653,9 +680,13 @@ def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
                     doc = json.loads(line)
                 except (ValueError, RecursionError) as exc:
                     raise ExperimentError(f"{where}: not a JSON line: {exc}") from None
-                if _typed(where, doc, dict).get("type") != "run_complete":
-                    continue
+                kind = _typed(where, doc, dict).get("type")
                 entries = {key: value for key, value in doc.items() if key != "type"}
+                if number == 1:
+                    _require(kind == "experiment_start", f"{where}: not an experiment_start record")
+                    config = _experiment_start(where, entries)
+                if kind != "run_complete":
+                    continue
                 record = RunComplete(**_section(where, entries, hints, required=hints))
                 key = (record.dataset, record.mode, record.run)
                 if key in records:
@@ -663,7 +694,8 @@ def _read_run_completes(path: Path) -> dict[tuple[str, str, int], RunComplete]:
                 records[key] = record
     except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentError(f"cannot read {shown}: {exc}") from exc
-    return records
+    _require(config is not None, f"{shown} is empty")
+    return config, records
 
 
 def audit_cell(out: Path, cell: Cell, completes: dict) -> RunComplete:
@@ -698,81 +730,45 @@ def audit_cell(out: Path, cell: Cell, completes: dict) -> RunComplete:
     return record
 
 
-def _audit_efficiency(out: Path, rows: Sequence[list[Cell]], records: list[RunComplete]) -> None:
-    """efficiency.csv must be what ``summarize_efficiency`` makes of the
-    run_complete ``records`` of the summary ``rows``, in summary order."""
-    static, adaptive = ({(r[0].dataset, len(r)) for r in rows if r[0].mode is m} for m in Mode)
-    if static != adaptive:
-        raise AuditError("summary.csv does not hold the same runs of each dataset in both modes")
-    path = out / "efficiency.csv"
-    found = [",".join(cells) for _, cells in _read_csv(path, _columns(EfficiencyRow))]
-    expected = [_csv_line(astuple(row)) for row in summarize_efficiency(records)]
-    for number, (line, recomputed) in enumerate(zip_longest(found, expected), start=2):
-        if line != recomputed:
-            raise AuditError(f"{str(path)!r}:{number}: has {line}, recomputed {recomputed}")
-
-
 def audit_output_dir(out_dir: str | Path) -> bool:
-    """Recompute summary.csv from the history files, check each of its cells
-    (``audit_cell``) and fold files, and require every cell file and
-    run_complete event to belong to a summary row; when the summary holds both
-    modes, recompute efficiency.csv too. Raise on any mismatch, and return
-    whether efficiency.csv was checked."""
+    """Rebuild the experiment from the experiment_start line of events.jsonl,
+    check each of its cells (``audit_cell``), and compare summary.csv,
+    efficiency.csv and each fold file line for line with what ``enas run``
+    writes from the same inputs; every cell file and run_complete event must
+    belong to a cell. Raise on any mismatch; return whether efficiency.csv was compared."""
     out = Path(out_dir)
-    summary = _read_csv(out / "summary.csv", SUMMARY_COLUMNS)
-    completes = _read_run_completes(out / "events.jsonl")
-    accounted: set[str] = set()
-    rows: list[list[Cell]] = []
-    records: list[RunComplete] = []
-    for where, values in summary:
-        dataset, mode = values[:2]
-        runs, cell_mode = _parse(where, "runs", int, values[2]), _parse(where, "mode", Mode, mode)
-        _require(1 <= runs <= MAX_RUNS, f"{where}: runs must lie in [1, {MAX_RUNS}], got {runs}")
-        row = [Cell(dataset, cell_mode, run_index) for run_index in range(runs)]
-        files = {name for cell in row for name in (cell.history_file, cell.best_genome_file)}
-        if files & accounted:
-            raise AuditError(f"{where}: the row for ({dataset}, {mode}) repeats an earlier row")
-        accounted |= files
-        rows.append(row)
-        line, expected = ",".join(values), _csv_line(astuple(_summary_row(out, row)))
-        if expected != line:
-            raise AuditError(
-                f"summary row for ({dataset}, {mode}) does not match its histories: "
-                f"summary.csv has {line}, recomputed {expected}"
-            )
-        records.extend(audit_cell(out, cell, completes) for cell in row)
-    fold_files = {cell.folds_file for row in rows for cell in row}
-    reference = None  # (file, k): every run's fold file splits into the same k folds
-    for fold_file in sorted(fold_files):  # integer cells, and instance indices 0..n-1 in order
-        sizes: dict[int, int] = {}  # fold id -> rows
-        for index, (where, values) in enumerate(_read_csv(out / fold_file, FOLD_COLUMNS)):
-            instance, fold = (_parse(where, name, int, v) for name, v in zip(FOLD_COLUMNS, values))
-            _require(instance == index, f"{where}: instance_index must be {index}, got {instance}")
-            if fold < 0:
-                raise AuditError(f"{where}: fold_id must be at least 0, got {fold}")
-            sizes[fold] = sizes.get(fold, 0) + 1
-        # fold ids 0..k-1 with sizes that differ by at most one, as np.array_split gives
-        shown, ids = repr(str(out / fold_file)), sorted(sizes)
-        gap = next((j for j, fold in enumerate(ids) if fold != j), None)
-        if gap is not None:
-            raise AuditError(f"{shown}: fold {gap} has no rows, but fold {ids[-1]} has")
-        if len(ids) < 2:
-            raise AuditError(f"{shown}: every row is in fold 0, but a split has at least 2 folds")
-        reference = reference or (shown, len(ids))
-        if len(ids) != reference[1]:
-            raise AuditError(f"{shown}: {len(ids)} folds, but {reference[0]} has {reference[1]}")
-        low, high = min(sizes.values()), max(sizes.values())
-        if high - low > 1:
-            raise AuditError(f"{shown}: fold sizes range from {low} to {high}, more than one apart")
-    both_modes = set(Mode) <= {row[0].mode for row in rows}
-    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "events_*.jsonl", "*.tmp")
-    patterns += () if both_modes else ("efficiency.csv",)
-    stray = {path.name for pattern in patterns for path in out.glob(pattern)}
-    stray -= accounted | fold_files
-    if stray:
-        raise AuditError(f"no row of summary.csv accounts for {str(out / min(stray))!r}")
+    config, completes = _read_events(out / "events.jsonl")
+    experiment = list(cells(config))
+    records = [audit_cell(out, cell, completes) for cell in experiment]
     if completes:
-        raise AuditError(f"no row of summary.csv accounts for {min(completes)}'s run_complete")
-    if both_modes:
-        _audit_efficiency(out, rows, records)
-    return both_modes
+        raise AuditError(f"no experiment cell accounts for {min(completes)}'s run_complete")
+    rebuilt = {
+        name: _csv_lines(_columns(type(rows[0])), map(astuple, rows))
+        for name, rows in _tables(out, config, records).items()
+    }
+    folds = {cell.folds_file: cell for cell in experiment}  # both modes of a run share one
+    patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "efficiency.csv",
+                "events_*.jsonl", "*.tmp")
+    stray = {path.name for pattern in patterns for path in out.glob(pattern)}
+    stray -= {name for cell in experiment for name in (cell.history_file, cell.best_genome_file)}
+    stray -= {*rebuilt, *folds}
+    if stray:
+        raise AuditError(f"no experiment cell accounts for {str(out / min(stray))!r}")
+    found = {name: _read_lines(out / name) for name in [*rebuilt, *folds]}
+    for name, cell in folds.items():
+        count = len(found[name]) - 1  # rows under the header: all fold_split reads of a dataset
+        if count < config.folds:  # never written; a split with empty folds could match a cut file
+            raise AuditError(f"{str(out / name)!r}: fewer rows than the {config.folds} folds")
+        stand_in = Dataset(np.zeros((count, 1)), np.zeros(count))
+        split = fold_split(stand_in, config.folds, cell.data_seed(config.base_seed))
+        rebuilt[name] = _csv_lines(FOLD_COLUMNS, _fold_rows(split))
+    for name, lines in found.items():
+        for number, (line, expected) in enumerate(zip_longest(lines, rebuilt[name]), start=1):
+            if line != expected:
+                where = f"{str(out / name)!r}:{number}"
+                raise AuditError(
+                    f"{where}: line missing, recomputed {expected}" if line is None
+                    else f"{where}: surplus line {line}" if expected is None
+                    else f"{where}: has {line}, recomputed {expected}"
+                )
+    return "efficiency.csv" in rebuilt

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import signal
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
@@ -122,6 +124,21 @@ def _move_two_rows_to_fold_zero(lines):
     return [line.split(",")[0] + ",0" if i in moved else line for i, line in enumerate(lines)]
 
 
+def _swap_fold_ids_of_row_0_and_a_row_of_another_fold(lines):
+    # Every fold keeps its size, so the file is still a split, but not the one drawn.
+    rows = [line.split(",") for line in lines[1:]]
+    other = next(i for i, row in enumerate(rows) if row[1] != rows[0][1])
+    rows[0][1], rows[other][1] = rows[other][1], rows[0][1]
+    return [lines[0], *map(",".join, rows)]
+
+
+def _edit_experiment_start(edit):
+    def edited(lines):
+        return [json.dumps(edit(json.loads(lines[0]))), *lines[1:]]
+
+    return edited
+
+
 def read_summary_rows(out_dir):
     """The rows of ``out_dir``'s summary.csv."""
     kinds = [str, str, int, float, float, float, int]
@@ -215,7 +232,7 @@ class TestRunExperiment:
         cells[1] = "0.999999"  # forge the best fitness
         lines[-1] = ",".join(cells)
         target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(AuditError, match="does not match"):
+        with pytest.raises(AuditError, match="is not the last best_f1 of its history"):
             audit_output_dir(copy)
 
     def test_histories_reproducible_from_summary_values(self, experiment_dir):
@@ -355,6 +372,33 @@ class TestRunExperiment:
         assert finished[:3] == ["0", "1", "2"] and finished[3] != "0", finished
         assert len(outputs[1]) == 3 + 3 + 3 + 1 + 1  # histories, genomes, folds, summary, events
         assert outputs[1] == outputs[2]
+
+    def test_a_cells_traced_memory_does_not_grow_with_its_event_count(self, tmp_path, monkeypatch):
+        # Each event goes to the cell's part as it is emitted, so a cell holds
+        # none: 10,000 events of about 1 KB each would take about 10 MB.
+        config = EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5)))
+        state = run(Mode.ENAS, config, SyntheticFitness(), 5, discard)
+
+        def peak(events):
+            def emitting(mode, config, fitness, run_seed, emit):
+                for i in range(events):
+                    emit({"type": "evaluation", "i": i, "pad": "x" * 1000})
+                return state
+
+            monkeypatch.setattr(evolution, "run", emitting)
+            gc.collect()  # the cycles that earlier cells left would count towards this peak
+            tracemalloc.reset_peak()
+            _run_cell(Cell("toy", Mode.ENAS, events), config, SyntheticFitness(), 5, tmp_path)
+            return tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            peaks = [peak(events) for events in (100, 10_000)]
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16_000, peaks
+        with (tmp_path / "events_toy_enas_10000.jsonl").open() as part:
+            assert sum(1 for _ in part) == 10_000 + 1  # and the run_complete line
 
     def test_events_stream_into_the_part_while_the_search_runs(self, tmp_path):
         # The part is open as <part>.tmp, line-buffered, from the start of the
@@ -744,12 +788,12 @@ class TestCli:
         [
             pytest.param(
                 lambda out: _rewrite_lines(out / "summary.csv", lambda lines: lines[:2]),
-                "best_genome_toy0_enas_0.json",
+                "summary.csv':3: line missing, recomputed toy0,enas,2,",
                 id="rows-left-out",
             ),
             pytest.param(
                 lambda out: _rewrite_lines(out / "summary.csv", lambda lines: lines + lines[1:2]),
-                "(toy0, nas_plus) repeats",
+                "summary.csv':6: surplus line toy0,nas_plus,2,",
                 id="row-repeated",
             ),
             pytest.param(
@@ -794,6 +838,18 @@ class TestCli:
             pytest.param(
                 "efficiency.csv", _replace_last_cell(1, "3"), "efficiency.csv':4: has overall,3,",
                 id="edited-efficiency-cell",
+            ),
+            pytest.param(
+                "efficiency.csv",
+                lambda lines: lines[:-1],
+                "efficiency.csv':4: line missing, recomputed overall,4,",
+                id="cut-efficiency",
+            ),
+            pytest.param(
+                "efficiency.csv",
+                lambda lines: [*lines, lines[1]],
+                "efficiency.csv':5: surplus line toy0,2,",
+                id="extended-efficiency",
             ),
             pytest.param(
                 "events.jsonl",
@@ -884,58 +940,81 @@ class TestCli:
             pytest.param(
                 "folds_toy0_0.csv",
                 lambda lines: [lines[0], "0,-7", *lines[2:]],
-                "folds_toy0_0.csv':2: fold_id must be at least 0, got -7",
+                r"folds_toy0_0\.csv':2: has 0,-7, recomputed 0,\d$",
                 id="negative-fold-id",
             ),
             pytest.param(
                 "folds_toy0_0.csv",
                 _move_two_rows_to_fold_zero,
-                "folds_toy0_0.csv': fold sizes range from 8 to 12,",
+                r"folds_toy0_0\.csv':\d+: has (\d+),0, recomputed \1,[12]$",
                 id="one-fold-two-rows-larger",
             ),
             pytest.param(
                 "folds_toy1_0.csv",
                 _replace_last_cell(1, "5"),
-                "folds_toy1_0.csv': fold 3 has no rows, but fold 5 has",
+                r"folds_toy1_0\.csv':37: has 35,5, recomputed 35,[0-2]$",
                 id="fold-id-past-a-gap",
             ),
             pytest.param(
                 "folds_toy1_1.csv",
                 lambda lines: [re.sub(",2$", ",1", line) for line in lines],
-                "folds_toy1_1.csv': 2 folds, but ",
+                r"folds_toy1_1\.csv':\d+: has (\d+),1, recomputed \1,2$",
                 id="fewer-folds-than-the-other-runs",
+            ),
+            pytest.param(
+                "folds_toy0_0.csv",
+                _swap_fold_ids_of_row_0_and_a_row_of_another_fold,
+                r"folds_toy0_0\.csv':2: has 0,(\d), recomputed 0,(?!\1)\d$",
+                id="two-rows-swapped-across-folds",
+            ),
+            *(
+                pytest.param(
+                    "folds_toy0_0.csv",
+                    lambda lines, kept=kept: lines[:kept],
+                    r"folds_toy0_0\.csv': fewer rows than the 3 folds$",
+                    id=f"{kept}-lines-for-3-folds",
+                )
+                for kept in (0, 1, 3)
             ),
         ],
     )
     def test_audit_rejects_a_fold_file_that_is_no_split(
         self, experiment_dir, tmp_path, capsys, name, edit, message
     ):
+        # The audit redraws each run's split from its data seed and compares
+        # the file with it line for line, so it names the first wrong line.
         out = tmp_path / "out"
         shutil.copytree(experiment_dir.out_dir, out)
         _rewrite_lines(out / name, edit)
         assert main(["audit", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("audit failed: ") and err.count("\n") == 1, err
-        assert message in err
+        assert re.search(message, err), err
 
     @pytest.mark.parametrize(
-        "column, message",
-        [(0, "null byte"), (1, "summary.csv':5: mode must be one of nas_plus, enas, got 'a\\x00b'")],
+        "key, message",
+        [
+            ("datasets", "events.jsonl':1: dataset name must be non-empty"),
+            ("modes", "events.jsonl':1: 'a\\x00b' is not a valid Mode"),
+        ],
         ids=["dataset", "mode"],
     )
-    def test_nul_in_a_summary_name_cell_gives_one_error_line(
-        self, experiment_dir, tmp_path, capsys, column, message
+    def test_nul_in_an_experiment_start_name_gives_one_error_line(
+        self, experiment_dir, tmp_path, capsys, key, message
     ):
-        # a dataset cell goes into a file name, and no file system takes a NUL
-        # there; a mode cell must name a mode before any file name is built
+        # A dataset name goes into file names, and no file system takes a NUL
+        # there; a mode must name a mode. Both are refused before any file name
+        # is built, by the checks of a config.
         out = tmp_path / "out"
         shutil.copytree(experiment_dir.out_dir, out)
-        _rewrite_lines(out / "summary.csv", _replace_last_cell(column, "a\0b"))
-        assert message in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+        edit = _edit_experiment_start(lambda start: {**start, key: [*start[key][:-1], "a\0b"]})
+        _rewrite_lines(out / "events.jsonl", edit)
+        err = self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+        assert message in err and "a\\x00b" in err
 
     def test_audit_without_summary_gives_one_error_line(self, tmp_path, capsys):
         err = self._assert_one_line_error(capsys, ["audit", "--out", str(tmp_path)])
-        assert str(tmp_path / "summary.csv") in err
+        assert str(tmp_path / "events.jsonl") in err
 
     @pytest.mark.parametrize(
         "edit, flags, named",
@@ -1194,9 +1273,14 @@ class TestCli:
                 id="short-row",
             ),
             pytest.param("history_toy0_enas_1.csv", None, id="audit-missing-history"),
+            # An edited derived file is a mismatch: exit 1, naming the file and line.
             pytest.param("summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
             # Refused before any file name is built, so the audit never lists 10^12 runs.
-            pytest.param("summary.csv", _replace_last_cell(2, str(10**12)), id="runs-too-many"),
+            pytest.param(
+                "events.jsonl",
+                _edit_experiment_start(lambda start: {**start, "runs": 10**12}),
+                id="runs-too-many",
+            ),
             pytest.param("folds_toy1_0.csv", None, id="audit-missing-folds"),
             pytest.param(
                 "folds_toy1_0.csv", _replace_last_cell(0, "x"), id="fold-index-not-integer"
@@ -1247,7 +1331,13 @@ class TestCli:
             target.unlink()
         else:
             _rewrite_lines(target, edit)
-        assert name in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+        if edit is not None and name.startswith(("summary", "efficiency", "folds")):
+            assert main(["audit", "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("audit failed: ") and err.count("\n") == 1, err
+            assert re.search(rf"{re.escape(name)}':\d+: (has|line missing|surplus line)\b", err)
+        else:
+            assert name in self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
 
     @pytest.mark.parametrize(
         "path",
@@ -1403,6 +1493,8 @@ CELL_VALUES = st.sampled_from(
     ["", "-1", "0", "1.5", "nan", "inf", "1e309", "9" * 5000, "a/b", "a\0b", "enas", "toy0"]
 ) | st.text(max_size=8)
 NOT_UTF_8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+# The events.jsonl records that the audit reads.
+RECORD_TYPES = ("experiment_start", "run_complete")
 
 
 @pytest.fixture(scope="module")
@@ -1444,9 +1536,12 @@ def time_cap(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _edited(data, original: bytes, json_file: bool) -> bytes:
-    """``original`` truncated, with a replaced CSV cell or JSON value, with a
-    line dropped or repeated, or with bytes that are not UTF-8."""
+def _edited(data, original: bytes, name: str) -> bytes:
+    """``original``, the file ``name``, truncated, with a replaced CSV cell or
+    JSON value, with a line dropped or repeated, or with bytes that are not
+    UTF-8. In events.jsonl, a replaced value may also be one key of the
+    experiment_start record or of a run_complete record, so that the edit
+    reaches the typed readers."""
     kind = data.draw(st.sampled_from(["truncate", "replace", "drop", "repeat", "not-utf-8"]))
     if kind == "truncate":
         return original[: data.draw(st.integers(0, len(original) - 1), label="length")]
@@ -1458,11 +1553,17 @@ def _edited(data, original: bytes, json_file: bool) -> bytes:
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         kept = lines[:i] + lines[i + 1 :] if kind == "drop" else lines[: i + 1] + lines[i:]
         return b"".join(kept)
-    if json_file:
+    if name.endswith(".json"):
         doc = json.loads(original)
         target = data.draw(st.sampled_from([doc, doc["genome"]]))
         target[data.draw(st.sampled_from(sorted(target)), label="key")] = data.draw(JSON_VALUES)
         return json.dumps(doc).encode()
+    if name == "events.jsonl" and data.draw(st.booleans(), label="record"):
+        docs = [json.loads(line) for line in lines]
+        records = [i for i, doc in enumerate(docs) if doc["type"] in RECORD_TYPES]
+        doc = docs[data.draw(st.sampled_from(records), label="line")]
+        doc[data.draw(st.sampled_from(sorted(doc)), label="key")] = data.draw(JSON_VALUES)
+        return "".join(json.dumps(doc) + "\n" for doc in docs).encode()
     rows = [line.split(",") for line in original.decode().splitlines()]
     row = data.draw(st.sampled_from(rows), label="row")
     row[data.draw(st.integers(0, len(row) - 1), label="cell")] = data.draw(CELL_VALUES)
@@ -1473,7 +1574,7 @@ def _edited(data, original: bytes, json_file: bool) -> bytes:
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_audit_input_passes_or_gives_one_error_line(audit_source, data):
     name = data.draw(st.sampled_from(AUDITED_FILES), label="file")
-    edited = _edited(data, (audit_source / name).read_bytes(), name.endswith(".json"))
+    edited = _edited(data, (audit_source / name).read_bytes(), name)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         shutil.copytree(audit_source, out)
