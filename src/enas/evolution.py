@@ -36,8 +36,6 @@ from typing import Callable, Protocol, Sequence
 from .fitness import FitnessRecord
 from .genome import (
     CONTROL_GENES,
-    STATIC_GENERATION_MAX,
-    STATIC_POPULATION_MAX,
     Genome,
     SearchSpace,
     crossover,
@@ -70,6 +68,10 @@ class FitnessFunction(Protocol):
 CROSSOVER_RATE = 0.9
 TOURNAMENT_SIZE = 4
 ELITISM_SIZE = 1  # the elite carries the best genome over, so the best score never regresses
+# Upper limits of the static-mode population size and generation budget
+# (``EvolutionConfig``), ten times its defaults of 100 and 500.
+STATIC_POPULATION_MAX = 1_000
+STATIC_GENERATION_MAX = 5_000
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ and their results are directly comparable.
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import evolution
 from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
-from .evolution import EvolutionConfig, GenerationRecord, Mode
+from .evolution import ConfigurationError, EvolutionConfig, GenerationRecord, Mode
 from .fitness import CrossValFitness, FitnessRecord
 from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
 from .seeding import derive_seed, make_rng
@@ -148,16 +149,12 @@ _CONFIG_HINTS = {
 _GENE_HINTS = {GENES[name].key: hint for name, hint in get_type_hints(Genome).items()}
 
 
-def _check_keys(section: str, doc: Mapping, allowed) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    _require(not unknown, f"unknown keys in {section}: {', '.join(map(repr, unknown))}")
-
-
 def _typed(where: str, value, hint):
     """JSON ``value`` read as the annotation ``hint``; otherwise one error naming ``where``.
 
     A value's class must match exactly, so ``true`` is not an integer, but a
-    JSON integer is also a number and is read as a float. Lists are read as
+    JSON integer is also a number and is read as a float. A number is finite,
+    as JSON has it, so NaN and infinity are none. Lists are read as
     tuples and strings as paths where ``hint`` asks for them; a union takes
     the first of its types that ``value``'s class matches.
     """
@@ -179,9 +176,11 @@ def _typed(where: str, value, hint):
             return {key: _typed(f"{where}[{key!r}]", item, args[1]) for key, item in value.items()}
         if kind is float:
             try:
-                return float(value)
+                if math.isfinite(value):  # Python's json reads NaN, Infinity and 1e309
+                    return float(value)
             except OverflowError:  # an integer beyond the float range
-                break
+                pass
+            break
         return Path(value) if kind is Path else value
     shown = json.dumps(value)
     shown = shown if len(shown) <= 40 else shown[:37] + "..."
@@ -191,19 +190,28 @@ def _typed(where: str, value, hint):
 
 def _section(where: str, doc, hints: Mapping, required=()) -> dict:
     """The entries of the JSON object ``doc``, each read as its annotation in ``hints``."""
-    _check_keys(where, _typed(where, doc, dict), hints)
+    unknown = sorted(set(_typed(where, doc, dict)) - set(hints))
+    _require(not unknown, f"unknown keys in {where}: {', '.join(map(repr, unknown))}")
     missing = [key for key in required if key not in doc]
     _require(not missing, f"{where} is missing keys: {', '.join(map(repr, missing))}")
     return {key: _typed(f"{where}.{key}", value, hints[key]) for key, value in doc.items()}
 
 
+def _read_text(path: Path) -> str:
+    """The text of the UTF-8 file ``path``; an unreadable file raises ``ExperimentError``."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
+        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
+
+
 def _read_json(path: Path):
     """The JSON document in ``path``; an unreadable or malformed file raises ``ExperimentError``."""
+    text = _read_text(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, RecursionError) as exc:
-        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
+        return json.loads(text)
+    # A JSONDecodeError, an integer of too many digits, or nesting too deep to parse.
+    except (ValueError, RecursionError) as exc:
         raise ExperimentError(f"{str(path)!r} is not valid JSON: {exc}") from exc
 
 
@@ -237,11 +245,13 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     for key, fixed in _FIXED_STATIC.items():
         value = static.pop(key, fixed)
         _require(value == fixed, f"static_params.{key} is fixed at {fixed}, got {value}")
+    try:
+        evolution_config = EvolutionConfig(space=space, **static)
+    except ConfigurationError as exc:
+        raise ExperimentError(f"static_params: {exc}") from exc
     # Joined to the config's directory, an absolute path stays as it is.
     top["out_dir"] = path.parent / top.get("out_dir", ExperimentConfig.out_dir)
-    return ExperimentConfig(
-        datasets=datasets, evolution=EvolutionConfig(space=space, **static), **top
-    )
+    return ExperimentConfig(datasets=datasets, evolution=evolution_config, **top)
 
 
 def genome_from_doc(doc: Mapping) -> Genome:
@@ -289,47 +299,12 @@ def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]
     return path
 
 
-def _read_lines(path: Path) -> list[str]:
-    try:
-        return path.read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
-        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
-
-
-def _read_csv(path: str | Path, columns: Sequence[str]) -> list[tuple[str, list[str]]]:
-    """The rows ``write_csv`` wrote under ``columns``, each as ("'file':line", cells)."""
-    shown, lines = repr(str(path)), _read_lines(Path(path))
-    if not lines or lines[0] != _csv_line(columns):
-        raise ExperimentError(f"{shown}:1: expected the header {_csv_line(columns)}")
-    if len(lines) < 2:
-        raise ExperimentError(f"{shown}: no rows under the header")
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ExperimentError(
-                f"{shown}:{number}: expected {len(columns)} cells, got {len(cells)}"
-            )
-        rows.append((f"{shown}:{number}", cells))
-    return rows
-
-
-def _parse(where: str, column: str, kind: type, cell: str):
-    try:
-        return kind(cell)
-    except ValueError:
-        raise ExperimentError(
-            f"{where}: {column} must be {_KIND_NAMES[kind]}, got {cell!r}"
-        ) from None
-
-
 def _columns(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
 HISTORY_COLUMNS = _columns(GenerationRecord)
 FOLD_COLUMNS = ("instance_index", "fold_id")
-_HISTORY_KINDS = get_type_hints(GenerationRecord)
 
 
 def write_history_csv(history: Sequence[GenerationRecord], path: str | Path) -> Path:
@@ -337,16 +312,28 @@ def write_history_csv(history: Sequence[GenerationRecord], path: str | Path) -> 
 
 
 def read_history_csv(path: str | Path) -> list[GenerationRecord]:
-    """The inverse of ``write_history_csv``; a malformed file names its line."""
-    return [
-        GenerationRecord(
-            **{
-                name: _parse(where, name, _HISTORY_KINDS[name], cell)
-                for name, cell in zip(HISTORY_COLUMNS, cells)
-            }
+    """The inverse of ``write_history_csv``. Each cell is a JSON number, as ``str``
+    and ``repr`` write ints and finite floats, and each row is read by ``_section``,
+    so a malformed file names its line and, for a bad cell, its column."""
+    shown, lines = repr(str(path)), _read_text(Path(path)).splitlines()
+    header, hints = _csv_line(HISTORY_COLUMNS), get_type_hints(GenerationRecord)
+    _require(lines[:1] == [header], f"{shown}:1: expected the header {header}")
+    _require(len(lines) > 1, f"{shown}: no rows under the header")
+    records = []
+    for number, line in enumerate(lines[1:], start=2):
+        where, cells = f"{shown}:{number}", line.split(",")
+        _require(
+            len(cells) == len(HISTORY_COLUMNS),
+            f"{where}: expected {len(HISTORY_COLUMNS)} cells, got {len(cells)}",
         )
-        for where, cells in _read_csv(path, HISTORY_COLUMNS)
-    ]
+        row = {}
+        for column, cell in zip(HISTORY_COLUMNS, cells):
+            try:
+                row[column] = json.loads(cell)
+            except (ValueError, RecursionError):
+                raise ExperimentError(f"{where}: {column} is not a JSON number: {cell!r}") from None
+        records.append(GenerationRecord(**_section(where, row, hints)))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -698,11 +685,12 @@ def _read_events(path: Path) -> tuple[ExperimentConfig, dict[tuple[str, str, int
     return config, records
 
 
-def audit_cell(out: Path, cell: Cell, completes: dict) -> RunComplete:
+def audit_cell(out: Path, cell: Cell, completes: dict, base_seed: int) -> RunComplete:
     """Check a finished cell against its history file. Its best-genome file's
-    genome must be valid, and its score the mean of its fold scores and the
-    history's last ``best_f1``; its run_complete event, taken out of
-    ``completes`` and returned, must end where the history ends."""
+    genome must be valid, its ``run_seed`` the cell's under ``base_seed``, and
+    its score the mean of its fold scores and the history's last ``best_f1``;
+    its run_complete event, taken out of ``completes`` and returned, must end
+    where the history ends."""
     path, last = out / cell.best_genome_file, read_history_csv(out / cell.history_file)[-1]
     shown, hints = repr(str(path)), get_type_hints(BestGenomeDoc)
     doc = _section(shown, _read_json(path), hints, required=hints)
@@ -711,6 +699,9 @@ def audit_cell(out: Path, cell: Cell, completes: dict) -> RunComplete:
         scores = FitnessRecord(per_fold=doc["per_fold"])
     except ValueError as exc:  # an ExperimentError is one too
         raise ExperimentError(f"{shown}: {exc}") from None
+    seed = cell.run_seed(base_seed)
+    if doc["run_seed"] != seed:
+        raise AuditError(f"{shown}: run_seed {doc['run_seed']} is not the cell's, {seed}")
     for expected, what in (
         (scores.mean_f_measure, "the mean of its per_fold"),
         (last.best_f1, "the last best_f1 of its history"),
@@ -739,7 +730,7 @@ def audit_output_dir(out_dir: str | Path) -> bool:
     out = Path(out_dir)
     config, completes = _read_events(out / "events.jsonl")
     experiment = list(cells(config))
-    records = [audit_cell(out, cell, completes) for cell in experiment]
+    records = [audit_cell(out, cell, completes, config.base_seed) for cell in experiment]
     if completes:
         raise AuditError(f"no experiment cell accounts for {min(completes)}'s run_complete")
     rebuilt = {
@@ -754,7 +745,7 @@ def audit_output_dir(out_dir: str | Path) -> bool:
     stray -= {*rebuilt, *folds}
     if stray:
         raise AuditError(f"no experiment cell accounts for {str(out / min(stray))!r}")
-    found = {name: _read_lines(out / name) for name in [*rebuilt, *folds]}
+    found = {name: _read_text(out / name).splitlines() for name in [*rebuilt, *folds]}
     for name, cell in folds.items():
         count = len(found[name]) - 1  # rows under the header: all fold_split reads of a dataset
         if count < config.folds:  # never written; a split with empty folds could match a cut file

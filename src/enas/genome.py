@@ -40,10 +40,6 @@ INTEGER_GENE_LIMITS = {
     "population_size": POPULATION_LIMITS,
     "max_generations": GENERATION_LIMITS,
 }
-# Upper limits of the static-mode population size and generation budget
-# (``EvolutionConfig``), ten times its defaults of 100 and 500.
-STATIC_POPULATION_MAX = 1_000
-STATIC_GENERATION_MAX = 5_000
 # The beta priors of the two rate genes, with means 0.1 and 0.3 and usable
 # upper tails. With both shapes above 1, numpy draws beta(a, b) as X / (X + Y)
 # from two positive gamma draws, so a draw is never 0.0; it would round to 1.0

@@ -10,6 +10,8 @@ from enas import evolution, nn
 from enas.evolution import (
     CROSSOVER_RATE,
     ELITISM_SIZE,
+    STATIC_GENERATION_MAX,
+    STATIC_POPULATION_MAX,
     TOURNAMENT_SIZE,
     ConfigurationError,
     EvaluatorPool,
@@ -30,8 +32,6 @@ from enas.data import kfold_split
 from enas.fitness import CrossValFitness, FitnessRecord
 from enas.genome import (
     CONTROL_GENES,
-    STATIC_GENERATION_MAX,
-    STATIC_POPULATION_MAX,
     Genome,
     SearchSpace,
     sample_genome,

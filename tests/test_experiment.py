@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 from unittest import mock
 
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from enas import evolution, experiment
 from enas.cli import _build_parser, apply_run_flags, main
-from enas.evolution import ConfigurationError, EvolutionConfig, Mode, run
+from enas.evolution import ConfigurationError, EvolutionConfig, GenerationRecord, Mode, run
 from enas.experiment import (
     MAX_JOBS,
     AuditError,
@@ -440,6 +441,19 @@ class TestRunExperiment:
         )
 
 
+FINITE_FLOATS = st.sampled_from([-0.0, 5e-324, sys.float_info.max]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+LARGE_INTS = st.sampled_from([-(2**63), 2**64, 10**4000]) | st.integers()
+HISTORY_RECORDS = st.builds(
+    GenerationRecord,
+    **{
+        name: LARGE_INTS if hint is int else FINITE_FLOATS
+        for name, hint in get_type_hints(GenerationRecord).items()
+    },
+)
+
+
 class TestHistoryFiles:
     def test_history_roundtrip(self, tmp_path):
         result = run(
@@ -452,6 +466,89 @@ class TestHistoryFiles:
         path = write_history_csv(result.history, tmp_path / "h.csv")
         parsed = read_history_csv(path)
         assert [asdict(r) for r in parsed] == [asdict(r) for r in result.history]
+
+    @given(st.lists(HISTORY_RECORDS, min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_any_finite_history_reads_back_bit_for_bit(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            parsed = read_history_csv(write_history_csv(records, Path(tmp) / "h.csv"))
+        # repr tells -0.0 from 0.0 and shows every bit of a float
+        assert parsed == records and list(map(repr, parsed)) == list(map(repr, records))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(_replace_last_cell(1, "x"), ": best_f1 is not a JSON number: 'x'", id="x"),
+            pytest.param(
+                _replace_last_cell(0, "+3"), ": generation is not a JSON number: '+3'", id="plus"
+            ),
+            pytest.param(
+                _replace_last_cell(7, "1_000"),
+                ": models_trained_cumulative is not a JSON number: '1_000'",
+                id="underscore",
+            ),
+            pytest.param(
+                _replace_last_cell(2, "nan"), ": mean_f1 is not a JSON number: 'nan'", id="nan"
+            ),
+            pytest.param(
+                _replace_last_cell(3, "inf"),
+                ": mutation_rate is not a JSON number: 'inf'",
+                id="inf",
+            ),
+            pytest.param(
+                _replace_last_cell(1, "[" * 100_000),
+                f": best_f1 is not a JSON number: '{'[' * 100_000}'",
+                id="deep-nesting",
+            ),
+            pytest.param(
+                _replace_last_cell(4, "9" * 5000),
+                f": population_size is not a JSON number: '{'9' * 5000}'",
+                id="too-many-digits",
+            ),
+            pytest.param(
+                _replace_last_cell(1, "true"), ".best_f1 must be a number, got true", id="true"
+            ),
+            pytest.param(
+                _replace_last_cell(0, "1.5"),
+                ".generation must be an integer, got 1.5",
+                id="float-for-int",
+            ),
+            pytest.param(
+                _replace_last_cell(5, '"0.5"'),
+                '.cloning_rate must be a number, got "0.5"',
+                id="string",
+            ),
+            pytest.param(
+                _replace_last_cell(1, "NaN"), ".best_f1 must be a number, got NaN", id="json-nan"
+            ),
+            pytest.param(
+                _replace_last_cell(2, "Infinity"),
+                ".mean_f1 must be a number, got Infinity",
+                id="json-infinity",
+            ),
+            pytest.param(
+                _replace_last_cell(3, "1e309"),
+                ".mutation_rate must be a number, got Infinity",
+                id="beyond-float-range",
+            ),
+            pytest.param(
+                lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
+                ": expected 8 cells, got 7",
+                id="short-row",
+            ),
+            pytest.param(lambda lines: [*lines[:-1], ""], ": expected 8 cells, got 1", id="empty"),
+        ],
+    )
+    def test_malformed_row_gives_one_error_line_naming_line_and_column(
+        self, experiment_dir, tmp_path, capsys, edit, message
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        path = out / "history_toy0_enas_1.csv"
+        _rewrite_lines(path, edit)
+        number = len(path.read_text().splitlines())
+        assert main(["audit", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {str(path)!r}:{number}{message}\n"
 
 
 class TestCsvFiles:
@@ -772,6 +869,21 @@ class TestCli:
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
         assert err == f"error: static_params.{key} {message}\n"
 
+    @pytest.mark.parametrize(
+        "key, value, bounds",
+        [
+            ("population_size", 1, "[2, 1000]"),
+            ("max_generations", 0, "[1, 5000]"),
+            ("mutation_rate", 1.5, "[0, 1]"),
+            ("cloning_rate", -0.5, "[0, 1]"),
+        ],
+    )
+    def test_bad_static_value_names_its_section(self, tmp_path, capsys, key, value, bounds):
+        static = {"population_size": 4, "max_generations": 3, key: value}
+        config_path = _write_config(tmp_path, datasets=1, runs=1, static_params=static)
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert err == f"error: static_params: {key} must lie in {bounds}, got {value}\n"
+
     def test_audit_rejects_a_tampered_best_genome(self, experiment_dir, tmp_path, capsys):
         config = experiment_dir
         out = tmp_path / "out"
@@ -782,6 +894,29 @@ class TestCli:
         target.write_text(json.dumps(doc))
         assert main(["audit", "--out", str(out)]) == 1
         assert target.name in capsys.readouterr().err
+
+    def test_audit_rejects_a_best_genome_of_another_run_seed(
+        self, experiment_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        target = out / "best_genome_toy0_enas_1.json"
+        doc = json.loads(target.read_text())
+        seed = derive_seed(experiment_dir.base_seed, "toy0", 1, "enas")
+        assert doc["run_seed"] == seed
+        target.write_text(json.dumps({**doc, "run_seed": 12345}))
+        assert main(["audit", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"audit failed: {str(target)!r}: run_seed 12345 is not the cell's, {seed}\n"
+        )
+
+    def test_deeply_nested_best_genome_is_not_valid_json(self, experiment_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        target = out / "best_genome_toy0_enas_1.json"
+        target.write_text("[" * 100_000)
+        err = self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+        assert err.startswith(f"error: {str(target)!r} is not valid JSON: "), err
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -1491,6 +1626,7 @@ AUDITED_FILES = (
 )
 CELL_VALUES = st.sampled_from(
     ["", "-1", "0", "1.5", "nan", "inf", "1e309", "9" * 5000, "a/b", "a\0b", "enas", "toy0"]
+    + ["[" * 10_000, "true", '"0.5"', "+1", "1_0", "NaN", "Infinity"]
 ) | st.text(max_size=8)
 NOT_UTF_8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
 # The events.jsonl records that the audit reads.
