@@ -46,9 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     audit_p = sub.add_parser(
         "audit",
-        help="rebuild the experiment from events.jsonl: check each cell's best genome and "
-        "run_complete event against its history, and summary.csv, efficiency.csv and the fold "
-        "files against what enas run writes",
+        help="replay each cell's search from events.jsonl on its recorded fitness values: every "
+        "event, history and best genome must be what the engine writes, and summary.csv, "
+        "efficiency.csv and the fold files what enas run builds from them",
     )
     audit_p.add_argument("--out", required=True, help="experiment output directory")
 
@@ -83,8 +83,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     tables = "summary.csv, efficiency.csv" if audit_output_dir(args.out) else "summary.csv"
     print(
-        "audit passed: best genomes and run_complete events match the histories, and "
-        f"{tables} and the fold files match their rebuild, under {args.out}"
+        "audit passed: the replay of every cell matches its events, history and best genome, "
+        f"and {tables} and the fold files match their rebuild, under {args.out}"
     )
     return 0
 

@@ -14,8 +14,9 @@ import os
 import shutil
 import sys
 import time
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import evolution
 from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
-from .evolution import ConfigurationError, EvolutionConfig, GenerationRecord, Mode
+from .evolution import ConfigurationError, EvolutionConfig, EvolutionState, GenerationRecord, Mode
 from .fitness import CrossValFitness, FitnessRecord
-from .genome import GENES, Genome, InvalidGenomeError, SearchSpace, genome_to_doc, validate_genome
+from .genome import InvalidGenomeError, SearchSpace, genome_to_doc
 from .seeding import derive_seed, make_rng
 
 
@@ -145,8 +146,8 @@ _CONFIG_HINTS = {
     "search_space": dict,
     "static_params": dict,
 }
-# Gene document key -> the annotation of its Genome field.
-_GENE_HINTS = {GENES[name].key: hint for name, hint in get_type_hints(Genome).items()}
+# What the audit's replay reads from each evaluation event.
+_FITNESS_HINTS = get_type_hints(FitnessRecord)
 
 
 def _typed(where: str, value, hint):
@@ -205,14 +206,13 @@ def _read_text(path: Path) -> str:
         raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
 
 
-def _read_json(path: Path):
-    """The JSON document in ``path``; an unreadable or malformed file raises ``ExperimentError``."""
-    text = _read_text(path)
+def _json(where: str, text: str):
+    """The JSON document ``text``; a malformed one raises ``ExperimentError`` naming ``where``."""
     try:
         return json.loads(text)
     # A JSONDecodeError, an integer of too many digits, or nesting too deep to parse.
     except (ValueError, RecursionError) as exc:
-        raise ExperimentError(f"{str(path)!r} is not valid JSON: {exc}") from exc
+        raise ExperimentError(f"{where} is not valid JSON: {exc}") from None
 
 
 def config_from_file(path: str | Path) -> ExperimentConfig:
@@ -224,7 +224,7 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"config file not found: {str(path)!r}")
-    top = _section("config", _read_json(path), _CONFIG_HINTS)
+    top = _section("config", _json(repr(str(path)), _read_text(path)), _CONFIG_HINTS)
 
     datasets = []
     for i, raw in enumerate(top.pop("datasets", ())):
@@ -237,6 +237,14 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
             _require(name in known_modes, f"unknown mode {name!r}; expected one of {known_modes}")
         top["modes"] = [Mode(name) for name in top["modes"]]
 
+    # Joined to the config's directory, an absolute path stays as it is.
+    top["out_dir"] = path.parent / top.get("out_dir", ExperimentConfig.out_dir)
+    evolution_config = _evolution(top)
+    return ExperimentConfig(datasets=datasets, evolution=evolution_config, **top)
+
+
+def _evolution(top: dict) -> EvolutionConfig:
+    """The ``evolution`` of the ``search_space`` and ``static_params`` popped from ``top``."""
     try:
         space = SearchSpace(**_section("search_space", top.pop("search_space", {}), _SPACE_HINTS))
     except InvalidGenomeError as exc:
@@ -246,24 +254,9 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
         value = static.pop(key, fixed)
         _require(value == fixed, f"static_params.{key} is fixed at {fixed}, got {value}")
     try:
-        evolution_config = EvolutionConfig(space=space, **static)
+        return EvolutionConfig(space=space, **static)
     except ConfigurationError as exc:
         raise ExperimentError(f"static_params: {exc}") from exc
-    # Joined to the config's directory, an absolute path stays as it is.
-    top["out_dir"] = path.parent / top.get("out_dir", ExperimentConfig.out_dir)
-    return ExperimentConfig(datasets=datasets, evolution=evolution_config, **top)
-
-
-def genome_from_doc(doc: Mapping) -> Genome:
-    """Read a gene document strictly; optimizer and activation names are matched in lower case."""
-    read = _section("genome", doc, _GENE_HINTS, required=_GENE_HINTS)
-    genes = {name: read[gene.key] for name, gene in GENES.items()}
-    genes["optimizer"] = genes["optimizer"].lower()
-    genes["activations"] = tuple(name.lower() for name in genes["activations"])
-    try:
-        return validate_genome(Genome(**genes))
-    except InvalidGenomeError as exc:
-        raise ExperimentError(f"genome: {exc}") from exc
 
 
 @contextmanager
@@ -291,11 +284,15 @@ def _csv_lines(columns: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
     return [_csv_line(columns), *map(_csv_line, rows)]
 
 
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    with _replacing(path) as file:
+        file.write("".join(line + "\n" for line in lines))
+
+
 def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> Path:
     """Write the ``_csv_lines`` of ``columns`` and ``rows``."""
     path = Path(path)
-    with _replacing(path) as file:
-        file.write("\n".join(_csv_lines(columns, rows)) + "\n")
+    _write_lines(path, _csv_lines(columns, rows))
     return path
 
 
@@ -305,35 +302,6 @@ def _columns(cls) -> tuple[str, ...]:
 
 HISTORY_COLUMNS = _columns(GenerationRecord)
 FOLD_COLUMNS = ("instance_index", "fold_id")
-
-
-def write_history_csv(history: Sequence[GenerationRecord], path: str | Path) -> Path:
-    return write_csv(path, HISTORY_COLUMNS, map(astuple, history))
-
-
-def read_history_csv(path: str | Path) -> list[GenerationRecord]:
-    """The inverse of ``write_history_csv``. Each cell is a JSON number, as ``str``
-    and ``repr`` write ints and finite floats, and each row is read by ``_section``,
-    so a malformed file names its line and, for a bad cell, its column."""
-    shown, lines = repr(str(path)), _read_text(Path(path)).splitlines()
-    header, hints = _csv_line(HISTORY_COLUMNS), get_type_hints(GenerationRecord)
-    _require(lines[:1] == [header], f"{shown}:1: expected the header {header}")
-    _require(len(lines) > 1, f"{shown}: no rows under the header")
-    records = []
-    for number, line in enumerate(lines[1:], start=2):
-        where, cells = f"{shown}:{number}", line.split(",")
-        _require(
-            len(cells) == len(HISTORY_COLUMNS),
-            f"{where}: expected {len(HISTORY_COLUMNS)} cells, got {len(cells)}",
-        )
-        row = {}
-        for column, cell in zip(HISTORY_COLUMNS, cells):
-            try:
-                row[column] = json.loads(cell)
-            except (ValueError, RecursionError):
-                raise ExperimentError(f"{where}: {column} is not a JSON number: {cell!r}") from None
-        records.append(GenerationRecord(**_section(where, row, hints)))
-    return records
 
 
 # ---------------------------------------------------------------------------
@@ -369,20 +337,20 @@ def _summary_text(rows: Sequence[SummaryRow], wall_time: float) -> str:
     return "\n".join(out)
 
 
-def _summary_row(out: Path, cells: Sequence[Cell]) -> SummaryRow:
-    """One (dataset, mode)'s summary row, from its ``cells``' history files in ``out``,
-    for ``enas run`` and ``enas audit`` alike. A run's best is its highest ``best_f1``."""
-    histories = [read_history_csv(out / cell.history_file) for cell in cells]
-    bests = [max(record.best_f1 for record in history) for history in histories]
+def _summary_row(records: Sequence[RunComplete]) -> SummaryRow:
+    """One (dataset, mode)'s summary row, from its runs' run_complete ``records``, for ``enas
+    run`` and ``enas audit`` alike. A run's best is its final ``best_f1``, which elitism
+    never lowers."""
+    bests = [record.best_f1 for record in records]
     fittest = max(bests)
     return SummaryRow(
-        dataset=cells[0].dataset,
-        mode=cells[0].mode.value,
+        dataset=records[0].dataset,
+        mode=records[0].mode,
         runs=len(bests),
         fittest=fittest,
         average=sum(bests) / len(bests),
         range=fittest - min(bests),
-        models_trained=sum(history[-1].models_trained_cumulative for history in histories),
+        models_trained=sum(record.models_trained for record in records),
     )
 
 
@@ -392,7 +360,7 @@ def _summary_row(out: Path, cells: Sequence[Cell]) -> SummaryRow:
 @dataclass(frozen=True)
 class RunComplete:
     """A run_complete event, the last line of each run's part of events.jsonl:
-    what a cell returns, and what efficiency.csv is built from."""
+    what a cell returns, and what summary.csv and efficiency.csv are built from."""
 
     dataset: str
     mode: str
@@ -508,11 +476,11 @@ def _fold_rows(folds: Sequence[np.ndarray]) -> list[tuple[int, int]]:
     return sorted((int(i), k) for k, fold in enumerate(folds) for i in fold)
 
 
-def _tables(out: Path, config: ExperimentConfig, records: Iterable[RunComplete]) -> dict[str, list]:
-    """By file name, the rows that ``enas run`` writes and ``enas audit`` rebuilds: summary.csv's
-    from the history files in ``out``, and with both modes, efficiency.csv's from ``records``."""
+def _tables(config: ExperimentConfig, records: Sequence[RunComplete]) -> dict[str, list]:
+    """By file name, the rows that ``enas run`` writes and ``enas audit`` rebuilds from the
+    run_complete ``records``: summary.csv's, and with both modes, efficiency.csv's."""
     summary = [
-        _summary_row(out, [Cell(spec.name, mode, run) for run in range(config.runs)])
+        _summary_row([r for r in records if (r.dataset, r.mode) == (spec.name, mode.value)])
         for spec in config.datasets for mode in config.modes
     ]
     if set(Mode) <= set(config.modes):
@@ -536,14 +504,46 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
 
 @dataclass(frozen=True)
 class BestGenomeDoc:
-    """A best_genome_*.json file: a run's fittest individual. Its ``genome``
-    is read by ``genome_from_doc``."""
+    """A best_genome_*.json file: a run's fittest individual, which ``_cell_files``
+    builds from the run's final state and the audit's replay rebuilds whole."""
 
     genome: dict
     mean_f_measure: float
     per_fold: tuple[float, ...]
     individual_id: int
     run_seed: int
+
+
+def _event_line(cell: Cell, event: dict) -> str:
+    """An event of ``cell``'s search as its line of events.jsonl, without the line break."""
+    return json.dumps({"dataset": cell.dataset, "mode": cell.mode.value, "run": cell.run, **event})
+
+
+def _complete_line(record: RunComplete) -> str:
+    return json.dumps({"type": "run_complete", **asdict(record)})
+
+
+def _cell_files(cell: Cell, state: EvolutionState, wall_time: float) -> tuple[dict, RunComplete]:
+    """What a cell writes from its search's final ``state``, for ``enas run`` and ``enas audit``
+    alike: the lines of its history and best-genome files by file name, and its run_complete
+    record, timed ``wall_time``."""
+    best = state.best
+    doc = BestGenomeDoc(
+        genome=genome_to_doc(best.genome),
+        mean_f_measure=best.fitness.mean_f_measure,
+        per_fold=best.fitness.per_fold,
+        individual_id=best.id,
+        run_seed=state.run_seed,
+    )
+    files = {
+        cell.history_file: _csv_lines(HISTORY_COLUMNS, map(astuple, state.history)),
+        cell.best_genome_file: json.dumps(asdict(doc), indent=2).splitlines(),
+    }
+    record = RunComplete(
+        cell.dataset, cell.mode.value, cell.run, best.fitness.mean_f_measure, state.generation,
+        state.models_trained, state.halted, wall_time,
+    )
+    return files, record
 
 
 def _run_cell(
@@ -555,27 +555,14 @@ def _run_cell(
     as ``<part>.tmp``. Its history and best genome follow, then the part gets
     its last line, the ``run_complete`` record the cell returns, and is renamed
     last, so a part under its final name means a finished cell."""
-    keys = {"dataset": cell.dataset, "mode": cell.mode.value, "run": cell.run}
     with _replacing(out / cell.events_file) as part:
-        emit = lambda event: part.write(json.dumps({**keys, **event}) + "\n")
+        emit = lambda event: part.write(_event_line(cell, event) + "\n")
         # Looked up on the module so that a wrapper installed there is called.
-        result = evolution.run(cell.mode, config, fitness, cell.run_seed(base_seed), emit)
-        best = result.best
-        write_history_csv(result.history, out / cell.history_file)
-        doc = BestGenomeDoc(
-            genome=genome_to_doc(best.genome),
-            mean_f_measure=best.fitness.mean_f_measure,
-            per_fold=best.fitness.per_fold,
-            individual_id=best.id,
-            run_seed=result.run_seed,
-        )
-        with _replacing(out / cell.best_genome_file) as file:
-            file.write(json.dumps(asdict(doc), indent=2) + "\n")
-        record = RunComplete(
-            *keys.values(), best.fitness.mean_f_measure, result.generation,
-            result.models_trained, result.halted, result.wall_time,
-        )
-        part.write(json.dumps({"type": "run_complete", **asdict(record)}) + "\n")
+        state = evolution.run(cell.mode, config, fitness, cell.run_seed(base_seed), emit)
+        files, record = _cell_files(cell, state, state.wall_time)
+        for name, lines in files.items():
+            _write_lines(out / name, lines)
+        part.write(_complete_line(record) + "\n")
     # One write per line, so that the lines of parallel cells never interleave.
     sys.stdout.write(
         f"{cell}: best={record.best_f1:.4f} generations={record.generations} "
@@ -622,9 +609,11 @@ def run_experiment(config: ExperimentConfig) -> None:
         lost = ", ".join(str(tasks[i][0]) for i in exc.tasks) or "none"
         raise ExperimentError(f"a worker process died; cells in flight: {lost} ({exc})") from None
 
+    static = asdict(config.evolution)
     start = {"type": "experiment_start", "runs": config.runs, "folds": config.folds,
              "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
-             "datasets": [spec.name for spec in config.datasets]}
+             "datasets": [spec.name for spec in config.datasets],
+             "search_space": static.pop("space"), "static_params": static}
     with _replacing(out / "events.jsonl") as events:
         events.write(json.dumps(start) + "\n")
         for cell, *_ in tasks:
@@ -633,14 +622,14 @@ def run_experiment(config: ExperimentConfig) -> None:
     for cell, *_ in tasks:  # only once events.jsonl holds them all
         (out / cell.events_file).unlink()
 
-    tables = _tables(out, config, records)
+    tables = _tables(config, records)
     for name, rows in tables.items():
         write_csv(out / name, _columns(type(rows[0])), map(astuple, rows))
     print(_summary_text(tables["summary.csv"], time.perf_counter() - started), flush=True)
 
 
-_START_HINTS = {"runs": int, "folds": int, "base_seed": int,
-                "modes": tuple[str, ...], "datasets": tuple[str, ...]}
+_START_HINTS = {"runs": int, "folds": int, "base_seed": int, "modes": tuple[str, ...],
+                "datasets": tuple[str, ...], "search_space": dict, "static_params": dict}
 
 
 def _experiment_start(where: str, doc) -> ExperimentConfig:
@@ -650,92 +639,110 @@ def _experiment_start(where: str, doc) -> ExperimentConfig:
     try:
         specs = [DatasetSpec(name, Path()) for name in start.pop("datasets")]
         modes = [Mode(name) for name in start.pop("modes")]
-        return ExperimentConfig(specs, modes, **start)
+        evolution_config = _evolution(start)
+        return ExperimentConfig(specs, modes, evolution=evolution_config, **start)
     except ValueError as exc:  # an ExperimentError is one too
         raise ExperimentError(f"{where}: {exc}") from None
 
 
-def _read_events(path: Path) -> tuple[ExperimentConfig, dict[tuple[str, str, int], RunComplete]]:
-    """An events.jsonl's experiment, from its experiment_start line, and run_completes by cell."""
-    shown, hints = repr(str(path)), get_type_hints(RunComplete)
-    config, records = None, {}
+def _numbered_lines(path: Path) -> Iterator[tuple[str, str | None]]:
+    """``(where, text)`` for each line of ``path`` in turn, ``where`` naming the file and the
+    line and ``text`` the line without its break; past the last line, ``(where, None)``."""
+    shown, number = repr(str(path)), 0
     try:
-        with path.open(encoding="utf-8") as lines:
-            for number, line in enumerate(lines, start=1):
-                where = f"{shown}:{number}"
-                try:
-                    doc = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    raise ExperimentError(f"{where}: not a JSON line: {exc}") from None
-                kind = _typed(where, doc, dict).get("type")
-                entries = {key: value for key, value in doc.items() if key != "type"}
-                if number == 1:
-                    _require(kind == "experiment_start", f"{where}: not an experiment_start record")
-                    config = _experiment_start(where, entries)
-                if kind != "run_complete":
-                    continue
-                record = RunComplete(**_section(where, entries, hints, required=hints))
-                key = (record.dataset, record.mode, record.run)
-                if key in records:
-                    raise AuditError(f"{where}: a second run_complete for {key}")
-                records[key] = record
+        with path.open(encoding="utf-8", newline="\n") as file:
+            for number, line in enumerate(file, start=1):
+                yield f"{shown}:{number}", line.removesuffix("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentError(f"cannot read {shown}: {exc}") from exc
-    _require(config is not None, f"{shown} is empty")
-    return config, records
+    while True:
+        yield f"{shown}:{number + 1}", None
 
 
-def audit_cell(out: Path, cell: Cell, completes: dict, base_seed: int) -> RunComplete:
-    """Check a finished cell against its history file. Its best-genome file's
-    genome must be valid, its ``run_seed`` the cell's under ``base_seed``, and
-    its score the mean of its fold scores and the history's last ``best_f1``;
-    its run_complete event, taken out of ``completes`` and returned, must end
-    where the history ends."""
-    path, last = out / cell.best_genome_file, read_history_csv(out / cell.history_file)[-1]
-    shown, hints = repr(str(path)), get_type_hints(BestGenomeDoc)
-    doc = _section(shown, _read_json(path), hints, required=hints)
-    try:
-        genome_from_doc(doc["genome"])
-        scores = FitnessRecord(per_fold=doc["per_fold"])
-    except ValueError as exc:  # an ExperimentError is one too
-        raise ExperimentError(f"{shown}: {exc}") from None
-    seed = cell.run_seed(base_seed)
-    if doc["run_seed"] != seed:
-        raise AuditError(f"{shown}: run_seed {doc['run_seed']} is not the cell's, {seed}")
-    for expected, what in (
-        (scores.mean_f_measure, "the mean of its per_fold"),
-        (last.best_f1, "the last best_f1 of its history"),
-    ):
-        if doc["mean_f_measure"] != expected:
-            raise AuditError(
-                f"{shown}: mean_f_measure {doc['mean_f_measure']!r} is not {what}, {expected!r}"
-            )
-    key = (cell.dataset, cell.mode.value, cell.run)
-    record = completes.pop(key, None)
-    ends = last.best_f1, last.generation, last.models_trained_cumulative
-    if record is None or (record.best_f1, record.generations, record.models_trained) != ends:
+def _match(where: str, line: str | None, expected: str | None) -> None:
+    """Fail, naming ``where``, unless ``line`` is ``expected``; None stands for no line."""
+    if line != expected:
         raise AuditError(
-            f"{str(out / 'events.jsonl')!r} has no run_complete for {key} whose best_f1, "
-            f"generations and models_trained are its history's last, {ends}"
+            f"{where}: line missing, recomputed {expected}" if line is None
+            else f"{where}: surplus line {line}" if expected is None
+            else f"{where}: has {line}, recomputed {expected}"
         )
+
+
+def _match_file(path: Path, expected: Sequence[str]) -> None:
+    lines = _read_text(path).splitlines()
+    for number, (line, want) in enumerate(zip_longest(lines, expected), start=1):
+        _match(f"{str(path)!r}:{number}", line, want)
+
+
+def _next_record(lines: Iterator, kind: str) -> tuple[str, str, dict]:
+    """The next of ``lines``, which must be a JSON record of type ``kind``, and its entries."""
+    where, text = next(lines)
+    doc = {} if text is None else _typed(where, _json(where, text), dict)
+    if doc.get("type") != kind:
+        _match(where, text, f"a record of type {kind}")
+    return where, text, doc
+
+
+@dataclass
+class _Replay:
+    """A cell's search replayed from ``lines``, the numbered lines of events.jsonl: each genome
+    is scored with the next line, its evaluation record, which waits in ``read`` until the
+    event is emitted; each other event emitted must be the next line."""
+
+    cell: Cell
+    lines: Iterator
+    read: deque = field(default_factory=deque)
+
+    def evaluate(self, pairs: Sequence) -> list[FitnessRecord]:
+        records = []
+        for _ in pairs:
+            where, text, doc = _next_record(self.lines, "evaluation")
+            self.read.append((where, text))
+            entries = {key: doc[key] for key in _FITNESS_HINTS if key in doc}
+            entries = _section(where, entries, _FITNESS_HINTS, required=_FITNESS_HINTS)
+            try:
+                records.append(FitnessRecord(**entries))
+            except ValueError as exc:  # no fold score, or one outside [0, 1]
+                raise ExperimentError(f"{where}: {exc}") from None
+        return records
+
+    def emit(self, event: dict) -> None:
+        where, text = self.read.popleft() if self.read else next(self.lines)
+        _match(where, text, _event_line(self.cell, event))
+
+
+def audit_cell(out: Path, cell: Cell, config: ExperimentConfig, lines: Iterator) -> RunComplete:
+    """Replay ``cell``'s search (``evolution.run`` on its seed and recorded fitness values, so
+    the engine makes every draw it made), then check its run_complete record, history and
+    best genome, as ``_cell_files`` builds them with the recorded ``wall_time``; return it."""
+    replay = _Replay(cell, lines)
+    seed = cell.run_seed(config.base_seed)
+    state = evolution.run(cell.mode, config.evolution, replay, seed, replay.emit)
+    where, text, doc = _next_record(lines, "run_complete")
+    wall_time = _typed(f"{where}.wall_time", doc.get("wall_time"), float)
+    files, record = _cell_files(cell, state, wall_time)
+    _match(where, text, _complete_line(record))
+    for name, expected in files.items():
+        _match_file(out / name, expected)
     return record
 
 
 def audit_output_dir(out_dir: str | Path) -> bool:
-    """Rebuild the experiment from the experiment_start line of events.jsonl,
-    check each of its cells (``audit_cell``), and compare summary.csv,
-    efficiency.csv and each fold file line for line with what ``enas run``
-    writes from the same inputs; every cell file and run_complete event must
-    belong to a cell. Raise on any mismatch; return whether efficiency.csv was compared."""
+    """Replay each cell of the experiment on line 1 of events.jsonl (``audit_cell``), read a
+    line at a time, and compare summary.csv, efficiency.csv and each fold file line for line
+    with what ``enas run`` writes from the same inputs; every cell file must belong to a
+    cell. Raise on any mismatch; return whether efficiency.csv was compared."""
     out = Path(out_dir)
-    config, completes = _read_events(out / "events.jsonl")
-    experiment = list(cells(config))
-    records = [audit_cell(out, cell, completes, config.base_seed) for cell in experiment]
-    if completes:
-        raise AuditError(f"no experiment cell accounts for {min(completes)}'s run_complete")
+    with closing(_numbered_lines(out / "events.jsonl")) as lines:
+        where, _, doc = _next_record(lines, "experiment_start")
+        config = _experiment_start(where, {k: v for k, v in doc.items() if k != "type"})
+        experiment = list(cells(config))
+        records = [audit_cell(out, cell, config, lines) for cell in experiment]
+        _match(*next(lines), None)
     rebuilt = {
         name: _csv_lines(_columns(type(rows[0])), map(astuple, rows))
-        for name, rows in _tables(out, config, records).items()
+        for name, rows in _tables(config, records).items()
     }
     folds = {cell.folds_file: cell for cell in experiment}  # both modes of a run share one
     patterns = ("history_*.csv", "best_genome_*.json", "folds_*.csv", "efficiency.csv",
@@ -745,21 +752,13 @@ def audit_output_dir(out_dir: str | Path) -> bool:
     stray -= {*rebuilt, *folds}
     if stray:
         raise AuditError(f"no experiment cell accounts for {str(out / min(stray))!r}")
-    found = {name: _read_text(out / name).splitlines() for name in [*rebuilt, *folds]}
     for name, cell in folds.items():
-        count = len(found[name]) - 1  # rows under the header: all fold_split reads of a dataset
+        count = len(_read_text(out / name).splitlines()) - 1  # all fold_split reads of a dataset
         if count < config.folds:  # never written; a split with empty folds could match a cut file
             raise AuditError(f"{str(out / name)!r}: fewer rows than the {config.folds} folds")
         stand_in = Dataset(np.zeros((count, 1)), np.zeros(count))
         split = fold_split(stand_in, config.folds, cell.data_seed(config.base_seed))
         rebuilt[name] = _csv_lines(FOLD_COLUMNS, _fold_rows(split))
-    for name, lines in found.items():
-        for number, (line, expected) in enumerate(zip_longest(lines, rebuilt[name]), start=1):
-            if line != expected:
-                where = f"{str(out / name)!r}:{number}"
-                raise AuditError(
-                    f"{where}: line missing, recomputed {expected}" if line is None
-                    else f"{where}: surplus line {line}" if expected is None
-                    else f"{where}: has {line}, recomputed {expected}"
-                )
+    for name, expected in rebuilt.items():
+        _match_file(out / name, expected)
     return "efficiency.csv" in rebuilt

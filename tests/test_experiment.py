@@ -13,7 +13,6 @@ import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 from unittest import mock
 
 import pytest
@@ -36,15 +35,12 @@ from enas.experiment import (
     _run_cell,
     audit_output_dir,
     config_from_file,
-    genome_from_doc,
-    read_history_csv,
     run_experiment,
     summarize_efficiency,
     write_csv,
-    write_history_csv,
 )
-from enas.genome import SearchSpace, genome_to_doc, sample_genome
-from enas.seeding import derive_seed, make_rng
+from enas.genome import Genome, SearchSpace, genome_to_doc, validate_genome
+from enas.seeding import derive_seed
 from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .test_evolution import SyntheticFitness, discard
@@ -140,6 +136,57 @@ def _edit_experiment_start(edit):
     return edited
 
 
+def _edit_history_cell(column):
+    """Change row 1 of a history in ``column``; return the file and the line edited."""
+
+    def edit(out):
+        path = out / "history_toy0_enas_0.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        value = json.loads(cells[column])
+        cells[column] = str(value + 1) if type(value) is int else repr(value + 0.125)
+        _rewrite_lines(path, lambda lines: [lines[0], ",".join(cells), *lines[2:]])
+        return path, 2
+
+    return edit
+
+
+def _edit_event(kind, change):
+    """Apply ``change`` to the first events.jsonl record of type ``kind``; return
+    the file and the line edited."""
+
+    def edit(out):
+        path = out / "events.jsonl"
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["type"] == kind)
+        doc = json.loads(lines[i])
+        change(doc)
+        _rewrite_lines(path, lambda lines: [*lines[:i], json.dumps(doc), *lines[i + 1 :]])
+        return path, i + 1
+
+    return edit
+
+
+def _drop_last_initial_evaluation(lines):
+    """Lines without the first cell's last generation-0 evaluation, so that the
+    replay scores that genome with the next line, which is no evaluation."""
+    after = next(i for i, line in enumerate(lines[1:], 1) if '"type": "evaluation"' not in line)
+    return [*lines[: after - 1], *lines[after:]]
+
+
+def _rescore_first_fold(doc):
+    doc["per_fold"][0] = doc["per_fold"][0] / 2 or 0.5
+
+
+def _edit_best_genome_nodes(out):
+    path = out / "best_genome_toy0_enas_0.json"
+    doc = json.loads(path.read_text())
+    doc["genome"]["nodes"] += 1
+    lines = json.dumps(doc, indent=2).splitlines()
+    _rewrite_lines(path, lambda _: lines)
+    return path, next(i for i, line in enumerate(lines, start=1) if '"nodes"' in line)
+
+
 def read_summary_rows(out_dir):
     """The rows of ``out_dir``'s summary.csv."""
     kinds = [str, str, int, float, float, float, int]
@@ -148,6 +195,12 @@ def read_summary_rows(out_dir):
         SummaryRow(*(kind(cell) for kind, cell in zip(kinds, line.split(","))))
         for line in lines[1:]
     ]
+
+
+def read_history(path):
+    """The rows of a history file; each cell is the JSON number it is written as."""
+    lines = Path(path).read_text().splitlines()[1:]
+    return [GenerationRecord(*map(json.loads, line.split(","))) for line in lines]
 
 
 def _run_complete_docs(out_dir):
@@ -213,8 +266,9 @@ class TestRunExperiment:
     def test_best_genome_document_is_loadable(self, experiment_dir):
         out = experiment_dir.out_dir
         doc = json.loads((out / "best_genome_toy0_nas_plus_0.json").read_text())
-        genome = genome_from_doc(doc["genome"])
-        assert genome.hidden_layers >= 1
+        genes = [tuple(v) if isinstance(v, list) else v for v in doc["genome"].values()]
+        genome = validate_genome(Genome(*genes))
+        assert genome_to_doc(genome) == doc["genome"] and genome.hidden_layers >= 1
         assert doc["mean_f_measure"] == _run_complete_docs(out)[0]["best_f1"]
 
     def test_audit_passes_on_fresh_output(self, experiment_dir):
@@ -233,7 +287,7 @@ class TestRunExperiment:
         cells[1] = "0.999999"  # forge the best fitness
         lines[-1] = ",".join(cells)
         target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(AuditError, match="is not the last best_f1 of its history"):
+        with pytest.raises(AuditError, match=rf"{re.escape(target.name)}':{len(lines)}: has "):
             audit_output_dir(copy)
 
     def test_histories_reproducible_from_summary_values(self, experiment_dir):
@@ -242,7 +296,7 @@ class TestRunExperiment:
             bests = []
             for run_index in range(row.runs):
                 path = config.out_dir / f"history_{row.dataset}_{row.mode}_{run_index}.csv"
-                bests.append(max(r.best_f1 for r in read_history_csv(path)))
+                bests.append(max(r.best_f1 for r in read_history(path)))
             assert max(bests) == row.fittest
 
     def test_single_run_range_is_zero(self, tmp_path):
@@ -302,25 +356,26 @@ class TestRunExperiment:
         assert {"events_toy0_nas_plus_0.jsonl", "events_toy0_enas_0.jsonl"} <= names
         assert "events.jsonl.tmp" in names and "events.jsonl" not in names
 
-    def test_summary_is_built_from_the_history_files(self, tmp_path, monkeypatch):
+    def test_summary_is_built_from_the_run_complete_records(self, tmp_path, monkeypatch):
         # With every history written without its last row, summary.csv still
-        # agrees with the history files, and so no longer with the searches.
-        real_write = experiment.write_history_csv
-        monkeypatch.setattr(
-            experiment, "write_history_csv", lambda history, path: real_write(history[:-1], path)
-        )
+        # agrees with the run_complete records, and so no longer with the histories.
+        real_files = experiment._cell_files
+
+        def cut_history(cell, state, wall_time):
+            files, record = real_files(cell, state, wall_time)
+            return {**files, cell.history_file: files[cell.history_file][:-1]}, record
+
+        monkeypatch.setattr(experiment, "_cell_files", cut_history)
         config = config_from_file(_write_config(tmp_path, datasets=1))
         run_experiment(config)
-        rows = read_summary_rows(config.out_dir)
+        rows, docs = read_summary_rows(config.out_dir), _run_complete_docs(config.out_dir)
         for row in rows:
-            histories = [
-                read_history_csv(config.out_dir / f"history_toy0_{row.mode}_{i}.csv")
-                for i in range(row.runs)
-            ]
-            assert row.models_trained == sum(h[-1].models_trained_cumulative for h in histories)
-            assert row.fittest == max(max(r.best_f1 for r in h) for h in histories)
-        searched = sum(doc["models_trained"] for doc in _run_complete_docs(config.out_dir))
-        assert sum(row.models_trained for row in rows) < searched
+            runs = [doc for doc in docs if doc["mode"] == row.mode]
+            assert row.models_trained == sum(doc["models_trained"] for doc in runs)
+            assert row.fittest == max(doc["best_f1"] for doc in runs)
+        histories = map(read_history, config.out_dir.glob("history_*.csv"))
+        written = sum(history[-1].models_trained_cumulative for history in histories if history)
+        assert written < sum(row.models_trained for row in rows)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_evaluation_event_waits_in_the_parent(self, tmp_path, monkeypatch, jobs):
@@ -401,6 +456,39 @@ class TestRunExperiment:
         with (tmp_path / "events_toy_enas_10000.jsonl").open() as part:
             assert sum(1 for _ in part) == 10_000 + 1  # and the run_complete line
 
+    def test_the_audits_traced_memory_does_not_grow_with_a_cells_event_count(
+        self, tmp_path, monkeypatch
+    ):
+        # The audit reads events.jsonl a line at a time and holds only the lines of
+        # one batch of evaluations: 10,000 lines of about 1 KB would take about 10 MB.
+        real_run = evolution.run
+
+        def padded(events):
+            def run_padded(mode, config, fitness, run_seed, emit):
+                for i in range(events):
+                    emit({"type": "pad", "i": i, "pad": "x" * 1000})
+                return real_run(mode, config, fitness, run_seed, emit)
+
+            return run_padded
+
+        config_path = _write_config(tmp_path, datasets=1, runs=1, modes=("nas_plus",))
+
+        def peak(events):
+            monkeypatch.setattr(evolution, "run", padded(events))
+            out = tmp_path / f"out{events}"
+            run_experiment(_with_flags(config_path, "--out", str(out)))
+            audit_output_dir(out)  # a first call's imports and caches count in no peak
+            gc.collect()
+            tracemalloc.start()
+            try:
+                audit_output_dir(out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = [peak(events) for events in (100, 10_000)]
+        assert peaks[1] <= peaks[0] + 16_000, peaks
+
     def test_events_stream_into_the_part_while_the_search_runs(self, tmp_path):
         # The part is open as <part>.tmp, line-buffered, from the start of the
         # search, so generation 0's events are on disk while generation 1 is
@@ -441,114 +529,42 @@ class TestRunExperiment:
         )
 
 
-FINITE_FLOATS = st.sampled_from([-0.0, 5e-324, sys.float_info.max]) | st.floats(
-    allow_nan=False, allow_infinity=False
-)
-LARGE_INTS = st.sampled_from([-(2**63), 2**64, 10**4000]) | st.integers()
-HISTORY_RECORDS = st.builds(
-    GenerationRecord,
-    **{
-        name: LARGE_INTS if hint is int else FINITE_FLOATS
-        for name, hint in get_type_hints(GenerationRecord).items()
-    },
-)
-
-
 class TestHistoryFiles:
-    def test_history_roundtrip(self, tmp_path):
-        result = run(
-            Mode.ENAS,
-            EvolutionConfig(space=SearchSpace(population_size=(3, 6), max_generations=(1, 5))),
-            SyntheticFitness(),
-            run_seed=3,
-            emit=discard,
-        )
-        path = write_history_csv(result.history, tmp_path / "h.csv")
-        parsed = read_history_csv(path)
-        assert [asdict(r) for r in parsed] == [asdict(r) for r in result.history]
-
-    @given(st.lists(HISTORY_RECORDS, min_size=1, max_size=4))
-    @settings(max_examples=100, deadline=None)
-    def test_any_finite_history_reads_back_bit_for_bit(self, records):
-        with tempfile.TemporaryDirectory() as tmp:
-            parsed = read_history_csv(write_history_csv(records, Path(tmp) / "h.csv"))
-        # repr tells -0.0 from 0.0 and shows every bit of a float
-        assert parsed == records and list(map(repr, parsed)) == list(map(repr, records))
-
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit",
         [
-            pytest.param(_replace_last_cell(1, "x"), ": best_f1 is not a JSON number: 'x'", id="x"),
-            pytest.param(
-                _replace_last_cell(0, "+3"), ": generation is not a JSON number: '+3'", id="plus"
-            ),
-            pytest.param(
-                _replace_last_cell(7, "1_000"),
-                ": models_trained_cumulative is not a JSON number: '1_000'",
-                id="underscore",
-            ),
-            pytest.param(
-                _replace_last_cell(2, "nan"), ": mean_f1 is not a JSON number: 'nan'", id="nan"
-            ),
-            pytest.param(
-                _replace_last_cell(3, "inf"),
-                ": mutation_rate is not a JSON number: 'inf'",
-                id="inf",
-            ),
-            pytest.param(
-                _replace_last_cell(1, "[" * 100_000),
-                f": best_f1 is not a JSON number: '{'[' * 100_000}'",
-                id="deep-nesting",
-            ),
-            pytest.param(
-                _replace_last_cell(4, "9" * 5000),
-                f": population_size is not a JSON number: '{'9' * 5000}'",
-                id="too-many-digits",
-            ),
-            pytest.param(
-                _replace_last_cell(1, "true"), ".best_f1 must be a number, got true", id="true"
-            ),
-            pytest.param(
-                _replace_last_cell(0, "1.5"),
-                ".generation must be an integer, got 1.5",
-                id="float-for-int",
-            ),
-            pytest.param(
-                _replace_last_cell(5, '"0.5"'),
-                '.cloning_rate must be a number, got "0.5"',
-                id="string",
-            ),
-            pytest.param(
-                _replace_last_cell(1, "NaN"), ".best_f1 must be a number, got NaN", id="json-nan"
-            ),
-            pytest.param(
-                _replace_last_cell(2, "Infinity"),
-                ".mean_f1 must be a number, got Infinity",
-                id="json-infinity",
-            ),
-            pytest.param(
-                _replace_last_cell(3, "1e309"),
-                ".mutation_rate must be a number, got Infinity",
-                id="beyond-float-range",
-            ),
-            pytest.param(
-                lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
-                ": expected 8 cells, got 7",
-                id="short-row",
-            ),
-            pytest.param(lambda lines: [*lines[:-1], ""], ": expected 8 cells, got 1", id="empty"),
+            pytest.param(_replace_last_cell(1, "x"), id="x"),
+            pytest.param(_replace_last_cell(0, "+3"), id="plus"),
+            pytest.param(_replace_last_cell(7, "1_000"), id="underscore"),
+            pytest.param(_replace_last_cell(2, "nan"), id="nan"),
+            pytest.param(_replace_last_cell(3, "inf"), id="inf"),
+            pytest.param(_replace_last_cell(1, "[" * 100_000), id="deep-nesting"),
+            pytest.param(_replace_last_cell(4, "9" * 5000), id="too-many-digits"),
+            pytest.param(_replace_last_cell(1, "true"), id="true"),
+            pytest.param(_replace_last_cell(0, "1.5"), id="float-for-int"),
+            pytest.param(_replace_last_cell(5, '"0.5"'), id="string"),
+            pytest.param(_replace_last_cell(1, "NaN"), id="json-nan"),
+            pytest.param(_replace_last_cell(2, "Infinity"), id="json-infinity"),
+            pytest.param(_replace_last_cell(3, "1e309"), id="beyond-float-range"),
+            pytest.param(lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]], id="short-row"),
+            pytest.param(lambda lines: [*lines[:-1], ""], id="empty"),
         ],
     )
-    def test_malformed_row_gives_one_error_line_naming_line_and_column(
-        self, experiment_dir, tmp_path, capsys, edit, message
+    def test_malformed_row_is_a_mismatch_naming_its_line(
+        self, experiment_dir, tmp_path, capsys, edit
     ):
+        # The audit parses no history cell: it compares each line with the replay's.
         out = tmp_path / "out"
         shutil.copytree(experiment_dir.out_dir, out)
         path = out / "history_toy0_enas_1.csv"
+        original = path.read_text().splitlines()
         _rewrite_lines(path, edit)
-        number = len(path.read_text().splitlines())
-        assert main(["audit", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {str(path)!r}:{number}{message}\n"
+        edited = path.read_text().splitlines()
+        assert main(["audit", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"audit failed: {str(path)!r}:{len(edited)}: has {edited[-1]}, "
+            f"recomputed {original[-1]}\n"
+        )
 
 
 class TestCsvFiles:
@@ -562,7 +578,7 @@ class TestCsvFiles:
         # every float is written with repr, so each file reproduces the values
         # recomputed here from the history files and the run_complete events
         out = experiment_dir.out_dir
-        histories = [read_history_csv(out / f"history_toy0_nas_plus_{i}.csv") for i in range(2)]
+        histories = [read_history(out / f"history_toy0_nas_plus_{i}.csv") for i in range(2)]
         bests = [max(record.best_f1 for record in history) for history in histories]
         models = sum(history[-1].models_trained_cumulative for history in histories)
         assert (out / "summary.csv").read_text().startswith(
@@ -904,19 +920,111 @@ class TestCli:
         doc = json.loads(target.read_text())
         seed = derive_seed(experiment_dir.base_seed, "toy0", 1, "enas")
         assert doc["run_seed"] == seed
-        target.write_text(json.dumps({**doc, "run_seed": 12345}))
+        target.write_text(json.dumps({**doc, "run_seed": 12345}, indent=2) + "\n")
+        number = len(target.read_text().splitlines()) - 1  # the last entry's line
         assert main(["audit", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"audit failed: {str(target)!r}: run_seed 12345 is not the cell's, {seed}\n"
+            f'audit failed: {str(target)!r}:{number}: has   "run_seed": 12345, '
+            f'recomputed   "run_seed": {seed}\n'
         )
 
-    def test_deeply_nested_best_genome_is_not_valid_json(self, experiment_dir, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            *(
+                pytest.param(_edit_history_cell(column), id=f"history-{name}")
+                for column, name in enumerate(experiment.HISTORY_COLUMNS)
+            ),
+            pytest.param(
+                # Its mean changes; a rescored fold that kept the mean and every
+                # ranking would pass, as only retraining can check fold scores.
+                _edit_event("evaluation", _rescore_first_fold),
+                id="evaluation-per-fold",
+            ),
+            pytest.param(
+                _edit_event("evaluation", lambda doc: doc.update(mean_f_measure=0.99)),
+                id="evaluation-mean",
+            ),
+            pytest.param(
+                _edit_event("bred", lambda doc: doc["offspring"].reverse()), id="bred-ids"
+            ),
+            pytest.param(
+                _edit_event("promotion", lambda doc: doc.update(mutation_rate=0.5)),
+                id="promotion-gene",
+            ),
+            pytest.param(
+                _edit_event("cull", lambda doc: doc["removed"][0].update(id=999)), id="cull"
+            ),
+            pytest.param(_edit_event("spawn", lambda doc: doc["ids"].pop()), id="spawn"),
+            pytest.param(
+                _edit_event("generation_end", lambda doc: doc.update(best=doc["best"] + 1)),
+                id="generation-end",
+            ),
+            pytest.param(_edit_best_genome_nodes, id="best-genome-gene"),
+        ],
+    )
+    def test_replay_names_the_first_edited_line(self, experiment_dir, tmp_path, capsys, edit):
+        # The audit replays each cell on its recorded fitness values, so an edit
+        # of any line that the engine or the cell's files builder writes is a mismatch.
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        path, number = edit(out)
+        assert path.read_bytes() != before[path.name]
+        assert main(["audit", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"audit failed: {str(path)!r}:{number}: has ")
+        assert err.count("\n") == 1, err
+
+    def test_experiment_start_without_search_space_gives_one_error_line(
+        self, experiment_dir, tmp_path, capsys
+    ):
+        # So does an events.jsonl written before the record held the search space.
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        without = _edit_experiment_start(
+            lambda start: {key: value for key, value in start.items() if key != "search_space"}
+        )
+        _rewrite_lines(out / "events.jsonl", without)
+        err = self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
+        assert err == f"error: {str(out / 'events.jsonl')!r}:1 is missing keys: 'search_space'\n"
+
+    @pytest.mark.parametrize(
+        "edit, code, message",
+        [
+            pytest.param(
+                lambda out: _rewrite_lines(out / "events.jsonl", _drop_last_initial_evaluation),
+                1,
+                r"audit failed: EVENTS:5: has \{[^\n]*, recomputed a record of type evaluation",
+                id="dropped-evaluation",
+            ),
+            pytest.param(
+                _edit_event("evaluation", lambda doc: doc.update(per_fold=None)),
+                2,
+                r"error: EVENTS:2\.per_fold must be a list, got null",
+                id="null-per-fold",
+            ),
+        ],
+    )
+    def test_evaluation_line_the_replay_cannot_read_is_named_once(
+        self, experiment_dir, tmp_path, capsys, edit, code, message
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        edit(out)
+        assert main(["audit", "--out", str(out)]) == code
+        events = re.escape(repr(str(out / "events.jsonl")))
+        assert re.fullmatch(message.replace("EVENTS", events) + "\n", capsys.readouterr().err)
+
+    def test_deeply_nested_best_genome_is_a_mismatch(self, experiment_dir, tmp_path, capsys):
+        # The audit compares the file's lines with the replay's and parses none.
         out = tmp_path / "out"
         shutil.copytree(experiment_dir.out_dir, out)
         target = out / "best_genome_toy0_enas_1.json"
         target.write_text("[" * 100_000)
-        err = self._assert_one_line_error(capsys, ["audit", "--out", str(out)])
-        assert err.startswith(f"error: {str(target)!r} is not valid JSON: "), err
+        assert main(["audit", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"audit failed: {str(target)!r}:1: has [[[") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -988,14 +1096,14 @@ class TestCli:
             ),
             pytest.param(
                 "events.jsonl",
-                _edit_first_run_complete(r'"wall_time": [^}]*', '"wall_time": 1e9'),
+                _edit_first_run_complete(r'"wall_time": [^}]*', '"wall_time": 1000000000.0'),
                 "efficiency.csv':2: has toy0,",
                 id="edited-run-complete-wall-time",
             ),
             pytest.param(
                 "events.jsonl",
                 lambda lines: [line for line in lines if not line.startswith(RUN_1_COMPLETE)],
-                "events.jsonl' has no run_complete for ('toy0', 'nas_plus', 1)",
+                'has {"dataset": "toy0", "mode": "enas", "run": 1, "type": "evaluation", ',
                 id="dropped-run-complete",
             ),
         ],
@@ -1017,7 +1125,7 @@ class TestCli:
             pytest.param(
                 lambda out: (out / "events.jsonl").write_text("garbage{\n"),
                 2,
-                "events.jsonl':1: not a JSON line",
+                "events.jsonl':1 is not valid JSON: ",
                 id="garbage-events",
             ),
             pytest.param(
@@ -1035,7 +1143,7 @@ class TestCli:
                     _edit_first_run_complete(r'"models_trained": \d+', '"models_trained": 1'),
                 ),
                 1,
-                "has no run_complete for ('toy0', 'enas', 0) whose best_f1, generations",
+                'has {"type": "run_complete", "dataset": "toy0", "mode": "enas", "run": 0, ',
                 id="run-complete-off-its-history",
             ),
             pytest.param(
@@ -1044,7 +1152,7 @@ class TestCli:
                     lambda lines: [line for line in lines if '"type": "run_complete"' not in line],
                 ),
                 1,
-                "events.jsonl' has no run_complete for ('toy0', 'enas', 0)",
+                'has {"dataset": "toy0", "mode": "enas", "run": 1, "type": "evaluation", ',
                 id="dropped-run-completes",
             ),
             pytest.param(
@@ -1053,7 +1161,7 @@ class TestCli:
                     lambda lines: [*lines, lines[-1].replace('"run": 1', '"run": 2')],
                 ),
                 1,
-                "accounts for ('toy0', 'enas', 2)'s run_complete",
+                'surplus line {"type": "run_complete", "dataset": "toy0", "mode": "enas", "run": 2',
                 id="run-complete-of-no-cell",
             ),
         ],
@@ -1398,52 +1506,65 @@ class TestCli:
         assert config.evolution.space == SearchSpace()
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "name, edit, code",
         [
-            pytest.param("history_toy0_enas_1.csv", lambda lines: [], id="empty"),
-            pytest.param("history_toy0_enas_1.csv", _replace_last_cell(1, "x"), id="non-numeric"),
+            # An edited file is a mismatch: exit 1, naming the file and line.
+            pytest.param("history_toy0_enas_1.csv", lambda lines: [], 1, id="empty"),
+            pytest.param(
+                "history_toy0_enas_1.csv", _replace_last_cell(1, "x"), 1, id="non-numeric"
+            ),
             pytest.param(
                 "history_toy0_enas_1.csv",
                 lambda lines: [*lines[:-1], lines[-1].rsplit(",", 1)[0]],
+                1,
                 id="short-row",
             ),
-            pytest.param("history_toy0_enas_1.csv", None, id="audit-missing-history"),
-            # An edited derived file is a mismatch: exit 1, naming the file and line.
-            pytest.param("summary.csv", _replace_last_cell(2, "x"), id="runs-not-integer"),
+            pytest.param("history_toy0_enas_1.csv", None, 2, id="audit-missing-history"),
+            pytest.param("summary.csv", _replace_last_cell(2, "x"), 1, id="runs-not-integer"),
             # Refused before any file name is built, so the audit never lists 10^12 runs.
             pytest.param(
                 "events.jsonl",
                 _edit_experiment_start(lambda start: {**start, "runs": 10**12}),
+                2,
                 id="runs-too-many",
             ),
-            pytest.param("folds_toy1_0.csv", None, id="audit-missing-folds"),
+            pytest.param("folds_toy1_0.csv", None, 2, id="audit-missing-folds"),
             pytest.param(
-                "folds_toy1_0.csv", _replace_last_cell(0, "x"), id="fold-index-not-integer"
+                "folds_toy1_0.csv", _replace_last_cell(0, "x"), 1, id="fold-index-not-integer"
             ),
-            pytest.param("folds_toy1_0.csv", _replace_last_cell(1, "1.5"), id="fold-not-integer"),
             pytest.param(
-                "folds_toy1_0.csv", lambda lines: [lines[0], *lines[2:]], id="fold-row-missing"
+                "folds_toy1_0.csv", _replace_last_cell(1, "1.5"), 1, id="fold-not-integer"
+            ),
+            pytest.param(
+                "folds_toy1_0.csv", lambda lines: [lines[0], *lines[2:]], 1, id="fold-row-missing"
             ),
             pytest.param(
                 "folds_toy1_0.csv",
                 lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+                1,
                 id="fold-rows-out-of-order",
             ),
-            pytest.param("summary.csv", lambda lines: [], id="empty-summary"),
-            pytest.param("summary.csv", _replace_last_cell(1, "bogus"), id="summary-unknown-mode"),
-            pytest.param("best_genome_toy0_enas_1.json", None, id="audit-missing-genome"),
-            pytest.param("efficiency.csv", None, id="audit-missing-efficiency"),
-            pytest.param("events.jsonl", None, id="audit-missing-events"),
+            pytest.param("summary.csv", lambda lines: [], 1, id="empty-summary"),
+            pytest.param(
+                "summary.csv", _replace_last_cell(1, "bogus"), 1, id="summary-unknown-mode"
+            ),
+            pytest.param("best_genome_toy0_enas_1.json", None, 2, id="audit-missing-genome"),
+            pytest.param("efficiency.csv", None, 2, id="audit-missing-efficiency"),
+            pytest.param("events.jsonl", None, 2, id="audit-missing-events"),
             pytest.param(
                 "events.jsonl",
                 _edit_first_run_complete(r'"halted": \w+', '"halted": 0'),
+                1,
                 id="run-complete-halted-not-boolean",
             ),
-            pytest.param("events.jsonl", lambda lines: [*lines, "{"], id="events-line-cut"),
-            pytest.param("best_genome_toy0_enas_1.json", lambda lines: lines[:-1], id="cut-genome"),
+            pytest.param("events.jsonl", lambda lines: [*lines, "{"], 1, id="events-line-cut"),
+            pytest.param(
+                "best_genome_toy0_enas_1.json", lambda lines: lines[:-1], 1, id="cut-genome"
+            ),
             pytest.param(
                 "best_genome_toy0_enas_1.json",
                 lambda lines: [line.replace('"per_fold"', '"per_folds"') for line in lines],
+                1,
                 id="renamed-genome-key",
             ),
             pytest.param(
@@ -1451,12 +1572,13 @@ class TestCli:
                 lambda lines: json.dumps(
                     {**json.loads("".join(lines)), "genome": {"nodes": "lots", "junk": True}}
                 ).splitlines(),
+                1,
                 id="junk-genome",
             ),
         ],
     )
     def test_malformed_outputs_give_one_error_line(
-        self, experiment_dir, tmp_path, capsys, name, edit
+        self, experiment_dir, tmp_path, capsys, name, edit, code
     ):
         config = experiment_dir
         out = tmp_path / "out"
@@ -1466,7 +1588,7 @@ class TestCli:
             target.unlink()
         else:
             _rewrite_lines(target, edit)
-        if edit is not None and name.startswith(("summary", "efficiency", "folds")):
+        if code == 1:
             assert main(["audit", "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("audit failed: ") and err.count("\n") == 1, err
@@ -1575,46 +1697,6 @@ def test_fuzzed_config_loads_or_gives_one_error_line(text):
         assert message.startswith("error: ") and message.count("\n") == 1, message
 
 
-GENOME_DOC = genome_to_doc(sample_genome(SearchSpace(), make_rng(4)))
-UPPER_ACTIVATIONS = [name.upper() for name in GENOME_DOC["activation functions"]]
-GENE_VALUES = JSON_VALUES | st.sampled_from(
-    ["Adam", "RMSprop", 0.5, 7, 7.0, True, UPPER_ACTIVATIONS]
-)
-
-
-@st.composite
-def genome_documents(draw):
-    """A valid gene document with a few values replaced or removed, or arbitrary JSON."""
-    if draw(st.integers(0, 3)) == 0:
-        return draw(JSON_VALUES)
-    doc = dict(GENOME_DOC)
-    for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.sampled_from([*GENOME_DOC, "foo"]))
-        if draw(st.booleans()):
-            doc[key] = draw(GENE_VALUES)
-        else:
-            doc.pop(key, None)
-    return doc
-
-
-@given(genome_documents())
-@settings(max_examples=300, deadline=None)
-def test_fuzzed_genome_document_loads_exactly_or_gives_one_error(doc):
-    try:
-        genome = genome_from_doc(doc)
-    except ExperimentError:
-        return
-    # Nothing is substituted: an accepted document is what the genome writes
-    # back, names in lower case, down to JSON's distinction of 1, 1.0 and true.
-    expected = {
-        **doc,
-        "optimiser": doc["optimiser"].lower(),
-        "activation functions": [name.lower() for name in doc["activation functions"]],
-    }
-    written = genome_to_doc(genome)
-    assert json.dumps(written, sort_keys=True) == json.dumps(expected, sort_keys=True)
-
-
 # The files ``enas audit`` reads, in a one-run output directory.
 AUDITED_FILES = (
     "summary.csv",
@@ -1629,8 +1711,12 @@ CELL_VALUES = st.sampled_from(
     + ["[" * 10_000, "true", '"0.5"', "+1", "1_0", "NaN", "Infinity"]
 ) | st.text(max_size=8)
 NOT_UTF_8 = st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
-# The events.jsonl records that the audit reads.
-RECORD_TYPES = ("experiment_start", "run_complete")
+# The events.jsonl records whose values a fuzzed edit may replace: every type the
+# fixture's events.jsonl holds, so that edits reach the replay.
+RECORD_TYPES = (
+    "experiment_start", "evaluation", "bred", "promotion", "cull", "spawn", "generation_end",
+    "run_complete",
+)
 
 
 @pytest.fixture(scope="module")
@@ -1675,9 +1761,8 @@ def time_cap(seconds):
 def _edited(data, original: bytes, name: str) -> bytes:
     """``original``, the file ``name``, truncated, with a replaced CSV cell or
     JSON value, with a line dropped or repeated, or with bytes that are not
-    UTF-8. In events.jsonl, a replaced value may also be one key of the
-    experiment_start record or of a run_complete record, so that the edit
-    reaches the typed readers."""
+    UTF-8. In events.jsonl, a replaced value may also be one key of a record
+    of any type, so that the edit reaches the typed readers and the replay."""
     kind = data.draw(st.sampled_from(["truncate", "replace", "drop", "repeat", "not-utf-8"]))
     if kind == "truncate":
         return original[: data.draw(st.integers(0, len(original) - 1), label="length")]
@@ -1704,6 +1789,11 @@ def _edited(data, original: bytes, name: str) -> bytes:
     row = data.draw(st.sampled_from(rows), label="row")
     row[data.draw(st.integers(0, len(row) - 1), label="cell")] = data.draw(CELL_VALUES)
     return "".join(",".join(cells) + "\n" for cells in rows).encode()
+
+
+def test_fuzzed_audit_edits_reach_every_record_type(audit_source):
+    lines = (audit_source / "events.jsonl").read_text().splitlines()
+    assert {json.loads(line)["type"] for line in lines} == set(RECORD_TYPES)
 
 
 @given(st.data())
