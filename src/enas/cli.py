@@ -8,7 +8,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import DatasetError
-from .evolution import ConfigurationError
 from .experiment import (
     AuditError,
     ExperimentConfig,
@@ -17,7 +16,6 @@ from .experiment import (
     config_from_file,
     run_experiment,
 )
-from .genome import InvalidGenomeError
 from .synthetic import make_threshold_dataset, write_dataset_csv
 
 
@@ -124,14 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     # An OSError here is an input or output path the command cannot use,
     # such as an output directory that is an existing file.
-    except (
-        argparse.ArgumentError,
-        ExperimentError,
-        ConfigurationError,
-        DatasetError,
-        InvalidGenomeError,
-        OSError,
-    ) as exc:
+    except (argparse.ArgumentError, ExperimentError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,10 +47,6 @@ from .genome import (
 from .seeding import derive_seed, make_rng
 
 
-class ConfigurationError(ValueError):
-    """The run configuration cannot produce a valid population."""
-
-
 class Mode(str, Enum):
     NAS_PLUS = "nas_plus"
     ENAS = "enas"
@@ -94,14 +90,14 @@ class EvolutionConfig:
         for rate_name in ("mutation_rate", "cloning_rate"):
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(f"{rate_name} must lie in [0, 1], got {rate}")
+                raise ValueError(f"{rate_name} must lie in [0, 1], got {rate}")
         if not 2 <= self.population_size <= STATIC_POPULATION_MAX:  # an elite and an offspring
-            raise ConfigurationError(
+            raise ValueError(
                 f"population_size must lie in [2, {STATIC_POPULATION_MAX}], "
                 f"got {self.population_size}"
             )
         if not 1 <= self.max_generations <= STATIC_GENERATION_MAX:
-            raise ConfigurationError(
+            raise ValueError(
                 f"max_generations must lie in [1, {STATIC_GENERATION_MAX}], "
                 f"got {self.max_generations}"
             )
@@ -375,7 +371,7 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
     When the newly promoted generation budget is already exceeded, the
     run has halted (``state.halted``) and the population is left untouched.
     """
-    fittest = best_individual(state.population)
+    fittest = state.best
     genes = fittest.genome
     # The population size goes live in resize_population, unless the run halts.
     state.live = replace(
@@ -396,7 +392,7 @@ def apply_eco_genes(state: EvolutionState, fitness_fn: FitnessFunction) -> None:
 
 
 def _record_generation(state: EvolutionState) -> None:
-    best = best_individual(state.population)
+    best = state.best
     mean = sum(ind.fitness.mean_f_measure for ind in state.population) / len(
         state.population
     )

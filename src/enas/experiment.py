@@ -27,9 +27,9 @@ import numpy as np
 
 from . import evolution
 from .data import Dataset, DatasetError, kfold_split, load_csv, normalize_min_max
-from .evolution import ConfigurationError, EvolutionConfig, EvolutionState, GenerationRecord, Mode
+from .evolution import EvolutionConfig, EvolutionState, GenerationRecord, Mode
 from .fitness import CrossValFitness, FitnessRecord
-from .genome import InvalidGenomeError, SearchSpace, genome_to_doc
+from .genome import SearchSpace, genome_to_doc
 from .seeding import derive_seed, make_rng
 
 
@@ -245,9 +245,10 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
 
 def _evolution(top: dict) -> EvolutionConfig:
     """The ``evolution`` of the ``search_space`` and ``static_params`` popped from ``top``."""
+    bounds = _section("search_space", top.pop("search_space", {}), _SPACE_HINTS)
     try:
-        space = SearchSpace(**_section("search_space", top.pop("search_space", {}), _SPACE_HINTS))
-    except InvalidGenomeError as exc:
+        space = SearchSpace(**bounds)
+    except ValueError as exc:
         raise ExperimentError(f"search_space: {exc}") from exc
     static = _section("static_params", top.pop("static_params", {}), _STATIC_HINTS)
     for key, fixed in _FIXED_STATIC.items():
@@ -255,7 +256,7 @@ def _evolution(top: dict) -> EvolutionConfig:
         _require(value == fixed, f"static_params.{key} is fixed at {fixed}, got {value}")
     try:
         return EvolutionConfig(space=space, **static)
-    except ConfigurationError as exc:
+    except ValueError as exc:
         raise ExperimentError(f"static_params: {exc}") from exc
 
 

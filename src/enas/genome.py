@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .nn import SUPPORTED_ACTIVATIONS, SUPPORTED_OPTIMIZERS, MLPConfig, TrainingError
+from .nn import SUPPORTED_ACTIVATIONS, SUPPORTED_OPTIMIZERS, MLPConfig
 
 # Hard rails for the self-adaptation genes; narrower per-run bounds may
 # be configured, wider ones may not.
@@ -48,10 +48,6 @@ MUTATION_RATE_PRIOR = (2.0, 18.0)
 CLONING_RATE_PRIOR = (3.0, 7.0)
 
 
-class InvalidGenomeError(ValueError):
-    """A genome violates its structural invariants or search-space bounds."""
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """The inclusive bounds a run samples its width, epoch and size genes from.
@@ -70,11 +66,9 @@ class SearchSpace:
             lo, hi = getattr(self, name)
             limits = INTEGER_GENE_LIMITS[name]
             if lo > hi:
-                raise InvalidGenomeError(f"{name} low bound {lo} is above its high bound {hi}")
+                raise ValueError(f"{name} low bound {lo} is above its high bound {hi}")
             if lo < limits[0] or hi > limits[1]:
-                raise InvalidGenomeError(
-                    f"{name} bounds must sit inside {limits}, got ({lo}, {hi})"
-                )
+                raise ValueError(f"{name} bounds must sit inside {limits}, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -101,26 +95,6 @@ def config_from_genome(genome: Genome) -> MLPConfig:
         epochs=genome.epochs,
         batch_size=genome.batch_size,
     )
-
-
-def validate_genome(genome: Genome, space: SearchSpace | None = None) -> Genome:
-    """Check the hard rails, the network (as an ``MLPConfig``) and, given a space, its bounds."""
-    g = genome
-    if not 0.0 < g.mutation_rate < 1.0 or not 0.0 < g.cloning_rate < 1.0:
-        raise InvalidGenomeError("mutation and cloning rates must lie inside (0, 1)")
-    for name, limits in INTEGER_GENE_LIMITS.items():
-        value = getattr(g, name)
-        # The hard rails, then the run's own bounds when a space gives them.
-        for bounds in (limits, getattr(space, name, limits)):
-            if not bounds[0] <= value <= bounds[1]:
-                raise InvalidGenomeError(f"{name} value {value} outside bounds {bounds}")
-    try:
-        config_from_genome(g)
-    except TrainingError as exc:
-        raise InvalidGenomeError(str(exc)) from exc
-    if g.batch_size not in BATCH_SIZES:  # a hard rail too
-        raise InvalidGenomeError(f"batch size {g.batch_size} not in {BATCH_SIZES}")
-    return genome
 
 
 def _uniform(field: str) -> Callable:

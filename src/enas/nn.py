@@ -82,10 +82,6 @@ LOCKSTEP_PARAMS = 2**15
 Layers = list[tuple[np.ndarray, np.ndarray]]
 
 
-class TrainingError(ValueError):
-    """Invalid network configuration, or parameters that do not fit it."""
-
-
 class EarlyStopper:
     """Patience rule on the epoch loss.
 
@@ -121,21 +117,21 @@ class MLPConfig:
 
     def __post_init__(self) -> None:
         if self.hidden_layers < 1 or self.nodes_per_hidden < 1:
-            raise TrainingError("hidden_layers and nodes_per_hidden must be positive")
+            raise ValueError("hidden_layers and nodes_per_hidden must be positive")
         if self.epochs < 1 or self.batch_size < 1:
-            raise TrainingError("epochs and batch_size must be positive")
+            raise ValueError("epochs and batch_size must be positive")
         if len(self.activations) != self.hidden_layers + 2:
-            raise TrainingError(
+            raise ValueError(
                 f"expected {self.hidden_layers + 2} activations for "
                 f"{self.hidden_layers} hidden layers, got {len(self.activations)}"
             )
         if self.activations[-1] != "sigmoid":
-            raise TrainingError("the output activation must be sigmoid")
+            raise ValueError("the output activation must be sigmoid")
         for name in self.activations:
             if name not in SUPPORTED_ACTIVATIONS:
-                raise TrainingError(f"unsupported activation {name!r}")
+                raise ValueError(f"unsupported activation {name!r}")
         if self.optimizer not in SUPPORTED_OPTIMIZERS:
-            raise TrainingError(f"unsupported optimizer {self.optimizer!r}")
+            raise ValueError(f"unsupported optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -207,7 +203,7 @@ def param_views(flat: np.ndarray, dims) -> Layers:
     view writes to ``flat``; this is the only place that knows the layout.
     """
     if flat.shape[-1] != param_count(dims):
-        raise TrainingError(f"{flat.shape[-1]} parameters do not fit layer dims {list(dims)}")
+        raise ValueError(f"{flat.shape[-1]} parameters do not fit layer dims {list(dims)}")
     lead = flat.shape[:-1]
     views = []
     start = 0

@@ -13,7 +13,6 @@ from enas.evolution import (
     STATIC_GENERATION_MAX,
     STATIC_POPULATION_MAX,
     TOURNAMENT_SIZE,
-    ConfigurationError,
     EvaluatorPool,
     EvolutionConfig,
     EvolutionState,
@@ -236,19 +235,19 @@ class TestInit:
 
     def test_invalid_config_rejected(self):
         # a population of one holds the elite and no offspring
-        with pytest.raises(ConfigurationError, match=r"population_size must lie in \[2, "):
+        with pytest.raises(ValueError, match=r"population_size must lie in \[2, "):
             EvolutionConfig(space=DESK_SPACE, population_size=1)
         EvolutionConfig(space=DESK_SPACE, population_size=2)
-        with pytest.raises(ConfigurationError, match="mutation_rate must lie in"):
+        with pytest.raises(ValueError, match="mutation_rate must lie in"):
             EvolutionConfig(space=DESK_SPACE, mutation_rate=1.5)
 
     def test_static_limits_admit_their_bound_only(self):
         EvolutionConfig(
             population_size=STATIC_POPULATION_MAX, max_generations=STATIC_GENERATION_MAX
         )
-        with pytest.raises(ConfigurationError, match="population_size must lie in"):
+        with pytest.raises(ValueError, match="population_size must lie in"):
             EvolutionConfig(population_size=STATIC_POPULATION_MAX + 1)
-        with pytest.raises(ConfigurationError, match="max_generations must lie in"):
+        with pytest.raises(ValueError, match="max_generations must lie in"):
             EvolutionConfig(max_generations=STATIC_GENERATION_MAX + 1)
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from enas import evolution, experiment
 from enas.cli import _build_parser, apply_run_flags, main
-from enas.evolution import ConfigurationError, EvolutionConfig, GenerationRecord, Mode, run
+from enas.evolution import EvolutionConfig, GenerationRecord, Mode, run
 from enas.experiment import (
     MAX_JOBS,
     AuditError,
@@ -39,11 +39,12 @@ from enas.experiment import (
     summarize_efficiency,
     write_csv,
 )
-from enas.genome import Genome, SearchSpace, genome_to_doc, validate_genome
+from enas.genome import Genome, SearchSpace, genome_to_doc
 from enas.seeding import derive_seed
 from enas.synthetic import make_threshold_dataset, write_dataset_csv
 
 from .test_evolution import SyntheticFitness, discard
+from .test_genome import assert_valid_genome
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -267,7 +268,8 @@ class TestRunExperiment:
         out = experiment_dir.out_dir
         doc = json.loads((out / "best_genome_toy0_nas_plus_0.json").read_text())
         genes = [tuple(v) if isinstance(v, list) else v for v in doc["genome"].values()]
-        genome = validate_genome(Genome(*genes))
+        genome = Genome(*genes)
+        assert_valid_genome(genome, experiment_dir.evolution.space)
         assert genome_to_doc(genome) == doc["genome"] and genome.hidden_layers >= 1
         assert doc["mean_f_measure"] == _run_complete_docs(out)[0]["best_f1"]
 
@@ -900,6 +902,20 @@ class TestCli:
         err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
         assert err == f"error: static_params: {key} must lie in {bounds}, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([2, 10**12], "nodes bounds must sit inside (1, 1024), got (2, 1000000000000)"),
+            ([8, 2], "nodes low bound 8 is above its high bound 2"),
+        ],
+    )
+    def test_bad_search_space_bounds_name_their_section_once(
+        self, tmp_path, capsys, nodes, message
+    ):
+        config_path = _write_config(tmp_path, datasets=1, runs=1, search_space={"nodes": nodes})
+        err = self._assert_one_line_error(capsys, ["run", "--config", str(config_path)])
+        assert err == f"error: search_space: {message}\n"
+
     def test_audit_rejects_a_tampered_best_genome(self, experiment_dir, tmp_path, capsys):
         config = experiment_dir
         out = tmp_path / "out"
@@ -1361,7 +1377,7 @@ class TestCli:
 
         def fail_one_cell(mode, config, fitness, run_seed, emit):
             if run_seed == failing_seed:
-                raise ConfigurationError("cell toy0 enas 1 failed")
+                raise ExperimentError("cell toy0 enas 1 failed")
             return run(mode, config, fitness, run_seed, emit)
 
         def end_one_worker(mode, config, fitness, run_seed, emit):
@@ -1390,7 +1406,7 @@ class TestCli:
         def fail_third_cell(mode, config, fitness, run_seed, emit):
             calls.append(run_seed)
             if len(calls) == 3:
-                raise ConfigurationError("the third cell failed")
+                raise ExperimentError("the third cell failed")
             return run(mode, config, fitness, run_seed, emit)
 
         monkeypatch.setattr(evolution, "run", fail_third_cell)

@@ -7,7 +7,9 @@ runtime dependency that pyproject.toml declares, so a module may load no
 other third-party package.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,38 @@ def test_module_imports_alone(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [], f"enas.{module} loads {proc.stdout.strip()}"
+
+
+REPO = SRC.parent
+# A benchmark site string, "enas.<module>:<name>[.<attribute>]", names <name>.
+SITE = re.compile(r"enas\.\w+:(\w+)")
+
+
+def _referenced_names() -> set[str]:
+    """Every name a Name or Attribute node of src/enas or perfbench uses, and every
+    name a perfbench site string gives."""
+    names = set()
+    for root in (SRC / "enas", REPO / "perfbench"):
+        for path in root.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and root.name == "perfbench":
+                    names.update(SITE.findall(str(node.value)))
+    return names
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    # A public function or class that only tests use is a wrapper kept for them.
+    referenced = _referenced_names()
+    unused = [
+        f"{module}.{node.name}"
+        for module in MODULES
+        for node in ast.parse((SRC / "enas" / f"{module}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    ]
+    assert unused == []

@@ -20,7 +20,6 @@ from enas.nn import (
     MLPConfig,
     Optimizer,
     TrainedModel,
-    TrainingError,
     glorot_uniform,
     init_params,
     layer_dims,
@@ -108,7 +107,7 @@ class TestPredict:
 
     def test_parameter_count_must_fit_dims(self):
         model = TrainedModel(params=np.zeros(3), dims=(1, 1), activations=("sigmoid",))
-        with pytest.raises(TrainingError, match="parameters"):
+        with pytest.raises(ValueError, match="parameters"):
             predict(model, np.array([[0.0]]))
 
     def test_output_length_matches_batch(self):
@@ -459,16 +458,24 @@ class TestEarlyStopper:
 
 class TestConfigValidation:
     def test_activation_count_must_match_depth(self):
-        with pytest.raises(TrainingError, match="activations"):
+        with pytest.raises(ValueError, match="activations"):
             _config(hidden_layers=2)  # needs 4 entries, default has 3
 
     def test_final_activation_must_be_sigmoid(self):
-        with pytest.raises(TrainingError, match="sigmoid"):
+        with pytest.raises(ValueError, match="sigmoid"):
             _config(activations=("relu", "relu", "tanh"))
 
     def test_unknown_activation(self):
-        with pytest.raises(TrainingError, match="unsupported activation"):
+        with pytest.raises(ValueError, match="unsupported activation"):
             _config(activations=("step", "relu", "sigmoid"))
+
+    def test_unknown_optimizer(self):
+        with pytest.raises(ValueError, match="unsupported optimizer 'sparrow'"):
+            _config(optimizer="sparrow")
+
+    def test_batch_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            _config(batch_size=0)
 
 
 class TestGradients:
