@@ -287,6 +287,24 @@ class TestValidation:
             assert_valid_genome(_fixed_genome(population_size=51))
 
     @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            pytest.param({"activations": ("relu", "relu", "sigmoid")}, "activations", id="length"),
+            pytest.param(
+                {"activations": ("relu", "relu", "relu", "tanh")}, "sigmoid", id="tanh-output"
+            ),
+            pytest.param({"activations": ("relu", "step", "relu", "sigmoid")}, "step", id="step"),
+            pytest.param({"optimizer": "sparrow"}, "sparrow", id="unknown-optimizer"),
+            pytest.param({"batch_size": 0}, "batch_size", id="batch-size-0"),
+        ],
+    )
+    def test_network_checks_raise_invalid_genome_not_training_error(self, overrides, match):
+        # The network checks are MLPConfig's: building the genome's config
+        # rejects it with a ValueError, before any network is trained.
+        with pytest.raises(ValueError, match=match):
+            config_from_genome(_fixed_genome(**overrides))
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("nodes", 10**12),
