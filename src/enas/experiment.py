@@ -18,7 +18,6 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import closing, contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
-from itertools import zip_longest
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -198,14 +197,6 @@ def _section(where: str, doc, hints: Mapping, required=()) -> dict:
     return {key: _typed(f"{where}.{key}", value, hints[key]) for key, value in doc.items()}
 
 
-def _read_text(path: Path) -> str:
-    """The text of the UTF-8 file ``path``; an unreadable file raises ``ExperimentError``."""
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
-        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
-
-
 def _json(where: str, text: str):
     """The JSON document ``text``; a malformed one raises ``ExperimentError`` naming ``where``."""
     try:
@@ -224,7 +215,11 @@ def config_from_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ExperimentError(f"config file not found: {str(path)!r}")
-    top = _section("config", _json(repr(str(path)), _read_text(path)), _CONFIG_HINTS)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
+        raise ExperimentError(f"cannot read {str(path)!r}: {exc}") from exc
+    top = _section("config", _json(repr(str(path)), text), _CONFIG_HINTS)
 
     datasets = []
     for i, raw in enumerate(top.pop("datasets", ())):
@@ -264,17 +259,18 @@ def _evolution(top: dict) -> EvolutionConfig:
 def _replacing(path: Path):
     """A text file open as ``<path>.tmp``, line-buffered, moved to ``path`` once
     the block has written it, so that no reader finds a partly written file
-    under ``path``. A block that raises leaves the ``.tmp`` file."""
+    under ``path``. A block that raises leaves the ``.tmp`` file. Each line
+    ends with the LF written, which no platform translates."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8", buffering=1) as file:
+    with tmp.open("w", encoding="utf-8", newline="\n", buffering=1) as file:
         yield file
     os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
-# CSV files. Every table goes through one writer, and floats are written
-# with repr() so that a parsed file reproduces the in-memory values bit
-# for bit.
+# CSV files. Every table goes through one writer, ``_write_lines`` of its
+# ``_csv_lines``, and floats are written with repr() so that a parsed file
+# reproduces the in-memory values bit for bit.
 
 def _csv_line(cells: Iterable) -> str:
     return ",".join(repr(cell) if isinstance(cell, float) else str(cell) for cell in cells)
@@ -288,13 +284,6 @@ def _csv_lines(columns: Sequence[str], rows: Iterable[Sequence]) -> list[str]:
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with _replacing(path) as file:
         file.write("".join(line + "\n" for line in lines))
-
-
-def write_csv(path: str | Path, columns: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write the ``_csv_lines`` of ``columns`` and ``rows``."""
-    path = Path(path)
-    _write_lines(path, _csv_lines(columns, rows))
-    return path
 
 
 def _columns(cls) -> tuple[str, ...]:
@@ -601,7 +590,7 @@ def run_experiment(config: ExperimentConfig) -> None:
         if cell.folds_file not in fitness:
             dataset = loaded[cell.dataset]
             folds = fold_split(dataset, config.folds, cell.data_seed(config.base_seed))
-            write_csv(out / cell.folds_file, FOLD_COLUMNS, _fold_rows(folds))
+            _write_lines(out / cell.folds_file, _csv_lines(FOLD_COLUMNS, _fold_rows(folds)))
             fitness[cell.folds_file] = CrossValFitness(dataset, folds)
         tasks.append((cell, config.evolution, fitness[cell.folds_file], config.base_seed, out))
     try:
@@ -610,23 +599,27 @@ def run_experiment(config: ExperimentConfig) -> None:
         lost = ", ".join(str(tasks[i][0]) for i in exc.tasks) or "none"
         raise ExperimentError(f"a worker process died; cells in flight: {lost} ({exc})") from None
 
-    static = asdict(config.evolution)
-    start = {"type": "experiment_start", "runs": config.runs, "folds": config.folds,
-             "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
-             "datasets": [spec.name for spec in config.datasets],
-             "search_space": static.pop("space"), "static_params": static}
     with _replacing(out / "events.jsonl") as events:
-        events.write(json.dumps(start) + "\n")
+        events.write(_start_line(config) + "\n")
         for cell, *_ in tasks:
-            with (out / cell.events_file).open(encoding="utf-8") as lines:
+            with (out / cell.events_file).open(encoding="utf-8", newline="\n") as lines:
                 shutil.copyfileobj(lines, events)
     for cell, *_ in tasks:  # only once events.jsonl holds them all
         (out / cell.events_file).unlink()
 
     tables = _tables(config, records)
     for name, rows in tables.items():
-        write_csv(out / name, _columns(type(rows[0])), map(astuple, rows))
+        _write_lines(out / name, _csv_lines(_columns(type(rows[0])), map(astuple, rows)))
     print(_summary_text(tables["summary.csv"], time.perf_counter() - started), flush=True)
+
+
+def _start_line(config: ExperimentConfig) -> str:
+    """Line 1 of events.jsonl: ``config``'s experiment_start record, which the audit rebuilds."""
+    static = asdict(config.evolution)
+    return json.dumps({"type": "experiment_start", "runs": config.runs, "folds": config.folds,
+                       "base_seed": config.base_seed, "modes": [m.value for m in config.modes],
+                       "datasets": [spec.name for spec in config.datasets],
+                       "search_space": static.pop("space"), "static_params": static})
 
 
 _START_HINTS = {"runs": int, "folds": int, "base_seed": int, "modes": tuple[str, ...],
@@ -648,21 +641,26 @@ def _experiment_start(where: str, doc) -> ExperimentConfig:
 
 def _numbered_lines(path: Path) -> Iterator[tuple[str, str | None]]:
     """``(where, text)`` for each line of ``path`` in turn, ``where`` naming the file and the
-    line and ``text`` the line without its break; past the last line, ``(where, None)``."""
-    shown, number = repr(str(path)), 0
+    line and ``text`` the line without its LF, the one line break read; past the last line,
+    ``(where, None)``, unless that line has no LF, which is a mismatch."""
+    shown, number, line = repr(str(path)), 0, "\n"
     try:
         with path.open(encoding="utf-8", newline="\n") as file:
             for number, line in enumerate(file, start=1):
                 yield f"{shown}:{number}", line.removesuffix("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ExperimentError(f"cannot read {shown}: {exc}") from exc
+    if not line.endswith("\n"):
+        raise AuditError(f"{shown}:{number}: no LF ends the file's last line")
     while True:
         yield f"{shown}:{number + 1}", None
 
 
 def _match(where: str, line: str | None, expected: str | None) -> None:
-    """Fail, naming ``where``, unless ``line`` is ``expected``; None stands for no line."""
+    """Fail, naming ``where``, unless ``line`` is ``expected``; None stands for no line, and a
+    line that is not printable, as one holding a CR, is shown with repr."""
     if line != expected:
+        line, expected = (s if s is None or s.isprintable() else repr(s) for s in (line, expected))
         raise AuditError(
             f"{where}: line missing, recomputed {expected}" if line is None
             else f"{where}: surplus line {line}" if expected is None
@@ -671,9 +669,9 @@ def _match(where: str, line: str | None, expected: str | None) -> None:
 
 
 def _match_file(path: Path, expected: Sequence[str]) -> None:
-    lines = _read_text(path).splitlines()
-    for number, (line, want) in enumerate(zip_longest(lines, expected), start=1):
-        _match(f"{str(path)!r}:{number}", line, want)
+    with closing(_numbered_lines(path)) as lines:
+        for want in [*expected, None]:
+            _match(*next(lines), want)
 
 
 def _next_record(lines: Iterator, kind: str) -> tuple[str, str, dict]:
@@ -730,14 +728,15 @@ def audit_cell(out: Path, cell: Cell, config: ExperimentConfig, lines: Iterator)
 
 
 def audit_output_dir(out_dir: str | Path) -> bool:
-    """Replay each cell of the experiment on line 1 of events.jsonl (``audit_cell``), read a
-    line at a time, and compare summary.csv, efficiency.csv and each fold file line for line
-    with what ``enas run`` writes from the same inputs; every cell file must belong to a
+    """Rebuild line 1 of events.jsonl from the experiment it records, replay each of its cells
+    (``audit_cell``) on the lines after it, and compare summary.csv, efficiency.csv and each
+    fold file line for line with what ``enas run`` writes; every cell file must belong to a
     cell. Raise on any mismatch; return whether efficiency.csv was compared."""
     out = Path(out_dir)
     with closing(_numbered_lines(out / "events.jsonl")) as lines:
-        where, _, doc = _next_record(lines, "experiment_start")
+        where, text, doc = _next_record(lines, "experiment_start")
         config = _experiment_start(where, {k: v for k, v in doc.items() if k != "type"})
+        _match(where, text, _start_line(config))
         experiment = list(cells(config))
         records = [audit_cell(out, cell, config, lines) for cell in experiment]
         _match(*next(lines), None)
@@ -754,7 +753,8 @@ def audit_output_dir(out_dir: str | Path) -> bool:
     if stray:
         raise AuditError(f"no experiment cell accounts for {str(out / min(stray))!r}")
     for name, cell in folds.items():
-        count = len(_read_text(out / name).splitlines()) - 1  # all fold_split reads of a dataset
+        lines = _numbered_lines(out / name)
+        count = sum(1 for _ in iter(lambda: next(lines)[1], None)) - 1  # all fold_split reads
         if count < config.folds:  # never written; a split with empty folds could match a cut file
             raise AuditError(f"{str(out / name)!r}: fewer rows than the {config.folds} folds")
         stand_in = Dataset(np.zeros((count, 1)), np.zeros(count))

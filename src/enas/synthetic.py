@@ -34,7 +34,7 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [int(label)])
     return path

@@ -202,7 +202,7 @@ class TestKFold:
                 fold[0] = 0
 
     def test_export_assignments(self, small_dataset, tmp_path):
-        # run_experiment writes each run's fold assignment through write_csv
+        # run_experiment writes each run's fold assignment through _write_lines
         path = write_dataset_csv(small_dataset, tmp_path / "small.csv")
         run_experiment(_one_generation(DatasetSpec("small", path), tmp_path / "out", runs=1))
         text = (tmp_path / "out" / "folds_small_0.csv").read_bytes().decode("utf-8")

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enas import evolution, experiment
-from enas.cli import _build_parser, apply_run_flags, main
+from enas.cli import _DEMO_DATASETS, _build_parser, apply_run_flags, main
+from enas.data import load_csv
 from enas.evolution import EvolutionConfig, GenerationRecord, Mode, run
 from enas.experiment import (
     MAX_JOBS,
@@ -32,12 +33,13 @@ from enas.experiment import (
     ExperimentError,
     RunComplete,
     SummaryRow,
+    _csv_lines,
     _run_cell,
+    _write_lines,
     audit_output_dir,
     config_from_file,
     run_experiment,
     summarize_efficiency,
-    write_csv,
 )
 from enas.genome import Genome, SearchSpace, genome_to_doc
 from enas.seeding import derive_seed
@@ -188,6 +190,85 @@ def _edit_best_genome_nodes(out):
     return path, next(i for i, line in enumerate(lines, start=1) if '"nodes"' in line)
 
 
+def _edit_bytes(name, edit, number):
+    """Apply ``edit`` to the bytes of the output file ``name``; return the file and
+    the line that ``number(original bytes)`` names."""
+
+    def edited(out):
+        path = out / name
+        original = path.read_bytes()
+        path.write_bytes(edit(original))
+        return path, number(original)
+
+    return edited
+
+
+def _edit_start_line(edit):
+    """Apply ``edit`` to the text of line 1 of events.jsonl, the experiment_start record."""
+
+    def edited(data):
+        first, rest = data.split(b"\n", 1)
+        return edit(first.decode()).encode() + b"\n" + rest
+
+    return _edit_bytes("events.jsonl", edited, lambda data: 1)
+
+
+# One file of each kind that enas audit rebuilds.
+REBUILT_FILES = (
+    "summary.csv",
+    "efficiency.csv",
+    "history_toy0_enas_0.csv",
+    "best_genome_toy1_nas_plus_1.json",
+    "folds_toy0_0.csv",
+)
+# Each line break that str.splitlines breaks a line at and LF does not.
+OTHER_LINE_BREAKS = {"cr": "\r", "form-feed": "\x0c", "record-separator": "\x1e",
+                     "next-line": "\x85", "line-separator": "\u2028"}
+# Edits of the line format alone: no parsed JSON value or CSV cell changes.
+LINE_FORMAT_EDITS = [
+    *(
+        pytest.param(
+            _edit_bytes(name, lambda data: data.replace(b"\n", b"\r\n"), lambda data: 1),
+            id=f"crlf-{name}",
+        )
+        for name in REBUILT_FILES
+    ),
+    *(
+        pytest.param(
+            _edit_bytes(name, lambda data: data[:-1], lambda data: data.count(b"\n")),
+            id=f"no-last-lf-{name}",
+        )
+        for name in (*REBUILT_FILES, "events.jsonl")
+    ),
+    *(
+        pytest.param(
+            _edit_bytes(
+                "history_toy0_enas_0.csv",
+                lambda data, brk=brk: data.decode().replace("\n", brk, 1).encode(),
+                lambda data: 1,
+            ),
+            id=f"history-first-lf-as-{kind}",
+        )
+        for kind, brk in OTHER_LINE_BREAKS.items()
+    ),
+    pytest.param(
+        _edit_start_line(
+            lambda line: json.dumps(dict(sorted(json.loads(line).items())), separators=(",", ":"))
+        ),
+        id="start-reordered-and-compact",
+    ),
+    pytest.param(_edit_start_line(lambda line: line + "\r"), id="start-cr-before-lf"),
+    pytest.param(
+        _edit_start_line(lambda line: line.replace(", ", ', "static_params": {}, ', 1)),
+        id="start-duplicated-static-params",
+    ),
+    pytest.param(
+        _edit_bytes("events.jsonl", lambda data: data + b"\n", lambda data: data.count(b"\n") + 1),
+        id="blank-line-after-events",
+    ),
+]
+
+
 def read_summary_rows(out_dir):
     """The rows of ``out_dir``'s summary.csv."""
     kinds = [str, str, int, float, float, float, int]
@@ -249,6 +330,14 @@ class TestRunExperiment:
             assert row.range >= 0
             assert row.fittest - row.range <= row.average <= row.fittest
             assert 0.0 <= row.fittest <= 1.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_output_file_is_lf_only(self, tmp_path, jobs):
+        config = _with_flags(_write_config(tmp_path, datasets=1, runs=1), "--jobs", str(jobs))
+        run_experiment(config)
+        for path in config.out_dir.iterdir():
+            data = path.read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, path.name
 
     def test_artifacts_written(self, experiment_dir):
         config = experiment_dir
@@ -571,8 +660,9 @@ class TestHistoryFiles:
 
 class TestCsvFiles:
     def test_writer_bytes_are_exact(self, tmp_path):
-        path = write_csv(
-            tmp_path / "t.csv", ("name", "count", "sum", "tiny"), [("a b", 3, 0.1 + 0.2, 1e-300)]
+        path = tmp_path / "t.csv"
+        _write_lines(
+            path, _csv_lines(("name", "count", "sum", "tiny"), [("a b", 3, 0.1 + 0.2, 1e-300)])
         )
         assert path.read_bytes() == b"name,count,sum,tiny\na b,3,0.30000000000000004,1e-300\n"
 
@@ -991,6 +1081,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"audit failed: {str(path)!r}:{number}: has ")
         assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("edit", LINE_FORMAT_EDITS)
+    def test_line_format_edit_names_its_file_and_line(self, experiment_dir, tmp_path, capsys, edit):
+        # The audit reads every file a line at a time, each line ending at its LF
+        # and at no other break, and rebuilds every line it reads, line 1 of
+        # events.jsonl included; a line it cannot show as it is, it shows with repr.
+        out = tmp_path / "out"
+        shutil.copytree(experiment_dir.out_dir, out)
+        path, number = edit(out)
+        assert main(["audit", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"audit failed: {str(path)!r}:{number}: "), err
+        assert err.endswith("\n") and err[:-1].isprintable(), err
 
     def test_experiment_start_without_search_space_gives_one_error_line(
         self, experiment_dir, tmp_path, capsys
@@ -1633,6 +1736,17 @@ class TestCli:
         assert main(["demo-data", "--out", str(target), "--seed", "3"]) == 0
         files = sorted(p.name for p in target.glob("*.csv"))
         assert len(files) == 4
+
+    def test_demo_data_is_lf_only_and_loads_as_generated(self, tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["demo-data", "--out", str(tmp_path), "--seed", "3"]) == 0
+        for i, (name, instances, attributes, margin) in enumerate(_DEMO_DATASETS):
+            data = (tmp_path / f"{name}.csv").read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, name
+            loaded = load_csv(tmp_path / f"{name}.csv")
+            made = make_threshold_dataset(instances, attributes, 3 + i, name, margin)
+            assert (loaded.features == made.features).all(), name
+            assert (loaded.labels == made.labels).all(), name
 
 
 JSON_VALUES = st.recursive(

@@ -7,8 +7,9 @@ file, and of every panel network's parameters and loss history, with
 ``pinned_outputs.json``. An output file can stay the same under an
 arithmetic change that flips no prediction; the parameters cannot.
 
-Wall times are left out: the ``wall_time`` entries of ``events.jsonl`` and
-the three wall columns of ``efficiency.csv``.
+Wall times are left out: ``events.jsonl`` is digested as its text with each
+``wall_time`` value masked, so that its whitespace, escaping and line breaks
+stay pinned, and ``efficiency.csv`` without its three wall columns.
 
 Floating-point results depend on numpy and on the BLAS kernels, which
 OpenBLAS picks per CPU core, so the pin file records the environment it
@@ -29,6 +30,7 @@ import hashlib
 import io
 import itertools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +44,7 @@ from enas.synthetic import make_threshold_dataset
 ROOT = Path(__file__).resolve().parent.parent
 SEARCH_CONFIG = ROOT / "perfbench" / "search.json"
 PIN_FILE = Path(__file__).resolve().parent / "pinned_outputs.json"
+WALL_TIME = re.compile(rb'"wall_time": [-+.0-9eE]+')
 WALL_COLUMNS = ("mean_wall_static", "mean_wall_adaptive", "wall_delta_pct")
 PANEL_OPTIMIZERS = ("sgd", "adam", "adamax", "rmsprop")
 PANEL_BATCH_SIZES = (1, 3, 32)
@@ -75,9 +78,7 @@ def _sha(data: bytes) -> str:
 
 def _file_digest(path: Path) -> str:
     if path.name == "events.jsonl":
-        docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        docs = [{k: v for k, v in doc.items() if k != "wall_time"} for doc in docs]
-        return _sha(json.dumps(docs).encode())
+        return _sha(WALL_TIME.sub(rb'"wall_time": _', path.read_bytes()))
     if path.name == "efficiency.csv":
         rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
         keep = [i for i, column in enumerate(rows[0]) if column not in WALL_COLUMNS]
