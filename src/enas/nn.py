@@ -177,13 +177,6 @@ def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return z  # linear
 
 
-def _activation_grad(name: str, a: np.ndarray) -> np.ndarray:
-    """Derivative of a sigmoid or tanh unit, from its activation ``a``."""
-    if name == "sigmoid":
-        return a * (_ONE - a)
-    return _ONE - a * a
-
-
 def layer_dims(input_width: int, config: MLPConfig) -> tuple[int, ...]:
     """Unit counts per layer: input, H+1 hidden-width layers, 1 output."""
     return (input_width,) + (config.nodes_per_hidden,) * (config.hidden_layers + 1) + (1,)
@@ -309,12 +302,14 @@ def loss_and_gradients(
             np.add.reduce(delta, axis=-2, keepdims=True, out=grad_b)
         if layer > 0:
             delta = delta @ weights_t[layer]
-            act = activations[layer - 1]
+            # each derivative from the layer's output a; a linear unit's is 1
+            act, a = activations[layer - 1], outs[layer]
             if act == "relu":
-                # the layer's output is positive exactly where its input is
-                delta *= outs[layer] > _ZERO
-            elif act != "linear":
-                delta *= _activation_grad(act, outs[layer])
+                delta *= a > _ZERO  # a is positive exactly where its input is
+            elif act == "sigmoid":
+                delta *= a * (_ONE - a)
+            elif act == "tanh":
+                delta *= _ONE - a * a
     return outs[-1][..., 0]
 
 
@@ -367,8 +362,7 @@ class Optimizer:
     how the parameters are laid out or stacked.
     """
 
-    def __init__(self, kind: str, shape):
-        shape = tuple(np.atleast_1d(shape))
+    def __init__(self, kind: str, shape: tuple[int, ...]):
         self.kind = kind
         self.lr = _scalar(DEFAULT_LEARNING_RATES[kind])
         self.m = np.zeros(shape) if kind in ("adam", "adamax") else None
@@ -479,7 +473,7 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
     Training sets may differ in size, so the stack's rows are ordered by
     it. Every full batch of the smallest set is one step of the whole
     stack; in the last one or two batches of an epoch, each run of rows
-    that share a batch end takes one step (``_epoch_plan``). Nothing is
+    that share a batch end takes one step (``_stack_steps``). Nothing is
     padded, since a padded row would change the gradient sums. A step's
     output pre-activations go into a per-epoch buffer, and the epoch loss
     of stack row r is the mean of the ``row_losses`` of its n entries
@@ -538,48 +532,36 @@ def _train_lockstep(config, x, y, dims, train_sets, seeds) -> list[TrainedModel]
     return [models[f] for f in range(len(train_sets))]
 
 
-def _epoch_plan(sizes: list[int], batch: int) -> list[tuple[int, int, int, int]]:
-    """The steps of one epoch, in order, as (first, last, start, end): stack
-    rows first..last-1 step on their batch entries start..end-1.
+def _stack_steps(params, grad, optimizer, dims, sizes, batch):
+    """The steps of one epoch, in order, as (rows, cols, views), and a zeroed logits buffer.
 
-    ``sizes``, each row's training-set size, ascend. The full batches of
-    the smallest set step the whole stack. After them, the rows that still
-    have entries and share a batch end are adjacent, and step together.
+    ``sizes``, the stack rows' training-set sizes, ascend, so the rows that
+    still have entries at a batch start are a suffix of the stack; each
+    maximal run of them that shares a batch end takes one step. A step's
+    views are its rows' parameter, weight-transpose and gradient views,
+    optimizer state, and parameter and gradient rows; steps on the same
+    rows share them. The buffer's padding stays zero, so the per-row losses
+    of an epoch are finite wherever the network's outputs are.
     """
-    g, shared = len(sizes), sizes[0] - sizes[0] % batch
-    plan = [(0, g, start, start + batch) for start in range(0, shared, batch)]
-    for start in range(shared, sizes[-1], batch):
+    g = len(sizes)
+    views = {}
+    steps = []
+    for start in range(0, sizes[-1], batch):
         first = bisect.bisect_right(sizes, start)
         while first < g:
             end = min(start + batch, sizes[first])
             last = g if end == start + batch else bisect.bisect_right(sizes, end)
-            plan.append((first, last, start, end))
+            if (first, last) not in views:
+                stack = slice(first, last)
+                layers = param_views(params[stack], dims)
+                views[first, last] = (
+                    layers,
+                    [w.swapaxes(-1, -2) for w, _ in layers],
+                    param_views(grad[stack], dims),
+                    optimizer.rows(stack),
+                    params[stack],
+                    grad[stack],
+                )
+            steps.append((slice(first, last), slice(start, end), views[first, last]))
             first = last
-    return plan
-
-
-def _stack_steps(params, grad, optimizer, dims, sizes, batch):
-    """``_epoch_plan`` as (rows, cols, views) steps, and a zeroed logits buffer.
-
-    The views of a step's rows are its parameter, weight-transpose and
-    gradient views, its optimizer state, and its parameter and gradient
-    rows; steps on the same rows share them. The buffer's padding stays
-    zero, so the per-row losses of an epoch are finite wherever the
-    network's outputs are.
-    """
-    views = {}
-    steps = []
-    for first, last, start, end in _epoch_plan(sizes, batch):
-        if (first, last) not in views:
-            stack = slice(first, last)
-            layers = param_views(params[stack], dims)
-            views[first, last] = (
-                layers,
-                [w.swapaxes(-1, -2) for w, _ in layers],
-                param_views(grad[stack], dims),
-                optimizer.rows(stack),
-                params[stack],
-                grad[stack],
-            )
-        steps.append((slice(first, last), slice(start, end), views[first, last]))
-    return steps, np.zeros((len(sizes), sizes[-1]))
+    return steps, np.zeros((g, sizes[-1]))

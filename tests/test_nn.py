@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -286,7 +287,7 @@ def _reference_update(kind, param, grad, state, lr):
 def _steps(kind, value, grads):
     """Values of a one-entry parameter after each step against ``grads``."""
     params = np.array([value])
-    optimizer = Optimizer(kind, 1)
+    optimizer = Optimizer(kind, (1,))
     seen = []
     for g in grads:
         optimizer.step(params, np.array([g]))
@@ -337,7 +338,7 @@ class TestOptimizerStep:
         params = rng.normal(size=sum((i + 1) * o for i, o in zip(dims, dims[1:])))
         tensors = [t.copy() for layer in param_views(params, dims) for t in layer]
         states = [_reference_state(kind, t) for t in tensors]
-        optimizer = Optimizer(kind, params.size)
+        optimizer = Optimizer(kind, params.shape)
         for step in range(6):
             grad = rng.normal(scale=10.0 ** (step - 3), size=params.size)
             grad[rng.random(params.size) < 0.2] = 0.0
@@ -478,10 +479,37 @@ class TestConfigValidation:
             _config(batch_size=0)
 
 
+def _assert_gradients_match_central_differences(cfg, width, rng):
+    """``loss_and_gradients`` against central differences of ``batch_loss``,
+    on six random rows and then on the first alone (a one-row batch has its
+    own path)."""
+    params = init_params(cfg, width, rng)
+    grad, scratch = np.empty_like(params), np.empty_like(params)
+    dims = layer_dims(width, cfg)
+    layers, grad_layers = param_views(params, dims), param_views(grad, dims)
+    scratch_layers = param_views(scratch, dims)
+    x = rng.uniform(0, 1, size=(6, width))
+    y = rng.integers(0, 2, size=6).astype(float)
+    for rows in (6, 1):
+        xs, ys = x[:rows], y[:rows]
+        loss_and_gradients(layers, cfg.activations, xs, ys, grad_layers, transposes(layers))
+        h = 1e-5
+        for i in range(params.size):
+            original = params[i]
+            params[i] = original + h
+            up = batch_loss(layers, cfg.activations, xs, ys, scratch_layers)
+            params[i] = original - h
+            down = batch_loss(layers, cfg.activations, xs, ys, scratch_layers)
+            params[i] = original
+            fd = (up - down) / (2 * h)
+            scale = max(abs(fd), abs(grad[i]), 1e-8)
+            assert abs(fd - grad[i]) / scale < 1e-4, (cfg.activations, rows, i)
+
+
 class TestGradients:
     def test_analytic_matches_central_differences(self):
         rng = make_rng(404)
-        for trial in range(4):
+        for _ in range(4):
             hidden = int(rng.integers(1, 4))
             cfg = MLPConfig(
                 hidden_layers=hidden,
@@ -494,29 +522,21 @@ class TestGradients:
                 epochs=1,
                 batch_size=4,
             )
-            width = int(rng.integers(2, 6))
-            params = init_params(cfg, width, rng)
-            grad, scratch = np.empty_like(params), np.empty_like(params)
-            dims = layer_dims(width, cfg)
-            layers, grad_layers = param_views(params, dims), param_views(grad, dims)
-            scratch_layers = param_views(scratch, dims)
-            x = rng.uniform(0, 1, size=(6, width))
-            y = rng.integers(0, 2, size=6).astype(float)
-            # six rows, then the first alone: a one-row batch has its own path
-            for rows in (6, 1):
-                xs, ys = x[:rows], y[:rows]
-                loss_and_gradients(layers, cfg.activations, xs, ys, grad_layers, transposes(layers))
-                h = 1e-5
-                for i in range(params.size):
-                    original = params[i]
-                    params[i] = original + h
-                    up = batch_loss(layers, cfg.activations, xs, ys, scratch_layers)
-                    params[i] = original - h
-                    down = batch_loss(layers, cfg.activations, xs, ys, scratch_layers)
-                    params[i] = original
-                    fd = (up - down) / (2 * h)
-                    scale = max(abs(fd), abs(grad[i]), 1e-8)
-                    assert abs(fd - grad[i]) / scale < 1e-4, (trial, rows, i)
+            _assert_gradients_match_central_differences(cfg, int(rng.integers(2, 6)), rng)
+
+    @pytest.mark.parametrize("act", ["relu", "sigmoid", "tanh", "linear"])
+    def test_each_hidden_activation_matches_central_differences(self, act):
+        # every non-output layer of one kind, so each derivative of the
+        # backward pass is checked by name
+        cfg = MLPConfig(
+            hidden_layers=2,
+            nodes_per_hidden=4,
+            activations=(act, act, act, "sigmoid"),
+            optimizer="sgd",
+            epochs=1,
+            batch_size=4,
+        )
+        _assert_gradients_match_central_differences(cfg, 3, make_rng(405, act))
 
 
 def _reference_train(config, x, y, rng):
@@ -528,7 +548,7 @@ def _reference_train(config, x, y, rng):
     params = init_params(config, x.shape[1], rng)
     grad = np.empty_like(params)
     layers, grad_layers = param_views(params, dims), param_views(grad, dims)
-    optimizer = Optimizer(config.optimizer, params.size)
+    optimizer = Optimizer(config.optimizer, params.shape)
     weights_t, stopper, losses = transposes(layers), EarlyStopper(), []
     for _ in range(config.epochs):
         order = rng.permutation(len(y))
@@ -675,3 +695,37 @@ class TestTrainFolds:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             list(train_folds(config, x, y, train_sets, FOLD_SEEDS))
+
+
+def _plan_oracle(sizes, batch):
+    """The (rows, cols) of each step of one epoch, without bisect: at each
+    batch start s, the rows whose size is above s, cut into maximal runs of
+    equal batch end min(s + batch, size)."""
+    plan = []
+    for s in range(0, max(sizes), batch):
+        rows = [r for r, n in enumerate(sizes) if n > s]
+        for end, run in itertools.groupby(rows, key=lambda r: min(s + batch, sizes[r])):
+            run = list(run)
+            plan.append((slice(run[0], run[-1] + 1), slice(s, end)))
+    return plan
+
+
+class TestStackSteps:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6).map(sorted),
+        batch=st.integers(1, 10),
+    )
+    def test_steps_are_the_maximal_runs_of_each_batch_start(self, sizes, batch):
+        # the same bits would come out of a plan that stepped each row
+        # alone; only the plan's shape tells its numpy calls apart
+        dims = (2, 1)
+        params = np.zeros((len(sizes), param_count(dims)))
+        optimizer = Optimizer("adam", params.shape)
+        steps, logits = nn._stack_steps(params, np.empty_like(params), optimizer, dims, sizes, batch)
+        assert [(rows, cols) for rows, cols, _ in steps] == _plan_oracle(sizes, batch)
+        views = {}
+        for rows, _, view in steps:
+            assert views.setdefault((rows.start, rows.stop), view) is view
+        assert len({id(view) for view in views.values()}) == len(views)
+        assert logits.shape == (len(sizes), sizes[-1]) and not logits.any()

@@ -7,9 +7,10 @@ file, and of every panel network's parameters and loss history, with
 ``pinned_outputs.json``. An output file can stay the same under an
 arithmetic change that flips no prediction; the parameters cannot.
 
-Wall times are left out: ``events.jsonl`` is digested as its text with each
-``wall_time`` value masked, so that its whitespace, escaping and line breaks
-stay pinned, and ``efficiency.csv`` without its three wall columns.
+Wall times are left out: ``events.jsonl`` is digested as its bytes with each
+``wall_time`` value masked, and ``efficiency.csv`` as its bytes with the
+three wall cells of each data line masked, so that the whitespace, escaping
+and line breaks of both stay pinned.
 
 Floating-point results depend on numpy and on the BLAS kernels, which
 OpenBLAS picks per CPU core, so the pin file records the environment it
@@ -45,7 +46,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEARCH_CONFIG = ROOT / "perfbench" / "search.json"
 PIN_FILE = Path(__file__).resolve().parent / "pinned_outputs.json"
 WALL_TIME = re.compile(rb'"wall_time": [-+.0-9eE]+')
-WALL_COLUMNS = ("mean_wall_static", "mean_wall_adaptive", "wall_delta_pct")
+WALL_COLUMNS = (b"mean_wall_static", b"mean_wall_adaptive", b"wall_delta_pct")
 PANEL_OPTIMIZERS = ("sgd", "adam", "adamax", "rmsprop")
 PANEL_BATCH_SIZES = (1, 3, 32)
 
@@ -80,9 +81,12 @@ def _file_digest(path: Path) -> str:
     if path.name == "events.jsonl":
         return _sha(WALL_TIME.sub(rb'"wall_time": _', path.read_bytes()))
     if path.name == "efficiency.csv":
-        rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
-        keep = [i for i, column in enumerate(rows[0]) if column not in WALL_COLUMNS]
-        return _sha(json.dumps([[row[i] for i in keep] for row in rows]).encode())
+        lines = [line.split(b",") for line in path.read_bytes().split(b"\n")]
+        wall = [i for i, column in enumerate(lines[0]) if column in WALL_COLUMNS]
+        for cells in lines[1:-1]:  # each data line; the last entry follows the final LF
+            for i in wall:
+                cells[i] = b"_"
+        return _sha(b"\n".join(b",".join(cells) for cells in lines))
     return _sha(path.read_bytes())
 
 
@@ -146,6 +150,20 @@ def test_one_ulp_learning_rate_change_breaks_the_pin(monkeypatch):
     moved = {key for key, digest in panel_digests().items() if digest != pinned[key]}
     assert moved == {f"adam/batch{batch}" for batch in PANEL_BATCH_SIZES}
 
+
+def test_efficiency_digest_pins_line_format_but_not_wall_times(tmp_path):
+    path = tmp_path / "efficiency.csv"
+
+    def digest(walls, newline="\n", last_newline=True):
+        rows = ["dataset,pairs,mean_wall_static,mean_wall_adaptive,wall_delta_pct,fraction"]
+        rows += [f"{name},2,{w},{w},{w},0.5" for name, w in zip(("a", "overall"), walls)]
+        path.write_bytes((newline.join(rows) + (newline if last_newline else "")).encode())
+        return _file_digest(path)
+
+    pinned = digest(["1.5", "2.5"])
+    assert digest(["0.25", "9.0"]) == pinned
+    assert digest(["1.5", "2.5"], newline="\r\n") != pinned
+    assert digest(["1.5", "2.5"], last_newline=False) != pinned
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
