@@ -26,7 +26,6 @@ evaluator can train the batch's same-config genomes together.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
@@ -127,7 +126,6 @@ class GenerationRecord:
 
 @dataclass
 class EvolutionState:
-    mode: Mode
     run_seed: int
     live: EvolutionConfig
     emit: Callable[[dict], None]  # called with each event of the run as it happens
@@ -136,7 +134,6 @@ class EvolutionState:
     next_id: int = 0
     models_trained: int = 0
     history: list[GenerationRecord] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def best(self) -> Individual:
@@ -255,7 +252,7 @@ def init(
             live, **{name: sample_gene(name, config.space, rng) for name in CONTROL_GENES}
         )
 
-    state = EvolutionState(mode=mode, run_seed=run_seed, live=live, emit=emit)
+    state = EvolutionState(run_seed=run_seed, live=live, emit=emit)
     state.population = [
         _born(state, sample_genome(config.space, rng), 0) for _ in range(live.population_size)
     ]
@@ -421,7 +418,8 @@ def run(
     emit: Callable[[dict], None],
 ) -> EvolutionState:
     """Execute one full search, passing each event to ``emit`` as it happens, and
-    return its final state, timed in ``wall_time``.
+    return its final state. No clock is read, so with a deterministic ``fitness_fn``
+    equal arguments give equal states.
 
     Per generation: evaluate, promote control genes (adaptive mode,
     which may resize the population or halt the run), record history,
@@ -429,7 +427,6 @@ def run(
     step. The loop ends once the generation counter reaches the live
     budget, or has passed a budget that a promotion lowered (a halt).
     """
-    started = time.perf_counter()
     state = init(mode, config, fitness_fn, run_seed, emit)
     while True:
         if mode is Mode.ENAS:
@@ -438,5 +435,4 @@ def run(
         if state.generation >= state.live.max_generations:
             break
         next_generation(state, fitness_fn)
-    state.wall_time = time.perf_counter() - started
     return state

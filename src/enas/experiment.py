@@ -111,7 +111,6 @@ def _require(condition: bool, message: str) -> None:
 
 
 _KIND_NAMES = {
-    bool: "true or false",
     int: "an integer",
     float: "a number",
     str: "a string",
@@ -492,18 +491,6 @@ def load_dataset(spec: DatasetSpec) -> Dataset:
         raise DatasetError(f"cannot scale {str(spec.path)!r}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class BestGenomeDoc:
-    """A best_genome_*.json file: a run's fittest individual, which ``_cell_files``
-    builds from the run's final state and the audit's replay rebuilds whole."""
-
-    genome: dict
-    mean_f_measure: float
-    per_fold: tuple[float, ...]
-    individual_id: int
-    run_seed: int
-
-
 def _event_line(cell: Cell, event: dict) -> str:
     """An event of ``cell``'s search as its line of events.jsonl, without the line break."""
     return json.dumps({"dataset": cell.dataset, "mode": cell.mode.value, "run": cell.run, **event})
@@ -518,16 +505,13 @@ def _cell_files(cell: Cell, state: EvolutionState, wall_time: float) -> tuple[di
     alike: the lines of its history and best-genome files by file name, and its run_complete
     record, timed ``wall_time``."""
     best = state.best
-    doc = BestGenomeDoc(
-        genome=genome_to_doc(best.genome),
-        mean_f_measure=best.fitness.mean_f_measure,
-        per_fold=best.fitness.per_fold,
-        individual_id=best.id,
-        run_seed=state.run_seed,
-    )
+    doc = {
+        "genome": genome_to_doc(best.genome), "mean_f_measure": best.fitness.mean_f_measure,
+        "per_fold": best.fitness.per_fold, "individual_id": best.id, "run_seed": state.run_seed,
+    }
     files = {
         cell.history_file: _csv_lines(HISTORY_COLUMNS, map(astuple, state.history)),
-        cell.best_genome_file: json.dumps(asdict(doc), indent=2).splitlines(),
+        cell.best_genome_file: json.dumps(doc, indent=2).splitlines(),
     }
     record = RunComplete(
         cell.dataset, cell.mode.value, cell.run, best.fitness.mean_f_measure, state.generation,
@@ -544,12 +528,15 @@ def _run_cell(
     The search's events stream into the cell's part of ``events.jsonl``, open
     as ``<part>.tmp``. Its history and best genome follow, then the part gets
     its last line, the ``run_complete`` record the cell returns, and is renamed
-    last, so a part under its final name means a finished cell."""
+    last, so a part under its final name means a finished cell. The record's
+    ``wall_time`` is the time spent in ``evolution.run``, from the initial
+    population to the last generation."""
     with _replacing(out / cell.events_file) as part:
         emit = lambda event: part.write(_event_line(cell, event) + "\n")
+        started = time.perf_counter()
         # Looked up on the module so that a wrapper installed there is called.
         state = evolution.run(cell.mode, config, fitness, cell.run_seed(base_seed), emit)
-        files, record = _cell_files(cell, state, state.wall_time)
+        files, record = _cell_files(cell, state, time.perf_counter() - started)
         for name, lines in files.items():
             _write_lines(out / name, lines)
         part.write(_complete_line(record) + "\n")

@@ -310,8 +310,8 @@ def test_adaptive_mode_trains_fewer_models_in_most_paired_runs():
         for mode, states in searches.items():
             states.append(run(mode, config, fitness, derive_seed("pair", pair), discard))
     static_runs, adaptive_runs = (
-        [run_complete(state, "synthetic", pair) for pair, state in enumerate(states)]
-        for states in searches.values()
+        [run_complete(state, mode, "synthetic", pair) for pair, state in enumerate(states)]
+        for mode, states in searches.items()
     )
     fewer = sum(
         1 for a, s in zip(adaptive_runs, static_runs) if a.models_trained < s.models_trained

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -33,6 +34,7 @@ from enas.experiment import (
     ExperimentError,
     RunComplete,
     SummaryRow,
+    _cell_files,
     _csv_lines,
     _run_cell,
     _write_lines,
@@ -290,13 +292,10 @@ def _run_complete_docs(out_dir):
     return [doc for doc in map(json.loads, lines) if doc["type"] == "run_complete"]
 
 
-def run_complete(state, dataset="toy", run_index=0):
-    """The run_complete record of a cell whose search ended in ``state``."""
-    best_f1 = state.best.fitness.mean_f_measure
-    return RunComplete(
-        dataset, state.mode.value, run_index, best_f1, state.generation,
-        state.models_trained, state.halted, state.wall_time,
-    )
+def run_complete(state, mode, dataset="toy", run_index=0):
+    """The run_complete record, as ``_cell_files`` builds it, of a ``mode`` cell whose
+    search ended in ``state``; the search was not timed, so its ``wall_time`` is 0."""
+    return _cell_files(Cell(dataset, mode, run_index), state, 0.0)[1]
 
 
 @pytest.fixture(scope="module")
@@ -324,6 +323,13 @@ class TestRunExperiment:
             (spec.name, mode.value) for spec in config.datasets for mode in config.modes
         ]
         assert all(row.runs == config.runs for row in rows)
+
+    def test_every_cell_times_its_search(self, experiment_dir):
+        config = experiment_dir
+        records = _run_complete_docs(config.out_dir)
+        assert len(records) == len(config.datasets) * config.runs * len(config.modes)
+        for doc in records:
+            assert math.isfinite(doc["wall_time"]) and doc["wall_time"] > 0, doc
 
     def test_summary_row_invariants(self, experiment_dir):
         for row in read_summary_rows(experiment_dir.out_dir):
@@ -700,7 +706,7 @@ class TestEfficiency:
         space = SearchSpace(population_size=(3, 8), max_generations=(1, max_generations))
         config = EvolutionConfig(space=space, population_size=6, max_generations=max_generations)
         return [
-            run_complete(run(mode, config, SyntheticFitness(), s, discard), run_index=s)
+            run_complete(run(mode, config, SyntheticFitness(), s, discard), mode, run_index=s)
             for s in seeds
         ]
 
